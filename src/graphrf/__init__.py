@@ -66,10 +66,12 @@ from .mkl import (
     ensemble_update,
     load_mkl_checkpoint,
     matrix_provider,
+    mkl_encode,
     mkl_init,
     mkl_predict,
     mkl_predict_batch,
     mkl_train,
+    mkl_train_encoded,
     mkl_update,
     power_provider,
     save_mkl_checkpoint,

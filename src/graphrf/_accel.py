@@ -2,8 +2,7 @@
 
 The hot streaming kernels in :mod:`graphrf._kernels` are compiled with numba
 when it is installed.  Set ``GRAPHRF_NUMBA=0`` in the environment to force the
-pure-numpy fallback path (same code, interpreted); ``benchmarks/backend_bench.py``
-compares the two.
+pure-numpy fallback path (same code, interpreted).
 """
 
 import os

@@ -1,15 +1,17 @@
-"""Hot inner loops for online training.
+"""The online training kernel.
 
-These run once per streamed sample and dominate runtime for long streams, so
-they carry ``@njit``; with ``GRAPHRF_NUMBA=0`` the same code runs as plain
-numpy.  Both the single-kernel and the multi-kernel stream trainers call the
-one shared :func:`step` primitive, which makes a one-kernel multi-kernel run
-bit-identical to the single-kernel path under either backend.
+Every learner trains through :func:`mkl_stream`.  Its per-sample loop,
+:func:`learner_block`, steps all P learners at once as one (P, 2D) block and
+carries ``@njit``; with ``GRAPHRF_NUMBA=0`` the same code runs as plain
+numpy.  The hedge weights are replayed after the loop in one vectorised
+numpy pass, which is exact in structure because no learner's update reads
+the weights.  Single-kernel training is the P = 1 case, so a one-kernel
+multi-kernel run is bit-identical to the single-kernel path under either
+backend.
 
-Loss codes: 0 = least squares, 1 = hinge, 2 = logistic.
+Loss codes: 0 = least squares, 1 = hinge, 2 = logistic.  The cost and its
+derivative act elementwise on arrays.
 """
-
-import math
 
 import numpy as np
 
@@ -20,95 +22,88 @@ LOSS_HINGE = 1
 LOSS_LOGISTIC = 2
 
 
-@njit(cache=True)
 def cost_value(code, pred, y):
-    """Un-regularized cost C(pred, y)."""
+    """Un-regularized cost C(pred, y), elementwise."""
     if code == 0:
         r = pred - y
         return r * r
     if code == 1:
-        m = 1.0 - y * pred
-        return m if m > 0.0 else 0.0
+        return np.maximum(1.0 - y * pred, 0.0)
     m = y * pred
-    if m >= 0.0:
-        return math.log1p(math.exp(-m))
-    return -m + math.log1p(math.exp(m))
+    return np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))
 
 
 @njit(cache=True)
 def cost_grad_scale(code, pred, y):
-    """dC/dpred.  Hinge uses the subgradient, 0 at the margin boundary."""
+    """dC/dpred for an array of predictions against one label.
+
+    Hinge uses the subgradient, 0 at the margin boundary.
+    """
     if code == 0:
         return 2.0 * (pred - y)
     if code == 1:
-        return -y if y * pred < 1.0 else 0.0
+        return np.where(y * pred < 1.0, -y, 0.0)
     m = y * pred
-    if m >= 0.0:
-        e = math.exp(-m)
-        return -y * e / (1.0 + e)
-    return -y / (1.0 + math.exp(m))
+    e = np.exp(-np.abs(m))
+    return -y * np.where(m >= 0.0, e, 1.0) / (1.0 + e)
 
 
 @njit(cache=True)
-def step(theta, z, y, eta, mu, code):
-    """One online gradient step on theta, in place.
+def learner_block(zs, ys, eta, mu, code, thetas):
+    """Constant-step descent of P independent learners over one stream.
 
-    Returns the regularized loss at the pre-update iterate, which is the
-    quantity every trace records.
+    zs (P, T, 2D) holds one encoded stream per learner and thetas (P, 2D) is
+    updated in place.  Returns a (3, T, P) record of each learner's
+    pre-update prediction, squared weight norm and squared gradient norm.
     """
-    pred = np.dot(theta, z)
-    loss = cost_value(code, pred, y) + mu * np.dot(theta, theta)
-    g = cost_grad_scale(code, pred, y)
-    theta -= eta * (g * z + 2.0 * mu * theta)
-    return loss
-
-
-@njit(cache=True)
-def ogd_stream(zs, ys, eta, mu, code, theta):
-    """Run the single-kernel online pass over encoded samples.
-
-    ``theta`` is updated in place; returns the per-step pre-update losses.
-    """
-    n_steps = zs.shape[0]
-    losses = np.empty(n_steps)
+    n_learners, n_steps, width = zs.shape
+    record = np.empty((3, n_steps, n_learners))
+    shrink = 2.0 * mu
+    # rows [z_t, theta_t]: one product and one sum give every learner's
+    # prediction and squared norm
+    work = np.empty((2, n_learners, width))
+    theta = work[1]
+    theta[:] = thetas
     for t in range(n_steps):
-        losses[t] = step(theta, zs[t], ys[t], eta, mu, code)
-    return losses
+        z = zs[:, t]
+        work[0] = z
+        dots = (work * theta).sum(axis=2)
+        record[:2, t] = dots
+        g = cost_grad_scale(code, dots[0], ys[t])
+        grad = g.reshape((n_learners, 1)) * z + shrink * theta
+        record[2, t] = (grad * grad).sum(axis=1)
+        theta -= eta * grad
+    thetas[:] = theta
+    return record
 
 
-@njit(cache=True)
 def mkl_stream(zs, ys, eta, mu, code, thetas, logw):
     """Multi-kernel online pass with multiplicative weight updates.
 
     zs has shape (P, T, 2D): one encoded stream per kernel.  thetas (P, 2D)
-    and logw (P,) are updated in place.  Weights are kept in the log domain
-    and rescaled so the largest stays at 0, which leaves the normalized
-    weights untouched while avoiding underflow on long streams.
+    and logw (P,) are updated in place; logw is rescaled so its largest
+    entry is 0, which leaves the normalized weights untouched.
 
-    Returns (combined losses, per-kernel losses (T, P), normalized weights
-    used at each step (T, P)).  All recorded values are pre-update, as the
-    online protocol requires.
+    Returns (combined losses (T,), per-kernel losses (T, P), normalized
+    weights used at each step (T, P), combined predictions (T,), largest
+    gradient norm per kernel (P,)).  All recorded values are pre-update, as
+    the online protocol requires.
     """
-    n_kernels = zs.shape[0]
-    n_steps = zs.shape[1]
-    combined = np.empty(n_steps)
-    per_kernel = np.empty((n_steps, n_kernels))
-    weights_used = np.empty((n_steps, n_kernels))
-    for t in range(n_steps):
-        wbar = np.exp(logw - np.max(logw))
-        wbar /= np.sum(wbar)
-        preds = np.empty(n_kernels)
-        norms = np.empty(n_kernels)
-        for p in range(n_kernels):
-            preds[p] = np.dot(thetas[p], zs[p, t])
-            norms[p] = np.dot(thetas[p], thetas[p])
-            weights_used[t, p] = wbar[p]
-        f_hat = np.dot(wbar, preds)
-        combined[t] = cost_value(code, f_hat, ys[t]) + mu * np.dot(wbar, norms)
-        for p in range(n_kernels):
-            lp = step(thetas[p], zs[p, t], ys[t], eta, mu, code)
-            per_kernel[t, p] = lp
-            clipped = min(max(lp, 0.0), 1.0)
-            logw[p] -= eta * clipped
-        logw -= np.max(logw)
-    return combined, per_kernel, weights_used
+    record = learner_block(zs, ys, eta, mu, code, thetas)
+    preds, norms, grad_sq = record
+    y = ys[:, None]
+    per_kernel = cost_value(code, preds, y) + mu * norms
+    clipped = np.minimum(np.maximum(per_kernel, 0.0), 1.0)
+    # log-weights after each step; the weights used at step t are those
+    # after step t - 1, or the starting ones
+    after = logw - eta * clipped.cumsum(axis=0)
+    used = np.concatenate((logw[None, :], after))[:-1]
+    weights = np.exp(used - used.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    # weighted prediction and norm as (T, 1) columns, so that at P = 1 the
+    # combined loss takes exactly the per-kernel loss's arithmetic
+    f_hat, norm_bar = (weights * record[:2]).sum(axis=2, keepdims=True)
+    combined = (cost_value(code, f_hat, y) + mu * norm_bar)[:, 0]
+    if len(after):
+        logw[:] = after[-1] - after[-1].max()
+    return combined, per_kernel, weights, f_hat[:, 0], np.sqrt(grad_sq.max(axis=0, initial=0.0))

@@ -24,7 +24,6 @@ from .harness import (
     run_dataset,
     run_regret,
     run_synthetic,
-    write_report,
 )
 from .kernels import KernelSpec
 
@@ -65,13 +64,6 @@ def _resolve_config(args) -> ExperimentConfig:
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
     return config
-
-
-def _emit(report, args) -> None:
-    if args.out:
-        write_report(report, args.out, args.format)
-    body = report.to_tsv() if args.format == "tsv" else report.to_json()
-    sys.stdout.write(body)
 
 
 def _cmd_encode(args) -> int:

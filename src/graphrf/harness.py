@@ -30,9 +30,11 @@ from .graph import Graph, erdos_renyi, load_edge_list, load_labels, sample_nodes
 from .kernels import GraphKernelSpec, KernelSpec, eval_kernel_matrix, graph_kernel_matrix
 from .mkl import (
     MklModel,
+    mkl_encode,
     mkl_init,
     mkl_predict_batch,
     mkl_train,
+    mkl_train_encoded,
     static_regret,
     traces_to_tsv,
 )
@@ -832,27 +834,46 @@ class _PlanView:
     unsampled: np.ndarray
 
 
+# Byte budget of the stacked (dim, dim) systems the prefix oracle solves in
+# one batch: memory stays flat, and once dim^2 doubles exceed it a block
+# holds a single prefix, which is one solve per prefix.
+_ORACLE_BLOCK_BYTES = 1 << 18
+
+
 def _prefix_oracle_losses(zs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarray:
     """Best-fixed-parameter cumulative loss for every stream prefix.
 
     For prefix t the comparator re-solves the regularized LS problem on the
-    first t samples and is charged its own regularized loss on them.
+    first t samples and is charged its own regularized loss on them.  With
+    the running gram G, right-hand side r and A = G + t mu I, that loss is
+    theta' A theta - 2 theta' r + y'y, which is stationary at the solution,
+    so errors in theta enter only to second order.  Prefixes are solved in
+    blocks of stacked systems.
     """
     n_steps, dim = zs.shape
+    block = max(1, _ORACLE_BLOCK_BYTES // (8 * dim * dim))
+    systems = np.empty((min(block, n_steps), dim, dim))
     gram = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
+    rhs_all = np.cumsum(zs * ys[:, None], axis=0)
+    yy_all = np.cumsum(ys * ys)
     out = np.empty(n_steps)
-    eye = np.eye(dim)
-    for t in range(n_steps):
-        z = zs[t]
-        gram += np.outer(z, z)
-        rhs += z * ys[t]
+    for start in range(0, n_steps, block):
+        stop = min(start + block, n_steps)
+        a = systems[: stop - start]
+        z = zs[start:stop]
+        np.multiply(z[:, :, None], z[:, None, :], out=a)
+        a[0] += gram
+        for k in range(1, stop - start):
+            a[k] += a[k - 1]
+        gram[...] = a[-1]
+        rhs = rhs_all[start:stop]
         if mu > 0:
-            theta = np.linalg.solve(gram + mu * (t + 1) * eye, rhs)
+            np.einsum("kii->ki", a)[...] += mu * np.arange(start + 1, stop + 1)[:, None]
+            theta = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
         else:
-            theta, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        resid = zs[: t + 1] @ theta - ys[: t + 1]
-        out[t] = float(np.dot(resid, resid)) + (t + 1) * mu * float(np.dot(theta, theta))
+            theta = np.stack([np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(a, rhs)])
+        quad = (theta * (a @ theta[:, :, None])[:, :, 0]).sum(axis=1)
+        out[start:stop] = quad - 2.0 * (theta * rhs).sum(axis=1) + yy_all[start:stop]
     return out
 
 
@@ -892,21 +913,14 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
         model = mkl_init(
             config.kernel_specs(), config.d, pats.shape[1], eta, mu, config.loss, seeds["map"]
         )
-        maps = model.maps
-        samples = [(pats[node], x[node]) for node in stream]
-        model, traces = mkl_train(model, samples)
-        stream_pats = pats[stream]
+        zs = mkl_encode(model, pats[stream])
         ys = x[stream]
-        per_kernel_oracle = np.stack(
-            [_prefix_oracle_losses(m.encode_batch(stream_pats), ys, mu) for m in maps]
-        )
-        oracle_best = per_kernel_oracle.min(axis=0)
+        model, traces = mkl_train_encoded(model, zs, ys)
+        oracle_best = np.min([_prefix_oracle_losses(z, ys, mu) for z in zs], axis=0)
         rep = static_regret(traces.combined_loss, oracle_best)
         exponents.append(rep.fitted_growth_exponent)
         regrets_final.append(float(rep.regret[-1]))
-        bound_checks.append(
-            _regret_bound_check(config, model, maps, traces, stream_pats, ys, eta, mu)
-        )
+        bound_checks.append(_regret_bound_check(zs, ys, traces, eta, mu))
         if trial == 0:
             trace_rows.append(rep)
     finite_exponents = [e for e in exponents if not math.isnan(e)]
@@ -938,44 +952,31 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
     return report
 
 
-def _regret_bound_check(config, model, maps, traces, stream_pats, ys, eta, mu) -> dict:
+def _regret_bound_check(zs, ys, traces, eta, mu) -> dict:
     """Empirical check of the hedge+descent regret bound for every kernel.
 
     The comparator is the full-horizon batch solution per kernel, and the
-    Lipschitz constant is replaced by the largest gradient norm actually
-    observed (measured by replaying the descent path).
+    Lipschitz constant is replaced by the largest gradient norm the learners
+    actually saw, as recorded by the stream kernel.
     """
-    n_kernels = len(maps)
+    n_kernels = zs.shape[0]
     horizon = ys.size
     lhs_total = float(traces.combined_loss.sum())
-    max_grad = 0.0
-    results = []
-    for rf_map in maps:
-        zs = rf_map.encode_batch(stream_pats)
-        theta_star = batch_rf_ls(zs, ys, mu)
-        preds = zs @ theta_star
-        oracle_loss = float(((preds - ys) ** 2).sum()) + horizon * mu * float(
-            np.dot(theta_star, theta_star)
-        )
-        results.append(
-            {"theta_star_norm2": float(np.dot(theta_star, theta_star)), "oracle_loss": oracle_loss}
-        )
-        theta = np.zeros(zs.shape[1])
-        for t in range(horizon):
-            z = zs[t]
-            grad = 2.0 * (np.dot(theta, z) - ys[t]) * z + 2.0 * mu * theta
-            max_grad = max(max_grad, float(np.linalg.norm(grad)))
-            theta -= eta * grad
+    max_grad = float(traces.max_grad.max())
     holds = True
     margins = []
-    for res in results:
+    for z in zs:
+        theta_star = batch_rf_ls(z, ys, mu)
+        theta_norm2 = float(np.dot(theta_star, theta_star))
+        preds = z @ theta_star
+        oracle_loss = float(((preds - ys) ** 2).sum()) + horizon * mu * theta_norm2
         bound = (
             math.log(n_kernels) / eta
-            + res["theta_star_norm2"] / (2.0 * eta)
+            + theta_norm2 / (2.0 * eta)
             + eta * max_grad**2 * horizon / 2.0
             + eta * horizon
         )
-        lhs = lhs_total - res["oracle_loss"]
+        lhs = lhs_total - oracle_loss
         margins.append(bound - lhs)
         holds = holds and (lhs <= bound)
     return {"holds": holds, "margins": margins, "max_grad": max_grad}
@@ -984,14 +985,14 @@ def _regret_bound_check(config, model, maps, traces, stream_pats, ys, eta, mu) -
 def bench_newnode(config: ExperimentConfig, out_dir=None) -> Report:
     """Per-method per-size new-node inference timings over graph sizes.
 
-    Only timing is claimed here, so the default signal scenario is the
-    cheap identity kernel.
+    Only timing is claimed here.  The signal scenario comes from the config,
+    so pass ``scenario="identity"`` for the cheap kernel, as C10 does.
     """
     _validate_config(config)
     rows = []
     extras: dict = {"sizes": list(config.bench_sizes), "per_method": {}}
     seeds_used = []
-    timing_cfg = replace(config, measure_runtime=True, scenario=config.scenario)
+    timing_cfg = replace(config, measure_runtime=True)
     for size in config.bench_sizes:
         seeds = _trial_seeds(config.base_seed, size)
         seeds_used.append(seeds["graph"])

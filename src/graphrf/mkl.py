@@ -93,11 +93,14 @@ class MklStepRecord:
 
 @dataclass(frozen=True)
 class MklTraces:
-    """Per-step records of one training pass (all pre-update quantities)."""
+    """Per-step records of one training pass (all pre-update quantities),
+    plus each kernel's largest gradient norm over the pass."""
 
     combined_loss: np.ndarray
     per_kernel_loss: np.ndarray
     weights: np.ndarray
+    prediction: np.ndarray
+    max_grad: np.ndarray
 
     @property
     def n_steps(self) -> int:
@@ -144,21 +147,28 @@ def mkl_predict_batch(model: MklModel, patterns) -> np.ndarray:
     return out
 
 
-def _run_stream(model: MklModel, patterns: np.ndarray, labels: np.ndarray):
+def mkl_encode(model: MklModel, patterns) -> np.ndarray:
+    """(P, T, 2D) encodings of T patterns under each of the P maps."""
+    return np.stack([m.encode_batch(patterns) for m in model.maps])
+
+
+def mkl_train_encoded(
+    model: MklModel, zs: np.ndarray, labels
+) -> tuple[MklModel, MklTraces]:
+    """Sequential training pass over encodings from :func:`mkl_encode`."""
+    labels = np.asarray(labels, dtype=np.float64)
+    expected = (model.n_kernels, labels.size, 2 * model.maps[0].d)
+    if zs.shape != expected:
+        raise ValueError(f"encodings have shape {zs.shape}, expected {expected}")
     loss = model.learners[0].loss
     for y in labels:
         _check_label(loss, y)
-    n_steps = labels.size
-    if n_steps:
-        zs = np.stack([m.encode_batch(patterns) for m in model.maps])
-    else:
-        zs = np.empty((model.n_kernels, 0, 2 * model.maps[0].d))
     thetas = np.stack([lr.theta for lr in model.learners])
     logw = model.log_weights.copy()
-    combined, per_kernel, weights_used = _kernels.mkl_stream(
+    combined, per_kernel, weights_used, prediction, max_grad = _kernels.mkl_stream(
         zs, labels, model.eta, loss.mu, loss.code, thetas, logw
     )
-    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(combined))):
+    if not (np.isfinite(thetas).all() and np.isfinite(combined).all()):
         raise FloatingPointError("multi-kernel training diverged to non-finite values")
     learners = tuple(
         SingleKernelState(theta=thetas[p], eta=lr.eta, loss=lr.loss, map_ref=lr.map_ref)
@@ -167,13 +177,13 @@ def _run_stream(model: MklModel, patterns: np.ndarray, labels: np.ndarray):
     new_model = MklModel(
         learners=learners, maps=model.maps, log_weights=logw, eta=model.eta, seed=model.seed
     )
-    return new_model, MklTraces(combined, per_kernel, weights_used)
+    return new_model, MklTraces(combined, per_kernel, weights_used, prediction, max_grad)
 
 
 def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, MklStepRecord]:
     """One online step: every learner descends, every weight decays."""
     a = np.asarray(connectivity, dtype=np.float64)
-    new_model, traces = _run_stream(model, a[None, :], np.array([float(label)]))
+    new_model, traces = mkl_train_encoded(model, mkl_encode(model, a[None, :]), [label])
     record = MklStepRecord(
         combined_loss=float(traces.combined_loss[0]),
         per_kernel_losses=traces.per_kernel_loss[0],
@@ -201,18 +211,24 @@ def mkl_train(
     stacked = np.stack(patterns) if patterns else np.empty((0, n))
     if stacked.size and stacked.shape[1] != n:
         raise ValueError(f"features have length {stacked.shape[1]}, maps expect {n}")
-    return _run_stream(model, stacked, np.array(labels))
+    return mkl_train_encoded(model, mkl_encode(model, stacked), labels)
 
 
 def absorb_new_node_mkl(
     model: MklModel, connectivity, label: float | None = None
 ) -> tuple[float, MklModel]:
-    """Combined prediction for a newly-joining node, plus an optional update."""
-    prediction = mkl_predict(model, connectivity)
+    """Combined prediction for a newly-joining node, plus an optional update.
+
+    The node is encoded once per map; scoring and the update share it.
+    """
+    a = np.asarray(connectivity, dtype=np.float64)
+    zs = mkl_encode(model, a[None, :])
     if label is None:
-        return prediction, model
-    new_model, _ = mkl_update(model, connectivity, label)
-    return prediction, new_model
+        thetas = np.stack([lr.theta for lr in model.learners])
+        preds = (thetas * zs[:, 0]).sum(axis=1)
+        return float((model.normalized_weights * preds).sum()), model
+    new_model, traces = mkl_train_encoded(model, zs, [label])
+    return float(traces.prediction[0]), new_model
 
 
 def traces_to_tsv(traces: MklTraces, path) -> None:

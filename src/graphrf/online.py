@@ -98,11 +98,6 @@ def loss_value(loss: LossKind, prediction: float, label: float, theta_norm2: flo
     )
 
 
-def clipped_loss(loss: LossKind, prediction: float, label: float, theta_norm2: float = 0.0) -> float:
-    """Loss clipped to [0, 1]; this is what multiplicative weight updates see."""
-    return min(max(loss_value(loss, prediction, label, theta_norm2), 0.0), 1.0)
-
-
 def loss_grad(loss: LossKind, z, theta, label: float) -> np.ndarray:
     """Gradient of the regularized loss with respect to theta."""
     z = np.asarray(z, dtype=np.float64)
@@ -110,8 +105,8 @@ def loss_grad(loss: LossKind, z, theta, label: float) -> np.ndarray:
     if z.shape != theta.shape:
         raise ValueError(f"z and theta shapes differ: {z.shape} vs {theta.shape}")
     label = _check_label(loss, label)
-    pred = float(np.dot(theta, z))
-    g = _kernels.cost_grad_scale(loss.code, pred, label)
+    pred = np.array([np.dot(theta, z)])
+    g = _kernels.cost_grad_scale(loss.code, pred, label)[0]
     return g * z + 2.0 * loss.mu * theta
 
 
@@ -124,11 +119,24 @@ def ogd_step(state: SingleKernelState, z, label: float) -> SingleKernelState:
             f"state expects {state.theta.shape[0]}"
         )
     label = _check_label(state.loss, label)
-    theta = state.theta.copy()
-    _kernels.step(theta, z, label, state.eta, state.loss.mu, state.loss.code)
-    if not np.all(np.isfinite(theta)):
-        raise FloatingPointError("non-finite gradient step; reduce eta or rescale labels")
-    return SingleKernelState(theta=theta, eta=state.eta, loss=state.loss, map_ref=state.map_ref)
+    new_state, _ = _stream(state, z[None, :], np.array([label]))
+    return new_state
+
+
+def _stream(state: SingleKernelState, zs: np.ndarray, labels: np.ndarray):
+    """Run the learner over (T, 2D) encodings: the P = 1 case of the kernel."""
+    thetas = state.theta[None, :].copy()
+    _, losses, _, _, _ = _kernels.mkl_stream(
+        zs[None], labels, state.eta, state.loss.mu, state.loss.code, thetas, np.zeros(1)
+    )
+    if not (np.isfinite(thetas).all() and np.isfinite(losses).all()):
+        raise FloatingPointError(
+            "training diverged to non-finite values; reduce eta or rescale labels"
+        )
+    new_state = SingleKernelState(
+        theta=thetas[0], eta=state.eta, loss=state.loss, map_ref=state.map_ref
+    )
+    return new_state, losses[:, 0]
 
 
 def _check_map(state: SingleKernelState, rf_map: RFMap) -> None:
@@ -162,14 +170,7 @@ def train_stream(
     for y in labels:
         _check_label(state.loss, y)
     zs = rf_map.encode_batch(patterns) if len(labels) else np.empty((0, 2 * rf_map.d))
-    theta = state.theta.copy()
-    losses = _kernels.ogd_stream(zs, labels, state.eta, state.loss.mu, state.loss.code, theta)
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(losses))):
-        raise FloatingPointError("training diverged to non-finite values")
-    new_state = SingleKernelState(
-        theta=theta, eta=state.eta, loss=state.loss, map_ref=state.map_ref
-    )
-    return new_state, losses
+    return _stream(state, zs, labels)
 
 
 def predict(state: SingleKernelState, rf_map: RFMap, connectivity) -> float:

@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphrf import _kernels, harness
 from graphrf import (
     Graph,
     GraphKernelSpec,
@@ -176,3 +180,184 @@ class TestGraphKernelMatrix:
             GraphKernelSpec("diffusion")
         with pytest.raises(ValueError):
             GraphKernelSpec("bandlimited", band_size=0)
+
+
+# ---------------------------------------------------------------------------
+# The learner-block stream kernel and the blocked prefix oracle, each against
+# a plain reference loop.  Reductions run in another order in the kernel, so
+# agreement is to a tolerance rather than bit-exact.
+# ---------------------------------------------------------------------------
+
+
+def _scalar_cost(code, pred, y):
+    if code == 0:
+        return (pred - y) ** 2
+    if code == 1:
+        return max(1.0 - y * pred, 0.0)
+    m = y * pred
+    return math.log1p(math.exp(-m)) if m >= 0 else -m + math.log1p(math.exp(m))
+
+
+def _scalar_grad(code, pred, y):
+    if code == 0:
+        return 2.0 * (pred - y)
+    if code == 1:
+        return -y if y * pred < 1.0 else 0.0
+    m = y * pred
+    if m >= 0:
+        e = math.exp(-m)
+        return -y * e / (1.0 + e)
+    return -y / (1.0 + math.exp(m))
+
+
+def _reference_learners(zs, ys, eta, mu, code, thetas):
+    """Each learner on its own, one sample at a time, with scalar costs."""
+    n_learners, n_steps = zs.shape[:2]
+    preds = np.empty((n_steps, n_learners))
+    losses = np.empty((n_steps, n_learners))
+    max_grad = np.zeros(n_learners)
+    thetas = thetas.copy()
+    for p in range(n_learners):
+        theta = thetas[p]
+        for t in range(n_steps):
+            z, y = zs[p, t], ys[t]
+            pred = float(np.dot(theta, z))
+            preds[t, p] = pred
+            losses[t, p] = _scalar_cost(code, pred, y) + mu * float(np.dot(theta, theta))
+            grad = _scalar_grad(code, pred, y) * z + 2.0 * mu * theta
+            max_grad[p] = max(max_grad[p], float(np.linalg.norm(grad)))
+            theta -= eta * grad
+    return preds, losses, thetas, max_grad
+
+
+def _reference_hedge(losses, preds, norms, ys, eta, mu, code, logw):
+    """Sequential log-domain hedge update, rescaled to a zero maximum each step."""
+    logw = logw.copy()
+    n_steps = losses.shape[0]
+    weights = np.empty_like(losses)
+    combined = np.empty(n_steps)
+    for t in range(n_steps):
+        w = np.exp(logw - logw.max())
+        w /= w.sum()
+        weights[t] = w
+        combined[t] = _scalar_cost(code, float(w @ preds[t]), ys[t]) + mu * float(w @ norms[t])
+        logw -= eta * np.clip(losses[t], 0.0, 1.0)
+        logw -= logw.max()
+    return weights, combined, logw
+
+
+@st.composite
+def streams(draw):
+    """A small stream of unit-norm encodings with labels fit for the loss."""
+    code = draw(st.sampled_from([_kernels.LOSS_LS, _kernels.LOSS_HINGE, _kernels.LOSS_LOGISTIC]))
+    n_learners = draw(st.integers(1, 4))
+    n_steps = draw(st.integers(0, 60))
+    width = 2 * draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zs = rng.normal(size=(n_learners, n_steps, width))
+    zs /= np.linalg.norm(zs, axis=2, keepdims=True)
+    if code == _kernels.LOSS_LS:
+        ys = rng.normal(size=n_steps)
+    else:
+        ys = rng.choice([-1.0, 1.0], size=n_steps)
+    thetas = rng.normal(scale=0.5, size=(n_learners, width))
+    logw = rng.normal(size=n_learners)
+    eta = draw(st.floats(0.0, 0.5))
+    mu = draw(st.sampled_from([0.0, 1e-6, 1e-2, 0.5]))
+    return zs, ys, eta, mu, code, thetas, logw
+
+
+@settings(max_examples=60, deadline=None)
+@given(streams())
+def test_learner_block_matches_scalar_reference(stream):
+    zs, ys, eta, mu, code, thetas, logw = stream
+    ref_preds, ref_losses, ref_thetas, _ = _reference_learners(zs, ys, eta, mu, code, thetas)
+    block_thetas = thetas.copy()
+    preds, _, _ = _kernels.learner_block(zs, ys, eta, mu, code, block_thetas)
+    np.testing.assert_allclose(preds, ref_preds, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(block_thetas, ref_thetas, rtol=1e-12, atol=1e-12)
+    stream_thetas = thetas.copy()
+    _, losses, _, _, _ = _kernels.mkl_stream(zs, ys, eta, mu, code, stream_thetas, logw.copy())
+    np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(stream_thetas, block_thetas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(streams())
+def test_hedge_replay_matches_sequential_update(stream):
+    zs, ys, eta, mu, code, thetas, logw = stream
+    final_logw = logw.copy()
+    combined, losses, weights, prediction, _ = _kernels.mkl_stream(
+        zs, ys, eta, mu, code, thetas.copy(), final_logw
+    )
+    preds, norms, _ = _kernels.learner_block(zs, ys, eta, mu, code, thetas.copy())
+    ref_weights, ref_combined, ref_logw = _reference_hedge(
+        losses, preds, norms, ys, eta, mu, code, logw
+    )
+    np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(combined, ref_combined, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(prediction, (ref_weights * preds).sum(axis=1), rtol=1e-12, atol=1e-12)
+    if ys.size:
+        np.testing.assert_allclose(final_logw, ref_logw, rtol=1e-12, atol=1e-12)
+    else:
+        assert np.array_equal(final_logw, logw)
+
+
+@settings(max_examples=60, deadline=None)
+@given(streams())
+def test_max_grad_matches_descent_replay(stream):
+    zs, ys, eta, mu, code, thetas, logw = stream
+    _, _, _, ref_max_grad = _reference_learners(zs, ys, eta, mu, code, thetas)
+    *_, max_grad = _kernels.mkl_stream(zs, ys, eta, mu, code, thetas.copy(), logw)
+    np.testing.assert_allclose(max_grad, ref_max_grad, rtol=1e-12, atol=0.0)
+
+
+def _reference_oracle(zs, ys, mu):
+    """One solve per prefix, charged the residual of its own solution."""
+    n_steps, dim = zs.shape
+    gram = np.zeros((dim, dim))
+    rhs = np.zeros(dim)
+    out = np.empty(n_steps)
+    for t in range(n_steps):
+        gram += np.outer(zs[t], zs[t])
+        rhs += zs[t] * ys[t]
+        if mu > 0:
+            theta = np.linalg.solve(gram + mu * (t + 1) * np.eye(dim), rhs)
+        else:
+            theta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        resid = zs[: t + 1] @ theta - ys[: t + 1]
+        out[t] = resid @ resid + (t + 1) * mu * (theta @ theta)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 40),
+    block=st.integers(1, 9),
+    n_steps=st.integers(1, 70),
+    mu=st.sampled_from([0.0, 1e-6, 1e-3, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_oracle_matches_per_prefix_solves(dim, block, n_steps, mu, seed):
+    rng = np.random.default_rng(seed)
+    zs = rng.normal(size=(n_steps, dim))
+    zs /= np.linalg.norm(zs, axis=1, keepdims=True)
+    ys = rng.normal(size=n_steps)
+    with mock.patch.object(harness, "_ORACLE_BLOCK_BYTES", block * 8 * dim * dim):
+        oracle = harness._prefix_oracle_losses(zs, ys, mu)
+    # the quadratic form cancels against y'y, so a loss near zero carries
+    # rounding error on the scale of y'y rather than of itself
+    np.testing.assert_allclose(
+        oracle, _reference_oracle(zs, ys, mu), rtol=1e-9, atol=1e-12 * (1.0 + ys @ ys)
+    )
+
+
+def test_oracle_block_holds_one_prefix_at_large_dim():
+    dim = 200
+    assert harness._ORACLE_BLOCK_BYTES // (8 * dim * dim) == 0
+    rng = np.random.default_rng(0)
+    zs = rng.normal(size=(3, dim))
+    ys = rng.normal(size=3)
+    np.testing.assert_allclose(
+        harness._prefix_oracle_losses(zs, ys, 1e-3), _reference_oracle(zs, ys, 1e-3), rtol=1e-9
+    )

@@ -243,6 +243,55 @@ class TestTrain:
         assert updated is not model
         assert mkl_predict(updated, np.ones(5)) != 0.0
 
+    def test_absorb_encodes_once_per_map(self, monkeypatch):
+        specs = [KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0), KernelSpec("laplacian", 1.0)]
+        model = mkl_init(specs, 4, 6, 0.5, 1e-3, "least_squares", 14)
+        calls = []
+        encode_batch = RFMap.encode_batch
+
+        def counting(self, patterns):
+            calls.append(self.ref)
+            return encode_batch(self, patterns)
+
+        monkeypatch.setattr(RFMap, "encode_batch", counting)
+        pattern = np.random.default_rng(15).random(6)
+        for label in (None, 0.7):
+            calls.clear()
+            absorb_new_node_mkl(model, pattern, label)
+            assert sorted(calls) == sorted(m.ref for m in model.maps)
+
+    def test_absorb_scores_the_same_with_or_without_label(self):
+        specs = [KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0)]
+        rng = np.random.default_rng(16)
+        model = mkl_init(specs, 5, 6, 0.5, 1e-3, "least_squares", 17)
+        model, _ = mkl_train(model, [(rng.random(6), float(rng.normal())) for _ in range(30)])
+        pattern = rng.random(6)
+        scored, same = absorb_new_node_mkl(model, pattern)
+        absorbed, _ = absorb_new_node_mkl(model, pattern, 0.3)
+        assert same is model
+        assert scored == pytest.approx(absorbed, rel=1e-14, abs=1e-15)
+        assert scored == pytest.approx(mkl_predict(model, pattern), rel=1e-12)
+
+    def test_absorbing_a_stream_matches_one_training_pass(self):
+        # per-node absorbs encode one row at a time (gemv) and update the
+        # hedge weights step by step; one pass encodes the whole stream (gemm)
+        # and replays the weights at once.  Over these 2,000 steps the two end
+        # about 2e-15 apart, a thousandth of the tolerance.
+        specs = [KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0)]
+        rng = np.random.default_rng(18)
+        pats = (rng.random((2000, 20)) < 0.2).astype(float)
+        ys = rng.normal(size=2000)
+        model = mkl_init(specs, 20, 20, 0.5, 1e-6, "least_squares", 19)
+        absorbed = model
+        for a, y in zip(pats, ys):
+            _, absorbed = absorb_new_node_mkl(absorbed, a, float(y))
+        trained, _ = mkl_train(model, list(zip(pats, ys)))
+        for a, b in zip(absorbed.learners, trained.learners):
+            np.testing.assert_allclose(a.theta, b.theta, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(
+            absorbed.normalized_weights, trained.normalized_weights, rtol=1e-11, atol=1e-13
+        )
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
