@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Check that the CLI writes byte-identical reports at a base ref and at the
+working tree.
+
+Usage::
+
+    python scripts/report_identity.py BASE_REF
+
+Three runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
+with ``git archive`` into a temporary directory, so the repository is left
+untouched) and once on the working tree's ``src/``:
+
+- ``synthetic``: the default config with all five methods and traces;
+- ``regret``: the default config;
+- ``dataset``: a generated 60-node graph with three label columns,
+  ``sample_counts = 10,20``, two trials and all five methods.
+
+``report.tsv``, ``summary.json`` and every file under ``traces/`` are
+compared byte for byte.  Exit status: 0 when all are identical, 1 on any
+difference, 2 when the base ref cannot be exported or a run fails.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+ALL_METHODS = "methods = mkl,kl,gk_df,gk_bl,knn\n"
+
+
+def write_fixture(tmp: Path) -> dict:
+    """Configs for the three runs; the dataset files live in ``tmp`` so both
+    trees see the same paths (they are echoed into summary.json)."""
+    rng = np.random.default_rng(0)
+    n = 60
+    edges = [(i, (i + 1) % n) for i in range(n)]  # a ring: no node is isolated
+    edges += [(i, j) for i in range(n) for j in range(i + 2, n) if rng.random() < 0.15]
+    (tmp / "edges.txt").write_text("".join(f"n{i} n{j}\n" for i, j in edges))
+    labels = rng.normal(size=(n, 3))
+    (tmp / "labels.txt").write_text(
+        "".join(f"n{i} " + " ".join(f"{v:.6f}" for v in row) + "\n" for i, row in enumerate(labels))
+    )
+    configs = {
+        "synthetic": ALL_METHODS + "emit_traces = true\n",
+        "regret": "",
+        "dataset": ALL_METHODS
+        + f"task = dataset\nedge_list = {tmp / 'edges.txt'}\nlabels = {tmp / 'labels.txt'}\n"
+        + "sample_counts = 10,20\ntrials = 2\n",
+    }
+    paths = {}
+    for name, text in configs.items():
+        paths[name] = tmp / f"{name}.cfg"
+        paths[name].write_text(text)
+    return paths
+
+
+def export_tree(ref: str, dest: Path) -> Path:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
+        check=True,
+        capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+    return dest / "src"
+
+
+def run_cli(src: Path, command: str, config: Path, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")
+    # refuse to compare an installed copy against itself
+    code = (
+        "import sys, graphrf, graphrf.cli\n"
+        f"if not graphrf.__file__.startswith({str(src)!r}):\n"
+        "    sys.exit('imported graphrf from ' + graphrf.__file__)\n"
+        "sys.exit(graphrf.cli.main(sys.argv[1:]))\n"
+    )
+    args = [sys.executable, "-c", code, command, "--config", str(config), "--out", str(out)]
+    result = subprocess.run(args, env=env, capture_output=True, text=True)
+    if result.returncode != 0:
+        raise RuntimeError(f"{command} at {src} exited {result.returncode}:\n{result.stderr}")
+
+
+def report_files(out: Path) -> list[str]:
+    names = ["report.tsv", "summary.json"]
+    if (out / "traces").is_dir():
+        names += sorted(f"traces/{p.name}" for p in (out / "traces").iterdir())
+    return names
+
+
+def compare(base: Path, head: Path) -> list[str]:
+    """One line per compared file; lines of differing files start with DIFF."""
+    lines = []
+    for name in sorted(set(report_files(base)) | set(report_files(head))):
+        a, b = base / name, head / name
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"DIFF {name}: only in {'base' if a.is_file() else 'working tree'}")
+        elif a.read_bytes() != b.read_bytes():
+            lines.append(f"DIFF {name}: contents differ")
+        else:
+            lines.append(f"same {name} ({a.stat().st_size} bytes)")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="report-identity-") as tmp_name:
+        tmp = Path(tmp_name)
+        configs = write_fixture(tmp)
+        try:
+            trees = {"base": export_tree(argv[0], tmp / "base"), "head": ROOT / "src"}
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot export {argv[0]}: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        differs = False
+        for command, config in configs.items():
+            outs = {}
+            for label, src in trees.items():
+                outs[label] = tmp / "out" / label / command
+                try:
+                    run_cli(src, command, config, outs[label])
+                except RuntimeError as exc:
+                    print(exc, file=sys.stderr)
+                    return 2
+            for line in compare(outs["base"], outs["head"]):
+                print(f"{command}: {line}")
+                differs = differs or line.startswith("DIFF")
+    print("reports differ" if differs else "all reports byte-identical")
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

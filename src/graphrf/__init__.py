@@ -9,16 +9,13 @@ package.
 
 from ._accel import NUMBA_ENABLED
 from .graph import (
-    ConnectivityPattern,
     Graph,
     GraphSignal,
     SamplingPlan,
-    connectivity_pattern,
     erdos_renyi,
     load_edge_list,
     load_labels,
     normalized_laplacian,
-    power_adjacency,
     sample_nodes,
     synth_signal,
 )
@@ -54,18 +51,10 @@ from .online import (
     train_stream,
 )
 from .mkl import (
-    EnsembleModel,
-    FeatureProvider,
     MklModel,
     MklTraces,
     RegretReport,
-    connectivity_provider,
-    ensemble_combine,
-    ensemble_predict,
-    ensemble_train,
-    ensemble_update,
     load_mkl_checkpoint,
-    matrix_provider,
     mkl_encode,
     mkl_init,
     mkl_predict,
@@ -73,16 +62,13 @@ from .mkl import (
     mkl_train,
     mkl_train_encoded,
     mkl_update,
-    power_provider,
     save_mkl_checkpoint,
     static_regret,
     traces_to_tsv,
 )
 from .baselines import (
-    BatchKernelModel,
     KnnInapplicableError,
     batch_kernel_ridge,
-    batch_predict,
     batch_rf_ls,
     knn_predict,
 )

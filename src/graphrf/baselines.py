@@ -7,25 +7,15 @@ and as the convergence oracle for the online learner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .graph import Graph, SamplingPlan
+from .graph import Graph
 
 
 class KnnInapplicableError(ValueError):
     """Raised when a node has no labeled neighbor to average over."""
-
-
-@dataclass(frozen=True)
-class BatchKernelModel:
-    """Ridge coefficients over the sampled nodes, tied to a kernel source."""
-
-    alpha: np.ndarray
-    sampled: SamplingPlan | None = None
-    kernel_source: str = "connectivity"
 
 
 def batch_kernel_ridge(k_matrix: np.ndarray, y: np.ndarray, mu: float) -> np.ndarray:
@@ -51,14 +41,6 @@ def batch_kernel_ridge(k_matrix: np.ndarray, y: np.ndarray, mu: float) -> np.nda
             f"ridge solve residual {residual:.3e} exceeds tolerance; increase mu"
         )
     return alpha
-
-
-def batch_predict(model: BatchKernelModel, cross_kernel_row: np.ndarray) -> float:
-    """f(v) = alpha . k(v) with k built from the same kernel source."""
-    row = np.asarray(cross_kernel_row, dtype=np.float64)
-    if row.shape != model.alpha.shape:
-        raise ValueError(f"cross-kernel row has shape {row.shape}, expected {model.alpha.shape}")
-    return float(np.dot(model.alpha, row))
 
 
 def knn_predict(g: Graph, labeled: Mapping[int, float], node: int, k: int) -> float:

@@ -66,6 +66,8 @@ class RFMap:
         a = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
         if a.shape[1] != self.n:
             raise ValueError(f"patterns have dimension {a.shape[1]}, map expects {self.n}")
+        if not np.isfinite(a).all():
+            raise ValueError("patterns must be finite")
         x = a @ self.v_matrix.T
         return np.ascontiguousarray(
             np.concatenate([np.sin(x), np.cos(x)], axis=1) * self.d**-0.5

@@ -14,8 +14,6 @@ from typing import Iterable
 
 import numpy as np
 
-PATTERN_MODES = ("column", "row", "concat")
-
 
 def _read_lines(source) -> Iterable[str]:
     if isinstance(source, (str, Path)):
@@ -71,22 +69,6 @@ class Graph:
             return self.node_names.index(name)
         except ValueError:
             raise KeyError(f"unknown node name {name!r}") from None
-
-
-@dataclass(frozen=True)
-class ConnectivityPattern:
-    """A node's adjacency column/row used as its feature vector."""
-
-    vector: np.ndarray
-    source_mode: str = "column"
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=np.float64)
-        if self.source_mode not in PATTERN_MODES:
-            raise ValueError(f"unknown pattern mode {self.source_mode!r}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
 
 
 @dataclass(frozen=True)
@@ -223,21 +205,6 @@ def erdos_renyi(n: int, edge_prob: float, seed) -> Graph:
     return Graph(adjacency=a, directed=False)
 
 
-def connectivity_pattern(g: Graph, node: int, mode: str = "column") -> ConnectivityPattern:
-    """A node's adjacency column (default), row, or their concatenation."""
-    if not 0 <= node < g.n_nodes:
-        raise IndexError(f"node {node} out of range for {g.n_nodes} nodes")
-    if mode == "column":
-        vec = g.adjacency[:, node]
-    elif mode == "row":
-        vec = g.adjacency[node, :]
-    elif mode == "concat":
-        vec = np.concatenate([g.adjacency[:, node], g.adjacency[node, :]])
-    else:
-        raise ValueError(f"unknown pattern mode {mode!r}")
-    return ConnectivityPattern(vector=vec, source_mode=mode)
-
-
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """I - D^{-1/2} A D^{-1/2}, spectrum in [0, 2].
 
@@ -251,13 +218,6 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     dinv[deg <= 0] = 0.0
     lap = np.eye(g.n_nodes) - dinv[:, None] * g.adjacency * dinv[None, :]
     return (lap + lap.T) / 2.0
-
-
-def power_adjacency(g: Graph, hops: int) -> np.ndarray:
-    """A^hops, counting walks of the given length."""
-    if hops < 1:
-        raise ValueError("hops must be >= 1")
-    return np.linalg.matrix_power(g.adjacency, hops)
 
 
 def sample_nodes(g: Graph, m: int, seed) -> SamplingPlan:

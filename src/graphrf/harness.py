@@ -22,11 +22,20 @@ import statistics
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .baselines import KnnInapplicableError, batch_kernel_ridge, batch_rf_ls, knn_predict
-from .graph import Graph, erdos_renyi, load_edge_list, load_labels, sample_nodes, synth_signal
+from .graph import (
+    Graph,
+    SamplingPlan,
+    erdos_renyi,
+    load_edge_list,
+    load_labels,
+    sample_nodes,
+    synth_signal,
+)
 from .kernels import GraphKernelSpec, KernelSpec, eval_kernel_matrix, graph_kernel_matrix
 from .mkl import (
     MklModel,
@@ -38,10 +47,10 @@ from .mkl import (
     static_regret,
     traces_to_tsv,
 )
-from .online import LossKind
 
 METHODS = ("mkl", "kl", "gk_df", "gk_bl", "knn")
 SCENARIOS = ("diffusion", "connectivity", "connectivity_anchored", "identity")
+PATTERN_MODES = ("column", "row", "concat")
 
 _DEFAULT_MU_GRID = tuple(10.0**-k for k in range(7, -1, -1))
 
@@ -86,11 +95,26 @@ class ExperimentConfig:
     sample_counts: tuple[int, ...] | None = None
     bench_sizes: tuple[int, ...] = (500, 1000, 2000)
 
+    def __post_init__(self):
+        if not 0.0 < self.sample_fraction <= 1.0:
+            raise ValueError("sample_fraction must be in (0, 1]")
+        if not 0.0 <= self.cv_fraction < 1.0:
+            raise ValueError("cv_fraction must be in [0, 1)")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if not self.mu_grid:
+            raise ValueError("mu_grid must be non-empty")
+        if self.scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {self.scenario!r}")
+        if self.pattern_mode not in PATTERN_MODES:
+            raise ValueError(f"unknown pattern_mode {self.pattern_mode!r}; valid: {PATTERN_MODES}")
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise ValueError(f"unknown methods {unknown}; valid: {METHODS}")
+        self.kernel_specs()
+
     def kernel_specs(self) -> tuple[KernelSpec, ...]:
         return tuple(KernelSpec(family, bw) for family, bw in self.kernels)
-
-    def loss_kind(self, mu: float) -> LossKind:
-        return LossKind(self.loss, mu)
 
     def eta_value(self, horizon: int | None = None) -> float:
         if self.eta == "auto":
@@ -107,29 +131,9 @@ class ExperimentConfig:
         return out
 
 
-_BOOL_KEYS = {
-    "normalize_patterns",
-    "standardize_labels",
-    "measure_runtime",
-    "emit_traces",
-    "directed",
-    "weighted",
-    "symmetrize",
-}
-_INT_KEYS = {"n_nodes", "trials", "base_seed", "d", "timing_reps", "timing_nodes", "regret_T"}
-_FLOAT_KEYS = {
-    "edge_prob",
-    "truth_sigma2",
-    "noise_var",
-    "sample_fraction",
-    "kl_sigma2",
-    "cv_fraction",
-    "regret_mu",
-}
-_STR_KEYS = {"task", "scenario", "loss", "pattern_mode", "edge_list", "labels"}
-
-
-def _parse_bool(value: str) -> bool:
+def _parse_bool(value) -> bool:
+    if not isinstance(value, str):
+        return bool(value)
     low = value.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
@@ -138,7 +142,9 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _parse_kernels(value: str):
+def _parse_kernels(value):
+    if not isinstance(value, str):
+        return tuple(value)
     out = []
     for part in value.split(","):
         part = part.strip()
@@ -153,51 +159,38 @@ def _parse_kernels(value: str):
     return tuple(out)
 
 
+def _tuple_of(cast):
+    def parse(value):
+        items = value.split(",") if isinstance(value, str) else value
+        return tuple(cast(v.strip() if isinstance(v, str) else v) for v in items if str(v).strip())
+
+    return parse
+
+
+# One parser per field annotation of ExperimentConfig.
+_PARSERS = {
+    "bool": _parse_bool,
+    "int": int,
+    "float": float,
+    "str": lambda value: value,
+    "str | None": lambda value: value,
+    "float | str": lambda value: value if value == "auto" else float(value),
+    "tuple[tuple[str, float], ...]": _parse_kernels,
+    "tuple[str, ...]": _tuple_of(str),
+    "tuple[float, ...]": _tuple_of(float),
+    "tuple[int, ...]": _tuple_of(int),
+    "tuple[int, ...] | None": _tuple_of(int),
+}
+
+
 def config_from_dict(entries: dict) -> ExperimentConfig:
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, raw in entries.items():
-        value = raw.strip() if isinstance(raw, str) else raw
-        if key in _BOOL_KEYS:
-            kwargs[key] = _parse_bool(value) if isinstance(value, str) else bool(value)
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _STR_KEYS:
-            kwargs[key] = value
-        elif key == "eta":
-            kwargs[key] = value if value == "auto" else float(value)
-        elif key == "kernels":
-            kwargs[key] = _parse_kernels(value) if isinstance(value, str) else tuple(value)
-        elif key == "methods":
-            items = value.split(",") if isinstance(value, str) else value
-            kwargs[key] = tuple(m.strip() for m in items if str(m).strip())
-        elif key in ("mu_grid", "gk_sigma2_grid"):
-            items = value.split(",") if isinstance(value, str) else value
-            kwargs[key] = tuple(float(v) for v in items if str(v).strip())
-        elif key in ("band_grid", "sample_counts", "bench_sizes"):
-            items = value.split(",") if isinstance(value, str) else value
-            kwargs[key] = tuple(int(v) for v in items if str(v).strip())
-        else:
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-    config = ExperimentConfig(**kwargs)
-    _validate_config(config)
-    return config
-
-
-def _validate_config(config: ExperimentConfig) -> None:
-    if not 0.0 < config.sample_fraction <= 1.0:
-        raise ValueError("sample_fraction must be in (0, 1]")
-    if config.trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not config.mu_grid:
-        raise ValueError("mu_grid must be non-empty")
-    if config.scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {config.scenario!r}")
-    unknown = [m for m in config.methods if m not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown methods {unknown}; valid: {METHODS}")
-    config.kernel_specs()
+        kwargs[key] = _PARSERS[types[key]](raw.strip() if isinstance(raw, str) else raw)
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -344,15 +337,11 @@ def _fmt_or(value, missing: str) -> str:
     return missing if value is None else _fmt(value)
 
 
-def write_report(report: Report, out_dir, fmt: str = "tsv") -> dict:
+def write_report(report: Report, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tsv_path = out / "report.tsv"
-    json_path = out / "summary.json"
-    tsv_path.write_text(report.to_tsv(), encoding="utf-8")
-    json_path.write_text(report.to_json(), encoding="utf-8")
-    body = report.to_tsv() if fmt == "tsv" else report.to_json()
-    return {"tsv": str(tsv_path), "json": str(json_path), "stdout": body}
+    (out / "report.tsv").write_text(report.to_tsv(), encoding="utf-8")
+    (out / "summary.json").write_text(report.to_json(), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +395,15 @@ def _patterns(adjacency, anchor, nodes, mode: str, normalize: bool) -> np.ndarra
     """
     anchor = np.asarray(anchor, dtype=np.int64)
     nodes = np.asarray(nodes, dtype=np.int64)
+    if mode not in PATTERN_MODES:
+        raise ValueError(f"unknown pattern mode {mode!r}")
     col = adjacency[np.ix_(anchor, nodes)].T
     if mode == "column":
         pats = col
     elif mode == "row":
         pats = adjacency[np.ix_(nodes, anchor)]
-    elif mode == "concat":
-        pats = np.concatenate([col, adjacency[np.ix_(nodes, anchor)]], axis=1)
     else:
-        raise ValueError(f"unknown pattern mode {mode!r}")
+        pats = np.concatenate([col, adjacency[np.ix_(nodes, anchor)]], axis=1)
     pats = np.ascontiguousarray(pats, dtype=np.float64)
     if normalize:
         norms = np.linalg.norm(pats, axis=1)
@@ -517,7 +506,6 @@ class _GkTrainer(_Trainer):
             grid = [(mu, b) for mu in config.mu_grid for b in bands]
         super().__init__(grid)
         self.variant = variant
-        self.adjacency = adjacency
         self.sampled = np.asarray(sampled, dtype=np.int64)
         self.sub = np.ascontiguousarray(adjacency[np.ix_(self.sampled, self.sampled)])
 
@@ -591,94 +579,99 @@ def _median_time(fn, reps: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _run_trial_methods(config, g, x, plan, seeds, collect):
-    """Train every enabled method on the sampled nodes and score the rest."""
-    sampled = plan.sampled
-    eval_nodes = plan.unsampled
-    y = x[sampled]
-    train_x = _patterns(g.adjacency, sampled, sampled, config.pattern_mode, config.normalize_patterns)
-    eval_x = _patterns(g.adjacency, sampled, eval_nodes, config.pattern_mode, config.normalize_patterns)
-    truth_eval = x[eval_nodes]
-    have_eval = eval_nodes.size > 0
+@dataclass
+class _Fitted:
+    """One method fitted on a trial's sampled nodes."""
 
-    for method in config.methods:
-        info = {"method": method, "mu": None, "failures": 0, "notes": ""}
-        timing = {}
+    mu: float | None
+    refit: Callable[[], object] | None  # repeats the final fit; None: no training step
+    score: Callable  # eval inputs -> (predictions, count of nodes it could not score)
+    inputs: np.ndarray  # the unsampled nodes as ``score`` takes them
+    notes: str = ""
+    traces: object = None  # MklTraces of the final MKL fit
+
+
+def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) -> _Fitted:
+    """Select and fit one method; mkl and kl score learner features, gk raw
+    column connectivity and knn node ids."""
+    if method in ("mkl", "kl"):
         if method == "mkl":
             trainer = _MklTrainer(config, train_x.shape[1], seeds["map"])
-            params = trainer.select(train_x, y, config.cv_fraction)
-            model = trainer.fit(params, train_x, y)
-            preds = trainer.predict(model, eval_x) if have_eval else np.empty(0)
-            info["mu"] = params[0]
-            info["traces"] = trainer.last_traces
-            if config.measure_runtime:
-                timing["train"] = _median_time(lambda: trainer.fit(params, train_x, y), config.timing_reps)
-                subset = eval_x[: config.timing_nodes] if have_eval else eval_x
-                if len(subset):
-                    timing["newnode"] = _median_time(
-                        lambda: trainer.predict(model, subset), config.timing_reps
-                    ) / len(subset)
-        elif method == "kl":
+        else:
             trainer = _KlTrainer(config)
-            params = trainer.select(train_x, y, config.cv_fraction)
-            model = trainer.fit(params, train_x, y)
-            preds = trainer.predict(model, eval_x) if have_eval else np.empty(0)
-            info["mu"] = params[0]
-            if config.measure_runtime:
-                timing["train"] = _median_time(lambda: trainer.fit(params, train_x, y), config.timing_reps)
-                subset = eval_x[: config.timing_nodes] if have_eval else eval_x
-                if len(subset):
-                    timing["newnode"] = _median_time(
-                        lambda: trainer.predict(model, subset), config.timing_reps
-                    ) / len(subset)
-        elif method in ("gk_df", "gk_bl"):
-            if g.directed:
-                raise ValueError(f"{method} requires an undirected graph")
+        params = trainer.select(train_x, y, config.cv_fraction)
+        model = trainer.fit(params, train_x, y)
+        return _Fitted(
+            mu=params[0],
+            refit=lambda: trainer.fit(params, train_x, y),
+            score=lambda xs: (trainer.predict(model, xs), 0),
+            inputs=eval_x,
+            traces=getattr(trainer, "last_traces", None),
+        )
+    if method in ("gk_df", "gk_bl"):
+        if g.directed:
+            raise ValueError(f"{method} requires an undirected graph")
+        trainer = _GkTrainer(config, method, g.adjacency, plan.sampled)
+        no_x = np.zeros((plan.sampled.size, 0))  # CV uses subgraph indices only
+        params = trainer.select(no_x, y, config.cv_fraction)
+        return _Fitted(
+            mu=params[0],
+            refit=lambda: trainer.fit(params, no_x, y),
+            score=lambda xs: (trainer.predict_new_nodes(params, y, xs), 0),
             # GK consumes raw connectivity to the sampled set, not the
             # normalized learner features.
-            gk_eval_x = _patterns(g.adjacency, sampled, eval_nodes, "column", False)
-            trainer = _GkTrainer(config, method, g.adjacency, sampled)
-            gk_train_x = np.zeros((sampled.size, 0))  # CV uses subgraph indices only
-            params = trainer.select(gk_train_x, y, config.cv_fraction)
-            preds = trainer.predict_new_nodes(params, y, gk_eval_x) if have_eval else np.empty(0)
-            info["mu"] = params[0]
-            info["notes"] = f"knob={params[1]}"
-            if config.measure_runtime:
-                timing["train"] = _median_time(lambda: trainer.fit(params, y=y, train_x=gk_train_x), config.timing_reps)
-                subset = gk_eval_x[: config.timing_nodes] if have_eval else gk_eval_x
-                if len(subset):
-                    timing["newnode"] = _median_time(
-                        lambda: trainer.predict_new_nodes(params, y, subset), config.timing_reps
-                    ) / len(subset)
-        elif method == "knn":
-            labeled = {int(node): float(val) for node, val in zip(sampled, y)}
-            k = int(max(1, g.degrees.max())) if g.n_nodes else 1
-            if have_eval:
-                preds, failures = _knn_eval(g, labeled, eval_nodes, k)
-                info["failures"] = failures
-            else:
-                preds = np.empty(0)
-            if config.measure_runtime and have_eval:
-                subset = eval_nodes[: config.timing_nodes]
-                timing["newnode"] = _median_time(
-                    lambda: _knn_eval(g, labeled, subset, k), config.timing_reps
-                ) / len(subset)
-                timing["train"] = 0.0
-        else:  # pragma: no cover - guarded by config validation
-            raise ValueError(f"unknown method {method}")
+            inputs=_patterns(g.adjacency, plan.sampled, plan.unsampled, "column", False),
+            notes=f"knob={params[1]}",
+        )
+    labeled = {int(node): float(val) for node, val in zip(plan.sampled, y)}
+    k = int(max(1, g.degrees.max())) if g.n_nodes else 1
+    return _Fitted(
+        mu=None, refit=None, score=lambda nodes: _knn_eval(g, labeled, nodes, k), inputs=plan.unsampled
+    )
 
-        if have_eval:
-            info["nmse"] = nmse(preds, truth_eval)
-            info["nmse_conv"] = conventional_nmse(preds, truth_eval)
+
+def _new_accumulator():
+    keys = ("nmse", "nmse_conv", "mu", "train", "newnode", "failures", "notes", "traces")
+    return {key: [] for key in keys}
+
+
+def _run_trial_methods(config, g, x, plan, seeds, rows_acc: dict) -> None:
+    """Train every enabled method on the sampled nodes, score the rest, and
+    append the trial's results to each method's accumulator in ``rows_acc``."""
+    y = x[plan.sampled]
+    train_x = _patterns(g.adjacency, plan.sampled, plan.sampled, config.pattern_mode, config.normalize_patterns)
+    eval_x = _patterns(g.adjacency, plan.sampled, plan.unsampled, config.pattern_mode, config.normalize_patterns)
+    truth_eval = x[plan.unsampled]
+
+    for method in config.methods:
+        fitted = _fit_method(method, config, g, plan, seeds, y, train_x, eval_x)
+        acc = rows_acc.setdefault(method, _new_accumulator())
+        acc["mu"].append(fitted.mu)
+        if fitted.traces is not None:
+            acc["traces"].append(fitted.traces)
+        if plan.unsampled.size:
+            preds, failures = fitted.score(fitted.inputs)
+            acc["nmse"].append(nmse(preds, truth_eval))
+            acc["nmse_conv"].append(conventional_nmse(preds, truth_eval))
+            acc["failures"].append(failures)
+            acc["notes"].append(fitted.notes)
         else:
-            info["nmse"] = None
-            info["nmse_conv"] = None
-            info["notes"] = (info["notes"] + " nmse undefined: empty eval set").strip()
-        info["timing"] = timing
-        collect(info)
+            acc["nmse"].append(None)
+            acc["nmse_conv"].append(None)
+            acc["failures"].append(0)
+            acc["notes"].append((fitted.notes + " nmse undefined: empty eval set").strip())
+        if config.measure_runtime:
+            subset = fitted.inputs[: config.timing_nodes]
+            if fitted.refit is not None:
+                acc["train"].append(_median_time(fitted.refit, config.timing_reps))
+            elif len(subset):
+                acc["train"].append(0.0)
+            if len(subset):
+                score_time = _median_time(lambda: fitted.score(subset), config.timing_reps)
+                acc["newnode"].append(score_time / len(subset))
 
 
-def _aggregate(rows_acc: dict, config: ExperimentConfig, n_nodes: int, n_sampled: int, trials: int):
+def _aggregate(rows_acc: dict, n_nodes: int, n_sampled: int, trials: int):
     rows = []
     for method in sorted(rows_acc):
         acc = rows_acc[method]
@@ -705,25 +698,11 @@ def _aggregate(rows_acc: dict, config: ExperimentConfig, n_nodes: int, n_sampled
     return rows
 
 
-def _new_accumulator():
-    return {
-        "nmse": [],
-        "nmse_conv": [],
-        "mu": [],
-        "train": [],
-        "newnode": [],
-        "failures": [],
-        "notes": [],
-    }
-
-
 def run_synthetic(config: ExperimentConfig, out_dir=None) -> Report:
     """Random-graph benchmark: train on M sampled nodes, score the rest as
     newly-joining nodes, aggregate over independent trials."""
-    _validate_config(config)
     rows_acc: dict = {}
     seeds_used = []
-    traces_to_write = []
     n = config.n_nodes
     m = max(1, math.ceil(config.sample_fraction * n))
     for trial in range(config.trials):
@@ -735,32 +714,19 @@ def run_synthetic(config: ExperimentConfig, out_dir=None) -> Report:
         x = synth_signal(g, truth, config.noise_var, seeds["signal"]).values
         if config.standardize_labels:
             x = _standardize(x)
-
-        def collect(info, trial=trial):
-            acc = rows_acc.setdefault(info["method"], _new_accumulator())
-            acc["nmse"].append(info["nmse"])
-            acc["nmse_conv"].append(info["nmse_conv"])
-            acc["mu"].append(info["mu"])
-            acc["failures"].append(info["failures"])
-            acc["notes"].append(info["notes"])
-            for key in ("train", "newnode"):
-                if key in info["timing"]:
-                    acc[key].append(info["timing"][key])
-            if config.emit_traces and trial == 0 and "traces" in info:
-                traces_to_write.append((info["method"], info["traces"]))
-
-        _run_trial_methods(config, g, x, plan, seeds, collect)
+        _run_trial_methods(config, g, x, plan, seeds, rows_acc)
     report = Report(
-        rows=_aggregate(rows_acc, config, n, m, config.trials),
+        rows=_aggregate(rows_acc, n, m, config.trials),
         config_echo=config.echo(),
         seeds=seeds_used,
     )
     if out_dir is not None:
         write_report(report, out_dir)
-        if traces_to_write:
+        traced = {method: acc["traces"][0] for method, acc in rows_acc.items() if acc["traces"]}
+        if config.emit_traces and traced:
             tdir = Path(out_dir) / "traces"
             tdir.mkdir(parents=True, exist_ok=True)
-            for method, traces in traces_to_write:
+            for method, traces in traced.items():
                 traces_to_tsv(traces, tdir / f"{method}_trial0.tsv")
     return report
 
@@ -771,7 +737,6 @@ def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
     Several label columns are treated as repeated trials.  Sampling sweeps
     over ``sample_counts`` when given, else uses ``sample_fraction``.
     """
-    _validate_config(config)
     if not config.edge_list or not config.labels:
         raise ValueError("dataset runs need edge_list and labels paths")
     g = load_edge_list(config.edge_list, directed=config.directed, weighted=config.weighted)
@@ -805,33 +770,13 @@ def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
                     x[labeled_idx] = _standardize(x[labeled_idx])
                 rng = np.random.default_rng(seeds["plan"])
                 order = rng.permutation(labeled_idx.size)
-                sampled = labeled_idx[order[:count]]
-                unsampled = np.sort(labeled_idx[order[count:]])
-                plan_like = _PlanView(sampled, unsampled)
-
-                def collect(info):
-                    acc = rows_acc.setdefault(info["method"], _new_accumulator())
-                    acc["nmse"].append(info["nmse"])
-                    acc["nmse_conv"].append(info["nmse_conv"])
-                    acc["mu"].append(info["mu"])
-                    acc["failures"].append(info["failures"])
-                    acc["notes"].append(info["notes"])
-                    for key in ("train", "newnode"):
-                        if key in info["timing"]:
-                            acc[key].append(info["timing"][key])
-
-                _run_trial_methods(config, g, x, plan_like, seeds, collect)
-        all_rows.extend(_aggregate(rows_acc, config, g.n_nodes, count, runs))
+                plan = SamplingPlan(labeled_idx[order[:count]], np.sort(labeled_idx[order[count:]]))
+                _run_trial_methods(config, g, x, plan, seeds, rows_acc)
+        all_rows.extend(_aggregate(rows_acc, g.n_nodes, count, runs))
     report = Report(rows=all_rows, config_echo=config.echo(), seeds=seeds_used)
     if out_dir is not None:
         write_report(report, out_dir)
     return report
-
-
-@dataclass(frozen=True)
-class _PlanView:
-    sampled: np.ndarray
-    unsampled: np.ndarray
 
 
 # Byte budget of the stacked (dim, dim) systems the prefix oracle solves in
@@ -848,7 +793,8 @@ def _prefix_oracle_losses(zs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarr
     the running gram G, right-hand side r and A = G + t mu I, that loss is
     theta' A theta - 2 theta' r + y'y, which is stationary at the solution,
     so errors in theta enter only to second order.  Prefixes are solved in
-    blocks of stacked systems.
+    blocks of stacked systems.  With mu = 0 each prefix is solved by least
+    squares and charged the residual of its solution.
     """
     n_steps, dim = zs.shape
     block = max(1, _ORACLE_BLOCK_BYTES // (8 * dim * dim))
@@ -867,11 +813,16 @@ def _prefix_oracle_losses(zs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarr
             a[k] += a[k - 1]
         gram[...] = a[-1]
         rhs = rhs_all[start:stop]
-        if mu > 0:
-            np.einsum("kii->ki", a)[...] += mu * np.arange(start + 1, stop + 1)[:, None]
-            theta = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
-        else:
-            theta = np.stack([np.linalg.lstsq(g, r, rcond=None)[0] for g, r in zip(a, rhs)])
+        if mu == 0:
+            # without the ridge term theta is unbounded on an ill-conditioned
+            # gram and the quadratic form loses all precision to cancellation,
+            # so each prefix is charged its residual directly
+            for t, g, r in zip(range(start, stop), a, rhs):
+                resid = zs[: t + 1] @ np.linalg.lstsq(g, r, rcond=None)[0] - ys[: t + 1]
+                out[t] = resid @ resid
+            continue
+        np.einsum("kii->ki", a)[...] += mu * np.arange(start + 1, stop + 1)[:, None]
+        theta = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
         quad = (theta * (a @ theta[:, :, None])[:, :, 0]).sum(axis=1)
         out[start:stop] = quad - 2.0 * (theta * rhs).sum(axis=1) + yy_all[start:stop]
     return out
@@ -880,7 +831,6 @@ def _prefix_oracle_losses(zs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarr
 def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
     """Stream T node samples, train online, and compare against the
     per-prefix batch comparator in the executed random-feature classes."""
-    _validate_config(config)
     if config.loss != "least_squares":
         raise ValueError("regret runs require the least-squares loss")
     horizon = config.regret_T
@@ -988,7 +938,6 @@ def bench_newnode(config: ExperimentConfig, out_dir=None) -> Report:
     Only timing is claimed here.  The signal scenario comes from the config,
     so pass ``scenario="identity"`` for the cheap kernel, as C10 does.
     """
-    _validate_config(config)
     rows = []
     extras: dict = {"sizes": list(config.bench_sizes), "per_method": {}}
     seeds_used = []
@@ -1004,20 +953,8 @@ def bench_newnode(config: ExperimentConfig, out_dir=None) -> Report:
         if config.standardize_labels:
             x = _standardize(x)
         rows_acc: dict = {}
-
-        def collect(info):
-            acc = rows_acc.setdefault(info["method"], _new_accumulator())
-            acc["nmse"].append(info["nmse"])
-            acc["nmse_conv"].append(info["nmse_conv"])
-            acc["mu"].append(info["mu"])
-            acc["failures"].append(info["failures"])
-            acc["notes"].append(info["notes"])
-            for key in ("train", "newnode"):
-                if key in info["timing"]:
-                    acc[key].append(info["timing"][key])
-
-        _run_trial_methods(timing_cfg, g, x, plan, seeds, collect)
-        for row in _aggregate(rows_acc, config, size, m, 1):
+        _run_trial_methods(timing_cfg, g, x, plan, seeds, rows_acc)
+        for row in _aggregate(rows_acc, size, m, 1):
             rows.append(row)
             extras["per_method"].setdefault(row.method, {})[str(size)] = row.newnode_time
     for method, by_size in extras["per_method"].items():

@@ -20,18 +20,18 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
 from .features import RFMap, build_map
-from .graph import power_adjacency
 from .kernels import KernelSpec
 from .online import (
     LossKind,
     SingleKernelState,
     _check_label,
+    _stack_samples,
     checkpoint_record,
     init_state,
     state_from_record,
@@ -192,26 +192,10 @@ def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, M
     return new_model, record
 
 
-def mkl_train(
-    model: MklModel,
-    samples: Sequence,
-    feature_provider: Callable[[int], np.ndarray] | None = None,
-) -> tuple[MklModel, MklTraces]:
-    """Sequential training pass; see MklTraces for what is recorded.
-
-    Samples are (connectivity, label) pairs, or (node, label) pairs when a
-    feature provider maps nodes to patterns.
-    """
-    patterns, labels = [], []
-    for first, label in samples:
-        vec = feature_provider(first) if feature_provider is not None else first
-        patterns.append(np.asarray(vec, dtype=np.float64))
-        labels.append(float(label))
-    n = model.maps[0].n
-    stacked = np.stack(patterns) if patterns else np.empty((0, n))
-    if stacked.size and stacked.shape[1] != n:
-        raise ValueError(f"features have length {stacked.shape[1]}, maps expect {n}")
-    return mkl_train_encoded(model, mkl_encode(model, stacked), labels)
+def mkl_train(model: MklModel, samples: Sequence) -> tuple[MklModel, MklTraces]:
+    """Sequential pass over (connectivity, label) samples; see MklTraces."""
+    patterns, labels = _stack_samples(samples, model.maps[0].n)
+    return mkl_train_encoded(model, mkl_encode(model, patterns), labels)
 
 
 def absorb_new_node_mkl(
@@ -292,160 +276,6 @@ def load_mkl_checkpoint(path) -> MklModel:
         eta=float(record["eta"]),
         seed=record["seed"],
     )
-
-
-# ---------------------------------------------------------------------------
-# Feature ensembles: the same hedge rule one level up.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FeatureProvider:
-    """Named extractor from a node index to a fixed-dimension feature vector."""
-
-    name: str
-    extractor: Callable[[int], np.ndarray]
-    dim: int
-
-    def __call__(self, node: int) -> np.ndarray:
-        vec = np.asarray(self.extractor(node), dtype=np.float64)
-        if vec.shape != (self.dim,):
-            raise ValueError(
-                f"provider {self.name!r} produced shape {vec.shape}, declared dim {self.dim}"
-            )
-        return vec
-
-
-def connectivity_provider(graph, mode: str = "column", restrict_to=None, normalize: bool = False):
-    """Provider reading (optionally restricted, optionally unit-norm) patterns."""
-    idx = None if restrict_to is None else np.asarray(restrict_to, dtype=np.int64)
-
-    def extract(node: int) -> np.ndarray:
-        if mode == "column":
-            vec = graph.adjacency[:, node]
-        elif mode == "row":
-            vec = graph.adjacency[node, :]
-        else:
-            vec = np.concatenate([graph.adjacency[:, node], graph.adjacency[node, :]])
-        if idx is not None:
-            vec = vec[idx] if mode != "concat" else np.concatenate([vec[idx], vec[graph.n_nodes + idx]])
-        if normalize:
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec = vec / norm
-        return vec
-
-    base = graph.n_nodes if idx is None else idx.size
-    dim = 2 * base if mode == "concat" else base
-    label = f"connectivity[{mode}]"
-    return FeatureProvider(name=label, extractor=extract, dim=dim)
-
-
-def power_provider(graph, hops: int, restrict_to=None, normalize: bool = False):
-    """Provider reading columns of A^hops (multi-hop connectivity)."""
-    powered = power_adjacency(graph, hops)
-    idx = None if restrict_to is None else np.asarray(restrict_to, dtype=np.int64)
-
-    def extract(node: int) -> np.ndarray:
-        vec = powered[:, node]
-        if idx is not None:
-            vec = vec[idx]
-        if normalize:
-            norm = np.linalg.norm(vec)
-            if norm > 0:
-                vec = vec / norm
-        return vec
-
-    dim = graph.n_nodes if idx is None else idx.size
-    return FeatureProvider(name=f"hops[{hops}]", extractor=extract, dim=dim)
-
-
-def matrix_provider(name: str, features: np.ndarray):
-    """Provider over externally supplied per-node feature rows."""
-    feats = np.asarray(features, dtype=np.float64)
-
-    def extract(node: int) -> np.ndarray:
-        return feats[node]
-
-    return FeatureProvider(name=name, extractor=extract, dim=feats.shape[1])
-
-
-@dataclass(frozen=True)
-class EnsembleModel:
-    """Hedge combination of (feature provider, multi-kernel model) members."""
-
-    providers: tuple[FeatureProvider, ...]
-    models: tuple[MklModel, ...]
-    log_betas: np.ndarray
-    eta: float
-
-    def __post_init__(self):
-        if len(self.providers) != len(self.models) or not self.providers:
-            raise ValueError("need one model per provider")
-        b = np.ascontiguousarray(self.log_betas, dtype=np.float64).copy()
-        if b.shape != (len(self.providers),):
-            raise ValueError("log_betas length mismatch")
-        b.setflags(write=False)
-        object.__setattr__(self, "log_betas", b)
-
-    @property
-    def betas(self) -> np.ndarray:
-        b = np.exp(self.log_betas - self.log_betas.max())
-        return b / b.sum()
-
-
-def ensemble_combine(
-    providers: Sequence[FeatureProvider], models: Sequence[MklModel], eta: float
-) -> EnsembleModel:
-    """Treat each (provider, model) pair as one learner in an outer hedge."""
-    providers = tuple(providers)
-    models = tuple(models)
-    for provider, model in zip(providers, models):
-        if model.maps[0].n != provider.dim:
-            raise ValueError(
-                f"provider {provider.name!r} has dim {provider.dim}, "
-                f"model expects {model.maps[0].n}"
-            )
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must be in (0, 1]")
-    log_betas = np.full(len(providers), -np.log(len(providers)))
-    return EnsembleModel(providers=providers, models=models, log_betas=log_betas, eta=eta)
-
-
-def ensemble_predict(ensemble: EnsembleModel, node: int) -> float:
-    betas = ensemble.betas
-    preds = np.array(
-        [
-            mkl_predict(model, provider(node))
-            for provider, model in zip(ensemble.providers, ensemble.models)
-        ]
-    )
-    return float(np.dot(betas, preds))
-
-
-def ensemble_update(ensemble: EnsembleModel, node: int, label: float) -> EnsembleModel:
-    new_models = []
-    log_betas = ensemble.log_betas.copy()
-    for i, (provider, model) in enumerate(zip(ensemble.providers, ensemble.models)):
-        new_model, record = mkl_update(model, provider(node), label)
-        new_models.append(new_model)
-        log_betas[i] -= ensemble.eta * min(max(record.combined_loss, 0.0), 1.0)
-    log_betas -= log_betas.max()
-    return EnsembleModel(
-        providers=ensemble.providers,
-        models=tuple(new_models),
-        log_betas=log_betas,
-        eta=ensemble.eta,
-    )
-
-
-def ensemble_train(ensemble: EnsembleModel, samples: Sequence) -> tuple[EnsembleModel, np.ndarray]:
-    """Sequential pass over (node, label) samples; returns the beta trace."""
-    beta_trace = np.empty((len(samples), len(ensemble.providers)))
-    for t, (node, label) in enumerate(samples):
-        beta_trace[t] = ensemble.betas
-        ensemble = ensemble_update(ensemble, node, label)
-    return ensemble, beta_trace
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -85,6 +86,8 @@ def init_state(rf_map: RFMap, eta: float, loss: LossKind) -> SingleKernelState:
 
 def _check_label(loss: LossKind, label: float) -> float:
     label = float(label)
+    if not math.isfinite(label):
+        raise ValueError(f"labels must be finite, got {label}")
     if loss.kind in _CLASSIFICATION and label not in (-1.0, 1.0):
         raise ValueError(f"{loss.kind} loss requires labels in {{-1, +1}}, got {label}")
     return label

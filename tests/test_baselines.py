@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from graphrf import (
-    BatchKernelModel,
     Graph,
     KernelSpec,
     KnnInapplicableError,
     batch_kernel_ridge,
-    batch_predict,
     batch_rf_ls,
     build_map,
     erdos_renyi,
@@ -63,31 +61,13 @@ class TestBatchKernelRidge:
             delta = rng.choice([-1e-3, 1e-3], size=10)
             assert objective(alpha + delta) >= base - 1e-12
 
-
-class TestBatchPredict:
-    def test_unit_coefficient_reads_kernel_value(self):
-        model = BatchKernelModel(alpha=np.array([1.0, 0.0, 0.0]))
-        assert batch_predict(model, np.array([0.7, 9.0, -3.0])) == pytest.approx(0.7)
-
     def test_interpolates_training_nodes_at_zero_mu(self):
         rng = np.random.default_rng(2)
         pats = rng.normal(size=(8, 5))
         spec = KernelSpec("gaussian", 2.0)
         k = eval_kernel_matrix(spec, pats, pats)
         y = rng.normal(size=8)
-        alpha = batch_kernel_ridge(k, y, mu=0.0)
-        model = BatchKernelModel(alpha=alpha)
-        for i in range(8):
-            assert batch_predict(model, k[i]) == pytest.approx(y[i], abs=1e-6)
-
-    def test_zero_row(self):
-        model = BatchKernelModel(alpha=np.ones(4))
-        assert batch_predict(model, np.zeros(4)) == 0.0
-
-    def test_length_mismatch(self):
-        model = BatchKernelModel(alpha=np.ones(3))
-        with pytest.raises(ValueError):
-            batch_predict(model, np.ones(4))
+        np.testing.assert_allclose(k @ batch_kernel_ridge(k, y, 0.0), y, atol=1e-6)
 
 
 class TestKnnPredict:

@@ -57,6 +57,14 @@ class TestEncode:
         with pytest.raises(ValueError):
             m.encode(np.zeros(7))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pattern_rejected(self, bad):
+        m = build_map(KernelSpec("gaussian", 1.0), 3, 8, seed=1)
+        pats = np.zeros((2, 8))
+        pats[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            m.encode_batch(pats)
+
 
 class TestApproxKernel:
     def test_same_input_gives_one(self):

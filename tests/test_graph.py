@@ -6,15 +6,14 @@ import pytest
 
 from graphrf import (
     Graph,
-    connectivity_pattern,
     erdos_renyi,
     load_edge_list,
     load_labels,
     normalized_laplacian,
-    power_adjacency,
     sample_nodes,
     synth_signal,
 )
+from graphrf.harness import _patterns
 
 
 def triangle():
@@ -131,32 +130,34 @@ class TestErdosRenyi:
             erdos_renyi(5, 1.5, seed=0)
 
 
+def pattern(g, node, mode="column"):
+    """Connectivity of one node to every node of ``g``, as the harness reads it."""
+    return _patterns(g.adjacency, np.arange(g.n_nodes), [node], mode, False)[0]
+
+
 class TestConnectivityPattern:
     def test_triangle_column(self):
-        pat = connectivity_pattern(triangle(), 0)
-        assert np.array_equal(pat.vector, [0, 1, 1])
+        assert np.array_equal(pattern(triangle(), 0), [0, 1, 1])
 
     def test_directed_row_vs_column(self):
         g = load_edge_list(["a b"], directed=True)  # edge 0 -> 1: adjacency[0, 1] = 1
-        col = connectivity_pattern(g, 1, "column").vector
-        row = connectivity_pattern(g, 1, "row").vector
-        assert np.array_equal(col, [1, 0])
-        assert np.array_equal(row, [0, 0])
+        assert np.array_equal(pattern(g, 1, "column"), [1, 0])
+        assert np.array_equal(pattern(g, 1, "row"), [0, 0])
 
     def test_concat_length(self):
         g = erdos_renyi(7, 0.5, 0)
-        assert connectivity_pattern(g, 3, "concat").vector.size == 14
+        assert pattern(g, 3, "concat").size == 14
 
     def test_matches_adjacency_exhaustively(self):
         g = erdos_renyi(9, 0.4, 3)
         for node in range(9):
-            pat = connectivity_pattern(g, node).vector
+            pat = pattern(g, node)
             for k in range(9):
                 assert pat[k] == g.adjacency[k, node]
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            connectivity_pattern(triangle(), 3)
+            pattern(triangle(), 3)
 
 
 class TestNormalizedLaplacian:
@@ -184,30 +185,6 @@ class TestNormalizedLaplacian:
         g = load_edge_list(["a b"], directed=True)
         with pytest.raises(ValueError, match="undirected"):
             normalized_laplacian(g)
-
-
-class TestPowerAdjacency:
-    def test_triangle_two_hops(self):
-        p2 = power_adjacency(triangle(), 2)
-        np.testing.assert_array_equal(p2, 2 * np.eye(3) + (np.ones((3, 3)) - np.eye(3)))
-
-    def test_one_hop_is_adjacency(self):
-        g = erdos_renyi(8, 0.4, 2)
-        assert np.array_equal(power_adjacency(g, 1), g.adjacency)
-
-    def test_path_graph_two_hops(self):
-        g = load_edge_list(["0 1", "1 2"])
-        assert power_adjacency(g, 2)[0, 2] == 1.0
-
-    def test_multiplicative_in_hops(self):
-        g = erdos_renyi(6, 0.5, 9)
-        left = power_adjacency(g, 5)
-        right = power_adjacency(g, 2) @ power_adjacency(g, 3)
-        assert np.array_equal(left, right)
-
-    def test_bad_hops(self):
-        with pytest.raises(ValueError):
-            power_adjacency(triangle(), 0)
 
 
 class TestSampleNodes:

@@ -1,19 +1,23 @@
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphrf import (
     ExperimentConfig,
+    Graph,
     bench_newnode,
     conventional_nmse,
+    erdos_renyi,
     load_config,
     nmse,
     run_dataset,
     run_regret,
     run_synthetic,
 )
-from graphrf.harness import config_from_dict
+from graphrf.harness import _patterns, config_from_dict
 
 
 @pytest.fixture
@@ -59,6 +63,30 @@ class TestNmse:
             nmse(np.ones(3), np.ones(4))
 
 
+# A valid config with every field away from its default.
+EVERY_FIELD_SET = ExperimentConfig(
+    task="dataset", n_nodes=64, edge_prob=0.3, scenario="identity", truth_sigma2=2.5,
+    noise_var=0.5, sample_fraction=0.25, trials=3, base_seed=7,
+    kernels=(("laplacian", 2.0), ("cauchy", 0.5)), d=12, eta=0.25, mu_grid=(1e-3, 0.1),
+    loss="hinge", methods=("knn", "gk_bl"), normalize_patterns=False,
+    standardize_labels=False, pattern_mode="concat", kl_sigma2=3.0, gk_sigma2_grid=(2.0,),
+    band_grid=(3, 4), cv_fraction=0.5, measure_runtime=True, timing_reps=2, timing_nodes=4,
+    emit_traces=True, regret_T=10, regret_mu=0.01, edge_list="edges.txt", labels="labels.txt",
+    directed=True, weighted=True, symmetrize=False, sample_counts=(5, 6), bench_sizes=(30,),
+)
+
+
+def as_text(value) -> str:
+    """A config value as it is written in a config file."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(
+            ":".join(map(str, item)) if isinstance(item, tuple) else str(item) for item in value
+        )
+    return str(value)
+
+
 class TestConfig:
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -102,6 +130,74 @@ class TestConfig:
         config = config_from_dict({"eta": "auto"})
         assert config.eta_value(400) == pytest.approx(0.05)
         assert config_from_dict({"eta": "0.3"}).eta_value(400) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("value", ["1", "1.5", "-0.1"])
+    def test_bad_cv_fraction(self, value):
+        with pytest.raises(ValueError, match="cv_fraction"):
+            config_from_dict({"cv_fraction": value})
+
+    def test_unknown_pattern_mode(self):
+        with pytest.raises(ValueError, match="pattern_mode"):
+            ExperimentConfig(pattern_mode="diagonal")
+
+    def test_replace_is_validated(self):
+        with pytest.raises(ValueError, match="trials"):
+            replace(ExperimentConfig(), trials=0)
+
+    def test_readme_lists_every_key_with_its_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("All keys with their defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "readme.cfg").write_text(block)
+        listed = load_config(tmp_path / "readme.cfg")
+        without_default = {"edge_list", "labels", "sample_counts"}
+        for f in fields(ExperimentConfig):
+            assert f"\n{f.name} = " in "\n" + block, f"README omits {f.name}"
+            if f.name not in without_default:
+                assert getattr(listed, f.name) == getattr(ExperimentConfig(), f.name), f.name
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_every_field_parses_from_its_string_form(self, name):
+        value = getattr(EVERY_FIELD_SET, name)
+        assert value != getattr(ExperimentConfig(), name)  # not the default
+        assert getattr(config_from_dict({name: as_text(value)}), name) == value
+
+
+class TestPatterns:
+    def test_concat_is_column_then_row(self):
+        g = erdos_renyi(7, 0.5, 0)
+        anchor, nodes = [0, 2, 5], np.arange(7)
+        pats = _patterns(g.adjacency, anchor, nodes, "concat", False)
+        assert pats.shape == (7, 2 * len(anchor))
+        expected = np.hstack(
+            [_patterns(g.adjacency, anchor, nodes, mode, False) for mode in ("column", "row")]
+        )
+        assert np.array_equal(pats, expected)
+
+    def test_anchor_restriction_reads_adjacency_anchor_node(self):
+        rng = np.random.default_rng(3)
+        g = Graph(rng.random((9, 9)), directed=True)
+        anchor, nodes = [7, 1, 4], [0, 4, 8, 2]
+        pats = _patterns(g.adjacency, anchor, nodes, "column", False)
+        assert pats.shape == (len(nodes), len(anchor))
+        for i, node in enumerate(nodes):
+            for k, a in enumerate(anchor):
+                assert pats[i, k] == g.adjacency[a, node]
+
+    def test_normalize_unit_rows_and_zero_rows(self):
+        a = np.zeros((5, 5))
+        a[0, 1] = a[1, 0] = 2.0
+        a[0, 2] = a[2, 0] = 1.0
+        a[1, 2] = a[2, 1] = 3.0
+        g = Graph(a)  # nodes 3 and 4 reach no anchor
+        pats = _patterns(g.adjacency, [0, 1, 2], np.arange(5), "column", True)
+        np.testing.assert_allclose(np.linalg.norm(pats[:3], axis=1), 1.0, atol=1e-15)
+        assert np.array_equal(pats[3:], np.zeros((2, 3)))
+        raw = _patterns(g.adjacency, [0, 1, 2], np.arange(3), "column", False)
+        np.testing.assert_allclose(pats[:3], raw / np.linalg.norm(raw, axis=1)[:, None])
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="pattern mode"):
+            _patterns(np.zeros((3, 3)), [0], [1], "diagonal", False)
 
 
 class TestRunSynthetic:

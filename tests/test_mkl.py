@@ -7,11 +7,8 @@ from graphrf import (
     KernelSpec,
     LossKind,
     MklModel,
-    erdos_renyi,
-    eval_kernel_matrix,
     init_state,
     load_mkl_checkpoint,
-    matrix_provider,
     mkl_init,
     mkl_predict,
     mkl_train,
@@ -23,9 +20,6 @@ from graphrf import (
 from graphrf.features import RFMap
 from graphrf.mkl import (
     absorb_new_node_mkl,
-    ensemble_combine,
-    ensemble_predict,
-    ensemble_train,
     fit_growth_exponent,
     mkl_predict_batch,
 )
@@ -223,17 +217,6 @@ class TestTrain:
         assert traces.combined_loss[0] == pytest.approx(9.0)
         np.testing.assert_allclose(traces.weights[0], [0.5, 0.5])
 
-    def test_feature_provider_path(self):
-        g = erdos_renyi(10, 0.4, 11)
-        feats = g.adjacency.T.copy()
-        provider = matrix_provider("cols", feats)
-        model = mkl_init([KernelSpec("gaussian", 1.0)], 4, 10, 0.5, 0.0, "least_squares", 12)
-        samples = [(i, float(i % 3)) for i in range(10)]
-        trained, traces = mkl_train(model, samples, feature_provider=provider)
-        direct, traces2 = mkl_train(model, [(feats[i], y) for i, y in samples])
-        assert np.array_equal(traces.combined_loss, traces2.combined_loss)
-        assert np.array_equal(trained.learners[0].theta, direct.learners[0].theta)
-
     def test_absorb_new_node(self):
         model = mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 5, 0.5, 0.0, "least_squares", 13)
         pred, same = absorb_new_node_mkl(model, np.ones(5))
@@ -293,6 +276,23 @@ class TestTrain:
         )
 
 
+class TestNonFiniteInput:
+    def model(self):
+        return mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 5, 0.5, 0.0, "least_squares", 20)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_label_rejected(self, bad):
+        samples = [(np.ones(5), 1.0), (np.ones(5), bad)]
+        with pytest.raises(ValueError, match="finite"):
+            mkl_train(self.model(), samples)
+
+    def test_pattern_rejected_by_batch_prediction(self):
+        pats = np.ones((3, 5))
+        pats[2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            mkl_predict_batch(self.model(), pats)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         specs = [KernelSpec("gaussian", 1.0), KernelSpec("cauchy", 2.0)]
@@ -311,61 +311,6 @@ class TestCheckpoint:
             assert np.array_equal(a.v_matrix, b.v_matrix)
         a = rng.random(6)
         assert mkl_predict(loaded, a) == mkl_predict(model, a)
-
-
-class TestEnsemble:
-    def test_single_provider_matches_underlying_model(self):
-        g = erdos_renyi(12, 0.4, 16)
-        feats = g.adjacency.T.copy()
-        provider = matrix_provider("cols", feats)
-        model = mkl_init([KernelSpec("gaussian", 1.0)], 4, 12, 0.5, 0.0, "least_squares", 17)
-        rng = np.random.default_rng(18)
-        model, _ = mkl_train(model, [(feats[i], float(rng.normal())) for i in range(12)])
-        ensemble = ensemble_combine([provider], [model], eta=0.5)
-        for node in range(12):
-            assert ensemble_predict(ensemble, node) == pytest.approx(
-                mkl_predict(model, feats[node]), abs=1e-12
-            )
-
-    def test_betas_stay_on_simplex(self):
-        rng = np.random.default_rng(19)
-        feats_a = rng.random((15, 6))
-        feats_b = rng.random((15, 4))
-        providers = [matrix_provider("a", feats_a), matrix_provider("b", feats_b)]
-        models = [
-            mkl_init([KernelSpec("gaussian", 1.0)], 3, 6, 0.5, 0.0, "least_squares", 20),
-            mkl_init([KernelSpec("gaussian", 1.0)], 3, 4, 0.5, 0.0, "least_squares", 21),
-        ]
-        ens = ensemble_combine(providers, models, eta=0.5)
-        samples = [(i, float(rng.normal())) for i in range(15)]
-        ens, beta_trace = ensemble_train(ens, samples)
-        assert np.all(beta_trace >= 0)
-        np.testing.assert_allclose(beta_trace.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_informative_provider_wins_over_noise(self):
-        rng = np.random.default_rng(22)
-        n, dim = 120, 10
-        informative = rng.integers(0, 2, size=(n, dim)).astype(float)
-        noise = rng.normal(size=(n, dim))
-        spec = KernelSpec("gaussian", 5.0)
-        k = eval_kernel_matrix(spec, informative, informative)
-        x = k @ rng.uniform(0.5, 1.0, size=n)
-        x = (x - x.mean()) / x.std()
-        providers = [matrix_provider("signal", informative), matrix_provider("noise", noise)]
-        models = [
-            mkl_init([spec], 30, dim, 0.5, 0.0, "least_squares", 23),
-            mkl_init([spec], 30, dim, 0.5, 0.0, "least_squares", 24),
-        ]
-        ens = ensemble_combine(providers, models, eta=0.5)
-        order = rng.permutation(n)
-        ens, _ = ensemble_train(ens, [(int(i), float(x[i])) for i in order])
-        assert ens.betas[0] > 0.5
-
-    def test_dimension_mismatch_rejected(self):
-        provider = matrix_provider("a", np.zeros((5, 6)))
-        model = mkl_init([KernelSpec("gaussian", 1.0)], 3, 4, 0.5, 0.0, "least_squares", 25)
-        with pytest.raises(ValueError, match="dim"):
-            ensemble_combine([provider], [model], eta=0.5)
 
 
 class TestStaticRegret:

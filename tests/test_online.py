@@ -156,6 +156,12 @@ class TestTrainStream:
         np.testing.assert_array_equal(new.theta, state.theta)
         assert trace.size == 0
 
+    def test_non_finite_label_rejected(self):
+        m = small_map()
+        state = init_state(m, eta=0.2, loss=LossKind("least_squares"))
+        with pytest.raises(ValueError, match="finite"):
+            train_stream(state, [(np.ones(6), 1.0), (np.ones(6), np.nan)], m)
+
     def test_matches_stepwise_updates(self):
         m = small_map(d=5, n=7, seed=3)
         rng = np.random.default_rng(4)
