@@ -62,9 +62,11 @@ def write_fixture(tmp: Path) -> dict:
     return paths
 
 
-def export_tree(ref: str, dest: Path) -> Path:
+def export_tree(ref: str, dest: Path, *paths: str) -> Path:
+    """Extract ``paths`` of ``ref`` into ``dest`` with ``git archive``; no
+    worktree metadata is left behind."""
     archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
+        ["git", "-C", str(ROOT), "archive", "--format=tar", ref, *paths],
         check=True,
         capture_output=True,
     ).stdout
@@ -73,7 +75,7 @@ def export_tree(ref: str, dest: Path) -> Path:
             tar.extractall(dest, filter="data")
         else:
             tar.extractall(dest)
-    return dest / "src"
+    return dest
 
 
 def run_cli(src: Path, command: str, config: Path, out: Path) -> None:
@@ -122,7 +124,7 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp_name)
         configs = write_fixture(tmp)
         try:
-            trees = {"base": export_tree(argv[0], tmp / "base"), "head": ROOT / "src"}
+            trees = {"base": export_tree(argv[0], tmp / "base", "src") / "src", "head": ROOT / "src"}
         except subprocess.CalledProcessError as exc:
             print(f"cannot export {argv[0]}: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2

@@ -35,18 +35,22 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
 
+# The report-writing subcommands: name -> (runner, help text).
+_RUNNERS = {
+    "synthetic": (run_synthetic, "random-graph benchmark"),
+    "dataset": (run_dataset, "edge-list + label-file benchmark"),
+    "regret": (run_regret, "online-vs-batch regret diagnostics"),
+    "bench-newnode": (bench_newnode, "new-node inference runtime scaling"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphrf",
         description="Online multi-kernel learning of node signals over graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("synthetic", "random-graph benchmark"),
-        ("dataset", "edge-list + label-file benchmark"),
-        ("regret", "online-vs-batch regret diagnostics"),
-        ("bench-newnode", "new-node inference runtime scaling"),
-    ):
+    for name, (_, descr) in _RUNNERS.items():
         p = sub.add_parser(name, help=descr)
         _common_flags(p)
     enc = sub.add_parser("encode", help="emit the random-feature encoding of a pattern")
@@ -91,17 +95,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "encode":
             return _cmd_encode(args)
-        config = _resolve_config(args)
-        if args.command == "synthetic":
-            report = run_synthetic(config, out_dir=args.out)
-        elif args.command == "dataset":
-            report = run_dataset(config, out_dir=args.out)
-        elif args.command == "regret":
-            report = run_regret(config, out_dir=args.out)
-        elif args.command == "bench-newnode":
-            report = bench_newnode(config, out_dir=args.out)
-        else:  # pragma: no cover - argparse guards this
-            raise ValueError(f"unknown command {args.command!r}")
+        runner, _ = _RUNNERS[args.command]
+        report = runner(_resolve_config(args), out_dir=args.out)
         body = report.to_tsv() if args.format == "tsv" else report.to_json()
         sys.stdout.write(body)
         return 0

@@ -25,6 +25,7 @@ from .kernels import KERNEL_FAMILIES, KernelSpec, spectral_sample
 
 LAYOUT_VERSION = 1  # sines block first, then cosines
 _MAGIC = b"GRFRFMAP"
+_HEADER = "<IIQQBdq"  # format and layout version, D, N, family code, bandwidth, seed
 _FORMAT_VERSION = 1
 
 
@@ -116,9 +117,17 @@ def null_space_collision(rf_map: RFMap, pattern) -> np.ndarray:
 
 def save_map(rf_map: RFMap, path) -> None:
     """Write the map in the little-endian binary layout (bit-exact)."""
+    Path(path).write_bytes(_map_bytes(rf_map))
+
+
+def load_map(path) -> RFMap:
+    return _map_from_bytes(Path(path).read_bytes())
+
+
+def _map_bytes(rf_map: RFMap) -> bytes:
     family_code = KERNEL_FAMILIES.index(rf_map.kernel.family)
     header = _MAGIC + struct.pack(
-        "<IIQQBdq",
+        _HEADER,
         _FORMAT_VERSION,
         rf_map.layout_version,
         rf_map.d,
@@ -127,19 +136,16 @@ def save_map(rf_map: RFMap, path) -> None:
         rf_map.kernel.bandwidth,
         rf_map.seed,
     )
-    body = np.ascontiguousarray(rf_map.v_matrix).astype("<f8").tobytes()
-    Path(path).write_bytes(header + body)
+    return header + np.ascontiguousarray(rf_map.v_matrix).astype("<f8").tobytes()
 
 
-def load_map(path) -> RFMap:
-    raw = Path(path).read_bytes()
+def _map_from_bytes(raw: bytes) -> RFMap:
     if raw[: len(_MAGIC)] != _MAGIC:
         raise ValueError("not a random-feature map file")
-    offset = len(_MAGIC)
-    fmt = "<IIQQBdq"
-    fields = struct.unpack_from(fmt, raw, offset)
-    offset += struct.calcsize(fmt)
-    version, layout, d, n, family_code, bandwidth, seed = fields
+    offset = len(_MAGIC) + struct.calcsize(_HEADER)
+    if len(raw) < offset:
+        raise ValueError("map file truncated")
+    version, layout, d, n, family_code, bandwidth, seed = struct.unpack_from(_HEADER, raw, len(_MAGIC))
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported map format version {version}")
     if family_code >= len(KERNEL_FAMILIES):

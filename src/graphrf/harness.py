@@ -38,7 +38,7 @@ from .graph import (
 )
 from .kernels import GraphKernelSpec, KernelSpec, eval_kernel_matrix, graph_kernel_matrix
 from .mkl import (
-    MklModel,
+    _steps_to_tsv,
     mkl_encode,
     mkl_init,
     mkl_predict_batch,
@@ -47,6 +47,7 @@ from .mkl import (
     static_regret,
     traces_to_tsv,
 )
+from .online import LOSS_KINDS
 
 METHODS = ("mkl", "kl", "gk_df", "gk_bl", "knn")
 SCENARIOS = ("diffusion", "connectivity", "connectivity_anchored", "identity")
@@ -96,12 +97,22 @@ class ExperimentConfig:
     bench_sizes: tuple[int, ...] = (500, 1000, 2000)
 
     def __post_init__(self):
+        for key in ("n_nodes", "trials", "d", "regret_T", "timing_reps", "timing_nodes"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        for key in ("bench_sizes", "sample_counts"):
+            if any(v < 1 for v in getattr(self, key) or ()):
+                raise ValueError(f"{key} entries must be >= 1")
+        if not 0.0 <= self.edge_prob <= 1.0:
+            raise ValueError("edge_prob must be in [0, 1]")
+        if self.eta != "auto" and not (isinstance(self.eta, (int, float)) and 0.0 < self.eta <= 1.0):
+            raise ValueError(f"eta must be 'auto' or a number in (0, 1], got {self.eta!r}")
+        if self.loss not in LOSS_KINDS:
+            raise ValueError(f"unknown loss {self.loss!r}; valid: {tuple(LOSS_KINDS)}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
         if not 0.0 <= self.cv_fraction < 1.0:
             raise ValueError("cv_fraction must be in [0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if not self.mu_grid:
             raise ValueError("mu_grid must be non-empty")
         if self.scenario not in SCENARIOS:
@@ -189,7 +200,10 @@ def config_from_dict(entries: dict) -> ExperimentConfig:
     for key, raw in entries.items():
         if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _PARSERS[types[key]](raw.strip() if isinstance(raw, str) else raw)
+        try:
+            kwargs[key] = _PARSERS[types[key]](raw.strip() if isinstance(raw, str) else raw)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
 
@@ -263,78 +277,47 @@ class Report:
         return sorted(self.rows, key=lambda r: (r.method, r.n_nodes, r.n_sampled))
 
     def to_tsv(self) -> str:
-        cols = [
-            "method",
-            "n",
-            "m",
-            "trials",
-            "nmse",
-            "nmse_std",
-            "nmse_conventional",
-            "nmse_conventional_std",
-            "mu",
-            "train_s",
-            "newnode_s",
-            "knn_failures",
-            "notes",
-        ]
-        lines = ["\t".join(cols)]
+        lines = ["\t".join(header for header, _, _, _ in _COLUMNS)]
         for row in self.sorted_rows():
-            mu_text = "-" if not row.mu_selected else _fmt(statistics.median(row.mu_selected))
-            lines.append(
-                "\t".join(
-                    [
-                        row.method,
-                        str(row.n_nodes),
-                        str(row.n_sampled),
-                        str(row.trials),
-                        _fmt_or(row.nmse_mean, "undefined"),
-                        _fmt_or(row.nmse_std, "undefined"),
-                        _fmt_or(row.nmse_conv_mean, "undefined"),
-                        _fmt_or(row.nmse_conv_std, "undefined"),
-                        mu_text,
-                        _fmt_or(row.train_time, "-"),
-                        _fmt_or(row.newnode_time, "-"),
-                        str(row.knn_failures),
-                        row.notes or "-",
-                    ]
-                )
-            )
+            lines.append("\t".join(_cell(getattr(row, attr), missing) for _, _, attr, missing in _COLUMNS))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         payload = {
             "config": self.config_echo,
             "seeds": self.seeds,
-            "rows": [
-                {
-                    "method": r.method,
-                    "n": r.n_nodes,
-                    "m": r.n_sampled,
-                    "trials": r.trials,
-                    "nmse_mean": r.nmse_mean,
-                    "nmse_std": r.nmse_std,
-                    "nmse_conventional_mean": r.nmse_conv_mean,
-                    "nmse_conventional_std": r.nmse_conv_std,
-                    "mu_selected": r.mu_selected,
-                    "train_time": r.train_time,
-                    "newnode_time": r.newnode_time,
-                    "knn_failures": r.knn_failures,
-                    "notes": r.notes,
-                }
-                for r in self.sorted_rows()
-            ],
+            "rows": [{key: getattr(r, attr) for _, key, attr, _ in _COLUMNS} for r in self.sorted_rows()],
             "extras": self.extras,
         }
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
+# Report columns: (TSV header, JSON key, MethodRow attribute, TSV text when
+# the value is missing).
+_COLUMNS = (
+    ("method", "method", "method", None),
+    ("n", "n", "n_nodes", None),
+    ("m", "m", "n_sampled", None),
+    ("trials", "trials", "trials", None),
+    ("nmse", "nmse_mean", "nmse_mean", "undefined"),
+    ("nmse_std", "nmse_std", "nmse_std", "undefined"),
+    ("nmse_conventional", "nmse_conventional_mean", "nmse_conv_mean", "undefined"),
+    ("nmse_conventional_std", "nmse_conventional_std", "nmse_conv_std", "undefined"),
+    ("mu", "mu_selected", "mu_selected", "-"),
+    ("train_s", "train_time", "train_time", "-"),
+    ("newnode_s", "newnode_time", "newnode_time", "-"),
+    ("knn_failures", "knn_failures", "knn_failures", None),
+    ("notes", "notes", "notes", "-"),
+)
 
 
-def _fmt_or(value, missing: str) -> str:
-    return missing if value is None else _fmt(value)
+def _cell(value, missing: str | None) -> str:
+    """TSV text of one value; a list of selected mu shows its median."""
+    if isinstance(value, list):
+        value = float(statistics.median(value)) if value else None
+    if value is None or value == "":
+        return missing
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def write_report(report: Report, out_dir) -> None:
@@ -412,139 +395,24 @@ def _patterns(adjacency, anchor, nodes, mode: str, normalize: bool) -> np.ndarra
     return pats
 
 
-def _cv_split(m: int, cv_fraction: float):
+def _select(grid, y, cv_fraction: float, cv_predict):
+    """Pick the grid entry with the least held-out MSE over the training
+    nodes; ``cv_predict(params, tr, val)`` fits on ``tr`` and predicts ``val``.
+
+    The first minimum wins and a NaN MSE is never chosen.
+    """
+    m = len(y)
     n_train = max(1, int(round((1.0 - cv_fraction) * m)))
     n_train = min(n_train, m - 1) if m >= 2 else m
-    return np.arange(n_train), np.arange(n_train, m)
-
-
-class _Trainer:
-    """One method's fit/predict pair over a fixed trial, CV-selectable."""
-
-    def __init__(self, grid):
-        self.grid = tuple(grid)
-
-    def fit(self, params, train_x, y):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def predict(self, model, eval_x) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def select(self, train_x, y, cv_fraction: float):
-        """Pick grid params by held-out MSE over the training nodes."""
-        tr, val = _cv_split(len(y), cv_fraction)
-        if val.size == 0 or len(self.grid) == 1:
-            return self.grid[0]
-        best, best_mse = self.grid[0], math.inf
-        for params in self.grid:
-            model = self.fit(params, train_x[tr], y[tr])
-            preds = self.predict(model, train_x[val])
-            mse = float(np.mean((preds - y[val]) ** 2))
-            if mse < best_mse:
-                best, best_mse = params, mse
-        return best
-
-
-class _MklTrainer(_Trainer):
-    def __init__(self, config: ExperimentConfig, n_features: int, map_seed: int):
-        super().__init__([(mu,) for mu in config.mu_grid])
-        self.config = config
-        self.n_features = n_features
-        self.map_seed = map_seed
-
-    def fit(self, params, train_x, y) -> MklModel:
-        (mu,) = params
-        cfg = self.config
-        model = mkl_init(
-            cfg.kernel_specs(),
-            cfg.d,
-            self.n_features,
-            cfg.eta_value(len(y)),
-            mu,
-            cfg.loss,
-            self.map_seed,
-        )
-        model, self.last_traces = mkl_train(model, list(zip(train_x, y)))
-        return model
-
-    def predict(self, model, eval_x) -> np.ndarray:
-        return mkl_predict_batch(model, eval_x)
-
-
-class _KlTrainer(_Trainer):
-    """Exact connectivity-kernel ridge (no RF approximation)."""
-
-    def __init__(self, config: ExperimentConfig):
-        super().__init__([(mu,) for mu in config.mu_grid])
-        self.spec = KernelSpec("gaussian", config.kl_sigma2)
-
-    def fit(self, params, train_x, y):
-        (mu,) = params
-        k = eval_kernel_matrix(self.spec, train_x, train_x)
-        alpha = batch_kernel_ridge(k, y, mu)
-        return (alpha, train_x)
-
-    def predict(self, model, eval_x) -> np.ndarray:
-        alpha, train_x = model
-        return eval_kernel_matrix(self.spec, eval_x, train_x) @ alpha
-
-
-class _GkTrainer(_Trainer):
-    """Graph-kernel ridge on the sampled subgraph.
-
-    CV scores are computed transductively inside the subgraph; final
-    predictions for each new node rebuild the Laplacian and kernel at size
-    M+1 and re-solve, which is the deliberately expensive cubic path the
-    runtime benchmark is about.
-    """
-
-    def __init__(self, config: ExperimentConfig, variant: str, adjacency, sampled):
-        if variant == "gk_df":
-            grid = [(mu, s2) for mu in config.mu_grid for s2 in config.gk_sigma2_grid]
-        else:
-            bands = sorted({min(b, len(sampled)) for b in config.band_grid})
-            grid = [(mu, b) for mu in config.mu_grid for b in bands]
-        super().__init__(grid)
-        self.variant = variant
-        self.sampled = np.asarray(sampled, dtype=np.int64)
-        self.sub = np.ascontiguousarray(adjacency[np.ix_(self.sampled, self.sampled)])
-
-    def _spec(self, knob) -> GraphKernelSpec:
-        if self.variant == "gk_df":
-            return GraphKernelSpec("diffusion", sigma2=knob)
-        return GraphKernelSpec("bandlimited", band_size=int(knob))
-
-    def fit(self, params, train_x, y):
-        # CV path: kernel over the CV-train block of the sampled subgraph.
-        mu, knob = params
-        m = len(y)
-        sub = Graph(self.sub[:m, :m], directed=False)
-        k = graph_kernel_matrix(sub, self._spec(knob))
-        alpha = batch_kernel_ridge(k, y, mu)
-        return (mu, knob, alpha, m)
-
-    def predict(self, model, eval_x) -> np.ndarray:
-        # CV path: eval rows live in the same subgraph ordering after train.
-        mu, knob, alpha, m = model
-        total = m + len(eval_x)
-        sub = Graph(self.sub[:total, :total], directed=False)
-        k = graph_kernel_matrix(sub, self._spec(knob))
-        return k[m:total, :m] @ alpha
-
-    def predict_new_nodes(self, params, y, new_patterns) -> np.ndarray:
-        """Per new node: rebuild L and the kernel at size M+1, re-solve."""
-        mu, knob = params
-        m = self.sampled.size
-        out = np.empty(len(new_patterns))
-        for i, a_new in enumerate(np.asarray(new_patterns, dtype=np.float64)):
-            grown = np.zeros((m + 1, m + 1))
-            grown[:m, :m] = self.sub
-            grown[m, :m] = a_new
-            grown[:m, m] = a_new
-            k = graph_kernel_matrix(Graph(grown, directed=False), self._spec(knob))
-            alpha = batch_kernel_ridge(k[:m, :m], y, mu)
-            out[i] = float(np.dot(k[m, :m], alpha))
-        return out
+    tr, val = np.arange(n_train), np.arange(n_train, m)
+    if val.size == 0 or len(grid) == 1:
+        return grid[0]
+    best, best_mse = grid[0], math.inf
+    for params in grid:
+        mse = float(np.mean((cv_predict(params, tr, val) - y[val]) ** 2))
+        if mse < best_mse:
+            best, best_mse = params, mse
+    return best
 
 
 def _knn_eval(g: Graph, labeled: dict, nodes, k: int):
@@ -567,7 +435,7 @@ def _knn_eval(g: Graph, labeled: dict, nodes, k: int):
 
 def _median_time(fn, reps: int) -> float:
     times = []
-    for _ in range(max(1, reps)):
+    for _ in range(reps):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -596,28 +464,89 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
     column connectivity and knn node ids."""
     if method in ("mkl", "kl"):
         if method == "mkl":
-            trainer = _MklTrainer(config, train_x.shape[1], seeds["map"])
-        else:
-            trainer = _KlTrainer(config)
-        params = trainer.select(train_x, y, config.cv_fraction)
-        model = trainer.fit(params, train_x, y)
+            def fit(mu, xs, ys):
+                model = mkl_init(
+                    config.kernel_specs(), config.d, xs.shape[1], config.eta_value(len(ys)), mu,
+                    config.loss, seeds["map"],
+                )
+                return mkl_train(model, list(zip(xs, ys)))
+
+            def predict(fitted, xs):
+                return mkl_predict_batch(fitted[0], xs)
+
+        else:  # exact connectivity-kernel ridge, no RF approximation
+            spec = KernelSpec("gaussian", config.kl_sigma2)
+
+            def fit(mu, xs, ys):
+                return batch_kernel_ridge(eval_kernel_matrix(spec, xs, xs), ys, mu), xs
+
+            def predict(fitted, xs):
+                alpha, fit_xs = fitted
+                return eval_kernel_matrix(spec, xs, fit_xs) @ alpha
+
+        mu = _select(
+            config.mu_grid, y, config.cv_fraction,
+            lambda mu, tr, val: predict(fit(mu, train_x[tr], y[tr]), train_x[val]),
+        )
+        fitted = fit(mu, train_x, y)
         return _Fitted(
-            mu=params[0],
-            refit=lambda: trainer.fit(params, train_x, y),
-            score=lambda xs: (trainer.predict(model, xs), 0),
+            mu=mu,
+            refit=lambda: fit(mu, train_x, y),
+            score=lambda xs: (predict(fitted, xs), 0),
             inputs=eval_x,
-            traces=getattr(trainer, "last_traces", None),
+            traces=fitted[1] if method == "mkl" else None,
         )
     if method in ("gk_df", "gk_bl"):
+        # Graph-kernel ridge on the sampled subgraph.  CV scores are computed
+        # transductively inside it; each new node rebuilds the Laplacian and
+        # kernel at size M+1 and re-solves, which is the deliberately
+        # expensive cubic path the runtime benchmark is about.
         if g.directed:
             raise ValueError(f"{method} requires an undirected graph")
-        trainer = _GkTrainer(config, method, g.adjacency, plan.sampled)
-        no_x = np.zeros((plan.sampled.size, 0))  # CV uses subgraph indices only
-        params = trainer.select(no_x, y, config.cv_fraction)
+        m = plan.sampled.size
+        sub = np.ascontiguousarray(g.adjacency[np.ix_(plan.sampled, plan.sampled)])
+        knobs = config.gk_sigma2_grid if method == "gk_df" else sorted({min(b, m) for b in config.band_grid})
+
+        def kernel(adjacency, knob):
+            if method == "gk_df":
+                spec = GraphKernelSpec("diffusion", sigma2=knob)
+            else:
+                spec = GraphKernelSpec("bandlimited", band_size=int(knob))
+            return graph_kernel_matrix(Graph(adjacency, directed=False), spec)
+
+        def fit(params, ys):
+            # the training nodes are the first len(ys) nodes of the subgraph
+            mu, knob = params
+            return batch_kernel_ridge(kernel(sub[: len(ys), : len(ys)], knob), ys, mu)
+
+        def cv_predict(params, tr, val):
+            # validation nodes follow the CV-train nodes in subgraph order
+            alpha = fit(params, y[tr])
+            total = tr.size + val.size
+            return kernel(sub[:total, :total], params[1])[tr.size : total, : tr.size] @ alpha
+
+        params = _select(
+            [(mu, knob) for mu in config.mu_grid for knob in knobs], y, config.cv_fraction, cv_predict
+        )
+
+        def score(new_patterns):
+            """Per new node: rebuild L and the kernel at size M+1, re-solve."""
+            mu, knob = params
+            out = np.empty(len(new_patterns))
+            for i, a_new in enumerate(np.asarray(new_patterns, dtype=np.float64)):
+                grown = np.zeros((m + 1, m + 1))
+                grown[:m, :m] = sub
+                grown[m, :m] = a_new
+                grown[:m, m] = a_new
+                k = kernel(grown, knob)
+                alpha = batch_kernel_ridge(k[:m, :m], y, mu)
+                out[i] = float(np.dot(k[m, :m], alpha))
+            return out, 0
+
         return _Fitted(
             mu=params[0],
-            refit=lambda: trainer.fit(params, no_x, y),
-            score=lambda xs: (trainer.predict_new_nodes(params, y, xs), 0),
+            refit=lambda: fit(params, y),
+            score=score,
             # GK consumes raw connectivity to the sampled set, not the
             # normalized learner features.
             inputs=_patterns(g.adjacency, plan.sampled, plan.unsampled, "column", False),
@@ -698,36 +627,39 @@ def _aggregate(rows_acc: dict, n_nodes: int, n_sampled: int, trials: int):
     return rows
 
 
+def _synthetic_trial(config: ExperimentConfig, n: int, seeds: dict, rows_acc: dict) -> int:
+    """One random-graph trial on n nodes: sample M of them, synthesize the
+    signal, run every enabled method into ``rows_acc``; returns M."""
+    g = erdos_renyi(n, config.edge_prob, seeds["graph"])
+    m = max(1, math.ceil(config.sample_fraction * n))
+    plan = sample_nodes(g, m, seeds["plan"])
+    truth = _truth_kernel(config, g, anchor=plan.sampled)
+    x = synth_signal(g, truth, config.noise_var, seeds["signal"]).values
+    if config.standardize_labels:
+        x = _standardize(x)
+    _run_trial_methods(config, g, x, plan, seeds, rows_acc)
+    return m
+
+
 def run_synthetic(config: ExperimentConfig, out_dir=None) -> Report:
     """Random-graph benchmark: train on M sampled nodes, score the rest as
     newly-joining nodes, aggregate over independent trials."""
     rows_acc: dict = {}
     seeds_used = []
-    n = config.n_nodes
-    m = max(1, math.ceil(config.sample_fraction * n))
     for trial in range(config.trials):
         seeds = _trial_seeds(config.base_seed, trial)
         seeds_used.append(seeds["graph"])
-        g = erdos_renyi(n, config.edge_prob, seeds["graph"])
-        plan = sample_nodes(g, m, seeds["plan"])
-        truth = _truth_kernel(config, g, anchor=plan.sampled)
-        x = synth_signal(g, truth, config.noise_var, seeds["signal"]).values
-        if config.standardize_labels:
-            x = _standardize(x)
-        _run_trial_methods(config, g, x, plan, seeds, rows_acc)
+        m = _synthetic_trial(config, config.n_nodes, seeds, rows_acc)
     report = Report(
-        rows=_aggregate(rows_acc, n, m, config.trials),
+        rows=_aggregate(rows_acc, config.n_nodes, m, config.trials),
         config_echo=config.echo(),
         seeds=seeds_used,
     )
     if out_dir is not None:
         write_report(report, out_dir)
-        traced = {method: acc["traces"][0] for method, acc in rows_acc.items() if acc["traces"]}
-        if config.emit_traces and traced:
-            tdir = Path(out_dir) / "traces"
-            tdir.mkdir(parents=True, exist_ok=True)
-            for method, traces in traced.items():
-                traces_to_tsv(traces, tdir / f"{method}_trial0.tsv")
+        for method, acc in rows_acc.items():
+            if config.emit_traces and acc["traces"]:
+                traces_to_tsv(acc["traces"][0], Path(out_dir) / "traces" / f"{method}_trial0.tsv")
     return report
 
 
@@ -758,10 +690,8 @@ def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
         if count > labeled_idx.size:
             raise ValueError(f"sample count {count} exceeds {labeled_idx.size} labeled nodes")
         rows_acc: dict = {}
-        runs = 0
         for trial in range(config.trials):
             for col in range(n_cols):
-                runs += 1
                 seeds = _trial_seeds(config.base_seed, trial * n_cols + col)
                 seeds_used.append(seeds["plan"])
                 x = np.zeros(g.n_nodes)
@@ -772,7 +702,7 @@ def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
                 order = rng.permutation(labeled_idx.size)
                 plan = SamplingPlan(labeled_idx[order[:count]], np.sort(labeled_idx[order[count:]]))
                 _run_trial_methods(config, g, x, plan, seeds, rows_acc)
-        all_rows.extend(_aggregate(rows_acc, g.n_nodes, count, runs))
+        all_rows.extend(_aggregate(rows_acc, g.n_nodes, count, config.trials * n_cols))
     report = Report(rows=all_rows, config_echo=config.echo(), seeds=seeds_used)
     if out_dir is not None:
         write_report(report, out_dir)
@@ -840,7 +770,6 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
     regrets_final = []
     bound_checks = []
     seeds_used = []
-    trace_rows = []
     if config.scenario == "connectivity_anchored":
         raise ValueError("regret runs stream whole patterns; use another scenario")
     for trial in range(config.trials):
@@ -851,13 +780,8 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
         x = synth_signal(g, truth, config.noise_var, seeds["signal"]).values
         if config.standardize_labels:
             x = _standardize(x)
-        pats = _patterns(
-            g.adjacency,
-            np.arange(g.n_nodes),
-            np.arange(g.n_nodes),
-            config.pattern_mode,
-            config.normalize_patterns,
-        )
+        every = np.arange(g.n_nodes)
+        pats = _patterns(g.adjacency, every, every, config.pattern_mode, config.normalize_patterns)
         rng = np.random.default_rng(seeds["stream"])
         stream = rng.integers(0, g.n_nodes, size=horizon)
         model = mkl_init(
@@ -872,7 +796,7 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
         regrets_final.append(float(rep.regret[-1]))
         bound_checks.append(_regret_bound_check(zs, ys, traces, eta, mu))
         if trial == 0:
-            trace_rows.append(rep)
+            first = rep
     finite_exponents = [e for e in exponents if not math.isnan(e)]
     extras = {
         "eta": eta,
@@ -888,17 +812,11 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
     report = Report(rows=[], config_echo=config.echo(), seeds=seeds_used, extras=extras)
     if out_dir is not None:
         write_report(report, out_dir)
-        if trace_rows:
-            tdir = Path(out_dir) / "traces"
-            tdir.mkdir(parents=True, exist_ok=True)
-            rep = trace_rows[0]
-            lines = ["t\tcum_online\toracle\tregret"]
-            for t in range(rep.regret.size):
-                lines.append(
-                    f"{t + 1}\t{rep.cumulative_online_loss[t]!r}\t"
-                    f"{rep.best_fixed_loss[t]!r}\t{rep.regret[t]!r}"
-                )
-            (tdir / "regret_trial0.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _steps_to_tsv(
+            Path(out_dir) / "traces" / "regret_trial0.tsv",
+            ["cum_online", "oracle", "regret"],
+            [first.cumulative_online_loss, first.best_fixed_loss, first.regret],
+        )
     return report
 
 
@@ -945,15 +863,8 @@ def bench_newnode(config: ExperimentConfig, out_dir=None) -> Report:
     for size in config.bench_sizes:
         seeds = _trial_seeds(config.base_seed, size)
         seeds_used.append(seeds["graph"])
-        g = erdos_renyi(size, config.edge_prob, seeds["graph"])
-        m = max(1, math.ceil(config.sample_fraction * size))
-        plan = sample_nodes(g, m, seeds["plan"])
-        truth = _truth_kernel(replace(config, n_nodes=size), g, anchor=plan.sampled)
-        x = synth_signal(g, truth, config.noise_var, seeds["signal"]).values
-        if config.standardize_labels:
-            x = _standardize(x)
         rows_acc: dict = {}
-        _run_trial_methods(timing_cfg, g, x, plan, seeds, rows_acc)
+        m = _synthetic_trial(timing_cfg, size, seeds, rows_acc)
         for row in _aggregate(rows_acc, size, m, 1):
             rows.append(row)
             extras["per_method"].setdefault(row.method, {})[str(size)] = row.newnode_time

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .features import RFMap, build_map
+from .features import RFMap, _map_bytes, _map_from_bytes, build_map
 from .kernels import KernelSpec
 from .online import (
     LossKind,
@@ -218,24 +218,27 @@ def absorb_new_node_mkl(
 def traces_to_tsv(traces: MklTraces, path) -> None:
     """One row per step: t, combined loss, P per-kernel losses, P weights."""
     n_kernels = traces.per_kernel_loss.shape[1] if traces.n_steps else 0
-    header = (
-        ["t", "combined_loss"]
-        + [f"loss_{p}" for p in range(n_kernels)]
-        + [f"weight_{p}" for p in range(n_kernels)]
+    _steps_to_tsv(
+        path,
+        ["combined_loss"] + [f"loss_{p}" for p in range(n_kernels)] + [f"weight_{p}" for p in range(n_kernels)],
+        [traces.combined_loss, *traces.per_kernel_loss.T[:n_kernels], *traces.weights.T[:n_kernels]],
     )
-    lines = ["\t".join(header)]
-    for t in range(traces.n_steps):
-        row = [str(t + 1), repr(float(traces.combined_loss[t]))]
-        row += [repr(float(v)) for v in traces.per_kernel_loss[t]]
-        row += [repr(float(v)) for v in traces.weights[t]]
-        lines.append("\t".join(row))
+
+
+def _steps_to_tsv(path, names, columns) -> None:
+    """One row per step: t, then each column's value at that step, written
+    with ``repr`` so it reads back bit-exactly."""
+    lines = ["\t".join(["t", *names])]
+    for t, values in enumerate(zip(*columns), start=1):
+        lines.append("\t".join([str(t), *(repr(float(v)) for v in values)]))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_mkl_checkpoint(model: MklModel, path, config_text: str = "") -> None:
     """Bundle of learner checkpoints, weights, and a config fingerprint."""
     record = {
-        "format": "graphrf-mkl-v1",
+        "format": "graphrf-mkl-v2",
         "eta": model.eta,
         "seed": model.seed,
         "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
@@ -243,28 +246,20 @@ def save_mkl_checkpoint(model: MklModel, path, config_text: str = "") -> None:
             np.ascontiguousarray(model.log_weights).astype("<f8").tobytes()
         ).decode("ascii"),
         "learners": [checkpoint_record(lr) for lr in model.learners],
-        "maps": [
-            {
-                "family": m.kernel.family,
-                "bandwidth": m.kernel.bandwidth,
-                "d": m.d,
-                "n": m.n,
-                "seed": m.seed,
-            }
-            for m in model.maps
-        ],
+        # the maps themselves, in save_map's layout: redrawing them from seeds
+        # would depend on numpy's random streams staying the same
+        "maps_b64": [base64.b64encode(_map_bytes(m)).decode("ascii") for m in model.maps],
     }
     Path(path).write_text(json.dumps(record), encoding="utf-8")
 
 
 def load_mkl_checkpoint(path) -> MklModel:
     record = json.loads(Path(path).read_text(encoding="utf-8"))
-    if record.get("format") != "graphrf-mkl-v1":
+    if record.get("format") == "graphrf-mkl-v1":
+        raise ValueError("checkpoint stores map seeds, not the maps; it cannot be reloaded exactly")
+    if record.get("format") != "graphrf-mkl-v2":
         raise ValueError("not a multi-kernel checkpoint")
-    maps = tuple(
-        build_map(KernelSpec(m["family"], m["bandwidth"]), m["d"], m["n"], m["seed"])
-        for m in record["maps"]
-    )
+    maps = tuple(_map_from_bytes(base64.b64decode(m, validate=True)) for m in record["maps_b64"])
     learners = tuple(state_from_record(r) for r in record["learners"])
     log_weights = np.frombuffer(
         base64.b64decode(record["log_weights_b64"]), dtype="<f8"

@@ -89,6 +89,19 @@ class TestRunCommands:
         assert payload["extras"]["T"] == 80
         assert payload["extras"]["eta"] == pytest.approx(1 / math.sqrt(80))
 
+    @pytest.mark.parametrize(
+        "command, extra, trace",
+        [("regret", "regret_T = 30\n", "regret_trial0.tsv"), ("synthetic", "emit_traces = true\n", "mkl_trial0.tsv")],
+    )
+    def test_every_trace_cell_is_a_number(self, tmp_path, capsys, command, extra, trace):
+        config = write_config(tmp_path, SMALL_SYNTH + extra)
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "traces" / trace).read_text().splitlines()
+        assert len(lines) > 1
+        for line in lines[1:]:
+            for cell in line.split("\t"):
+                float(cell)
+
     def test_bench_command(self, tmp_path, capsys):
         config = write_config(
             tmp_path,

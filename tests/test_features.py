@@ -150,6 +150,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_map(path)
 
+    @pytest.mark.parametrize("keep", [12, 40, -8])
+    def test_rejects_truncated_file(self, tmp_path, keep):
+        # 12 and 40 bytes cut into the header, -8 drops the last matrix entry
+        path = tmp_path / "map.rfm"
+        save_map(build_map(KernelSpec("gaussian", 1.0), 3, 5, seed=2), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated"):
+            load_map(path)
+
     def test_ref_distinguishes_maps(self):
         a = build_map(KernelSpec("gaussian", 1.0), 4, 6, seed=0)
         b = build_map(KernelSpec("gaussian", 2.0), 4, 6, seed=0)

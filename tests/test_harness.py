@@ -17,7 +17,7 @@ from graphrf import (
     run_regret,
     run_synthetic,
 )
-from graphrf.harness import _patterns, config_from_dict
+from graphrf.harness import _COLUMNS, MethodRow, Report, _patterns, _select, config_from_dict
 
 
 @pytest.fixture
@@ -140,6 +140,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="pattern_mode"):
             ExperimentConfig(pattern_mode="diagonal")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("loss", "squared"),
+            ("eta", "0"),
+            ("eta", "1.5"),
+            ("eta", "nan"),
+            ("eta", "fast"),
+            ("d", "0"),
+            ("n_nodes", "0"),
+            ("regret_T", "0"),
+            ("timing_reps", "0"),
+            ("timing_nodes", "-1"),
+            ("edge_prob", "1.5"),
+            ("edge_prob", "-0.1"),
+            ("bench_sizes", "500,0"),
+            ("sample_counts", "10,-2"),
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, key, value):
+        with pytest.raises(ValueError, match=rf"\b{key}\b"):
+            config_from_dict({key: value})
+
+    def test_parse_error_names_its_key(self):
+        with pytest.raises(ValueError, match="config key 'd': "):
+            config_from_dict({"d": "ten"})
+
     def test_replace_is_validated(self):
         with pytest.raises(ValueError, match="trials"):
             replace(ExperimentConfig(), trials=0)
@@ -160,6 +187,46 @@ class TestConfig:
         value = getattr(EVERY_FIELD_SET, name)
         assert value != getattr(ExperimentConfig(), name)  # not the default
         assert getattr(config_from_dict({name: as_text(value)}), name) == value
+
+
+class TestSelect:
+    y = np.arange(8.0)
+
+    def test_ties_go_to_the_first_entry(self):
+        offsets = {"worse": 1.0, "first": 0.5, "tied": -0.5}
+        chosen = _select(list(offsets), self.y, 0.25, lambda p, tr, val: self.y[val] + offsets[p])
+        assert chosen == "first"
+
+    @pytest.mark.parametrize("grid, y", [(["only"], np.arange(8.0)), (["a", "b"], np.ones(1))])
+    def test_nothing_to_compare_makes_no_fit(self, grid, y):
+        def cv_predict(params, tr, val):
+            raise AssertionError("cv_predict called")
+
+        assert _select(grid, y, 0.25, cv_predict) == grid[0]
+
+    def test_nan_error_never_chosen(self):
+        preds = {"nan": np.nan, "far": 10.0, "nan_again": np.nan}
+        chosen = _select(list(preds), self.y, 0.25, lambda p, tr, val: self.y[val] + preds[p])
+        assert chosen == "far"
+
+
+class TestColumns:
+    def test_every_row_field_named_once(self):
+        attrs = [attr for _, _, attr, _ in _COLUMNS]
+        assert sorted(attrs) == sorted(f.name for f in fields(MethodRow))
+
+    def test_tsv_header(self):
+        assert Report([], {}, []).to_tsv() == (
+            "method\tn\tm\ttrials\tnmse\tnmse_std\tnmse_conventional\tnmse_conventional_std"
+            "\tmu\ttrain_s\tnewnode_s\tknn_failures\tnotes\n"
+        )
+
+    def test_cells(self):
+        # missing values, a zero that is not missing, and mu as the median
+        row = MethodRow("mkl", 10, 2, 3, 0.0, None, 1 / 3, None, [1e-3, 1e-2, 1e-1], 0.0, None, 4, "")
+        assert Report([row], {}, []).to_tsv().splitlines()[1].split("\t") == [
+            "mkl", "10", "2", "3", "0", "undefined", "0.333333", "undefined", "0.01", "0", "-", "4", "-",
+        ]
 
 
 class TestPatterns:

@@ -1,3 +1,5 @@
+import base64
+import json
 import math
 
 import numpy as np
@@ -311,6 +313,56 @@ class TestCheckpoint:
             assert np.array_equal(a.v_matrix, b.v_matrix)
         a = rng.random(6)
         assert mkl_predict(loaded, a) == mkl_predict(model, a)
+
+
+    def saved(self, tmp_path):
+        model = mkl_init([KernelSpec("gaussian", 1.0), KernelSpec("cauchy", 2.0)], 4, 6, 0.5, 1e-3,
+                         "least_squares", 14)
+        model, _ = mkl_train(model, [(np.full(6, 0.1 * i), float(i)) for i in range(5)])
+        path = tmp_path / "mkl.json"
+        save_mkl_checkpoint(model, path)
+        return model, path
+
+    def test_loaded_maps_do_not_depend_on_the_random_streams(self, tmp_path, monkeypatch):
+        import graphrf.mkl
+
+        model, path = self.saved(tmp_path)
+        build = graphrf.mkl.build_map
+
+        def other_draws(kernel, d, n, seed):  # same provenance, other matrix
+            return RFMap(build(kernel, d, n, seed).v_matrix + 1.0, kernel, seed)
+
+        monkeypatch.setattr(graphrf.mkl, "build_map", other_draws)
+        loaded = load_mkl_checkpoint(path)
+        for a, b in zip(loaded.maps, model.maps):
+            assert np.array_equal(a.v_matrix, b.v_matrix)
+            assert a.ref == b.ref
+        a = np.linspace(0.0, 1.0, 6)
+        assert mkl_predict(loaded, a) == mkl_predict(model, a)
+
+    @pytest.mark.parametrize("keep", [20, -8])
+    def test_truncated_map_blob_refused(self, tmp_path, keep):
+        _, path = self.saved(tmp_path)
+        record = json.loads(path.read_text())
+        blob = base64.b64decode(record["maps_b64"][1])[:keep]
+        record["maps_b64"][1] = base64.b64encode(blob).decode("ascii")
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="truncated"):
+            load_mkl_checkpoint(path)
+
+    def test_seeds_only_checkpoint_refused(self, tmp_path):
+        # the earlier layout: each map as the seed it was drawn from
+        model, path = self.saved(tmp_path)
+        record = json.loads(path.read_text())
+        record["format"] = "graphrf-mkl-v1"
+        record["maps"] = [
+            {"family": m.kernel.family, "bandwidth": m.kernel.bandwidth, "d": m.d, "n": m.n, "seed": m.seed}
+            for m in model.maps
+        ]
+        del record["maps_b64"]
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="seeds"):
+            load_mkl_checkpoint(path)
 
 
 class TestStaticRegret:
