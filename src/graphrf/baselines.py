@@ -44,24 +44,53 @@ def batch_kernel_ridge(k_matrix: np.ndarray, y: np.ndarray, mu: float) -> np.nda
 
 
 def knn_predict(g: Graph, labeled: Mapping[int, float], node: int, k: int) -> float:
-    """Edge-weighted mean of up to k labeled neighbors.
+    """Edge-weighted mean of up to k labeled neighbors of one node; see
+    :func:`knn_predict_batch`."""
+    preds, inapplicable = knn_predict_batch(g, labeled, [node], k)
+    if inapplicable[0]:
+        raise KnnInapplicableError(f"node {node} has no labeled neighbor")
+    return float(preds[0])
 
-    Weights are the adjacency entries renormalized over the labeled
-    neighbors actually used, so unlabeled neighbors do not drag the estimate
-    toward zero.
+
+def knn_predict_batch(
+    g: Graph, labeled: Mapping[int, float], nodes, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-weighted mean of up to k labeled neighbors, for every node at once.
+
+    A node's candidates are its labeled neighbors other than itself; the k
+    heaviest are used, ties going to the lower node id.  Weights are the
+    adjacency entries renormalized over the neighbors actually used, so
+    unlabeled neighbors do not drag the estimate toward zero.  Returns the
+    predictions and a mask of the nodes with no candidate, whose prediction
+    is nan.
     """
-    if not 0 <= node < g.n_nodes:
-        raise IndexError(f"node {node} out of range")
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    bad = (nodes < 0) | (nodes >= g.n_nodes)
+    if bad.any():
+        raise IndexError(f"node {int(nodes[bad][0])} out of range")
     if k < 1:
         raise ValueError("k must be >= 1")
-    row = g.adjacency[node]
-    candidates = [(float(row[j]), j) for j in np.flatnonzero(row > 0) if j in labeled and j != node]
-    if not candidates:
-        raise KnnInapplicableError(f"node {node} has no labeled neighbor")
-    candidates.sort(key=lambda item: (-item[0], item[1]))
-    chosen = candidates[:k]
-    total = sum(w for w, _ in chosen)
-    return sum(w * labeled[j] for w, j in chosen) / total
+    ids = np.array(sorted(j for j in labeled if 0 <= j < g.n_nodes), dtype=np.int64)
+    weights = g.adjacency[np.ix_(nodes, ids)]
+    weights[nodes[:, None] == ids[None, :]] = 0.0  # a node is not its own neighbor
+    n_candidates = (weights > 0).sum(axis=1)
+    # a stable sort on -w orders candidates by (-w, id); the columns past a
+    # node's last candidate hold weight 0 and add exactly 0 to both sums
+    width = min(k, int(n_candidates.max(initial=0)))
+    order = np.argsort(-weights, axis=1, kind="stable")[:, :width]
+    chosen = np.take_along_axis(weights, order, axis=1)
+    values = np.array([float(labeled[j]) for j in ids])[order]
+    values[chosen == 0] = 0.0
+    # left-to-right sums starting from 0, as Python's sum() adds
+    total = np.zeros(nodes.size)
+    numerator = np.zeros(nodes.size)
+    for w, v in zip(chosen.T, values.T):
+        total += w
+        numerator += w * v
+    inapplicable = n_candidates == 0
+    preds = np.full(nodes.size, np.nan)
+    np.divide(numerator, total, out=preds, where=~inapplicable)
+    return preds, inapplicable
 
 
 def batch_rf_ls(z_matrix: np.ndarray, y: np.ndarray, mu: float) -> np.ndarray:

@@ -117,16 +117,23 @@ def mkl_init(
     seed: int,
 ) -> MklModel:
     """Zero-initialized model with one independently seeded map per kernel."""
-    if not kernels:
+    maps = tuple(build_map(k, d, n, derive_seed(seed, p)) for p, k in enumerate(kernels))
+    return mkl_from_maps(maps, eta, mu, loss, seed)
+
+
+def mkl_from_maps(
+    maps: Sequence[RFMap], eta: float, mu: float, loss: LossKind | str, seed: int | None
+) -> MklModel:
+    """Zero-initialized model over maps already drawn, e.g. by :func:`mkl_init`."""
+    if not maps:
         raise ValueError("kernel dictionary is empty")
     if isinstance(loss, str):
         loss = LossKind(loss, mu)
     elif loss.mu != mu:
         loss = LossKind(loss.kind, mu)
-    maps = tuple(build_map(k, d, n, derive_seed(seed, p)) for p, k in enumerate(kernels))
     learners = tuple(init_state(m, eta, loss) for m in maps)
-    log_weights = np.full(len(kernels), -np.log(len(kernels)))
-    return MklModel(learners=learners, maps=maps, log_weights=log_weights, eta=eta, seed=seed)
+    log_weights = np.full(len(maps), -np.log(len(maps)))
+    return MklModel(learners=learners, maps=tuple(maps), log_weights=log_weights, eta=eta, seed=seed)
 
 
 def mkl_predict(model: MklModel, connectivity) -> float:
@@ -139,10 +146,21 @@ def mkl_predict(model: MklModel, connectivity) -> float:
 
 
 def mkl_predict_batch(model: MklModel, patterns) -> np.ndarray:
-    wbar = model.normalized_weights
+    # one map's encoding at a time, each dropped once it has predicted
+    preds = (m.encode_batch(patterns) @ lr.theta for lr, m in zip(model.learners, model.maps))
+    return _combine(model, preds)
+
+
+def mkl_predict_encoded(model: MklModel, zs: np.ndarray) -> np.ndarray:
+    """Combined predictions from (P, T, 2D) encodings, e.g. of :func:`mkl_encode`."""
+    return _combine(model, (z @ lr.theta for lr, z in zip(model.learners, zs)))
+
+
+def _combine(model: MklModel, preds) -> np.ndarray:
+    """Hedge-weighted sum of the per-kernel predictions, in kernel order."""
     out = None
-    for w, lr, m in zip(wbar, model.learners, model.maps):
-        contrib = w * (m.encode_batch(patterns) @ lr.theta)
+    for w, pred in zip(model.normalized_weights, preds):
+        contrib = w * pred
         out = contrib if out is None else out + contrib
     return out
 

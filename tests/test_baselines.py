@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphrf import (
     Graph,
@@ -12,7 +14,7 @@ from graphrf import (
     eval_kernel_matrix,
     knn_predict,
 )
-from graphrf.baselines import rf_ls_objective_grad
+from graphrf.baselines import knn_predict_batch, rf_ls_objective_grad
 
 
 class TestBatchKernelRidge:
@@ -112,6 +114,60 @@ class TestKnnPredict:
         g = self.path_graph()
         labels = {0: 1.0, 2: 1.0}
         assert knn_predict(g, labels, node=3, k=5) == pytest.approx(1.0)
+
+    def test_out_of_range_node_and_bad_k(self):
+        g = self.path_graph()
+        with pytest.raises(IndexError):
+            knn_predict(g, {0: 1.0}, node=5, k=3)
+        with pytest.raises(IndexError):
+            knn_predict(g, {0: 1.0}, node=-1, k=3)
+        with pytest.raises(ValueError, match="k must be"):
+            knn_predict(g, {0: 1.0}, node=1, k=0)
+
+    def test_batch_marks_nodes_without_labeled_neighbor(self):
+        g = self.path_graph()
+        preds, inapplicable = knn_predict_batch(g, {0: 7.0}, [1, 4, 3], k=2)
+        assert inapplicable.tolist() == [False, True, False]
+        assert preds[0] == 7.0 and np.isnan(preds[1]) and preds[2] == 7.0
+
+
+def reference_knn(adjacency, labeled, node, k):
+    """Per-node rule: sort the labeled neighbors by (-weight, id), average
+    the first k with Python sums; None when there is no labeled neighbor."""
+    row = adjacency[node]
+    candidates = [(float(row[j]), j) for j in np.flatnonzero(row > 0) if j in labeled and j != node]
+    if not candidates:
+        return None
+    candidates.sort(key=lambda item: (-item[0], item[1]))
+    chosen = candidates[:k]
+    total = sum(w for w, _ in chosen)
+    return sum(w * labeled[j] for w, j in chosen) / total
+
+
+@st.composite
+def knn_cases(draw):
+    """A weighted directed graph with self-loops and tied weights, some
+    labeled nodes, the nodes to score and k up to beyond any neighbor count."""
+    n = draw(st.integers(1, 9))
+    # few distinct values, so ties are common; zeros leave nodes isolated
+    weight = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(0.01, 4.0)
+    adjacency = np.array(draw(st.lists(weight, min_size=n * n, max_size=n * n))).reshape(n, n)
+    ids = draw(st.sets(st.integers(0, n - 1)))
+    labeled = {j: draw(st.floats(-5.0, 5.0)) for j in sorted(ids)}
+    nodes = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    k = draw(st.integers(1, n + 2))
+    return Graph(adjacency, directed=True), labeled, nodes, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(knn_cases())
+def test_knn_batch_matches_per_node_rule_exactly(case):
+    g, labeled, nodes, k = case
+    preds, inapplicable = knn_predict_batch(g, labeled, nodes, k)
+    expected = [reference_knn(g.adjacency, labeled, node, k) for node in nodes]
+    assert inapplicable.tolist() == [e is None for e in expected]
+    for pred, e in zip(preds, expected):
+        assert np.isnan(pred) if e is None else pred == e
 
 
 class TestBatchRfLs:

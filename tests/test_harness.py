@@ -17,7 +17,18 @@ from graphrf import (
     run_regret,
     run_synthetic,
 )
-from graphrf.harness import _COLUMNS, MethodRow, Report, _patterns, _select, config_from_dict
+import graphrf.mkl
+from graphrf import mkl_init, mkl_predict_batch, mkl_train, sample_nodes
+from graphrf.harness import (
+    _COLUMNS,
+    MethodRow,
+    Report,
+    _fit_method,
+    _patterns,
+    _select,
+    _trial_seeds,
+    config_from_dict,
+)
 
 
 @pytest.fixture
@@ -157,6 +168,14 @@ class TestConfig:
             ("edge_prob", "-0.1"),
             ("bench_sizes", "500,0"),
             ("sample_counts", "10,-2"),
+            ("noise_var", "-1"),
+            ("noise_var", "nan"),
+            ("regret_mu", "-1e-6"),
+            ("truth_sigma2", "0"),
+            ("kl_sigma2", "-2"),
+            ("mu_grid", "1e-3,-1"),
+            ("gk_sigma2_grid", "1,0"),
+            ("band_grid", "2,0"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, key, value):
@@ -322,7 +341,74 @@ class TestRunSynthetic:
         assert header[:2] == ["t", "combined_loss"]
 
 
+class TestMklTrial:
+    """One mkl fit per trial draws the maps and encodes the training patterns
+    once, and selects and trains exactly as a fresh model per mu would."""
+
+    def trial(self, **overrides):
+        config = ExperimentConfig(n_nodes=80, d=10, **overrides)
+        g = erdos_renyi(config.n_nodes, config.edge_prob, 3)
+        plan = sample_nodes(g, 16, 4)
+        y = np.random.default_rng(5).normal(size=plan.sampled.size)
+        x_train, x_eval = (_patterns(g.adjacency, plan.sampled, nodes, "column", True)
+                           for nodes in (plan.sampled, plan.unsampled))
+        return config, g, plan, _trial_seeds(0, 0), y, x_train, x_eval
+
+    def test_maps_drawn_once_per_fit(self, monkeypatch):
+        calls = []
+        build_map = graphrf.mkl.build_map
+        monkeypatch.setattr(graphrf.mkl, "build_map", lambda *a: calls.append(a) or build_map(*a))
+        config, *args = self.trial()
+        _fit_method("mkl", config, *args)
+        assert len(calls) == len(config.kernels)
+
+    @pytest.mark.parametrize("eta", [0.5, "auto"])
+    def test_matches_a_fresh_model_per_mu(self, eta):
+        config, g, plan, seeds, y, x_train, x_eval = self.trial(eta=eta)
+        fitted = _fit_method("mkl", config, g, plan, seeds, y, x_train, x_eval)
+
+        def fit(mu, xs, ys):
+            model = mkl_init(config.kernel_specs(), config.d, xs.shape[1], config.eta_value(len(ys)),
+                             mu, config.loss, seeds["map"])
+            return mkl_train(model, list(zip(xs, ys)))[0]
+
+        tr, val = np.arange(12), np.arange(12, 16)  # cv_fraction 0.25 of 16
+        errors = [np.mean((mkl_predict_batch(fit(mu, x_train[tr], y[tr]), x_train[val]) - y[val]) ** 2)
+                  for mu in config.mu_grid]
+        mu = config.mu_grid[int(np.argmin(errors))]
+        assert fitted.mu == mu
+        reference = fit(mu, x_train, y)
+        model, traces = fitted.refit()
+        for ours, theirs in zip(model.learners, reference.learners):
+            assert np.array_equal(ours.theta, theirs.theta)
+        assert np.array_equal(model.log_weights, reference.log_weights)
+        assert np.array_equal(traces.weights, fitted.traces.weights)
+        preds, _ = fitted.score(x_eval)
+        assert np.array_equal(preds, mkl_predict_batch(reference, x_eval))
+
+
 class TestRunDataset:
+    def test_knn_averages_every_neighbor_on_light_edges(self, tmp_path):
+        # Edge weights below 1 make the weighted degree smaller than the
+        # neighbor count.  Scaling every weight by 8 (exact in binary) leaves
+        # a weighted mean unchanged, so both runs must report the same NMSE.
+        rng = np.random.default_rng(1)
+        n = 14
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        weights = rng.choice([0.125, 0.25, 0.375], size=len(edges))
+        labels = tmp_path / "labels.txt"
+        labels.write_text("\n".join(f"v{i} {float(v)!r}" for i, v in enumerate(rng.normal(size=n))) + "\n")
+        nmse_by_scale = []
+        for scale in (1.0, 8.0):
+            path = tmp_path / f"edges{scale}.txt"
+            path.write_text("".join(f"v{i} v{j} {float(w * scale)!r}\n" for (i, j), w in zip(edges, weights)))
+            config = ExperimentConfig(
+                task="dataset", edge_list=str(path), labels=str(labels), weighted=True,
+                trials=3, sample_counts=(6,), methods=("knn",),
+            )
+            nmse_by_scale.append(run_dataset(config).rows[0].nmse_mean)
+        assert nmse_by_scale[0] == nmse_by_scale[1]
+
     def test_smoke_fixture(self, tiny_dataset):
         edges, labels = tiny_dataset
         config = ExperimentConfig(
