@@ -70,9 +70,11 @@ def learner_block(zs, ys, eta, mu, code, thetas):
         dots = (work * theta).sum(axis=2)
         record[:2, t] = dots
         g = cost_grad_scale(code, dots[0], ys[t])
-        grad = g.reshape((n_learners, 1)) * z + shrink * theta
+        grad = g.reshape((n_learners, 1)) * z
+        grad += shrink * theta
         record[2, t] = (grad * grad).sum(axis=1)
-        theta -= eta * grad
+        grad *= eta
+        theta -= grad
     thetas[:] = theta
     return record
 
@@ -93,17 +95,24 @@ def mkl_stream(zs, ys, eta, mu, code, thetas, logw):
     preds, norms, grad_sq = record
     y = ys[:, None]
     per_kernel = cost_value(code, preds, y) + mu * norms
-    clipped = np.minimum(np.maximum(per_kernel, 0.0), 1.0)
-    # log-weights after each step; the weights used at step t are those
-    # after step t - 1, or the starting ones
-    after = logw - eta * clipped.cumsum(axis=0)
-    used = np.concatenate((logw[None, :], after))[:-1]
-    weights = np.exp(used - used.max(axis=1, keepdims=True))
-    weights /= weights.sum(axis=1, keepdims=True)
+    # rows: the starting log-weights, then the log-weights after each step,
+    # so the weights used at step t are row t; one max and one subtraction
+    # rescale every row, the last one included, to a largest entry of 0
+    hist = np.empty((len(ys) + 1, len(logw)))
+    hist[0] = logw
+    after = hist[1:]
+    np.minimum(np.maximum(per_kernel, 0.0, out=after), 1.0, out=after)
+    np.add.accumulate(after, axis=0, out=after)
+    after *= eta
+    np.subtract(logw, after, out=after)
+    hist -= np.maximum.reduce(hist, axis=1, keepdims=True)
+    weights = np.exp(hist[:-1])
+    weights /= np.add.reduce(weights, axis=1, keepdims=True)
     # weighted prediction and norm as (T, 1) columns, so that at P = 1 the
     # combined loss takes exactly the per-kernel loss's arithmetic
-    f_hat, norm_bar = (weights * record[:2]).sum(axis=2, keepdims=True)
+    f_hat, norm_bar = np.add.reduce(weights * record[:2], axis=2, keepdims=True)
     combined = (cost_value(code, f_hat, y) + mu * norm_bar)[:, 0]
-    if len(after):
-        logw[:] = after[-1] - after[-1].max()
-    return combined, per_kernel, weights, f_hat[:, 0], np.sqrt(grad_sq.max(axis=0, initial=0.0))
+    if len(ys):
+        logw[:] = hist[-1]
+    max_grad = np.sqrt(np.maximum.reduce(grad_sq, axis=0, initial=0.0))
+    return combined, per_kernel, weights, f_hat[:, 0], max_grad

@@ -10,13 +10,17 @@ encoding is the only representation of a node that learners consume: the map
 is many-to-one whenever D < N, so the raw pattern cannot be recovered from z.
 
 Maps are immutable once built and encoding is pure, so batches of nodes can
-be encoded concurrently against a shared map.
+be encoded concurrently against a shared map.  :func:`encode_stacked` is the
+one encoder: it encodes a batch under P maps of equal shape at once, which is
+how a multi-kernel model encodes a joining node, and
+:meth:`RFMap.encode_batch` is its P = 1 case.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +58,7 @@ class RFMap:
     def n(self) -> int:
         return self.v_matrix.shape[1]
 
-    @property
+    @cached_property
     def ref(self) -> str:
         """Identifier that fully determines this map under seeded rebuilds."""
         return (
@@ -63,16 +67,9 @@ class RFMap:
         )
 
     def encode_batch(self, patterns) -> np.ndarray:
-        """Encode the rows of a (k, N) array into a (k, 2D) array."""
-        a = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
-        if a.shape[1] != self.n:
-            raise ValueError(f"patterns have dimension {a.shape[1]}, map expects {self.n}")
-        if not np.isfinite(a).all():
-            raise ValueError("patterns must be finite")
-        x = a @ self.v_matrix.T
-        return np.ascontiguousarray(
-            np.concatenate([np.sin(x), np.cos(x)], axis=1) * self.d**-0.5
-        )
+        """Encode the rows of a (k, N) array into a (k, 2D) array: the one-map
+        case of :func:`encode_stacked`."""
+        return encode_stacked(self.v_matrix[None], patterns)[0]
 
     def encode(self, pattern) -> np.ndarray:
         """Encode one length-N pattern into its 2D-dimensional feature vector."""
@@ -80,6 +77,33 @@ class RFMap:
         if a.ndim != 1:
             raise ValueError("pattern must be a vector")
         return self.encode_batch(a[None, :])[0]
+
+
+def encode_stacked(v_block: np.ndarray, patterns) -> np.ndarray:
+    """Encode the rows of a (T, N) array under P maps at once.
+
+    ``v_block`` is the (P, D, N) stack of the maps' spectral matrices; the
+    result is the (P, T, 2D) stack of their encodings.  The products take one
+    batched matmul, which numpy runs as one BLAS call per map with the shapes
+    a single map's call has, so every map's encoding is bit-identical to
+    encoding under that map alone.  (One (P*D, N) product is not: BLAS picks
+    its kernel and blocking by shape, and the results differ in the last bits.)
+    One sin, one cos and one scaling then cover all P maps.
+    """
+    a = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
+    n_maps, d, n = v_block.shape
+    if a.ndim != 2:
+        raise ValueError(f"patterns must be one pattern or a (T, N) array of them, got shape {a.shape}")
+    if a.shape[1] != n:
+        raise ValueError(f"patterns have dimension {a.shape[1]}, map expects {n}")
+    if not np.isfinite(a).all():
+        raise ValueError("patterns must be finite")
+    x = np.matmul(a, v_block.transpose(0, 2, 1))
+    out = np.empty((n_maps, a.shape[0], 2 * d))
+    np.sin(x, out=out[..., :d])
+    np.cos(x, out=out[..., d:])
+    out *= d**-0.5
+    return out
 
 
 def build_map(kernel: KernelSpec, d: int, n: int, seed: int) -> RFMap:

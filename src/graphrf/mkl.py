@@ -18,19 +18,21 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .features import RFMap, _map_bytes, _map_from_bytes, build_map
+from .features import RFMap, _map_bytes, _map_from_bytes, build_map, encode_stacked
 from .kernels import KernelSpec
 from .online import (
     LossKind,
     SingleKernelState,
     _check_label,
+    _require_fields,
     _stack_samples,
     checkpoint_record,
     init_state,
@@ -45,29 +47,62 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class MklModel:
-    """P learners, their frozen maps, and log-domain hedge weights."""
+    """P learners, their frozen maps, and log-domain hedge weights.
+
+    ``thetas`` is the read-only (P, 2D) stack of the learners' weights.
+    """
 
     learners: tuple[SingleKernelState, ...]
     maps: tuple[RFMap, ...]
     log_weights: np.ndarray
     eta: float
     seed: int | None = None
+    thetas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.learners) != len(self.maps) or not self.learners:
             raise ValueError("need one learner per map, at least one kernel")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1] for the weight update")
+        d, n = self.maps[0].d, self.maps[0].n
+        for m in self.maps[1:]:
+            if m.d != d:
+                raise ValueError(f"all maps must have the same D, got {d} and {m.d}")
+            if m.n != n:
+                raise ValueError(f"all maps must have the same N, got {n} and {m.n}")
+        for p, (learner, rf_map) in enumerate(zip(self.learners, self.maps)):
+            if learner.map_ref != rf_map.ref:
+                raise ValueError("learner/map pairing mismatch")
+            if learner.theta.shape != (2 * d,):
+                raise ValueError(
+                    f"learner {p} has {learner.theta.size} weights, its map needs 2D = {2 * d}"
+                )
         w = np.ascontiguousarray(self.log_weights, dtype=np.float64).copy()
         if w.shape != (len(self.learners),):
             raise ValueError("log_weights length must equal the number of kernels")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("log weights must be finite")
-        for learner, rf_map in zip(self.learners, self.maps):
-            if learner.map_ref != rf_map.ref:
-                raise ValueError("learner/map pairing mismatch")
-        w.setflags(write=False)
+        thetas = np.stack([lr.theta for lr in self.learners])
+        _freeze(thetas, w)
+        object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "log_weights", w)
+
+    def _successor(self, thetas: np.ndarray, log_weights: np.ndarray) -> MklModel:
+        """This model with new (P, 2D) learner and (P,) hedge weights, which it
+        takes over and makes read-only.
+
+        The maps, their pairing with the learners and eta carry over, so their
+        checks are not repeated, and neither is the stacking of the maps that
+        :func:`mkl_encode` caches on the model.
+        """
+        _freeze(thetas, log_weights)
+        learners = tuple(_with_fields(lr, theta=t) for lr, t in zip(self.learners, thetas))
+        return _with_fields(self, learners=learners, thetas=thetas, log_weights=log_weights)
+
+    @cached_property
+    def _v_block(self) -> np.ndarray:
+        """The maps' spectral matrices as one (P, D, N) block."""
+        block = np.stack([m.v_matrix for m in self.maps])
+        block.setflags(write=False)
+        return block
 
     @property
     def n_kernels(self) -> int:
@@ -82,6 +117,23 @@ class MklModel:
     def normalized_weights(self) -> np.ndarray:
         w = np.exp(self.log_weights - self.log_weights.max())
         return w / w.sum()
+
+
+def _with_fields(obj, **fields):
+    """Copy of a frozen dataclass with some fields replaced, without re-running
+    its ``__post_init__``: for values whose checks the caller has done."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **fields)
+    return new
+
+
+def _freeze(thetas: np.ndarray, log_weights: np.ndarray) -> None:
+    """Check the log weights finite and make both arrays read-only; the rows
+    of ``thetas`` become the learners' weights only after this."""
+    if not np.isfinite(log_weights).all():
+        raise ValueError("log weights must be finite")
+    thetas.setflags(write=False)
+    log_weights.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -166,8 +218,13 @@ def _combine(model: MklModel, preds) -> np.ndarray:
 
 
 def mkl_encode(model: MklModel, patterns) -> np.ndarray:
-    """(P, T, 2D) encodings of T patterns under each of the P maps."""
-    return np.stack([m.encode_batch(patterns) for m in model.maps])
+    """(P, T, 2D) encodings of T patterns under each of the P maps.
+
+    One call of :func:`~graphrf.features.encode_stacked` covers all P maps.
+    The stack of their spectral matrices is built on a model's first encoding
+    and passed on to every model trained from it.
+    """
+    return encode_stacked(model._v_block, patterns)
 
 
 def mkl_train_encoded(
@@ -175,26 +232,20 @@ def mkl_train_encoded(
 ) -> tuple[MklModel, MklTraces]:
     """Sequential training pass over encodings from :func:`mkl_encode`."""
     labels = np.asarray(labels, dtype=np.float64)
-    expected = (model.n_kernels, labels.size, 2 * model.maps[0].d)
+    expected = (model.n_kernels, labels.size, model.thetas.shape[1])
     if zs.shape != expected:
         raise ValueError(f"encodings have shape {zs.shape}, expected {expected}")
     loss = model.learners[0].loss
     for y in labels:
         _check_label(loss, y)
-    thetas = np.stack([lr.theta for lr in model.learners])
+    thetas = model.thetas.copy()
     logw = model.log_weights.copy()
     combined, per_kernel, weights_used, prediction, max_grad = _kernels.mkl_stream(
         zs, labels, model.eta, loss.mu, loss.code, thetas, logw
     )
     if not (np.isfinite(thetas).all() and np.isfinite(combined).all()):
         raise FloatingPointError("multi-kernel training diverged to non-finite values")
-    learners = tuple(
-        SingleKernelState(theta=thetas[p], eta=lr.eta, loss=lr.loss, map_ref=lr.map_ref)
-        for p, lr in enumerate(model.learners)
-    )
-    new_model = MklModel(
-        learners=learners, maps=model.maps, log_weights=logw, eta=model.eta, seed=model.seed
-    )
+    new_model = model._successor(thetas, logw)
     return new_model, MklTraces(combined, per_kernel, weights_used, prediction, max_grad)
 
 
@@ -221,13 +272,15 @@ def absorb_new_node_mkl(
 ) -> tuple[float, MklModel]:
     """Combined prediction for a newly-joining node, plus an optional update.
 
-    The node is encoded once per map; scoring and the update share it.
+    The node is encoded once, in one call for all P maps; scoring and the
+    update share that encoding.
     """
     a = np.asarray(connectivity, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"connectivity must be one node's 1-d pattern, got shape {a.shape}")
     zs = mkl_encode(model, a[None, :])
     if label is None:
-        thetas = np.stack([lr.theta for lr in model.learners])
-        preds = (thetas * zs[:, 0]).sum(axis=1)
+        preds = (model.thetas * zs[:, 0]).sum(axis=1)
         return float((model.normalized_weights * preds).sum()), model
     new_model, traces = mkl_train_encoded(model, zs, [label])
     return float(traces.prediction[0]), new_model
@@ -277,11 +330,23 @@ def load_mkl_checkpoint(path) -> MklModel:
         raise ValueError("checkpoint stores map seeds, not the maps; it cannot be reloaded exactly")
     if record.get("format") != "graphrf-mkl-v2":
         raise ValueError("not a multi-kernel checkpoint")
+    _require_fields(record, ("eta", "seed", "log_weights_b64", "learners", "maps_b64"), "checkpoint")
     maps = tuple(_map_from_bytes(base64.b64decode(m, validate=True)) for m in record["maps_b64"])
     learners = tuple(state_from_record(r) for r in record["learners"])
+    for p, (learner, rf_map) in enumerate(zip(learners, maps)):
+        if learner.theta.size != 2 * rf_map.d:
+            raise ValueError(
+                f"checkpoint field learners[{p}].theta_b64 holds {learner.theta.size} values, "
+                f"its map needs 2D = {2 * rf_map.d}"
+            )
     log_weights = np.frombuffer(
         base64.b64decode(record["log_weights_b64"]), dtype="<f8"
     ).astype(np.float64)
+    if log_weights.size != len(learners):
+        raise ValueError(
+            f"checkpoint field log_weights_b64 holds {log_weights.size} values, "
+            f"expected one per kernel ({len(learners)})"
+        )
     return MklModel(
         learners=learners,
         maps=maps,

@@ -215,9 +215,17 @@ def checkpoint_record(state: SingleKernelState) -> dict:
     }
 
 
+def _require_fields(record: dict, fields: Sequence[str], what: str) -> None:
+    """Refuse a loaded record that lacks one of ``fields``, naming it."""
+    for name in fields:
+        if name not in record:
+            raise ValueError(f"{what} is missing the field {name!r}")
+
+
 def state_from_record(record: dict) -> SingleKernelState:
     if record.get("format") != "graphrf-checkpoint-v1":
         raise ValueError("not a learner checkpoint record")
+    _require_fields(record, ("map_ref", "eta", "loss", "theta_b64"), "learner checkpoint")
     theta = np.frombuffer(base64.b64decode(record["theta_b64"]), dtype="<f8")
     return SingleKernelState(
         theta=theta.astype(np.float64),

@@ -57,6 +57,11 @@ class TestEncode:
         with pytest.raises(ValueError):
             m.encode(np.zeros(7))
 
+    def test_stack_of_pattern_arrays_rejected(self):
+        m = build_map(KernelSpec("gaussian", 1.0), 3, 8, seed=1)
+        with pytest.raises(ValueError, match=r"\(T, N\) array.*\(2, 8, 8\)"):
+            m.encode_batch(np.zeros((2, 8, 8)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pattern_rejected(self, bad):
         m = build_map(KernelSpec("gaussian", 1.0), 3, 8, seed=1)

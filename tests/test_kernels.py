@@ -303,6 +303,37 @@ def test_hedge_replay_matches_sequential_update(stream):
         assert np.array_equal(final_logw, logw)
 
 
+def _concatenating_replay(record, ys, eta, mu, code, logw):
+    """The vectorised hedge replay as it first stood: the same arithmetic as
+    mkl_stream's, in separate arrays (the used rows concatenated, the final
+    log-weights rescaled on their own)."""
+    preds, norms, grad_sq = record
+    y = ys[:, None]
+    per_kernel = _kernels.cost_value(code, preds, y) + mu * norms
+    clipped = np.minimum(np.maximum(per_kernel, 0.0), 1.0)
+    after = logw - eta * clipped.cumsum(axis=0)
+    used = np.concatenate((logw[None, :], after))[:-1]
+    weights = np.exp(used - used.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    f_hat, norm_bar = (weights * record[:2]).sum(axis=2, keepdims=True)
+    combined = (_kernels.cost_value(code, f_hat, y) + mu * norm_bar)[:, 0]
+    final = after[-1] - after[-1].max() if len(after) else logw
+    return combined, per_kernel, weights, f_hat[:, 0], np.sqrt(grad_sq.max(axis=0, initial=0.0)), final
+
+
+@settings(max_examples=60, deadline=None)
+@given(streams())
+def test_hedge_replay_is_the_concatenating_replay_bit_for_bit(stream):
+    zs, ys, eta, mu, code, thetas, logw = stream
+    final_logw = logw.copy()
+    got = _kernels.mkl_stream(zs, ys, eta, mu, code, thetas.copy(), final_logw)
+    record = _kernels.learner_block(zs, ys, eta, mu, code, thetas.copy())
+    *expected, expected_logw = _concatenating_replay(record, ys, eta, mu, code, logw)
+    for a, b in zip(got, expected):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert np.array_equal(final_logw, expected_logw)
+
+
 @settings(max_examples=60, deadline=None)
 @given(streams())
 def test_max_grad_matches_descent_replay(stream):

@@ -1,9 +1,12 @@
 import base64
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphrf import (
     KernelSpec,
@@ -19,10 +22,12 @@ from graphrf import (
     static_regret,
     train_stream,
 )
-from graphrf.features import RFMap
+from graphrf.features import RFMap, build_map
 from graphrf.mkl import (
     absorb_new_node_mkl,
     fit_growth_exponent,
+    mkl_encode,
+    mkl_from_maps,
     mkl_predict_batch,
 )
 from graphrf.online import SingleKernelState
@@ -81,6 +86,15 @@ class TestInit:
     def test_eta_range(self):
         with pytest.raises(ValueError):
             mkl_init([KernelSpec("gaussian", 1.0)], 4, 6, 1.5, 0.0, "least_squares", 0)
+
+    @pytest.mark.parametrize(
+        "shapes, message",
+        [(((4, 6), (5, 6)), "same D, got 4 and 5"), (((4, 6), (4, 7)), "same N, got 6 and 7")],
+    )
+    def test_maps_of_different_shape_rejected(self, shapes, message):
+        maps = [build_map(KernelSpec("gaussian", 1.0), d, n, seed) for seed, (d, n) in enumerate(shapes)]
+        with pytest.raises(ValueError, match=message):
+            mkl_from_maps(maps, 0.5, 0.0, "least_squares", 0)
 
     def test_simplex_holds_during_training(self):
         model = mkl_init([KernelSpec("gaussian", b) for b in (1.0, 2.0, 5.0)],
@@ -229,21 +243,54 @@ class TestTrain:
         assert mkl_predict(updated, np.ones(5)) != 0.0
 
     def test_absorb_encodes_once_per_map(self, monkeypatch):
+        # one call of the fused encoder covers every map; no per-map encoding
+        import graphrf.mkl
+
         specs = [KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0), KernelSpec("laplacian", 1.0)]
         model = mkl_init(specs, 4, 6, 0.5, 1e-3, "least_squares", 14)
-        calls = []
-        encode_batch = RFMap.encode_batch
+        fused, per_map = [], []
+        encode_stacked, encode_batch = graphrf.mkl.encode_stacked, RFMap.encode_batch
 
-        def counting(self, patterns):
-            calls.append(self.ref)
+        def counting_fused(v_block, patterns):
+            fused.append(v_block.shape)
+            return encode_stacked(v_block, patterns)
+
+        def counting_per_map(self, patterns):
+            per_map.append(self.ref)
             return encode_batch(self, patterns)
 
-        monkeypatch.setattr(RFMap, "encode_batch", counting)
+        monkeypatch.setattr(graphrf.mkl, "encode_stacked", counting_fused)
+        monkeypatch.setattr(RFMap, "encode_batch", counting_per_map)
         pattern = np.random.default_rng(15).random(6)
-        for label in (None, 0.7):
-            calls.clear()
-            absorb_new_node_mkl(model, pattern, label)
-            assert sorted(calls) == sorted(m.ref for m in model.maps)
+        for label in (None, 0.7, None):
+            fused.clear()
+            _, model = absorb_new_node_mkl(model, pattern, label)
+            assert fused == [(3, 4, 6)]
+        assert per_map == []
+
+    def test_labelled_join_returns_read_only_arrays(self):
+        model = mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 5, 0.5, 1e-3, "least_squares", 21)
+        _, model = absorb_new_node_mkl(model, np.ones(5), 0.4)
+        _, model = absorb_new_node_mkl(model, np.full(5, 0.5), -0.2)
+        arrays = [model.log_weights, model.thetas, *(lr.theta for lr in model.learners)]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        with pytest.raises(ValueError):
+            model.learners[0].theta.setflags(write=True)
+
+    def test_diverging_join_raises(self):
+        model = mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 5, 1.0, 0.0, "least_squares", 22)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FloatingPointError):
+            absorb_new_node_mkl(model, np.ones(5), 1e308)
+
+    @pytest.mark.parametrize("shape", [(2, 5), (1, 5), (1, 1, 5)])
+    def test_join_refuses_a_connectivity_that_is_not_1d(self, shape):
+        model = mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 5, 0.5, 0.0, "least_squares", 23)
+        for label in (None, 0.5):
+            with pytest.raises(ValueError, match=r"1-d.*" + re.escape(str(shape))):
+                absorb_new_node_mkl(model, np.ones(shape), label)
 
     def test_absorb_scores_the_same_with_or_without_label(self):
         specs = [KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0)]
@@ -350,6 +397,41 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_mkl_checkpoint(path)
 
+    def tampered(self, tmp_path, change):
+        _, path = self.saved(tmp_path)
+        record = json.loads(path.read_text())
+        change(record)
+        path.write_text(json.dumps(record))
+        return path
+
+    @pytest.mark.parametrize("values", [7, 9])
+    def test_theta_of_the_wrong_length_refused(self, tmp_path, values):
+        def change(record):  # the maps have D = 4, so each theta holds 8 values
+            theta = np.arange(values, dtype="<f8")
+            record["learners"][1]["theta_b64"] = base64.b64encode(theta.tobytes()).decode("ascii")
+
+        with pytest.raises(ValueError, match=rf"learners\[1\]\.theta_b64 holds {values} values"):
+            load_mkl_checkpoint(self.tampered(tmp_path, change))
+
+    @pytest.mark.parametrize("values", [1, 3])
+    def test_log_weights_of_the_wrong_length_refused(self, tmp_path, values):
+        def change(record):
+            logw = np.zeros(values, dtype="<f8")
+            record["log_weights_b64"] = base64.b64encode(logw.tobytes()).decode("ascii")
+
+        with pytest.raises(ValueError, match=rf"log_weights_b64 holds {values} values"):
+            load_mkl_checkpoint(self.tampered(tmp_path, change))
+
+    @pytest.mark.parametrize("field", ["eta", "seed", "log_weights_b64", "learners", "maps_b64"])
+    def test_missing_field_refused(self, tmp_path, field):
+        with pytest.raises(ValueError, match=f"missing the field '{field}'"):
+            load_mkl_checkpoint(self.tampered(tmp_path, lambda record: record.pop(field)))
+
+    @pytest.mark.parametrize("field", ["map_ref", "eta", "loss", "theta_b64"])
+    def test_missing_learner_field_refused(self, tmp_path, field):
+        with pytest.raises(ValueError, match=f"missing the field '{field}'"):
+            load_mkl_checkpoint(self.tampered(tmp_path, lambda record: record["learners"][0].pop(field)))
+
     def test_seeds_only_checkpoint_refused(self, tmp_path):
         # the earlier layout: each map as the seed it was drawn from
         model, path = self.saved(tmp_path)
@@ -363,6 +445,38 @@ class TestCheckpoint:
         path.write_text(json.dumps(record))
         with pytest.raises(ValueError, match="seeds"):
             load_mkl_checkpoint(path)
+
+
+@st.composite
+def encode_cases(draw):
+    n_maps = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 130))
+    n = draw(st.integers(1, 60))
+    n_rows = draw(st.one_of(st.integers(1, 8), st.integers(1, 2000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        patterns = (rng.random((n_rows, n)) < 0.2).astype(float)
+    else:
+        patterns = rng.normal(size=(n_rows, n))
+    families = draw(st.lists(st.sampled_from(["gaussian", "laplacian", "cauchy"]), min_size=n_maps, max_size=n_maps))
+    specs = [KernelSpec(f, draw(st.sampled_from([0.5, 1.0, 5.0]))) for f in families]
+    return mkl_init(specs, d, n, 0.5, 0.0, "least_squares", draw(st.integers(0, 1000))), patterns
+
+
+@settings(max_examples=40, deadline=None)
+@given(encode_cases())
+def test_fused_encoding_is_the_per_map_encoding_bit_for_bit(case):
+    model, patterns = case
+    fused = mkl_encode(model, patterns)
+    per_map = np.stack([m.encode_batch(patterns) for m in model.maps])
+    # the encoding as one map computes it on its own: the reference arithmetic
+    reference = []
+    for m in model.maps:
+        x = patterns @ m.v_matrix.T
+        reference.append(np.concatenate([np.sin(x), np.cos(x)], axis=1) * m.d**-0.5)
+    assert fused.shape == (model.n_kernels, patterns.shape[0], 2 * model.maps[0].d)
+    assert np.array_equal(fused, per_map)
+    assert np.array_equal(fused, np.stack(reference))
 
 
 class TestStaticRegret:
