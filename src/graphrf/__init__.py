@@ -31,7 +31,6 @@ from .features import (
     RFMap,
     approx_kernel,
     build_map,
-    encode,
     load_map,
     null_space_collision,
     save_map,
@@ -39,15 +38,10 @@ from .features import (
 from .online import (
     LossKind,
     SingleKernelState,
-    absorb_new_node,
     init_state,
-    load_checkpoint,
     loss_grad,
     loss_value,
     ogd_step,
-    predict,
-    predict_batch,
-    save_checkpoint,
     train_stream,
 )
 from .mkl import (

@@ -112,10 +112,6 @@ def build_map(kernel: KernelSpec, d: int, n: int, seed: int) -> RFMap:
     return RFMap(v_matrix=v, kernel=kernel, seed=int(seed))
 
 
-def encode(rf_map: RFMap, pattern) -> np.ndarray:
-    return rf_map.encode(pattern)
-
-
 def approx_kernel(rf_map: RFMap, a, b) -> float:
     """z(a).z(b): unbiased randomized estimate of the exact kernel."""
     return float(np.dot(rf_map.encode(a), rf_map.encode(b)))

@@ -177,6 +177,8 @@ def load_labels(source) -> dict[str, np.ndarray]:
             vals = np.array([float(t) for t in tokens[1:]])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric label value") from None
+        if not np.isfinite(vals).all():
+            raise ValueError(f"line {lineno}: label values must be finite")
         if width is None:
             width = vals.size
         elif vals.size != width:

@@ -104,6 +104,8 @@ class ExperimentConfig:
         for key in ("n_nodes", "trials", "d", "regret_T", "timing_reps", "timing_nodes"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         for key in ("bench_sizes", "sample_counts", "band_grid"):
             if any(v < 1 for v in getattr(self, key) or ()):
                 raise ValueError(f"{key} entries must be >= 1")
@@ -137,7 +139,12 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; valid: {METHODS}")
-        self.kernel_specs()
+        if not self.methods:
+            raise ValueError("methods must be non-empty")
+        try:
+            self.kernel_specs()
+        except ValueError as exc:
+            raise ValueError(f"kernels: {exc}") from exc
 
     def kernel_specs(self) -> tuple[KernelSpec, ...]:
         return tuple(KernelSpec(family, bw) for family, bw in self.kernels)
@@ -648,6 +655,12 @@ def _aggregate(rows_acc: dict, n_nodes: int, n_sampled: int, trials: int):
     return rows
 
 
+def _require_least_squares(config: ExperimentConfig, run: str) -> None:
+    """Refuse, before any trial, a loss that the run's real-valued signal cannot train."""
+    if config.loss != "least_squares":
+        raise ValueError(f"{run} runs require the least-squares loss, got loss = {config.loss!r}")
+
+
 def _synthetic_trial(config: ExperimentConfig, n: int, seeds: dict, rows_acc: dict) -> int:
     """One random-graph trial on n nodes: sample M of them, synthesize the
     signal, run every enabled method into ``rows_acc``; returns M."""
@@ -665,6 +678,7 @@ def _synthetic_trial(config: ExperimentConfig, n: int, seeds: dict, rows_acc: di
 def run_synthetic(config: ExperimentConfig, out_dir=None) -> Report:
     """Random-graph benchmark: train on M sampled nodes, score the rest as
     newly-joining nodes, aggregate over independent trials."""
+    _require_least_squares(config, "synthetic")
     rows_acc: dict = {}
     seeds_used = []
     for trial in range(config.trials):
@@ -782,8 +796,7 @@ def _prefix_oracle_losses(zs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarr
 def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
     """Stream T node samples, train online, and compare against the
     per-prefix batch comparator in the executed random-feature classes."""
-    if config.loss != "least_squares":
-        raise ValueError("regret runs require the least-squares loss")
+    _require_least_squares(config, "regret")
     horizon = config.regret_T
     eta = config.eta_value(horizon)
     mu = config.regret_mu
@@ -877,6 +890,7 @@ def bench_newnode(config: ExperimentConfig, out_dir=None) -> Report:
     Only timing is claimed here.  The signal scenario comes from the config,
     so pass ``scenario="identity"`` for the cheap kernel, as C10 does.
     """
+    _require_least_squares(config, "bench-newnode")
     rows = []
     extras: dict = {"sizes": list(config.bench_sizes), "per_method": {}}
     seeds_used = []

@@ -11,14 +11,15 @@ and nothing can underflow on long streams.
 
 Steps are strictly sequential; within a step the per-kernel updates are
 independent.  Models are immutable snapshots, safe to share for prediction.
+A model scores and absorbs a newly-joining node (:func:`absorb_new_node_mkl`)
+and saves to, and reloads exactly from, one JSON checkpoint.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -28,16 +29,7 @@ import numpy as np
 from . import _kernels
 from .features import RFMap, _map_bytes, _map_from_bytes, build_map, encode_stacked
 from .kernels import KernelSpec
-from .online import (
-    LossKind,
-    SingleKernelState,
-    _check_label,
-    _require_fields,
-    _stack_samples,
-    checkpoint_record,
-    init_state,
-    state_from_record,
-)
+from .online import LossKind, SingleKernelState, _check_label, _stack_samples
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -47,21 +39,23 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class MklModel:
-    """P learners, their frozen maps, and log-domain hedge weights.
+    """P learners over their frozen maps, and log-domain hedge weights.
 
-    ``thetas`` is the read-only (P, 2D) stack of the learners' weights.
+    ``thetas`` is the read-only (P, 2D) block of the learners' weights, row p
+    for ``maps[p]``.  All P learners share the step size ``eta``, which also
+    drives the hedge weights, and the ``loss``.
     """
 
-    learners: tuple[SingleKernelState, ...]
     maps: tuple[RFMap, ...]
+    thetas: np.ndarray
     log_weights: np.ndarray
     eta: float
+    loss: LossKind
     seed: int | None = None
-    thetas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.learners) != len(self.maps) or not self.learners:
-            raise ValueError("need one learner per map, at least one kernel")
+        if not self.maps:
+            raise ValueError("need at least one kernel")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1] for the weight update")
         d, n = self.maps[0].d, self.maps[0].n
@@ -70,32 +64,24 @@ class MklModel:
                 raise ValueError(f"all maps must have the same D, got {d} and {m.d}")
             if m.n != n:
                 raise ValueError(f"all maps must have the same N, got {n} and {m.n}")
-        for p, (learner, rf_map) in enumerate(zip(self.learners, self.maps)):
-            if learner.map_ref != rf_map.ref:
-                raise ValueError("learner/map pairing mismatch")
-            if learner.theta.shape != (2 * d,):
-                raise ValueError(
-                    f"learner {p} has {learner.theta.size} weights, its map needs 2D = {2 * d}"
-                )
-        w = np.ascontiguousarray(self.log_weights, dtype=np.float64).copy()
-        if w.shape != (len(self.learners),):
-            raise ValueError("log_weights length must equal the number of kernels")
-        thetas = np.stack([lr.theta for lr in self.learners])
+        thetas = np.array(self.thetas, dtype=np.float64, order="C")
+        w = np.array(self.log_weights, dtype=np.float64, order="C")
+        if thetas.shape != (len(self.maps), 2 * d) or w.shape != (len(self.maps),):
+            raise ValueError(
+                f"the maps need (P, 2D) = {(len(self.maps), 2 * d)} thetas and (P,) log_weights, "
+                f"got {thetas.shape} and {w.shape}"
+            )
+        if not np.isfinite(thetas).all():
+            raise ValueError("learner weights must be finite")
         _freeze(thetas, w)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "log_weights", w)
 
-    def _successor(self, thetas: np.ndarray, log_weights: np.ndarray) -> MklModel:
-        """This model with new (P, 2D) learner and (P,) hedge weights, which it
-        takes over and makes read-only.
-
-        The maps, their pairing with the learners and eta carry over, so their
-        checks are not repeated, and neither is the stacking of the maps that
-        :func:`mkl_encode` caches on the model.
-        """
-        _freeze(thetas, log_weights)
-        learners = tuple(_with_fields(lr, theta=t) for lr, t in zip(self.learners, thetas))
-        return _with_fields(self, learners=learners, thetas=thetas, log_weights=log_weights)
+    @property
+    def learners(self) -> tuple[SingleKernelState, ...]:
+        """Each kernel's learner as a :class:`SingleKernelState`, built on each
+        access from a copy of its row of ``thetas``."""
+        return tuple(SingleKernelState(t, self.eta, self.loss, m.ref) for t, m in zip(self.thetas, self.maps))
 
     @cached_property
     def _v_block(self) -> np.ndarray:
@@ -106,7 +92,7 @@ class MklModel:
 
     @property
     def n_kernels(self) -> int:
-        return len(self.learners)
+        return len(self.maps)
 
     @property
     def weights(self) -> np.ndarray:
@@ -128,8 +114,7 @@ def _with_fields(obj, **fields):
 
 
 def _freeze(thetas: np.ndarray, log_weights: np.ndarray) -> None:
-    """Check the log weights finite and make both arrays read-only; the rows
-    of ``thetas`` become the learners' weights only after this."""
+    """Check the log weights finite and make both arrays read-only."""
     if not np.isfinite(log_weights).all():
         raise ValueError("log weights must be finite")
     thetas.setflags(write=False)
@@ -183,29 +168,34 @@ def mkl_from_maps(
         loss = LossKind(loss, mu)
     elif loss.mu != mu:
         loss = LossKind(loss.kind, mu)
-    learners = tuple(init_state(m, eta, loss) for m in maps)
+    thetas = np.zeros((len(maps), 2 * maps[0].d))
     log_weights = np.full(len(maps), -np.log(len(maps)))
-    return MklModel(learners=learners, maps=tuple(maps), log_weights=log_weights, eta=eta, seed=seed)
+    return MklModel(tuple(maps), thetas, log_weights, eta, loss, seed)
 
 
 def mkl_predict(model: MklModel, connectivity) -> float:
-    """Hedge-weighted combination of the per-kernel predictions."""
-    wbar = model.normalized_weights
-    preds = np.array(
-        [np.dot(lr.theta, m.encode(connectivity)) for lr, m in zip(model.learners, model.maps)]
-    )
-    return float(np.dot(wbar, preds))
+    """Hedge-weighted combination of the per-kernel predictions for one node:
+    the one-row case of :func:`mkl_predict_batch`."""
+    return float(mkl_predict_batch(model, _one_node(connectivity))[0])
+
+
+def _one_node(connectivity) -> np.ndarray:
+    """One node's 1-d pattern as a (1, N) batch."""
+    a = np.asarray(connectivity, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"connectivity must be one node's 1-d pattern, got shape {a.shape}")
+    return a[None, :]
 
 
 def mkl_predict_batch(model: MklModel, patterns) -> np.ndarray:
     # one map's encoding at a time, each dropped once it has predicted
-    preds = (m.encode_batch(patterns) @ lr.theta for lr, m in zip(model.learners, model.maps))
+    preds = (m.encode_batch(patterns) @ theta for theta, m in zip(model.thetas, model.maps))
     return _combine(model, preds)
 
 
 def mkl_predict_encoded(model: MklModel, zs: np.ndarray) -> np.ndarray:
     """Combined predictions from (P, T, 2D) encodings, e.g. of :func:`mkl_encode`."""
-    return _combine(model, (z @ lr.theta for lr, z in zip(model.learners, zs)))
+    return _combine(model, (z @ theta for theta, z in zip(model.thetas, zs)))
 
 
 def _combine(model: MklModel, preds) -> np.ndarray:
@@ -235,7 +225,7 @@ def mkl_train_encoded(
     expected = (model.n_kernels, labels.size, model.thetas.shape[1])
     if zs.shape != expected:
         raise ValueError(f"encodings have shape {zs.shape}, expected {expected}")
-    loss = model.learners[0].loss
+    loss = model.loss
     for y in labels:
         _check_label(loss, y)
     thetas = model.thetas.copy()
@@ -245,14 +235,16 @@ def mkl_train_encoded(
     )
     if not (np.isfinite(thetas).all() and np.isfinite(combined).all()):
         raise FloatingPointError("multi-kernel training diverged to non-finite values")
-    new_model = model._successor(thetas, logw)
+    # the maps and eta carry over, so their checks are not repeated, and
+    # neither is the stacking of the maps that mkl_encode caches on the model
+    _freeze(thetas, logw)
+    new_model = _with_fields(model, thetas=thetas, log_weights=logw)
     return new_model, MklTraces(combined, per_kernel, weights_used, prediction, max_grad)
 
 
 def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, MklStepRecord]:
     """One online step: every learner descends, every weight decays."""
-    a = np.asarray(connectivity, dtype=np.float64)
-    new_model, traces = mkl_train_encoded(model, mkl_encode(model, a[None, :]), [label])
+    new_model, traces = mkl_train_encoded(model, mkl_encode(model, _one_node(connectivity)), [label])
     record = MklStepRecord(
         combined_loss=float(traces.combined_loss[0]),
         per_kernel_losses=traces.per_kernel_loss[0],
@@ -275,10 +267,7 @@ def absorb_new_node_mkl(
     The node is encoded once, in one call for all P maps; scoring and the
     update share that encoding.
     """
-    a = np.asarray(connectivity, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"connectivity must be one node's 1-d pattern, got shape {a.shape}")
-    zs = mkl_encode(model, a[None, :])
+    zs = mkl_encode(model, _one_node(connectivity))
     if label is None:
         preds = (model.thetas * zs[:, 0]).sum(axis=1)
         return float((model.normalized_weights * preds).sum()), model
@@ -306,25 +295,39 @@ def _steps_to_tsv(path, names, columns) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def save_mkl_checkpoint(model: MklModel, path, config_text: str = "") -> None:
-    """Bundle of learner checkpoints, weights, and a config fingerprint."""
+def _b64(values: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(values).astype("<f8").tobytes()).decode("ascii")
+
+
+def save_mkl_checkpoint(model: MklModel, path) -> None:
+    """The model as JSON.  Each learner record repeats the shared eta and loss
+    and names its map; the maps themselves follow in save_map's layout, since
+    redrawing them from seeds would depend on numpy's random streams."""
     record = {
         "format": "graphrf-mkl-v2",
         "eta": model.eta,
         "seed": model.seed,
-        "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
-        "log_weights_b64": base64.b64encode(
-            np.ascontiguousarray(model.log_weights).astype("<f8").tobytes()
-        ).decode("ascii"),
-        "learners": [checkpoint_record(lr) for lr in model.learners],
-        # the maps themselves, in save_map's layout: redrawing them from seeds
-        # would depend on numpy's random streams staying the same
+        "log_weights_b64": _b64(model.log_weights),
+        "learners": [
+            {"format": "graphrf-checkpoint-v1", "map_ref": m.ref, "eta": model.eta,
+             "loss": {"kind": model.loss.kind, "mu": model.loss.mu}, "theta_b64": _b64(theta)}
+            for theta, m in zip(model.thetas, model.maps)
+        ],
         "maps_b64": [base64.b64encode(_map_bytes(m)).decode("ascii") for m in model.maps],
     }
     Path(path).write_text(json.dumps(record), encoding="utf-8")
 
 
+def _require_fields(record: dict, fields: Sequence[str], what: str) -> None:
+    """Refuse a loaded record that lacks one of ``fields``, naming it."""
+    for name in fields:
+        if name not in record:
+            raise ValueError(f"{what} is missing the field {name!r}")
+
+
 def load_mkl_checkpoint(path) -> MklModel:
+    """Reload a :func:`save_mkl_checkpoint` file exactly, or refuse it with a
+    ``ValueError`` that names the field at fault."""
     record = json.loads(Path(path).read_text(encoding="utf-8"))
     if record.get("format") == "graphrf-mkl-v1":
         raise ValueError("checkpoint stores map seeds, not the maps; it cannot be reloaded exactly")
@@ -332,28 +335,37 @@ def load_mkl_checkpoint(path) -> MklModel:
         raise ValueError("not a multi-kernel checkpoint")
     _require_fields(record, ("eta", "seed", "log_weights_b64", "learners", "maps_b64"), "checkpoint")
     maps = tuple(_map_from_bytes(base64.b64decode(m, validate=True)) for m in record["maps_b64"])
-    learners = tuple(state_from_record(r) for r in record["learners"])
-    for p, (learner, rf_map) in enumerate(zip(learners, maps)):
-        if learner.theta.size != 2 * rf_map.d:
-            raise ValueError(
-                f"checkpoint field learners[{p}].theta_b64 holds {learner.theta.size} values, "
-                f"its map needs 2D = {2 * rf_map.d}"
-            )
-    log_weights = np.frombuffer(
-        base64.b64decode(record["log_weights_b64"]), dtype="<f8"
-    ).astype(np.float64)
-    if log_weights.size != len(learners):
-        raise ValueError(
-            f"checkpoint field log_weights_b64 holds {log_weights.size} values, "
-            f"expected one per kernel ({len(learners)})"
-        )
-    return MklModel(
-        learners=learners,
-        maps=maps,
-        log_weights=log_weights,
-        eta=float(record["eta"]),
-        seed=record["seed"],
-    )
+    if not maps:
+        raise ValueError("checkpoint field maps_b64 holds no maps")
+    if len(record["learners"]) != len(maps):
+        raise ValueError(f"checkpoint fields learners and maps_b64 hold {len(record['learners'])} "
+                         f"and {len(maps)} records, expected one learner per map")
+    eta = float(record["eta"])
+    first = record["learners"][0]
+    thetas = []
+    for p, (learner, rf_map) in enumerate(zip(record["learners"], maps)):
+        field = f"checkpoint field learners[{p}]"
+        if learner.get("format") != "graphrf-checkpoint-v1":
+            raise ValueError(f"{field} is not a learner record")
+        _require_fields(learner, ("map_ref", "eta", "loss", "theta_b64"), field)
+        if learner["loss"] != first["loss"]:
+            raise ValueError(f"{field}.loss is {learner['loss']}, but learners[0].loss is {first['loss']}")
+        if float(learner["eta"]) != eta:
+            raise ValueError(f"{field}.eta is {learner['eta']!r}, but the model's eta is {eta!r}")
+        if learner["map_ref"] != rf_map.ref:
+            raise ValueError(f"{field}.map_ref is {learner['map_ref']!r}, but its map is {rf_map.ref!r}")
+        theta = np.frombuffer(base64.b64decode(learner["theta_b64"]), dtype="<f8")
+        if theta.size != 2 * rf_map.d:
+            raise ValueError(f"{field}.theta_b64 holds {theta.size} values, its map needs 2D = {2 * rf_map.d}")
+        if not np.isfinite(theta).all():
+            raise ValueError(f"{field}.theta_b64 holds non-finite values")
+        thetas.append(theta)
+    log_weights = np.frombuffer(base64.b64decode(record["log_weights_b64"]), dtype="<f8")
+    if log_weights.size != len(maps):
+        raise ValueError(f"checkpoint field log_weights_b64 holds {log_weights.size} values, "
+                         f"expected one per kernel ({len(maps)})")
+    loss = LossKind(first["loss"]["kind"], float(first["loss"]["mu"]))
+    return MklModel(maps, np.stack(thetas), log_weights, eta, loss, record["seed"])
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,14 @@ update path itself only ever sees their encodings; see
 :mod:`graphrf.features` for why that boundary matters.
 
 Training is strictly sequential (updates are order-dependent).  States are
-immutable snapshots, so a trained state can be shared and `predict` called
-on it from many threads at once.
+immutable snapshots.  Scoring, joining nodes and checkpoints are served by
+:mod:`graphrf.mkl`, whose P = 1 model is this learner.
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -174,66 +171,3 @@ def train_stream(
         _check_label(state.loss, y)
     zs = rf_map.encode_batch(patterns) if len(labels) else np.empty((0, 2 * rf_map.d))
     return _stream(state, zs, labels)
-
-
-def predict(state: SingleKernelState, rf_map: RFMap, connectivity) -> float:
-    """theta . z(a) for one node; works for unsampled and newly-joining nodes."""
-    _check_map(state, rf_map)
-    return float(np.dot(state.theta, rf_map.encode(connectivity)))
-
-
-def predict_batch(state: SingleKernelState, rf_map: RFMap, patterns) -> np.ndarray:
-    _check_map(state, rf_map)
-    return rf_map.encode_batch(patterns) @ state.theta
-
-
-def absorb_new_node(
-    state: SingleKernelState, rf_map: RFMap, connectivity, label: float | None = None
-) -> tuple[float, SingleKernelState]:
-    """Score a newly-joining node; fold in its label if one is available."""
-    _check_map(state, rf_map)
-    z = rf_map.encode(connectivity)
-    prediction = float(np.dot(state.theta, z))
-    if label is None:
-        return prediction, state
-    return prediction, ogd_step(state, z, label)
-
-
-def save_checkpoint(state: SingleKernelState, path) -> None:
-    Path(path).write_text(json.dumps(checkpoint_record(state)), encoding="utf-8")
-
-
-def checkpoint_record(state: SingleKernelState) -> dict:
-    return {
-        "format": "graphrf-checkpoint-v1",
-        "map_ref": state.map_ref,
-        "eta": state.eta,
-        "loss": {"kind": state.loss.kind, "mu": state.loss.mu},
-        "theta_b64": base64.b64encode(
-            np.ascontiguousarray(state.theta).astype("<f8").tobytes()
-        ).decode("ascii"),
-    }
-
-
-def _require_fields(record: dict, fields: Sequence[str], what: str) -> None:
-    """Refuse a loaded record that lacks one of ``fields``, naming it."""
-    for name in fields:
-        if name not in record:
-            raise ValueError(f"{what} is missing the field {name!r}")
-
-
-def state_from_record(record: dict) -> SingleKernelState:
-    if record.get("format") != "graphrf-checkpoint-v1":
-        raise ValueError("not a learner checkpoint record")
-    _require_fields(record, ("map_ref", "eta", "loss", "theta_b64"), "learner checkpoint")
-    theta = np.frombuffer(base64.b64decode(record["theta_b64"]), dtype="<f8")
-    return SingleKernelState(
-        theta=theta.astype(np.float64),
-        eta=float(record["eta"]),
-        loss=LossKind(record["loss"]["kind"], float(record["loss"]["mu"])),
-        map_ref=record["map_ref"],
-    )
-
-
-def load_checkpoint(path) -> SingleKernelState:
-    return state_from_record(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -92,6 +92,11 @@ class TestLoadLabels:
         with pytest.raises(ValueError, match="line 2"):
             load_labels(["a 1 2", "b 3"])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match="line 2: label values must be finite"):
+            load_labels(["a 1 2", f"b 3 {value}"])
+
 
 class TestErdosRenyi:
     def test_zero_probability_empty(self):

@@ -17,6 +17,7 @@ from graphrf import (
     run_regret,
     run_synthetic,
 )
+import graphrf.harness
 import graphrf.mkl
 from graphrf import mkl_init, mkl_predict_batch, mkl_train, sample_nodes
 from graphrf.harness import (
@@ -176,6 +177,9 @@ class TestConfig:
             ("mu_grid", "1e-3,-1"),
             ("gk_sigma2_grid", "1,0"),
             ("band_grid", "2,0"),
+            ("base_seed", "-1"),
+            ("methods", ""),
+            ("kernels", "gaussian:0"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, key, value):
@@ -570,6 +574,18 @@ class TestRunRegret:
         )
         run_regret(config, out_dir=tmp_path)
         assert (tmp_path / "traces" / "regret_trial0.tsv").exists()
+
+
+@pytest.mark.parametrize("loss", ["hinge", "logistic"])
+@pytest.mark.parametrize("runner", [run_synthetic, bench_newnode])
+def test_random_graph_runs_refuse_a_classification_loss_before_any_trial(monkeypatch, runner, loss):
+    # the synthetic signal is real-valued: the run fails before it draws a graph
+    def no_graph(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(graphrf.harness, "erdos_renyi", no_graph)
+    with pytest.raises(ValueError, match=f"least-squares loss, got loss = '{loss}'"):
+        runner(ExperimentConfig(loss=loss))
 
 
 class TestBenchNewnode:

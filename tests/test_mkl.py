@@ -30,7 +30,6 @@ from graphrf.mkl import (
     mkl_from_maps,
     mkl_predict_batch,
 )
-from graphrf.online import SingleKernelState
 
 
 def flat_map():
@@ -39,21 +38,12 @@ def flat_map():
 
 
 def manual_model(thetas, log_weights, eta=0.5, mu=0.0):
-    maps = tuple(flat_map() for _ in thetas)
-    learners = tuple(
-        SingleKernelState(
-            theta=np.asarray(t, dtype=float),
-            eta=eta,
-            loss=LossKind("least_squares", mu),
-            map_ref=m.ref,
-        )
-        for t, m in zip(thetas, maps)
-    )
     return MklModel(
-        learners=learners,
-        maps=maps,
+        maps=tuple(flat_map() for _ in thetas),
+        thetas=np.asarray(thetas, dtype=float),
         log_weights=np.asarray(log_weights, dtype=float),
         eta=eta,
+        loss=LossKind("least_squares", mu),
     )
 
 
@@ -74,6 +64,22 @@ class TestInit:
         model = mkl_init([KernelSpec("gaussian", 1.0)] * 3, 4, 6, 0.5, 0.0, "least_squares", 0)
         for lr in model.learners:
             assert np.array_equal(lr.theta, np.zeros(8))
+
+    def test_learner_views_share_the_model_eta_and_loss(self):
+        model = mkl_init([KernelSpec("gaussian", b) for b in (1.0, 2.0, 5.0)], 4, 6, 0.3, 1e-3,
+                         "least_squares", 0)
+        model, _ = mkl_train(model, [(np.full(6, 0.2), 1.0), (np.ones(6), -0.5)])
+        assert len(model.learners) == 3
+        for theta, rf_map, learner in zip(model.thetas, model.maps, model.learners):
+            assert np.array_equal(learner.theta, theta)
+            assert learner.eta == 0.3
+            assert learner.loss == LossKind("least_squares", 1e-3)
+            assert learner.map_ref == rf_map.ref
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="learner weights must be finite"):
+            manual_model(thetas=[[0.0, 1.0], [bad, 1.0]], log_weights=[0.0, 0.0])
 
     def test_maps_use_independent_seeds(self):
         model = mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 6, 0.5, 0.0, "least_squares", 0)
@@ -174,10 +180,11 @@ class TestUpdate:
             new_model, _ = mkl_update(model, np.zeros(3), label=1.0)
             weights.append(new_model.normalized_weights[0])
             model = MklModel(
-                learners=model.learners,  # reset thetas, keep the new weights
                 maps=model.maps,
+                thetas=model.thetas,  # reset thetas, keep the new weights
                 log_weights=new_model.log_weights,
                 eta=model.eta,
+                loss=model.loss,
             )
         assert all(b > a for a, b in zip(weights, weights[1:]))
 
@@ -185,10 +192,11 @@ class TestUpdate:
         rng = np.random.default_rng(7)
         base = manual_model(thetas=rng.normal(size=(2, 2)), log_weights=[0.1, -0.4])
         scaled = MklModel(
-            learners=base.learners,
             maps=base.maps,
+            thetas=base.thetas,
             log_weights=base.log_weights + 7.3,  # multiply weights by e^7.3
             eta=base.eta,
+            loss=base.loss,
         )
         a = np.zeros(3)
         assert mkl_predict(base, a) == pytest.approx(mkl_predict(scaled, a), abs=1e-12)
@@ -242,6 +250,13 @@ class TestTrain:
         assert updated is not model
         assert mkl_predict(updated, np.ones(5)) != 0.0
 
+    def test_labelled_join_moves_the_prediction_toward_the_label(self):
+        model = mkl_init([KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 3.0)], 4, 6, 0.1, 0.0,
+                         "least_squares", 24)
+        a = np.random.default_rng(25).random(6)
+        before, updated = absorb_new_node_mkl(model, a, 2.0)
+        assert abs(mkl_predict(updated, a) - 2.0) < abs(before - 2.0)
+
     def test_absorb_encodes_once_per_map(self, monkeypatch):
         # one call of the fused encoder covers every map; no per-map encoding
         import graphrf.mkl
@@ -272,13 +287,17 @@ class TestTrain:
         model = mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 5, 0.5, 1e-3, "least_squares", 21)
         _, model = absorb_new_node_mkl(model, np.ones(5), 0.4)
         _, model = absorb_new_node_mkl(model, np.full(5, 0.5), -0.2)
-        arrays = [model.log_weights, model.thetas, *(lr.theta for lr in model.learners)]
-        for array in arrays:
+        for array in (model.log_weights, model.thetas):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
-        with pytest.raises(ValueError):
-            model.learners[0].theta.setflags(write=True)
+        # a learner view holds a copy of its row: writing to it leaves the model as it was
+        before = model.thetas.copy()
+        view = model.learners[0].theta
+        view.setflags(write=True)
+        view[:] = 1.0
+        assert np.array_equal(model.thetas, before)
+        assert np.array_equal(model.learners[0].theta, before[0])
 
     def test_diverging_join_raises(self):
         model = mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 5, 1.0, 0.0, "least_squares", 22)
@@ -349,7 +368,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(15)
         model, _ = mkl_train(model, [(rng.random(6), float(rng.normal())) for _ in range(9)])
         path = tmp_path / "mkl.json"
-        save_mkl_checkpoint(model, path, config_text="demo config")
+        save_mkl_checkpoint(model, path)
         loaded = load_mkl_checkpoint(path)
         assert loaded.eta == model.eta
         np.testing.assert_array_equal(loaded.log_weights, model.log_weights)
@@ -361,6 +380,37 @@ class TestCheckpoint:
         a = rng.random(6)
         assert mkl_predict(loaded, a) == mkl_predict(model, a)
 
+    def test_single_kernel_roundtrip_keeps_the_loss(self, tmp_path):
+        # the one-kernel model's checkpoint is the single-kernel learner's
+        model = mkl_init([KernelSpec("laplacian", 0.7)], 4, 6, 0.37, 1e-4, "logistic", 21)
+        rng = np.random.default_rng(22)
+        model, _ = mkl_train(model, [(rng.random(6), float(rng.choice([-1.0, 1.0]))) for _ in range(12)])
+        path = tmp_path / "one.json"
+        save_mkl_checkpoint(model, path)
+        loaded = load_mkl_checkpoint(path)
+        assert (loaded.eta, loaded.loss, loaded.seed) == (0.37, LossKind("logistic", 1e-4), 21)
+        assert np.array_equal(loaded.thetas, model.thetas)
+        assert loaded.learners[0].map_ref == model.learners[0].map_ref
+
+    def test_record_layout(self, tmp_path):
+        _, path = self.saved(tmp_path)
+        record = json.loads(path.read_text())
+        assert list(record) == ["format", "eta", "seed", "log_weights_b64", "learners", "maps_b64"]
+        assert list(record["learners"][0]) == ["format", "map_ref", "eta", "loss", "theta_b64"]
+
+    def test_file_with_a_config_fingerprint_loads(self, tmp_path):
+        # earlier files carry a config_sha256 field, which nothing reads
+        model, _ = self.saved(tmp_path)
+        path = self.tampered(tmp_path, lambda record: record.update(config_sha256="e3b0c442"))
+        loaded = load_mkl_checkpoint(path)
+        assert np.array_equal(loaded.thetas, model.thetas)
+        assert np.array_equal(loaded.log_weights, model.log_weights)
+
+    def test_wrong_format_refused(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format": "something-else"}')
+        with pytest.raises(ValueError, match="not a multi-kernel checkpoint"):
+            load_mkl_checkpoint(path)
 
     def saved(self, tmp_path):
         model = mkl_init([KernelSpec("gaussian", 1.0), KernelSpec("cauchy", 2.0)], 4, 6, 0.5, 1e-3,
@@ -411,6 +461,48 @@ class TestCheckpoint:
             record["learners"][1]["theta_b64"] = base64.b64encode(theta.tobytes()).decode("ascii")
 
         with pytest.raises(ValueError, match=rf"learners\[1\]\.theta_b64 holds {values} values"):
+            load_mkl_checkpoint(self.tampered(tmp_path, change))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_theta_refused(self, tmp_path, bad):
+        def change(record):
+            theta = np.frombuffer(base64.b64decode(record["learners"][1]["theta_b64"]), dtype="<f8").copy()
+            theta[3] = bad
+            record["learners"][1]["theta_b64"] = base64.b64encode(theta.tobytes()).decode("ascii")
+
+        with pytest.raises(ValueError, match=r"learners\[1\]\.theta_b64 holds non-finite values"):
+            load_mkl_checkpoint(self.tampered(tmp_path, change))
+
+    @pytest.mark.parametrize(
+        "index, field, value",
+        [
+            (1, "loss", {"kind": "least_squares", "mu": 0.5}),
+            (1, "eta", 0.01),
+            (1, "map_ref", "gaussian:bw=1.0:D=4:N=6:seed=0:L1"),
+            (0, "map_ref", "cauchy:bw=2.0:D=4:N=6:seed=1:L1"),
+        ],
+    )
+    def test_learner_that_disagrees_refused(self, tmp_path, index, field, value):
+        def change(record):
+            record["learners"][index][field] = value
+
+        with pytest.raises(ValueError, match=rf"learners\[{index}\]\.{field} is"):
+            load_mkl_checkpoint(self.tampered(tmp_path, change))
+
+    def test_first_learner_with_another_loss_refused(self, tmp_path):
+        # the shared loss is learners[0]'s, so the next learner is the one that disagrees
+        def change(record):
+            record["learners"][0]["loss"] = {"kind": "hinge", "mu": 0.001}
+
+        with pytest.raises(ValueError, match=r"learners\[1\]\.loss is .*learners\[0\]\.loss is .*hinge"):
+            load_mkl_checkpoint(self.tampered(tmp_path, change))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_learner_count_refused(self, tmp_path, count):
+        def change(record):
+            record["learners"] = (record["learners"] * 2)[:count]
+
+        with pytest.raises(ValueError, match=f"learners and maps_b64 hold {count} and 2 records"):
             load_mkl_checkpoint(self.tampered(tmp_path, change))
 
     @pytest.mark.parametrize("values", [1, 3])

@@ -7,16 +7,11 @@ import pytest
 from graphrf import (
     KernelSpec,
     LossKind,
-    absorb_new_node,
     build_map,
     init_state,
-    load_checkpoint,
     loss_grad,
     loss_value,
     ogd_step,
-    predict,
-    predict_batch,
-    save_checkpoint,
     train_stream,
 )
 from graphrf.features import null_space_collision
@@ -224,85 +219,12 @@ class TestTrainStream:
 
 
 class TestPredict:
-    def test_zero_state_predicts_zero(self):
-        m = small_map()
-        state = init_state(m, eta=0.1, loss=LossKind("least_squares"))
-        assert predict(state, m, np.random.default_rng(0).random(6)) == 0.0
-
     def test_prediction_after_hand_step(self):
         m = small_map(d=1, n=2)
         state = init_state(m, eta=0.1, loss=LossKind("least_squares"))
         state = ogd_step(state, np.array([0.0, 1.0]), 1.0)
         # predicting the same encoded point: theta . z = 0.2
         assert float(np.dot(state.theta, [0.0, 1.0])) == pytest.approx(0.2)
-
-    def test_linear_in_theta(self):
-        m = small_map(seed=12)
-        a = np.random.default_rng(13).random(6)
-        state = init_state(m, eta=0.1, loss=LossKind("least_squares"))
-        state = dataclasses.replace(state, theta=np.random.default_rng(14).normal(size=8))
-        scaled = dataclasses.replace(state, theta=3.0 * state.theta)
-        assert predict(scaled, m, a) == pytest.approx(3.0 * predict(state, m, a), rel=1e-12)
-
-    def test_batch_matches_scalar(self):
-        m = small_map(seed=15)
-        rng = np.random.default_rng(16)
-        state = dataclasses.replace(
-            init_state(m, 0.1, LossKind("least_squares")), theta=rng.normal(size=8)
-        )
-        pats = rng.random((5, 6))
-        batch = predict_batch(state, m, pats)
-        for i in range(5):
-            assert batch[i] == pytest.approx(predict(state, m, pats[i]), abs=1e-12)
-
-
-class TestAbsorbNewNode:
-    def test_without_label_state_unchanged(self):
-        m = small_map(seed=17)
-        state = init_state(m, eta=0.1, loss=LossKind("least_squares"))
-        pred, new = absorb_new_node(state, m, np.ones(6))
-        assert new is state
-        assert pred == 0.0
-
-    def test_with_label_zero_step_size(self):
-        m = small_map(seed=18)
-        state = init_state(m, eta=0.0, loss=LossKind("least_squares"))
-        pred, new = absorb_new_node(state, m, np.ones(6), label=1.0)
-        np.testing.assert_array_equal(new.theta, state.theta)
-
-    def test_update_moves_prediction_toward_label(self):
-        m = small_map(seed=19)
-        rng = np.random.default_rng(20)
-        state = dataclasses.replace(
-            init_state(m, 0.1, LossKind("least_squares")), theta=rng.normal(size=8) * 0.1
-        )
-        a = rng.random(6)
-        before, updated = absorb_new_node(state, m, a, label=2.0)
-        after = predict(updated, m, a)
-        assert abs(after - 2.0) < abs(before - 2.0)
-
-
-class TestCheckpoint:
-    def test_roundtrip_exact(self, tmp_path):
-        m = small_map(seed=21)
-        rng = np.random.default_rng(22)
-        state = dataclasses.replace(
-            init_state(m, eta=0.37, loss=LossKind("logistic", mu=1e-4)),
-            theta=rng.normal(size=8),
-        )
-        path = tmp_path / "model.json"
-        save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
-        assert np.array_equal(loaded.theta, state.theta)
-        assert loaded.eta == state.eta
-        assert loaded.loss == state.loss
-        assert loaded.map_ref == state.map_ref
-
-    def test_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
 
 
 class TestPrivacyBoundary:
