@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``synthetic``, ``dataset``, ``regret``, ``encode`` and
-``bench-newnode``.  Each accepts ``--config`` (flat key = value file),
-``--seed`` (overrides the config base seed), ``--out`` (report directory)
-and ``--format`` (what gets echoed to stdout).  Exit code 0 on success, 1 on
-a diagnosed error, 2 on bad usage.
+Subcommands: ``synthetic``, ``dataset``, ``regret``, ``bench-newnode`` and
+``encode``.  Each accepts ``--seed`` (the config base seed, or the map seed
+of ``encode``) and ``--format`` (what gets echoed to stdout); all but
+``encode`` also take ``--config`` (flat key = value file) and ``--out``
+(report directory).  Exit code 0 on success, 1 on a diagnosed error, 2 on
+bad usage.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from .harness import (
 from .kernels import KernelSpec
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a flat key = value config file")
-    parser.add_argument("--seed", type=int, help="override the config base seed")
-    parser.add_argument("--out", help="directory for report.tsv / summary.json / traces")
+def _output_flags(parser: argparse.ArgumentParser, seed_help: str) -> None:
+    parser.add_argument("--seed", type=int, help=seed_help)
     parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
 
@@ -52,9 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, descr) in _RUNNERS.items():
         p = sub.add_parser(name, help=descr)
-        _common_flags(p)
+        p.add_argument("--config", help="path to a flat key = value config file")
+        p.add_argument("--out", help="directory for report.tsv / summary.json / traces")
+        _output_flags(p, "override the config base seed")
     enc = sub.add_parser("encode", help="emit the random-feature encoding of a pattern")
-    _common_flags(enc)
+    _output_flags(enc, "seed of the map's spectral samples (default 0)")
     enc.add_argument("--vector", help="comma-separated connectivity pattern")
     enc.add_argument("--vector-file", help="file with one pattern value per line")
     enc.add_argument("--d", type=int, default=10, help="number of spectral samples")

@@ -40,12 +40,13 @@ class RFMap:
     v_matrix: np.ndarray
     kernel: KernelSpec
     seed: int
-    layout_version: int = LAYOUT_VERSION
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.v_matrix, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError("v_matrix must be 2-d (D x N)")
+        if not np.isfinite(v).all():
+            raise ValueError("v_matrix must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "v_matrix", v)
@@ -63,7 +64,7 @@ class RFMap:
         """Identifier that fully determines this map under seeded rebuilds."""
         return (
             f"{self.kernel.family}:bw={self.kernel.bandwidth!r}:D={self.d}"
-            f":N={self.n}:seed={self.seed}:L{self.layout_version}"
+            f":N={self.n}:seed={self.seed}:L{LAYOUT_VERSION}"
         )
 
     def encode_batch(self, patterns) -> np.ndarray:
@@ -149,7 +150,7 @@ def _map_bytes(rf_map: RFMap) -> bytes:
     header = _MAGIC + struct.pack(
         _HEADER,
         _FORMAT_VERSION,
-        rf_map.layout_version,
+        LAYOUT_VERSION,
         rf_map.d,
         rf_map.n,
         family_code,
@@ -168,6 +169,8 @@ def _map_from_bytes(raw: bytes) -> RFMap:
     version, layout, d, n, family_code, bandwidth, seed = struct.unpack_from(_HEADER, raw, len(_MAGIC))
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported map format version {version}")
+    if layout != LAYOUT_VERSION:
+        raise ValueError(f"unsupported map layout {layout}, expected {LAYOUT_VERSION}")
     if family_code >= len(KERNEL_FAMILIES):
         raise ValueError(f"unknown kernel family code {family_code}")
     body = np.frombuffer(raw, dtype="<f8", offset=offset)
@@ -177,5 +180,4 @@ def _map_from_bytes(raw: bytes) -> RFMap:
         v_matrix=body.reshape(d, n),
         kernel=KernelSpec(KERNEL_FAMILIES[family_code], bandwidth),
         seed=seed,
-        layout_version=layout,
     )

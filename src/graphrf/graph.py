@@ -30,8 +30,9 @@ def _read_lines(source) -> Iterable[str]:
 class Graph:
     """A (possibly directed, possibly weighted) graph over N nodes.
 
-    adjacency[i, j] is the weight of the edge from node j into node i for
-    directed graphs; undirected graphs are exactly symmetric.
+    adjacency[i, j] is the weight of the edge from node i to node j for
+    directed graphs (an edge-list line ``i j`` sets it); undirected graphs
+    are exactly symmetric.
     """
 
     adjacency: np.ndarray

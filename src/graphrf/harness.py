@@ -419,33 +419,21 @@ def _patterns(adjacency, anchor, nodes, mode: str, normalize: bool) -> np.ndarra
 
 def _select(grid, y, cv_fraction: float, cv_predict):
     """Pick the grid entry with the least held-out MSE over the training
-    nodes; ``cv_predict(params, tr, val)`` fits on ``tr`` and predicts ``val``.
+    nodes.  The validation nodes are the tail of the training order:
+    ``cv_predict(params, n)`` fits on nodes ``[:n]`` and predicts ``[n:]``.
 
     The first minimum wins and a NaN MSE is never chosen.
     """
-    m = len(y)
-    n_train = max(1, int(round((1.0 - cv_fraction) * m)))
-    n_train = min(n_train, m - 1) if m >= 2 else m
-    tr, val = np.arange(n_train), np.arange(n_train, m)
-    if val.size == 0 or len(grid) == 1:
+    # at least one training node and at least one validation node, if y allows
+    n = min(max(1, int(round((1.0 - cv_fraction) * len(y)))), len(y) - 1)
+    if n < 1 or len(grid) == 1:
         return grid[0]
     best, best_mse = grid[0], math.inf
     for params in grid:
-        mse = float(np.mean((cv_predict(params, tr, val) - y[val]) ** 2))
+        mse = float(np.mean((cv_predict(params, n) - y[n:]) ** 2))
         if mse < best_mse:
             best, best_mse = params, mse
     return best
-
-
-def _knn_eval(g: Graph, labeled: dict, nodes, k: int):
-    """Predictions plus the count of nodes where no labeled neighbor exists.
-
-    Inapplicable nodes fall back to the mean training label so the NMSE
-    stays defined; the failure count is reported alongside.
-    """
-    preds, inapplicable = knn_predict_batch(g, labeled, nodes, k)
-    preds[inapplicable] = float(np.mean(list(labeled.values())))
-    return preds, int(inapplicable.sum())
 
 
 def _median_time(fn, reps: int) -> float:
@@ -476,51 +464,49 @@ class _Fitted:
 
 def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) -> _Fitted:
     """Select and fit one method; mkl and kl score learner features, gk raw
-    column connectivity and knn node ids."""
-    if method in ("mkl", "kl"):
-        if method == "mkl":
-            # mu enters only the loss, so the maps are drawn and the training
-            # patterns encoded once; each CV fit reads its rows of the encoding
-            base = mkl_init(
-                config.kernel_specs(), config.d, train_x.shape[1], config.eta_value(len(y)),
-                config.mu_grid[0], config.loss, seeds["map"],
-            )
-            zs = mkl_encode(base, train_x)
+    column connectivity and knn node ids.  Every CV fit reads a prefix of
+    the method's one trial-level input, as :func:`_select` splits."""
+    if method == "mkl":
+        # mu enters only the loss, so the maps are drawn and the training
+        # patterns encoded once; each CV fit reads its rows of the encoding
+        base = mkl_init(
+            config.kernel_specs(), config.d, train_x.shape[1], config.eta_value(len(y)),
+            config.mu_grid[0], config.loss, seeds["map"],
+        )
+        zs = mkl_encode(base, train_x)
 
-            def fresh(mu, n_train):
-                return mkl_from_maps(base.maps, config.eta_value(n_train), mu, config.loss, seeds["map"])
+        def fresh(mu, n):
+            return mkl_from_maps(base.maps, config.eta_value(n), mu, config.loss, seeds["map"])
 
-            def fit(mu, xs, ys):
-                return mkl_train(fresh(mu, len(ys)), list(zip(xs, ys)))
-
-            def cv_predict(mu, tr, val):
-                model, _ = mkl_train_encoded(fresh(mu, tr.size), zs[:, tr], y[tr])
-                return mkl_predict_encoded(model, zs[:, val])
-
-            def predict(fitted, xs):
-                return mkl_predict_batch(fitted[0], xs)
-
-        else:  # exact connectivity-kernel ridge, no RF approximation
-            spec = KernelSpec("gaussian", config.kl_sigma2)
-
-            def fit(mu, xs, ys):
-                return batch_kernel_ridge(eval_kernel_matrix(spec, xs, xs), ys, mu), xs
-
-            def predict(fitted, xs):
-                alpha, fit_xs = fitted
-                return eval_kernel_matrix(spec, xs, fit_xs) @ alpha
-
-            def cv_predict(mu, tr, val):
-                return predict(fit(mu, train_x[tr], y[tr]), train_x[val])
+        def cv_predict(mu, n):
+            model, _ = mkl_train_encoded(fresh(mu, n), zs[:, :n], y[:n])
+            return mkl_predict_encoded(model, zs[:, n:])
 
         mu = _select(config.mu_grid, y, config.cv_fraction, cv_predict)
-        fitted = fit(mu, train_x, y)
+
+        def refit():
+            return mkl_train(fresh(mu, len(y)), list(zip(train_x, y)))
+
+        model, traces = refit()
+        return _Fitted(
+            mu=mu, refit=refit, score=lambda xs: (mkl_predict_batch(model, xs), 0), inputs=eval_x, traces=traces
+        )
+    if method == "kl":
+        # exact connectivity-kernel ridge, no RF approximation.  Its kernel is
+        # defined entry by entry, so each CV fit reads a corner of one gram.
+        spec = KernelSpec("gaussian", config.kl_sigma2)
+        gram = eval_kernel_matrix(spec, train_x, train_x)
+
+        def cv_predict(mu, n):
+            return gram[n:, :n] @ batch_kernel_ridge(gram[:n, :n], y[:n], mu)
+
+        mu = _select(config.mu_grid, y, config.cv_fraction, cv_predict)
+        alpha = batch_kernel_ridge(gram, y, mu)
         return _Fitted(
             mu=mu,
-            refit=lambda: fit(mu, train_x, y),
-            score=lambda xs: (predict(fitted, xs), 0),
+            refit=lambda: batch_kernel_ridge(eval_kernel_matrix(spec, train_x, train_x), y, mu),
+            score=lambda xs: (eval_kernel_matrix(spec, xs, train_x) @ alpha, 0),
             inputs=eval_x,
-            traces=fitted[1] if method == "mkl" else None,
         )
     if method in ("gk_df", "gk_bl"):
         # Graph-kernel ridge on the sampled subgraph.  CV scores are computed
@@ -540,16 +526,12 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
                 spec = GraphKernelSpec("bandlimited", band_size=int(knob))
             return graph_kernel_matrix(Graph(adjacency, directed=False), spec)
 
-        def fit(params, ys):
-            # the training nodes are the first len(ys) nodes of the subgraph
+        def fit(params, n):
             mu, knob = params
-            return batch_kernel_ridge(kernel(sub[: len(ys), : len(ys)], knob), ys, mu)
+            return batch_kernel_ridge(kernel(sub[:n, :n], knob), y[:n], mu)
 
-        def cv_predict(params, tr, val):
-            # validation nodes follow the CV-train nodes in subgraph order
-            alpha = fit(params, y[tr])
-            total = tr.size + val.size
-            return kernel(sub[:total, :total], params[1])[tr.size : total, : tr.size] @ alpha
+        def cv_predict(params, n):
+            return kernel(sub, params[1])[n:, :n] @ fit(params, n)
 
         params = _select(
             [(mu, knob) for mu in config.mu_grid for knob in knobs], y, config.cv_fraction, cv_predict
@@ -571,7 +553,7 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
 
         return _Fitted(
             mu=params[0],
-            refit=lambda: fit(params, y),
+            refit=lambda: fit(params, m),
             score=score,
             # GK consumes raw connectivity to the sampled set, not the
             # normalized learner features.
@@ -582,9 +564,15 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
     # the largest neighbor count, so every labeled neighbor is averaged;
     # the weighted degree would drop some on edges lighter than 1
     k = int((g.adjacency > 0).sum(axis=1).max(initial=1))
-    return _Fitted(
-        mu=None, refit=None, score=lambda nodes: _knn_eval(g, labeled, nodes, k), inputs=plan.unsampled
-    )
+
+    def score(nodes):
+        """Nodes with no labeled neighbor fall back to the mean training
+        label, so the NMSE stays defined; their count is reported alongside."""
+        preds, inapplicable = knn_predict_batch(g, labeled, nodes, k)
+        preds[inapplicable] = float(np.mean(y))
+        return preds, int(inapplicable.sum())
+
+    return _Fitted(mu=None, refit=None, score=score, inputs=plan.unsampled)
 
 
 def _new_accumulator():
@@ -608,15 +596,11 @@ def _run_trial_methods(config, g, x, plan, seeds, rows_acc: dict) -> None:
             acc["traces"].append(fitted.traces)
         if plan.unsampled.size:
             preds, failures = fitted.score(fitted.inputs)
-            acc["nmse"].append(nmse(preds, truth_eval))
-            acc["nmse_conv"].append(conventional_nmse(preds, truth_eval))
-            acc["failures"].append(failures)
-            acc["notes"].append(fitted.notes)
+            scored = (nmse(preds, truth_eval), conventional_nmse(preds, truth_eval), failures, fitted.notes)
         else:
-            acc["nmse"].append(None)
-            acc["nmse_conv"].append(None)
-            acc["failures"].append(0)
-            acc["notes"].append((fitted.notes + " nmse undefined: empty eval set").strip())
+            scored = (None, None, 0, (fitted.notes + " nmse undefined: empty eval set").strip())
+        for key, value in zip(("nmse", "nmse_conv", "failures", "notes"), scored):
+            acc[key].append(value)
         if config.measure_runtime:
             subset = fitted.inputs[: config.timing_nodes]
             if fitted.refit is not None:
@@ -715,6 +699,10 @@ def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
         raise ValueError(f"label file names unknown nodes: {unknown[:5]}")
     labeled_idx = np.array([g.index_of(t) for t in label_map], dtype=np.int64)
     columns = np.stack([label_map[t] for t in label_map])  # (L, n_cols)
+    if config.loss != "least_squares" and (config.standardize_labels or not np.isin(columns, (-1.0, 1.0)).all()):
+        # a classification loss trains on the file's -1 and +1 as they are
+        raise ValueError(f"loss = {config.loss} needs labels of -1 and +1: set standardize_labels = false "
+                         f"and give only -1 and +1 in the labels file {config.labels}")
     n_cols = columns.shape[1]
     counts = config.sample_counts or (
         max(1, math.ceil(config.sample_fraction * labeled_idx.size)),

@@ -22,6 +22,9 @@ GRAPH_KERNEL_FAMILIES = ("diffusion", "bandlimited")
 # pseudo-inverting the spectral response.
 PINV_FLOOR = 1e-10
 
+# The band-limited kernel's damping of out-of-band components.
+BAND_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -47,14 +50,13 @@ class GraphKernelSpec:
 
     diffusion: r(lambda) = exp(sigma2 * lambda / 2).
     bandlimited: r = 1 on the band of the ``band_size`` smallest-eigenvalue
-    eigenvectors and 1/floor outside, so the kernel damps out-of-band
-    components by ``floor``.
+    eigenvectors and 1/BAND_FLOOR outside, so the kernel damps out-of-band
+    components by ``BAND_FLOOR``.
     """
 
     family: str
     sigma2: float | None = None
     band_size: int | None = None
-    floor: float = 1e-6
 
     def __post_init__(self):
         if self.family not in GRAPH_KERNEL_FAMILIES:
@@ -65,8 +67,6 @@ class GraphKernelSpec:
         else:
             if self.band_size is None or self.band_size < 1:
                 raise ValueError("bandlimited kernel needs band_size >= 1")
-        if not self.floor > 0:
-            raise ValueError("floor must be positive")
 
 
 def _as_equal_vectors(a, b):
@@ -138,7 +138,7 @@ def graph_kernel_matrix(g: Graph, spec: GraphKernelSpec) -> np.ndarray:
     if spec.family == "diffusion":
         r = np.exp(spec.sigma2 * lam / 2.0)
     else:
-        r = np.full(lam.shape, 1.0 / spec.floor)
+        r = np.full(lam.shape, 1.0 / BAND_FLOOR)
         r[: min(spec.band_size, lam.size)] = 1.0
     rdag = np.where(r > PINV_FLOOR, 1.0 / r, 0.0)
     k = (u * rdag) @ u.T

@@ -95,11 +95,6 @@ class MklModel:
         return len(self.maps)
 
     @property
-    def weights(self) -> np.ndarray:
-        """Un-normalized positive weights."""
-        return np.exp(self.log_weights)
-
-    @property
     def normalized_weights(self) -> np.ndarray:
         w = np.exp(self.log_weights - self.log_weights.max())
         return w / w.sum()
@@ -325,47 +320,78 @@ def _require_fields(record: dict, fields: Sequence[str], what: str) -> None:
             raise ValueError(f"{what} is missing the field {name!r}")
 
 
+def _parsed(field: str, parse, value):
+    """``parse(value)``, with the error that a malformed value raises refused
+    as a ``ValueError`` naming the checkpoint field."""
+    try:
+        return parse(value)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"checkpoint field {field} is malformed ({type(exc).__name__}: {exc})") from None
+
+
+def _doubles(field: str, text) -> np.ndarray:
+    """The finite little-endian doubles that a base64 checkpoint field holds."""
+    values = _parsed(field, lambda t: np.frombuffer(base64.b64decode(t, validate=True), dtype="<f8"), text)
+    if not np.isfinite(values).all():
+        raise ValueError(f"checkpoint field {field} holds non-finite values")
+    return values
+
+
 def load_mkl_checkpoint(path) -> MklModel:
     """Reload a :func:`save_mkl_checkpoint` file exactly, or refuse it with a
     ``ValueError`` that names the field at fault."""
     record = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(record, dict):
+        raise ValueError("not a multi-kernel checkpoint")
     if record.get("format") == "graphrf-mkl-v1":
         raise ValueError("checkpoint stores map seeds, not the maps; it cannot be reloaded exactly")
     if record.get("format") != "graphrf-mkl-v2":
         raise ValueError("not a multi-kernel checkpoint")
     _require_fields(record, ("eta", "seed", "log_weights_b64", "learners", "maps_b64"), "checkpoint")
-    maps = tuple(_map_from_bytes(base64.b64decode(m, validate=True)) for m in record["maps_b64"])
+    eta, seed = record["eta"], record["seed"]
+    if not 0.0 < _parsed("eta", float, eta) <= 1.0:
+        raise ValueError(f"checkpoint field eta must be in (0, 1], got {eta!r}")
+    if not (seed is None or type(seed) is int):
+        raise ValueError(f"checkpoint field seed must be an integer or null, got {seed!r}")
+    for name in ("learners", "maps_b64"):
+        if not isinstance(record[name], list):
+            raise ValueError(f"checkpoint field {name} must be a list, got {type(record[name]).__name__}")
+    maps = tuple(
+        _parsed(f"maps_b64[{p}]", lambda t: _map_from_bytes(base64.b64decode(t, validate=True)), m)
+        for p, m in enumerate(record["maps_b64"])
+    )
     if not maps:
         raise ValueError("checkpoint field maps_b64 holds no maps")
+    shapes = sorted({(m.d, m.n) for m in maps})
+    if len(shapes) > 1:
+        raise ValueError(f"checkpoint field maps_b64 holds maps of (D, N) = {shapes}; all must agree")
     if len(record["learners"]) != len(maps):
         raise ValueError(f"checkpoint fields learners and maps_b64 hold {len(record['learners'])} "
                          f"and {len(maps)} records, expected one learner per map")
-    eta = float(record["eta"])
     first = record["learners"][0]
     thetas = []
     for p, (learner, rf_map) in enumerate(zip(record["learners"], maps)):
         field = f"checkpoint field learners[{p}]"
-        if learner.get("format") != "graphrf-checkpoint-v1":
+        if not isinstance(learner, dict) or learner.get("format") != "graphrf-checkpoint-v1":
             raise ValueError(f"{field} is not a learner record")
         _require_fields(learner, ("map_ref", "eta", "loss", "theta_b64"), field)
-        if learner["loss"] != first["loss"]:
+        if p == 0:
+            loss = _parsed("learners[0].loss", lambda v: LossKind(v["kind"], float(v["mu"])), learner["loss"])
+        elif learner["loss"] != first["loss"]:
             raise ValueError(f"{field}.loss is {learner['loss']}, but learners[0].loss is {first['loss']}")
-        if float(learner["eta"]) != eta:
+        if learner["eta"] != eta:
             raise ValueError(f"{field}.eta is {learner['eta']!r}, but the model's eta is {eta!r}")
         if learner["map_ref"] != rf_map.ref:
             raise ValueError(f"{field}.map_ref is {learner['map_ref']!r}, but its map is {rf_map.ref!r}")
-        theta = np.frombuffer(base64.b64decode(learner["theta_b64"]), dtype="<f8")
+        theta = _doubles(f"learners[{p}].theta_b64", learner["theta_b64"])
         if theta.size != 2 * rf_map.d:
             raise ValueError(f"{field}.theta_b64 holds {theta.size} values, its map needs 2D = {2 * rf_map.d}")
-        if not np.isfinite(theta).all():
-            raise ValueError(f"{field}.theta_b64 holds non-finite values")
         thetas.append(theta)
-    log_weights = np.frombuffer(base64.b64decode(record["log_weights_b64"]), dtype="<f8")
+    log_weights = _doubles("log_weights_b64", record["log_weights_b64"])
     if log_weights.size != len(maps):
         raise ValueError(f"checkpoint field log_weights_b64 holds {log_weights.size} values, "
                          f"expected one per kernel ({len(maps)})")
-    loss = LossKind(first["loss"]["kind"], float(first["loss"]["mu"]))
-    return MklModel(maps, np.stack(thetas), log_weights, eta, loss, record["seed"])
+    return MklModel(maps, np.stack(thetas), log_weights, float(eta), loss, seed)
 
 
 # ---------------------------------------------------------------------------

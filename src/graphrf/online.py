@@ -44,7 +44,7 @@ class LossKind:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.mu < 0:
+        if not self.mu >= 0:  # nan is refused too
             raise ValueError("mu must be >= 0")
 
     @property

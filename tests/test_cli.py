@@ -48,6 +48,12 @@ class TestEncodeCommand:
         assert main(["encode", "--d", "3"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--out", "reports"), ("--config", "config.txt")])
+    def test_report_flags_refused(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["encode", "--vector", "0,1", flag, str(tmp_path / value)])
+        assert excinfo.value.code == 2
+
     def test_deterministic_per_seed(self, capsys):
         main(["encode", "--vector", "1,1,0", "--d", "4", "--seed", "9"])
         first = capsys.readouterr().out

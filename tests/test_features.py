@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from graphrf import (
     null_space_collision,
     save_map,
 )
+from graphrf.features import LAYOUT_VERSION
 
 
 def manual_map(v_matrix, family="gaussian", bandwidth=1.0, seed=0):
@@ -146,8 +148,8 @@ class TestSerialization:
         assert np.array_equal(loaded.v_matrix, m.v_matrix)
         assert loaded.kernel == m.kernel
         assert loaded.seed == m.seed
-        assert loaded.layout_version == m.layout_version
         assert loaded.ref == m.ref
+        assert m.ref.endswith(f":L{LAYOUT_VERSION}")
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.rfm"
@@ -163,6 +165,22 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match="truncated"):
             load_map(path)
+
+    def test_rejects_another_layout(self, tmp_path):
+        path = tmp_path / "map.rfm"
+        save_map(build_map(KernelSpec("gaussian", 1.0), 3, 5, seed=2), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 12, 7)  # the layout field follows the 8-byte magic and the format version
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unsupported map layout 7"):
+            load_map(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_rejected(self, bad):
+        v = np.zeros((2, 3))
+        v[1, 2] = bad
+        with pytest.raises(ValueError, match="v_matrix must be finite"):
+            manual_map(v)
 
     def test_ref_distinguishes_maps(self):
         a = build_map(KernelSpec("gaussian", 1.0), 4, 6, seed=0)

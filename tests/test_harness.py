@@ -19,7 +19,8 @@ from graphrf import (
 )
 import graphrf.harness
 import graphrf.mkl
-from graphrf import mkl_init, mkl_predict_batch, mkl_train, sample_nodes
+from graphrf import KernelSpec, eval_kernel_matrix, mkl_init, mkl_predict_batch, mkl_train, sample_nodes
+from graphrf.baselines import batch_kernel_ridge
 from graphrf.harness import (
     _COLUMNS,
     MethodRow,
@@ -217,19 +218,19 @@ class TestSelect:
 
     def test_ties_go_to_the_first_entry(self):
         offsets = {"worse": 1.0, "first": 0.5, "tied": -0.5}
-        chosen = _select(list(offsets), self.y, 0.25, lambda p, tr, val: self.y[val] + offsets[p])
+        chosen = _select(list(offsets), self.y, 0.25, lambda p, n: self.y[n:] + offsets[p])
         assert chosen == "first"
 
     @pytest.mark.parametrize("grid, y", [(["only"], np.arange(8.0)), (["a", "b"], np.ones(1))])
     def test_nothing_to_compare_makes_no_fit(self, grid, y):
-        def cv_predict(params, tr, val):
+        def cv_predict(params, n):
             raise AssertionError("cv_predict called")
 
         assert _select(grid, y, 0.25, cv_predict) == grid[0]
 
     def test_nan_error_never_chosen(self):
         preds = {"nan": np.nan, "far": 10.0, "nan_again": np.nan}
-        chosen = _select(list(preds), self.y, 0.25, lambda p, tr, val: self.y[val] + preds[p])
+        chosen = _select(list(preds), self.y, 0.25, lambda p, n: self.y[n:] + preds[p])
         assert chosen == "far"
 
 
@@ -345,30 +346,32 @@ class TestRunSynthetic:
         assert header[:2] == ["t", "combined_loss"]
 
 
+def small_trial(**overrides):
+    """A 16-node training set of an 80-node graph, as ``_fit_method`` takes it."""
+    config = ExperimentConfig(n_nodes=80, d=10, **overrides)
+    g = erdos_renyi(config.n_nodes, config.edge_prob, 3)
+    plan = sample_nodes(g, 16, 4)
+    y = np.random.default_rng(5).normal(size=plan.sampled.size)
+    x_train, x_eval = (_patterns(g.adjacency, plan.sampled, nodes, "column", True)
+                       for nodes in (plan.sampled, plan.unsampled))
+    return config, g, plan, _trial_seeds(0, 0), y, x_train, x_eval
+
+
 class TestMklTrial:
     """One mkl fit per trial draws the maps and encodes the training patterns
     once, and selects and trains exactly as a fresh model per mu would."""
-
-    def trial(self, **overrides):
-        config = ExperimentConfig(n_nodes=80, d=10, **overrides)
-        g = erdos_renyi(config.n_nodes, config.edge_prob, 3)
-        plan = sample_nodes(g, 16, 4)
-        y = np.random.default_rng(5).normal(size=plan.sampled.size)
-        x_train, x_eval = (_patterns(g.adjacency, plan.sampled, nodes, "column", True)
-                           for nodes in (plan.sampled, plan.unsampled))
-        return config, g, plan, _trial_seeds(0, 0), y, x_train, x_eval
 
     def test_maps_drawn_once_per_fit(self, monkeypatch):
         calls = []
         build_map = graphrf.mkl.build_map
         monkeypatch.setattr(graphrf.mkl, "build_map", lambda *a: calls.append(a) or build_map(*a))
-        config, *args = self.trial()
+        config, *args = small_trial()
         _fit_method("mkl", config, *args)
         assert len(calls) == len(config.kernels)
 
     @pytest.mark.parametrize("eta", [0.5, "auto"])
     def test_matches_a_fresh_model_per_mu(self, eta):
-        config, g, plan, seeds, y, x_train, x_eval = self.trial(eta=eta)
+        config, g, plan, seeds, y, x_train, x_eval = small_trial(eta=eta)
         fitted = _fit_method("mkl", config, g, plan, seeds, y, x_train, x_eval)
 
         def fit(mu, xs, ys):
@@ -389,6 +392,43 @@ class TestMklTrial:
         assert np.array_equal(traces.weights, fitted.traces.weights)
         preds, _ = fitted.score(x_eval)
         assert np.array_equal(preds, mkl_predict_batch(reference, x_eval))
+
+
+class TestKlTrial:
+    """kl evaluates its training kernel once per trial, and selects and fits
+    exactly as fresh kernel matrices per mu would."""
+
+    def test_training_kernel_evaluated_once_before_scoring(self, monkeypatch):
+        calls = []
+        evaluate = graphrf.harness.eval_kernel_matrix
+        monkeypatch.setattr(graphrf.harness, "eval_kernel_matrix",
+                            lambda spec, xs, ys: calls.append((xs, ys)) or evaluate(spec, xs, ys))
+        config, g, plan, seeds, y, x_train, x_eval = small_trial()
+        fitted = _fit_method("kl", config, g, plan, seeds, y, x_train, x_eval)
+        assert len(calls) == 1
+        assert calls[0][0] is x_train and calls[0][1] is x_train
+        fitted.score(x_eval)
+        assert len(calls) == 2
+        assert calls[1][0] is x_eval and calls[1][1] is x_train
+
+    def test_matches_a_fresh_fit_per_mu(self):
+        config, g, plan, seeds, y, x_train, x_eval = small_trial()
+        fitted = _fit_method("kl", config, g, plan, seeds, y, x_train, x_eval)
+        spec = KernelSpec("gaussian", config.kl_sigma2)
+
+        def fit(mu, xs, ys):
+            return batch_kernel_ridge(eval_kernel_matrix(spec, xs, xs), ys, mu)
+
+        tr, val = np.arange(12), np.arange(12, 16)  # cv_fraction 0.25 of 16
+        errors = [np.mean((eval_kernel_matrix(spec, x_train[val], x_train[tr]) @ fit(mu, x_train[tr], y[tr])
+                           - y[val]) ** 2) for mu in config.mu_grid]
+        mu = config.mu_grid[int(np.argmin(errors))]
+        assert fitted.mu == mu
+        alpha = fit(mu, x_train, y)
+        assert np.array_equal(fitted.refit(), alpha)
+        preds, failures = fitted.score(x_eval)
+        assert np.array_equal(preds, eval_kernel_matrix(spec, x_eval, x_train) @ alpha)
+        assert failures == 0
 
 
 class TestRunDataset:
@@ -586,6 +626,42 @@ def test_random_graph_runs_refuse_a_classification_loss_before_any_trial(monkeyp
     monkeypatch.setattr(graphrf.harness, "erdos_renyi", no_graph)
     with pytest.raises(ValueError, match=f"least-squares loss, got loss = '{loss}'"):
         runner(ExperimentConfig(loss=loss))
+
+
+@pytest.mark.parametrize("loss", ["hinge", "logistic"])
+@pytest.mark.parametrize(
+    "standardize, values, message",
+    [(True, [-1.0, 1.0], "standardize_labels"), (False, [-1.0, 0.5], r"labels file .*labels\.txt")],
+)
+def test_dataset_run_refuses_a_classification_loss_its_labels_cannot_train(
+    tmp_path, monkeypatch, loss, standardize, values, message
+):
+    rng = np.random.default_rng(2)
+    n = 12
+    (tmp_path / "edges.txt").write_text("".join(f"v{i} v{(i + 1) % n}\n" for i in range(n)))
+    (tmp_path / "labels.txt").write_text("".join(f"v{i} {float(rng.choice(values))!r}\n" for i in range(n)))
+
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(graphrf.harness, "_run_trial_methods", no_trial)
+    config = ExperimentConfig(
+        task="dataset", edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
+        loss=loss, standardize_labels=standardize, sample_counts=(4,), methods=("mkl",),
+    )
+    with pytest.raises(ValueError, match=f"loss = {loss} .*{message}"):
+        run_dataset(config)
+
+
+def test_dataset_run_trains_a_classification_loss_on_plain_labels(tmp_path):
+    n = 12
+    (tmp_path / "edges.txt").write_text("".join(f"v{i} v{(i + 1) % n}\n" for i in range(n)))
+    (tmp_path / "labels.txt").write_text("".join(f"v{i} {(-1.0) ** i!r}\n" for i in range(n)))
+    config = ExperimentConfig(
+        task="dataset", edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
+        loss="hinge", standardize_labels=False, sample_counts=(4,), trials=1, d=6, methods=("mkl",),
+    )
+    assert run_dataset(config).rows[0].method == "mkl"
 
 
 class TestBenchNewnode:

@@ -148,7 +148,7 @@ class TestGraphKernelMatrix:
 
     def test_bandlimited_damps_out_of_band(self):
         g = erdos_renyi(8, 0.4, 1)
-        spec = GraphKernelSpec("bandlimited", band_size=3, floor=1e-6)
+        spec = GraphKernelSpec("bandlimited", band_size=3)
         evals = np.sort(np.linalg.eigvalsh(graph_kernel_matrix(g, spec)))[::-1]
         np.testing.assert_allclose(evals[:3], 1.0, atol=1e-8)
         np.testing.assert_allclose(evals[3:], 1e-6, atol=1e-12)

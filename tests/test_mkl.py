@@ -22,7 +22,7 @@ from graphrf import (
     static_regret,
     train_stream,
 )
-from graphrf.features import RFMap, build_map
+from graphrf.features import RFMap, _map_bytes, build_map
 from graphrf.mkl import (
     absorb_new_node_mkl,
     fit_growth_exponent,
@@ -30,6 +30,10 @@ from graphrf.mkl import (
     mkl_from_maps,
     mkl_predict_batch,
 )
+
+
+def _b64_doubles(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def flat_map():
@@ -58,7 +62,6 @@ class TestInit:
             4, 6, 0.5, 0.0, "least_squares", 0,
         )
         np.testing.assert_allclose(model.normalized_weights, [0.5, 0.5])
-        np.testing.assert_allclose(model.weights, [0.5, 0.5])
 
     def test_thetas_start_at_zero(self):
         model = mkl_init([KernelSpec("gaussian", 1.0)] * 3, 4, 6, 0.5, 0.0, "least_squares", 0)
@@ -523,6 +526,59 @@ class TestCheckpoint:
     def test_missing_learner_field_refused(self, tmp_path, field):
         with pytest.raises(ValueError, match=f"missing the field '{field}'"):
             load_mkl_checkpoint(self.tampered(tmp_path, lambda record: record["learners"][0].pop(field)))
+
+    def test_non_finite_map_refused(self, tmp_path):
+        def change(record):
+            blob = bytearray(base64.b64decode(record["maps_b64"][0]))
+            blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # the last entry of V
+            record["maps_b64"][0] = base64.b64encode(bytes(blob)).decode("ascii")
+
+        with pytest.raises(ValueError, match=r"maps_b64\[0\] .*v_matrix must be finite"):
+            load_mkl_checkpoint(self.tampered(tmp_path, change))
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            # every learner's loss, so that the learners still agree
+            pytest.param(lambda r: [lr["loss"].pop("mu") for lr in r["learners"]],
+                         r"learners\[0\]\.loss is malformed", id="loss-without-mu"),
+            pytest.param(lambda r: [lr.update(loss="least_squares") for lr in r["learners"]],
+                         r"learners\[0\]\.loss is malformed", id="loss-as-string"),
+            pytest.param(lambda r: [lr["loss"].update(kind="squared") for lr in r["learners"]],
+                         r"learners\[0\]\.loss .*unknown loss kind", id="unknown-loss-kind"),
+            pytest.param(lambda r: [lr["loss"].update(mu=np.nan) for lr in r["learners"]],
+                         r"learners\[0\]\.loss .*mu must be >= 0", id="nan-mu"),
+            pytest.param(lambda r: r.update(learners=7), r"field learners must be a list", id="learners-not-a-list"),
+            pytest.param(lambda r: r["learners"].__setitem__(1, "x"), r"learners\[1\] is not a learner record",
+                         id="learner-not-a-record"),
+            pytest.param(lambda r: r.update(eta="x"), r"field eta", id="eta-as-string"),
+            pytest.param(lambda r: r.update(eta=2.0), r"field eta", id="eta-out-of-range"),
+            pytest.param(lambda r: r.update(seed="x"), r"field seed", id="seed-as-string"),
+            pytest.param(lambda r: r.update(log_weights_b64=_b64_doubles([0.0, np.nan])), r"field log_weights_b64",
+                         id="nan-log-weight"),
+            pytest.param(lambda r: r.update(log_weights_b64=base64.b64encode(bytes(15)).decode("ascii")),
+                         r"field log_weights_b64", id="log-weights-odd-bytes"),
+            pytest.param(lambda r: r["learners"][1].update(theta_b64=base64.b64encode(bytes(63)).decode("ascii")),
+                         r"learners\[1\]\.theta_b64", id="theta-odd-bytes"),
+            pytest.param(lambda r: r["learners"][1].update(theta_b64=3), r"learners\[1\]\.theta_b64",
+                         id="theta-not-a-string"),
+            pytest.param(lambda r: r["maps_b64"].__setitem__(1, "not base64!"), r"maps_b64\[1\]",
+                         id="map-not-base64"),
+            pytest.param(lambda r: r.update(maps_b64="abc"), r"field maps_b64 must be a list", id="maps-not-a-list"),
+        ],
+    )
+    def test_malformed_field_refused_naming_it(self, tmp_path, change, field):
+        with pytest.raises(ValueError, match=field):
+            load_mkl_checkpoint(self.tampered(tmp_path, change))
+
+    def test_maps_of_different_shape_refused(self, tmp_path):
+        other = build_map(KernelSpec("cauchy", 2.0), 5, 6, 0)
+
+        def change(record):
+            record["maps_b64"][1] = base64.b64encode(_map_bytes(other)).decode("ascii")
+
+        with pytest.raises(ValueError, match=r"field maps_b64 holds maps of \(D, N\)"):
+            load_mkl_checkpoint(self.tampered(tmp_path, change))
 
     def test_seeds_only_checkpoint_refused(self, tmp_path):
         # the earlier layout: each map as the seed it was drawn from
