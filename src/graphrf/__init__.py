@@ -35,21 +35,14 @@ from .features import (
     null_space_collision,
     save_map,
 )
-from .online import (
-    LossKind,
-    SingleKernelState,
-    init_state,
-    loss_grad,
-    loss_value,
-    ogd_step,
-    train_stream,
-)
+from .online import LossKind, loss_grad, loss_value
 from .mkl import (
     MklModel,
     MklTraces,
     RegretReport,
     load_mkl_checkpoint,
     mkl_encode,
+    mkl_from_maps,
     mkl_init,
     mkl_predict,
     mkl_predict_batch,

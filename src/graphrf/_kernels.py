@@ -5,9 +5,9 @@ Every learner trains through :func:`mkl_stream`.  Its per-sample loop,
 carries ``@njit``; with ``GRAPHRF_NUMBA=0`` the same code runs as plain
 numpy.  The hedge weights are replayed after the loop in one vectorised
 numpy pass, which is exact in structure because no learner's update reads
-the weights.  Single-kernel training is the P = 1 case, so a one-kernel
-multi-kernel run is bit-identical to the single-kernel path under either
-backend.
+the weights.  Each learner's row takes the same arithmetic at any P, so a
+learner of a P-kernel pass is bit-identical to the P = 1 pass over its
+stream alone, under either backend.
 
 Loss codes: 0 = least squares, 1 = hinge, 2 = logistic.  The cost and its
 derivative act elementwise on arrays.

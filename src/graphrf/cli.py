@@ -82,6 +82,8 @@ def _cmd_encode(args) -> int:
     if pattern.size == 0:
         raise ValueError("empty pattern")
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     rf_map = build_map(KernelSpec(args.family, args.bandwidth), args.d, pattern.size, seed)
     z = rf_map.encode(pattern)
     if args.format == "json":

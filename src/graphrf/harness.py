@@ -119,8 +119,9 @@ class ExperimentConfig:
             raise ValueError("sample_fraction must be in (0, 1]")
         if not 0.0 <= self.cv_fraction < 1.0:
             raise ValueError("cv_fraction must be in [0, 1)")
-        if not self.mu_grid:
-            raise ValueError("mu_grid must be non-empty")
+        for key in ("kernels", "methods", "mu_grid", "gk_sigma2_grid", "band_grid"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must be non-empty")
         # written as `not v >= 0` so that nan is rejected too
         for key in ("noise_var", "regret_mu"):
             if not getattr(self, key) >= 0.0:
@@ -139,8 +140,6 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown methods {unknown}; valid: {METHODS}")
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
         try:
             self.kernel_specs()
         except ValueError as exc:

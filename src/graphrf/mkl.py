@@ -1,9 +1,11 @@
 """Online multi-kernel learning with multiplicative weight updates.
 
-P single-kernel learners run in parallel, each in its own random-feature
-space; their predictions are combined with hedge weights that decay
-exponentially in each kernel's own (clipped) loss.  With P = 1 the model
-reduces bit-exactly to the single-kernel learner.
+P online learners run in parallel, each in its own random-feature space;
+their predictions are combined with hedge weights that decay exponentially
+in each kernel's own (clipped) loss.  A one-kernel learner is the P = 1
+model: its weight stays 1 and its combined loss is its learner's loss.
+Each learner of a P-kernel model trains exactly as the P = 1 model over its
+map alone would.
 
 Weights are stored in the log domain.  Every update subtracts the running
 maximum, which is a pure rescaling: normalized weights are invariant to it
@@ -22,14 +24,15 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .features import RFMap, _map_bytes, _map_from_bytes, build_map, encode_stacked
 from .kernels import KernelSpec
-from .online import LossKind, SingleKernelState, _check_label, _stack_samples
+from .online import LossKind, _check_label
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -77,12 +80,6 @@ class MklModel:
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "log_weights", w)
 
-    @property
-    def learners(self) -> tuple[SingleKernelState, ...]:
-        """Each kernel's learner as a :class:`SingleKernelState`, built on each
-        access from a copy of its row of ``thetas``."""
-        return tuple(SingleKernelState(t, self.eta, self.loss, m.ref) for t, m in zip(self.thetas, self.maps))
-
     @cached_property
     def _v_block(self) -> np.ndarray:
         """The maps' spectral matrices as one (P, D, N) block."""
@@ -98,6 +95,12 @@ class MklModel:
     def normalized_weights(self) -> np.ndarray:
         w = np.exp(self.log_weights - self.log_weights.max())
         return w / w.sum()
+
+    @property
+    def learners(self) -> tuple[SimpleNamespace, ...]:
+        """Row p of ``thetas`` as ``learners[p].theta``: only perfbench's join
+        workload still reads it, and it goes once that reads ``thetas``."""
+        return tuple(SimpleNamespace(theta=theta) for theta in self.thetas)
 
 
 def _with_fields(obj, **fields):
@@ -252,6 +255,19 @@ def mkl_train(model: MklModel, samples: Sequence) -> tuple[MklModel, MklTraces]:
     """Sequential pass over (connectivity, label) samples; see MklTraces."""
     patterns, labels = _stack_samples(samples, model.maps[0].n)
     return mkl_train_encoded(model, mkl_encode(model, patterns), labels)
+
+
+def _stack_samples(samples: Iterable, n: int):
+    patterns, labels = [], []
+    for pattern, label in samples:
+        patterns.append(np.asarray(pattern, dtype=np.float64))
+        labels.append(float(label))
+    if not patterns:
+        return np.empty((0, n)), np.empty(0)
+    a = np.stack(patterns)
+    if a.shape[1] != n:
+        raise ValueError(f"connectivity vectors have length {a.shape[1]}, expected {n}")
+    return a, np.array(labels)
 
 
 def absorb_new_node_mkl(

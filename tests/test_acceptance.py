@@ -113,14 +113,14 @@ def test_c04_batch_oracle_equivalence():
         assert np.linalg.norm(rf_ls_objective_grad(z, y, mu, theta_star)) <= 1e-8
 
         z_all = rf_map.encode_batch(pats)
-        state = grf.init_state(rf_map, eta=0.3, loss=grf.LossKind("least_squares", mu))
+        model = grf.mkl_from_maps([rf_map], 0.3, mu, "least_squares", None)
         order_rng = np.random.default_rng(7)
         for eta_e, n_epochs in [(0.3, 100), (0.1, 300), (0.03, 600), (0.01, 1000), (0.003, 1500), (0.001, 2500)]:
-            state = dataclasses.replace(state, eta=eta_e)
+            model = dataclasses.replace(model, eta=eta_e)
             for _ in range(n_epochs):
                 perm = order_rng.permutation(m)
-                state, _ = grf.train_stream(state, list(zip(train[perm], y[perm])), rf_map)
-        rms = float(np.sqrt(np.mean((z_all @ state.theta - z_all @ theta_star) ** 2)))
+                model, _ = grf.mkl_train(model, list(zip(train[perm], y[perm])))
+        rms = float(np.sqrt(np.mean((z_all @ model.thetas[0] - z_all @ theta_star) ** 2)))
         assert rms <= 1e-3
 
 
@@ -149,18 +149,20 @@ def test_c05_rf_converges_to_exact_kernel_ridge():
 
 
 def test_c06_reduction_and_determinism(tmp_path):
-    with criterion("C6", "one-kernel model reduces bit-exactly; reports reproduce", budget_s=30.0):
-        spec = grf.KernelSpec("gaussian", 2.0)
+    with criterion("C6", "each learner reduces bit-exactly to its one-kernel model; reports reproduce",
+                   budget_s=30.0):
+        specs = [grf.KernelSpec("gaussian", 2.0), grf.KernelSpec("laplacian", 1.0), grf.KernelSpec("cauchy", 0.5)]
         rng = np.random.default_rng(6)
-        samples = [(rng.random(9), float(rng.normal())) for _ in range(120)]
-        model = grf.mkl_init([spec], 8, 9, 0.4, 1e-3, "least_squares", 42)
-        model2, traces = grf.mkl_train(model, samples)
-        single = grf.init_state(model.maps[0], 0.4, grf.LossKind("least_squares", 1e-3))
-        single2, trace = grf.train_stream(single, samples, model.maps[0])
-        assert np.array_equal(traces.combined_loss, trace)
-        assert np.array_equal(traces.per_kernel_loss[:, 0], trace)
-        assert np.array_equal(model2.learners[0].theta, single2.theta)
-        assert np.all(traces.weights == 1.0)
+        for kind in ("least_squares", "hinge", "logistic"):
+            labels = rng.normal(size=200) if kind == "least_squares" else rng.choice([-1.0, 1.0], size=200)
+            samples = list(zip(rng.random((200, 9)), labels))
+            model, traces = grf.mkl_train(grf.mkl_init(specs, 8, 9, 0.4, 1e-3, kind, 42), samples)
+            for p, rf_map in enumerate(model.maps):
+                single, trace = grf.mkl_train(grf.mkl_from_maps([rf_map], 0.4, 1e-3, kind, None), samples)
+                assert np.array_equal(model.thetas[p], single.thetas[0])
+                assert np.array_equal(traces.per_kernel_loss[:, p], trace.per_kernel_loss[:, 0])
+                assert np.array_equal(trace.combined_loss, trace.per_kernel_loss[:, 0])
+                assert np.all(trace.weights == 1.0)
 
         config = grf.ExperimentConfig(
             n_nodes=60, trials=2, sample_fraction=0.2, d=10,
@@ -267,24 +269,21 @@ def test_c12_privacy_boundary():
 
         # structural: the update path accepts only 2D-dimensional encodings
         rf_map = grf.build_map(grf.KernelSpec("gaussian", 1.0), 4, 10, seed=0)
-        state = grf.init_state(rf_map, 0.5, grf.LossKind("least_squares"))
+        model = grf.mkl_from_maps([rf_map], 0.5, 0.0, "least_squares", None)
         with pytest.raises(ValueError):
-            grf.ogd_step(state, np.zeros(10), 1.0)
+            grf.mkl_train_encoded(model, np.zeros((1, 1, 10)), [1.0])
 
         # behavioral: colliding patterns are indistinguishable to training,
-        # single-kernel and multi-kernel alike
+        # one kernel and several alike
         rf_map = grf.build_map(grf.KernelSpec("gaussian", 1.0), 3, 12, seed=9)
         a = rng.normal(size=12)
         a2 = null_space_collision(rf_map, a)
         tail = [(rng.normal(size=12), float(rng.normal())) for _ in range(6)]
-        s1, t1 = grf.train_stream(
-            grf.init_state(rf_map, 0.3, grf.LossKind("least_squares")), [(a, 1.0)] + tail, rf_map
-        )
-        s2, t2 = grf.train_stream(
-            grf.init_state(rf_map, 0.3, grf.LossKind("least_squares")), [(a2, 1.0)] + tail, rf_map
-        )
-        assert np.abs(s1.theta - s2.theta).max() <= 1e-12
-        np.testing.assert_allclose(t1, t2, atol=1e-12)
+        one_kernel = grf.mkl_from_maps([rf_map], 0.3, 0.0, "least_squares", None)
+        s1, t1 = grf.mkl_train(one_kernel, [(a, 1.0)] + tail)
+        s2, t2 = grf.mkl_train(one_kernel, [(a2, 1.0)] + tail)
+        assert np.abs(s1.thetas - s2.thetas).max() <= 1e-12
+        np.testing.assert_allclose(t1.per_kernel_loss, t2.per_kernel_loss, atol=1e-12)
 
         # a joint collision against every map in a dictionary fools the
         # multi-kernel learner too
@@ -295,5 +294,4 @@ def test_c12_privacy_boundary():
         m1, rec1 = grf.mkl_update(model, a, 1.0)
         m2, rec2 = grf.mkl_update(model, joint, 1.0)
         assert abs(rec1.combined_loss - rec2.combined_loss) <= 1e-12
-        for l1, l2 in zip(m1.learners, m2.learners):
-            assert np.abs(l1.theta - l2.theta).max() <= 1e-12
+        assert np.abs(m1.thetas - m2.thetas).max() <= 1e-12

@@ -48,6 +48,10 @@ class TestEncodeCommand:
         assert main(["encode", "--d", "3"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert main(["encode", "--vector", "0,1", "--seed", "-1"]) == 1
+        assert "error: --seed must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [("--out", "reports"), ("--config", "config.txt")])
     def test_report_flags_refused(self, tmp_path, flag, value):
         with pytest.raises(SystemExit) as excinfo:

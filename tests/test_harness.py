@@ -176,11 +176,15 @@ class TestConfig:
             ("truth_sigma2", "0"),
             ("kl_sigma2", "-2"),
             ("mu_grid", "1e-3,-1"),
+            ("mu_grid", ""),
             ("gk_sigma2_grid", "1,0"),
+            ("gk_sigma2_grid", ""),
             ("band_grid", "2,0"),
+            ("band_grid", ""),
             ("base_seed", "-1"),
             ("methods", ""),
             ("kernels", "gaussian:0"),
+            ("kernels", []),
         ],
     )
     def test_out_of_range_value_names_its_key(self, key, value):
@@ -386,8 +390,7 @@ class TestMklTrial:
         assert fitted.mu == mu
         reference = fit(mu, x_train, y)
         model, traces = fitted.refit()
-        for ours, theirs in zip(model.learners, reference.learners):
-            assert np.array_equal(ours.theta, theirs.theta)
+        assert np.array_equal(model.thetas, reference.thetas)
         assert np.array_equal(model.log_weights, reference.log_weights)
         assert np.array_equal(traces.weights, fitted.traces.weights)
         preds, _ = fitted.score(x_eval)

@@ -303,6 +303,17 @@ def test_hedge_replay_matches_sequential_update(stream):
         assert np.array_equal(final_logw, logw)
 
 
+@settings(max_examples=60, deadline=None)
+@given(streams())
+def test_combined_loss_is_at_most_the_weighted_kernel_losses(stream):
+    # Jensen's inequality for the convex losses, on which the hedge regret
+    # bound rests: at every step, to rounding
+    zs, ys, eta, mu, code, thetas, logw = stream
+    combined, losses, weights, _, _ = _kernels.mkl_stream(zs, ys, eta, mu, code, thetas.copy(), logw.copy())
+    mixed = (weights * losses).sum(axis=1)
+    assert np.all(combined <= mixed + 1e-12 * (1 + np.abs(mixed)))
+
+
 def _concatenating_replay(record, ys, eta, mu, code, logw):
     """The vectorised hedge replay as it first stood: the same arithmetic as
     mkl_stream's, in separate arrays (the used rows concatenated, the final

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from graphrf import (
     KernelSpec,
     LossKind,
     MklModel,
-    init_state,
     load_mkl_checkpoint,
     mkl_init,
     mkl_predict,
@@ -20,7 +20,6 @@ from graphrf import (
     mkl_update,
     save_mkl_checkpoint,
     static_regret,
-    train_stream,
 )
 from graphrf.features import RFMap, _map_bytes, build_map
 from graphrf.mkl import (
@@ -65,19 +64,7 @@ class TestInit:
 
     def test_thetas_start_at_zero(self):
         model = mkl_init([KernelSpec("gaussian", 1.0)] * 3, 4, 6, 0.5, 0.0, "least_squares", 0)
-        for lr in model.learners:
-            assert np.array_equal(lr.theta, np.zeros(8))
-
-    def test_learner_views_share_the_model_eta_and_loss(self):
-        model = mkl_init([KernelSpec("gaussian", b) for b in (1.0, 2.0, 5.0)], 4, 6, 0.3, 1e-3,
-                         "least_squares", 0)
-        model, _ = mkl_train(model, [(np.full(6, 0.2), 1.0), (np.ones(6), -0.5)])
-        assert len(model.learners) == 3
-        for theta, rf_map, learner in zip(model.thetas, model.maps, model.learners):
-            assert np.array_equal(learner.theta, theta)
-            assert learner.eta == 0.3
-            assert learner.loss == LossKind("least_squares", 1e-3)
-            assert learner.map_ref == rf_map.ref
+        assert np.array_equal(model.thetas, np.zeros((3, 8)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_rejected(self, bad):
@@ -136,7 +123,7 @@ class TestPredict:
             log_weights=rng.normal(size=3),
         )
         a = np.zeros(3)
-        per_kernel = [float(np.dot(lr.theta, [0.0, 1.0])) for lr in model.learners]
+        per_kernel = model.thetas @ [0.0, 1.0]
         combined = mkl_predict(model, a)
         assert min(per_kernel) - 1e-12 <= combined <= max(per_kernel) + 1e-12
 
@@ -214,16 +201,17 @@ class TestTrain:
         return [(rng.random(n), float(rng.normal())) for _ in range(steps)]
 
     def test_single_kernel_reduces_to_plain_learner(self):
-        spec = KernelSpec("gaussian", 2.0)
+        # each learner trains as the one-kernel model over its map alone,
+        # whose combined loss is its learner's and whose weight stays 1
+        specs = [KernelSpec("gaussian", 2.0), KernelSpec("laplacian", 1.0)]
         samples = self._stream()
-        model = mkl_init([spec], 6, 7, 0.4, 1e-3, "least_squares", 42)
-        model2, traces = mkl_train(model, samples)
-        single = init_state(model.maps[0], 0.4, LossKind("least_squares", 1e-3))
-        single2, trace = train_stream(single, samples, model.maps[0])
-        assert np.array_equal(traces.combined_loss, trace)
-        assert np.array_equal(traces.per_kernel_loss[:, 0], trace)
-        assert np.array_equal(model2.learners[0].theta, single2.theta)
-        assert np.all(traces.weights == 1.0)
+        model, traces = mkl_train(mkl_init(specs, 6, 7, 0.4, 1e-3, "least_squares", 42), samples)
+        for p, rf_map in enumerate(model.maps):
+            single, trace = mkl_train(mkl_from_maps([rf_map], 0.4, 1e-3, "least_squares", None), samples)
+            assert np.array_equal(traces.per_kernel_loss[:, p], trace.per_kernel_loss[:, 0])
+            assert np.array_equal(model.thetas[p], single.thetas[0])
+            assert np.array_equal(trace.combined_loss, trace.per_kernel_loss[:, 0])
+            assert np.all(trace.weights == 1.0)
 
     def test_deterministic_bit_identical(self):
         specs = [KernelSpec("gaussian", 1.0), KernelSpec("laplacian", 1.0)]
@@ -233,8 +221,7 @@ class TestTrain:
         assert np.array_equal(t1.combined_loss, t2.combined_loss)
         assert np.array_equal(t1.per_kernel_loss, t2.per_kernel_loss)
         assert np.array_equal(t1.weights, t2.weights)
-        for a, b in zip(m1.learners, m2.learners):
-            assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(m1.thetas, m2.thetas)
 
     def test_recorded_losses_are_pre_update(self):
         spec = KernelSpec("gaussian", 1.0)
@@ -294,13 +281,6 @@ class TestTrain:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1.0
-        # a learner view holds a copy of its row: writing to it leaves the model as it was
-        before = model.thetas.copy()
-        view = model.learners[0].theta
-        view.setflags(write=True)
-        view[:] = 1.0
-        assert np.array_equal(model.thetas, before)
-        assert np.array_equal(model.learners[0].theta, before[0])
 
     def test_diverging_join_raises(self):
         model = mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 5, 1.0, 0.0, "least_squares", 22)
@@ -340,8 +320,7 @@ class TestTrain:
         for a, y in zip(pats, ys):
             _, absorbed = absorb_new_node_mkl(absorbed, a, float(y))
         trained, _ = mkl_train(model, list(zip(pats, ys)))
-        for a, b in zip(absorbed.learners, trained.learners):
-            np.testing.assert_allclose(a.theta, b.theta, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(absorbed.thetas, trained.thetas, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(
             absorbed.normalized_weights, trained.normalized_weights, rtol=1e-11, atol=1e-13
         )
@@ -364,7 +343,21 @@ class TestNonFiniteInput:
             mkl_predict_batch(self.model(), pats)
 
 
+# a graphrf-mkl-v2 file saved by an earlier release: two kernels, D = 4,
+# N = 6, after five training steps
+GOLDEN_V2 = Path(__file__).parent / "data" / "mkl_v2.json"
+
+
 class TestCheckpoint:
+    def test_golden_v2_file_loads_scores_and_resaves_unchanged(self, tmp_path):
+        model = load_mkl_checkpoint(GOLDEN_V2)
+        assert model.thetas.shape == (2, 8)
+        probe = np.array([[0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1], [0.5, 0, 0.25, 1, 0, 0.75]], dtype=float)
+        recorded = ["0x1.3948937a66614p-2", "-0x1.4e135dd9b29d0p-4", "-0x1.f68b65b86a3e5p-3"]
+        assert mkl_predict_batch(model, probe).tolist() == [float.fromhex(h) for h in recorded]
+        save_mkl_checkpoint(model, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == GOLDEN_V2.read_bytes()
+
     def test_roundtrip(self, tmp_path):
         specs = [KernelSpec("gaussian", 1.0), KernelSpec("cauchy", 2.0)]
         model = mkl_init(specs, 4, 6, 0.5, 1e-3, "least_squares", 14)
@@ -375,16 +368,15 @@ class TestCheckpoint:
         loaded = load_mkl_checkpoint(path)
         assert loaded.eta == model.eta
         np.testing.assert_array_equal(loaded.log_weights, model.log_weights)
-        for a, b in zip(loaded.learners, model.learners):
-            assert np.array_equal(a.theta, b.theta)
-            assert a.map_ref == b.map_ref
+        assert np.array_equal(loaded.thetas, model.thetas)
         for a, b in zip(loaded.maps, model.maps):
+            assert a.ref == b.ref
             assert np.array_equal(a.v_matrix, b.v_matrix)
         a = rng.random(6)
         assert mkl_predict(loaded, a) == mkl_predict(model, a)
 
     def test_single_kernel_roundtrip_keeps_the_loss(self, tmp_path):
-        # the one-kernel model's checkpoint is the single-kernel learner's
+        # the one-kernel learner is the P = 1 model, saved as one learner record
         model = mkl_init([KernelSpec("laplacian", 0.7)], 4, 6, 0.37, 1e-4, "logistic", 21)
         rng = np.random.default_rng(22)
         model, _ = mkl_train(model, [(rng.random(6), float(rng.choice([-1.0, 1.0]))) for _ in range(12)])
@@ -393,7 +385,7 @@ class TestCheckpoint:
         loaded = load_mkl_checkpoint(path)
         assert (loaded.eta, loaded.loss, loaded.seed) == (0.37, LossKind("logistic", 1e-4), 21)
         assert np.array_equal(loaded.thetas, model.thetas)
-        assert loaded.learners[0].map_ref == model.learners[0].map_ref
+        assert loaded.maps[0].ref == model.maps[0].ref
 
     def test_record_layout(self, tmp_path):
         _, path = self.saved(tmp_path)

@@ -8,17 +8,28 @@ from graphrf import (
     KernelSpec,
     LossKind,
     build_map,
-    init_state,
     loss_grad,
     loss_value,
-    ogd_step,
-    train_stream,
+    mkl_encode,
+    mkl_from_maps,
+    mkl_train,
+    mkl_train_encoded,
 )
 from graphrf.features import null_space_collision
 
 
 def small_map(d=4, n=6, seed=0):
     return build_map(KernelSpec("gaussian", 1.0), d, n, seed=seed)
+
+
+def one_kernel(rf_map, eta, loss=LossKind("least_squares")):
+    """A zero P = 1 model: the one-kernel learner over ``rf_map``."""
+    return mkl_from_maps([rf_map], eta, loss.mu, loss, None)
+
+
+def step(model, z, label):
+    """One update on one encoded sample."""
+    return mkl_train_encoded(model, np.asarray(z, dtype=float)[None, None, :], [label])[0]
 
 
 class TestLossValue:
@@ -96,6 +107,19 @@ class TestLossGrad:
             assert np.linalg.norm(grad - fd) / denom <= 1e-5
             checked += 1
 
+    @pytest.mark.parametrize("kind", ["least_squares", "hinge", "logistic"])
+    def test_one_training_step_descends_this_gradient(self, kind):
+        rng = np.random.default_rng(31)
+        loss = LossKind(kind, mu=0.05)
+        model = dataclasses.replace(one_kernel(small_map(d=5, n=7, seed=32), 0.3, loss),
+                                    thetas=rng.normal(size=(1, 10)))
+        pattern = rng.random(7)
+        label = float(rng.normal()) if kind == "least_squares" else -1.0
+        trained, _ = mkl_train(model, [(pattern, label)])
+        z = mkl_encode(model, pattern)[0, 0]
+        expected = model.thetas[0] - model.eta * loss_grad(loss, z, model.thetas[0], label)
+        np.testing.assert_allclose(trained.thetas[0], expected, rtol=1e-12)
+
     def test_logistic_stable_at_large_scores(self):
         z = np.array([1.0])
         theta = np.array([500.0])
@@ -107,134 +131,97 @@ class TestLossGrad:
 class TestOgdStep:
     def test_hand_computed_update(self):
         m = small_map(d=1, n=2)
-        state = dataclasses.replace(init_state(m, eta=0.1, loss=LossKind("least_squares")))
-        new = ogd_step(state, np.array([0.0, 1.0]), 1.0)
-        np.testing.assert_allclose(new.theta, [0.0, 0.2], atol=1e-15)
+        new = step(one_kernel(m, eta=0.1), [0.0, 1.0], 1.0)
+        np.testing.assert_allclose(new.thetas[0], [0.0, 0.2], atol=1e-15)
 
     def test_zero_gradient_fixed_point(self):
         m = small_map(d=1, n=2)
-        state = init_state(m, eta=0.5, loss=LossKind("least_squares"))
-        state = dataclasses.replace(state, theta=np.array([0.0, 1.0]))
-        new = ogd_step(state, np.array([0.0, 1.0]), 1.0)  # prediction == label
-        np.testing.assert_array_equal(new.theta, state.theta)
-
-    def test_degenerate_step_size(self):
-        m = small_map(d=2, n=3)
-        state = init_state(m, eta=0.0, loss=LossKind("least_squares"))
-        z = m.encode(np.ones(3))
-        s1 = ogd_step(state, z, 1.0)
-        s2 = ogd_step(s1, z, 1.0)
-        np.testing.assert_array_equal(s2.theta, np.zeros(4))
+        model = dataclasses.replace(one_kernel(m, eta=0.5), thetas=[[0.0, 1.0]])
+        new = step(model, [0.0, 1.0], 1.0)  # prediction == label
+        np.testing.assert_array_equal(new.thetas, model.thetas)
 
     def test_rejects_wrong_length(self):
         m = small_map(d=3, n=5)
-        state = init_state(m, eta=0.1, loss=LossKind("least_squares"))
-        with pytest.raises(ValueError, match="length"):
-            ogd_step(state, np.zeros(5), 1.0)  # raw pattern, not an encoding
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
-    def test_rejects_divergence(self):
-        m = small_map(d=1, n=2)
-        state = init_state(m, eta=1e300, loss=LossKind("least_squares"))
-        z = np.array([0.0, 1.0])
-        state = ogd_step(state, z, 1.0)
-        with pytest.raises(FloatingPointError):
-            for _ in range(10):
-                state = ogd_step(state, z, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            step(one_kernel(m, eta=0.1), np.zeros(5), 1.0)  # raw pattern, not an encoding
 
 
 class TestTrainStream:
     def test_empty_stream(self):
-        m = small_map()
-        state = init_state(m, eta=0.2, loss=LossKind("least_squares"))
-        new, trace = train_stream(state, [], m)
-        np.testing.assert_array_equal(new.theta, state.theta)
-        assert trace.size == 0
+        model = one_kernel(small_map(), eta=0.2)
+        new, traces = mkl_train(model, [])
+        np.testing.assert_array_equal(new.thetas, model.thetas)
+        assert traces.n_steps == 0
 
     def test_non_finite_label_rejected(self):
-        m = small_map()
-        state = init_state(m, eta=0.2, loss=LossKind("least_squares"))
+        model = one_kernel(small_map(), eta=0.2)
         with pytest.raises(ValueError, match="finite"):
-            train_stream(state, [(np.ones(6), 1.0), (np.ones(6), np.nan)], m)
+            mkl_train(model, [(np.ones(6), 1.0), (np.ones(6), np.nan)])
 
     def test_matches_stepwise_updates(self):
-        m = small_map(d=5, n=7, seed=3)
+        model = one_kernel(small_map(d=5, n=7, seed=3), eta=0.3, loss=LossKind("least_squares", 1e-3))
         rng = np.random.default_rng(4)
         pats = rng.random((20, 7))
         ys = rng.normal(size=20)
-        state = init_state(m, eta=0.3, loss=LossKind("least_squares", 1e-3))
-        streamed, trace = train_stream(state, list(zip(pats, ys)), m)
-        stepped = state
-        for z, y in zip(m.encode_batch(pats), ys):
-            stepped = ogd_step(stepped, z, y)
-        assert np.array_equal(streamed.theta, stepped.theta)
-        assert trace.size == 20
+        streamed, traces = mkl_train(model, list(zip(pats, ys)))
+        stepped = model
+        for z, y in zip(mkl_encode(model, pats)[0], ys):
+            stepped = step(stepped, z, y)
+        assert np.array_equal(streamed.thetas, stepped.thetas)
+        assert traces.n_steps == 20
 
     def test_constant_stream_loss_non_increasing(self):
         # repeated identical sample under least squares contracts the
         # residual whenever eta is below the unit-curvature bound
-        m = small_map(d=6, n=5, seed=5)
+        model = one_kernel(small_map(d=6, n=5, seed=5), eta=0.3)
         pattern = np.random.default_rng(6).random(5)
-        state = init_state(m, eta=0.3, loss=LossKind("least_squares"))
-        _, trace = train_stream(state, [(pattern, 2.0)] * 30, m)
-        assert np.all(np.diff(trace) <= 1e-12)
+        _, traces = mkl_train(model, [(pattern, 2.0)] * 30)
+        assert np.all(np.diff(traces.per_kernel_loss[:, 0]) <= 1e-12)
 
     def test_deterministic(self):
         m = small_map(d=4, n=6, seed=7)
         rng = np.random.default_rng(8)
         samples = [(rng.random(6), float(rng.normal())) for _ in range(15)]
-        s1, t1 = train_stream(init_state(m, 0.2, LossKind("least_squares")), samples, m)
-        s2, t2 = train_stream(init_state(m, 0.2, LossKind("least_squares")), samples, m)
-        assert np.array_equal(s1.theta, s2.theta)
-        assert np.array_equal(t1, t2)
+        m1, t1 = mkl_train(one_kernel(m, 0.2), samples)
+        m2, t2 = mkl_train(one_kernel(m, 0.2), samples)
+        assert np.array_equal(m1.thetas, m2.thetas)
+        assert np.array_equal(t1.per_kernel_loss, t2.per_kernel_loss)
 
     def test_trace_is_pre_update_loss(self):
-        m = small_map(d=2, n=3, seed=9)
-        state = init_state(m, eta=0.5, loss=LossKind("least_squares"))
-        _, trace = train_stream(state, [(np.ones(3), 1.0)], m)
+        model = one_kernel(small_map(d=2, n=3, seed=9), eta=0.5)
+        _, traces = mkl_train(model, [(np.ones(3), 1.0)])
         # theta starts at zero so the first recorded loss is exactly y^2
-        assert trace[0] == pytest.approx(1.0)
-
-    def test_map_mismatch_rejected(self):
-        m1, m2 = small_map(seed=1), small_map(seed=2)
-        state = init_state(m1, eta=0.1, loss=LossKind("least_squares"))
-        with pytest.raises(ValueError, match="map"):
-            train_stream(state, [(np.zeros(6), 0.0)], m2)
+        assert traces.per_kernel_loss[0, 0] == pytest.approx(1.0)
 
     def test_hinge_stream_accepts_binary_labels_only(self):
-        m = small_map()
-        state = init_state(m, eta=0.1, loss=LossKind("hinge"))
+        model = one_kernel(small_map(), eta=0.1, loss=LossKind("hinge"))
         with pytest.raises(ValueError, match="labels"):
-            train_stream(state, [(np.zeros(6), 0.3)], m)
+            mkl_train(model, [(np.zeros(6), 0.3)])
 
     def test_norm_stays_bounded_with_regularization(self):
-        m = small_map(d=8, n=10, seed=10)
+        model = one_kernel(small_map(d=8, n=10, seed=10), eta=0.5, loss=LossKind("least_squares", mu=1e-2))
         rng = np.random.default_rng(11)
         pats = rng.random((100_000, 10))
         ys = rng.normal(size=100_000)
-        state = init_state(m, eta=0.5, loss=LossKind("least_squares", mu=1e-2))
-        state, trace = train_stream(state, list(zip(pats, ys)), m)
-        assert np.all(np.isfinite(trace))
-        assert np.linalg.norm(state.theta) < 1e3
+        model, traces = mkl_train(model, list(zip(pats, ys)))
+        assert np.all(np.isfinite(traces.per_kernel_loss))
+        assert np.linalg.norm(model.thetas[0]) < 1e3
 
 
 class TestPredict:
     def test_prediction_after_hand_step(self):
-        m = small_map(d=1, n=2)
-        state = init_state(m, eta=0.1, loss=LossKind("least_squares"))
-        state = ogd_step(state, np.array([0.0, 1.0]), 1.0)
+        model = step(one_kernel(small_map(d=1, n=2), eta=0.1), [0.0, 1.0], 1.0)
         # predicting the same encoded point: theta . z = 0.2
-        assert float(np.dot(state.theta, [0.0, 1.0])) == pytest.approx(0.2)
+        assert float(np.dot(model.thetas[0], [0.0, 1.0])) == pytest.approx(0.2)
 
 
 class TestPrivacyBoundary:
     def test_update_path_accepts_encodings_only(self):
-        # the state update consumes 2D-dimensional encodings; a raw length-N
+        # the update consumes 2D-dimensional encodings; a raw length-N
         # pattern is rejected whenever N != 2D
-        m = small_map(d=4, n=6)
-        state = init_state(m, eta=0.1, loss=LossKind("least_squares"))
+        model = one_kernel(small_map(d=4, n=6), eta=0.1)
         with pytest.raises(ValueError):
-            ogd_step(state, np.zeros(6), 1.0)
+            step(model, np.zeros(6), 1.0)
 
     def test_colliding_patterns_train_identically(self):
         # two different patterns with equal encodings produce bit-identical
@@ -245,8 +232,8 @@ class TestPrivacyBoundary:
         a2 = null_space_collision(m, a)
         assert np.linalg.norm(a - a2) > 1e-3
         tail = [(rng.normal(size=9), float(rng.normal())) for _ in range(5)]
-        s1, t1 = train_stream(init_state(m, 0.3, LossKind("least_squares")), [(a, 1.0)] + tail, m)
-        s2, t2 = train_stream(init_state(m, 0.3, LossKind("least_squares")), [(a2, 1.0)] + tail, m)
-        close = np.abs(s1.theta - s2.theta).max()
+        m1, t1 = mkl_train(one_kernel(m, 0.3), [(a, 1.0)] + tail)
+        m2, t2 = mkl_train(one_kernel(m, 0.3), [(a2, 1.0)] + tail)
+        close = np.abs(m1.thetas - m2.thetas).max()
         assert close <= 1e-12
-        np.testing.assert_allclose(t1, t2, atol=1e-12)
+        np.testing.assert_allclose(t1.per_kernel_loss, t2.per_kernel_loss, atol=1e-12)
