@@ -3,6 +3,12 @@
 Adjacency is kept as a dense float64 matrix; that is comfortably within desk
 scale for the graph sizes this package targets (a few thousand nodes).
 Graphs are immutable after construction and safe to share across threads.
+
+A graph is built once and in place: :func:`erdos_renyi` draws into one N×N
+array, symmetrises it block by block and freezes it, and :class:`Graph`
+adopts a frozen array that owns its memory instead of copying it, so a
+random build peaks at about one adjacency (8 N² bytes).  Every other array
+is copied, and the constructor's checks make no N×N temporary.
 """
 
 from __future__ import annotations
@@ -13,6 +19,10 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+
+# rows per block of the in-place symmetrisation and the symmetry check; the
+# temporaries are one block wide, never N×N
+_BLOCK = 256
 
 
 def _read_lines(source) -> Iterable[str]:
@@ -26,6 +36,16 @@ def _read_lines(source) -> Iterable[str]:
     yield from source
 
 
+def _is_symmetric(a: np.ndarray) -> bool:
+    """``np.array_equal(a, a.T)``, compared over upper-triangle block pairs."""
+    n = a.shape[0]
+    return all(
+        np.array_equal(a[i : i + _BLOCK, j : j + _BLOCK], a[j : j + _BLOCK, i : i + _BLOCK].T)
+        for i in range(0, n, _BLOCK)
+        for j in range(i, n, _BLOCK)
+    )
+
+
 @dataclass(frozen=True)
 class Graph:
     """A (possibly directed, possibly weighted) graph over N nodes.
@@ -33,6 +53,12 @@ class Graph:
     adjacency[i, j] is the weight of the edge from node i to node j for
     directed graphs (an edge-list line ``i j`` sets it); undirected graphs
     are exactly symmetric.
+
+    A C-ordered float64 array that is read-only and owns its memory is
+    adopted as it is (``g.adjacency is a``): handing one over hands over
+    ownership, and the caller must not make it writeable again.  Any other
+    input (a writeable array, a view, another dtype or order) is copied, so
+    later changes to the caller's array never reach the graph.
     """
 
     adjacency: np.ndarray
@@ -43,16 +69,20 @@ class Graph:
         a = np.asarray(self.adjacency, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        # min and max propagate NaN, so a NaN entry fails the finiteness
+        # check; the initial 0 covers a 0×0 matrix and moves neither test
+        lo, hi = a.min(initial=0.0), a.max(initial=0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("adjacency entries must be finite")
-        if np.any(a < 0):
+        if lo < 0:
             raise ValueError("adjacency entries must be non-negative")
-        if not self.directed and not np.array_equal(a, a.T):
+        if not self.directed and not _is_symmetric(a):
             raise ValueError("undirected graph requires an exactly symmetric adjacency")
         if self.node_names is not None and len(self.node_names) != a.shape[0]:
             raise ValueError("node_names length must match the number of nodes")
-        a = a.copy()
-        a.setflags(write=False)
+        if a.flags.writeable or not (a.flags.owndata and a.flags.c_contiguous):
+            a = a.copy()
+            a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
 
     @property
@@ -155,6 +185,7 @@ def load_edge_list(source, directed: bool = False, weighted: bool = False) -> Gr
         a[i, j] = w
         if not directed:
             a[j, i] = w
+    a.setflags(write=False)
     return Graph(adjacency=a, directed=directed, node_names=tuple(names))
 
 
@@ -196,15 +227,29 @@ def erdos_renyi(n: int, edge_prob: float, seed) -> Graph:
     The sum of a draw and its transpose is clamped back to {0, 1} so the
     graph stays simple and binary; the effective undirected edge probability
     is 1 - (1 - edge_prob)^2.
+
+    The uniforms are drawn straight into the one N×N array the graph keeps
+    (the same stream, in the same C order, as ``rng.random((n, n))``), and
+    each upper-triangle block pair is thresholded, or-ed with its mirror and
+    written back to both halves, so the build peaks at about one adjacency.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
-    a0 = rng.random((n, n)) < edge_prob
-    np.fill_diagonal(a0, False)
-    a = np.logical_or(a0, a0.T).astype(np.float64)
+    a = np.empty((n, n))
+    rng.random(out=a)
+    for i in range(0, n, _BLOCK):
+        rows = slice(i, i + _BLOCK)
+        for j in range(i, n, _BLOCK):
+            cols = slice(j, j + _BLOCK)
+            s = (a[rows, cols] < edge_prob) | (a[cols, rows] < edge_prob).T
+            if i == j:
+                np.fill_diagonal(s, False)
+            a[rows, cols] = s
+            a[cols, rows] = s.T
+    a.setflags(write=False)
     return Graph(adjacency=a, directed=False)
 
 

@@ -516,6 +516,7 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
             raise ValueError(f"{method} requires an undirected graph")
         m = plan.sampled.size
         sub = np.ascontiguousarray(g.adjacency[np.ix_(plan.sampled, plan.sampled)])
+        sub.setflags(write=False)  # fresh and never written: Graph adopts it
         knobs = config.gk_sigma2_grid if method == "gk_df" else sorted({min(b, m) for b in config.band_grid})
 
         def kernel(adjacency, knob):
@@ -545,6 +546,7 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
                 grown[:m, :m] = sub
                 grown[m, :m] = a_new
                 grown[:m, m] = a_new
+                grown.setflags(write=False)
                 k = kernel(grown, knob)
                 alpha = batch_kernel_ridge(k[:m, :m], y, mu)
                 out[i] = float(np.dot(k[m, :m], alpha))
@@ -560,9 +562,10 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
             notes=f"knob={params[1]}",
         )
     labeled = {int(node): float(val) for node, val in zip(plan.sampled, y)}
-    # the largest neighbor count, so every labeled neighbor is averaged;
-    # the weighted degree would drop some on edges lighter than 1
-    k = int((g.adjacency > 0).sum(axis=1).max(initial=1))
+    # no node has more candidates than there are labeled nodes, so this k
+    # averages every labeled neighbor; the weighted degree would drop some on
+    # edges lighter than 1
+    k = len(labeled)
 
     def score(nodes):
         """Nodes with no labeled neighbor fall back to the mean training
@@ -691,7 +694,9 @@ def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
         raise ValueError("dataset runs need edge_list and labels paths")
     g = load_edge_list(config.edge_list, directed=config.directed, weighted=config.weighted)
     if config.directed and config.symmetrize:
-        g = Graph(np.maximum(g.adjacency, g.adjacency.T), directed=False, node_names=g.node_names)
+        both = np.maximum(g.adjacency, g.adjacency.T)
+        both.setflags(write=False)
+        g = Graph(both, directed=False, node_names=g.node_names)
     label_map = load_labels(config.labels)
     unknown = [t for t in label_map if t not in (g.node_names or ())]
     if unknown:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphrf import (
@@ -226,3 +226,17 @@ def test_rf_predictions_approach_exact_kernel_ridge():
             approx = rf_map.encode_batch(pats) @ theta
             gaps[d].append(np.sqrt(np.mean((approx - exact) ** 2)))
     assert np.mean(gaps[500]) < np.mean(gaps[50])
+
+
+@settings(max_examples=200, deadline=None)
+@given(knn_cases())
+def test_knn_with_k_the_labeled_count_matches_k_the_max_degree(case):
+    # the harness passes k = len(labeled): a node's candidates are labeled
+    # neighbors, so no node has more than either bound and the width agrees
+    g, labeled, nodes, _ = case
+    assume(labeled)
+    max_degree = int((g.adjacency > 0).sum(axis=1).max(initial=1))
+    by_count = knn_predict_batch(g, labeled, nodes, len(labeled))
+    by_degree = knn_predict_batch(g, labeled, nodes, max_degree)
+    assert np.array_equal(by_count[0], by_degree[0], equal_nan=True)
+    assert np.array_equal(by_count[1], by_degree[1])

@@ -1,8 +1,11 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphrf import (
     Graph,
@@ -38,6 +41,56 @@ class TestGraphType:
         g = triangle()
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 5.0
+
+    def test_writeable_input_is_copied(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        g = Graph(a)
+        a[0, 1] = a[1, 0] = 7.0
+        assert g.adjacency is not a
+        assert np.array_equal(g.adjacency, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_frozen_array_owning_its_memory_is_adopted(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        a.setflags(write=False)
+        assert Graph(a).adjacency is a
+
+    def test_frozen_view_is_copied(self):
+        base = np.zeros((3, 3))
+        base[0, 1] = base[1, 0] = 1.0
+        view = base[:2, :2]
+        view.setflags(write=False)
+        g = Graph(view)
+        base[0, 1] = base[1, 0] = 7.0
+        assert g.adjacency is not view
+        assert g.adjacency.flags.owndata and not g.adjacency.flags.writeable
+        assert np.array_equal(g.adjacency, [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_frozen_fortran_array_is_copied_in_c_order(self):
+        a = np.asfortranarray([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+        a.setflags(write=False)
+        g = Graph(a)
+        assert g.adjacency is not a and g.adjacency.flags.c_contiguous
+        assert np.array_equal(g.adjacency, a)
+
+    def test_empty_matrix_constructs(self):
+        assert Graph(np.zeros((0, 0))).n_nodes == 0
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(np.nan, "must be finite"), (-np.inf, "must be finite"), (-1.0, "must be non-negative")],
+    )
+    def test_bad_entry_past_the_first_block_named(self, value, message):
+        a = np.zeros((300, 300))
+        a[290, 10] = a[10, 290] = value
+        with pytest.raises(ValueError, match=f"^adjacency entries {message}$"):
+            Graph(a)
+
+    def test_asymmetric_entry_past_the_first_block_named(self):
+        a = np.zeros((300, 300))
+        a[290, 10] = 1.0
+        with pytest.raises(ValueError, match="^undirected graph requires an exactly symmetric adjacency$"):
+            Graph(a)
+        assert Graph(a, directed=True).adjacency[290, 10] == 1.0
 
 
 class TestLoadEdgeList:
@@ -133,6 +186,37 @@ class TestErdosRenyi:
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             erdos_renyi(5, 1.5, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 255, 256, 257, 513, 600]),
+        p=st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_whole_matrix_recipe(self, n, p, seed):
+        # the draw, threshold and symmetrisation done on whole N×N temporaries
+        rng = np.random.default_rng(seed)
+        a0 = rng.random((n, n)) < p
+        np.fill_diagonal(a0, False)
+        expected = np.logical_or(a0, a0.T).astype(np.float64)
+        g = erdos_renyi(n, p, seed)
+        assert np.array_equal(g.adjacency, expected)
+        assert g.adjacency.dtype == np.float64 and g.adjacency.flags.c_contiguous
+
+    def test_build_peaks_at_about_one_adjacency(self):
+        # numpy reports its buffers to tracemalloc; 1000 nodes hold 8 MB
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            g = erdos_renyi(1000, 0.2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 1.25 * g.adjacency.nbytes
 
 
 def pattern(g, node, mode="column"):
