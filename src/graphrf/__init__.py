@@ -7,7 +7,6 @@ kernel-ridge and k-NN baselines plus a benchmark harness round out the
 package.
 """
 
-from ._accel import NUMBA_ENABLED
 from .graph import (
     Graph,
     GraphSignal,
@@ -72,5 +71,9 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
+
+# Read only by perfbench/run.py's environment record; numpy is the only
+# backend.  Goes once the benchmark drops that field (ROADMAP item 1).
+NUMBA_ENABLED = False
 
 __all__ = [name for name in dir() if not name.startswith("_")]

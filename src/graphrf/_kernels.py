@@ -1,21 +1,18 @@
 """The online training kernel.
 
 Every learner trains through :func:`mkl_stream`.  Its per-sample loop,
-:func:`learner_block`, steps all P learners at once as one (P, 2D) block and
-carries ``@njit``; with ``GRAPHRF_NUMBA=0`` the same code runs as plain
-numpy.  The hedge weights are replayed after the loop in one vectorised
+:func:`learner_block`, steps all P learners at once as one (P, 2D) numpy
+block.  The hedge weights are replayed after the loop in one vectorised
 numpy pass, which is exact in structure because no learner's update reads
 the weights.  Each learner's row takes the same arithmetic at any P, so a
 learner of a P-kernel pass is bit-identical to the P = 1 pass over its
-stream alone, under either backend.
+stream alone.
 
 Loss codes: 0 = least squares, 1 = hinge, 2 = logistic.  The cost and its
 derivative act elementwise on arrays.
 """
 
 import numpy as np
-
-from ._accel import njit
 
 LOSS_LS = 0
 LOSS_HINGE = 1
@@ -33,7 +30,6 @@ def cost_value(code, pred, y):
     return np.maximum(-m, 0.0) + np.log1p(np.exp(-np.abs(m)))
 
 
-@njit(cache=True)
 def cost_grad_scale(code, pred, y):
     """dC/dpred for an array of predictions against one label.
 
@@ -48,7 +44,6 @@ def cost_grad_scale(code, pred, y):
     return -y * np.where(m >= 0.0, e, 1.0) / (1.0 + e)
 
 
-@njit(cache=True)
 def learner_block(zs, ys, eta, mu, code, thetas):
     """Constant-step descent of P independent learners over one stream.
 

@@ -194,9 +194,10 @@ def load_labels(source) -> dict[str, np.ndarray]:
 
     Returns a map from node token to a vector of label columns (several
     columns model repeated test signals).  All rows must carry the same
-    number of columns.
+    number of columns, and no node may be labeled twice.
     """
     labels: dict[str, np.ndarray] = {}
+    first_line: dict[str, int] = {}
     width = None
     for lineno, raw in enumerate(_read_lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -215,6 +216,9 @@ def load_labels(source) -> dict[str, np.ndarray]:
             width = vals.size
         elif vals.size != width:
             raise ValueError(f"line {lineno}: expected {width} label columns, got {vals.size}")
+        if tokens[0] in first_line:
+            raise ValueError(f"line {lineno}: node {tokens[0]!r} already labeled on line {first_line[tokens[0]]}")
+        first_line[tokens[0]] = lineno
         labels[tokens[0]] = vals
     if not labels:
         raise ValueError("empty label file")

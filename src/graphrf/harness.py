@@ -512,8 +512,6 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
         # transductively inside it; each new node rebuilds the Laplacian and
         # kernel at size M+1 and re-solves, which is the deliberately
         # expensive cubic path the runtime benchmark is about.
-        if g.directed:
-            raise ValueError(f"{method} requires an undirected graph")
         m = plan.sampled.size
         sub = np.ascontiguousarray(g.adjacency[np.ix_(plan.sampled, plan.sampled)])
         sub.setflags(write=False)  # fresh and never written: Graph adopts it
@@ -697,11 +695,15 @@ def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
         both = np.maximum(g.adjacency, g.adjacency.T)
         both.setflags(write=False)
         g = Graph(both, directed=False, node_names=g.node_names)
+    for method in config.methods:
+        if g.directed and method in ("gk_df", "gk_bl"):
+            raise ValueError(f"{method} requires an undirected graph")
     label_map = load_labels(config.labels)
-    unknown = [t for t in label_map if t not in (g.node_names or ())]
+    index = {name: i for i, name in enumerate(g.node_names or ())}
+    unknown = [t for t in label_map if t not in index]
     if unknown:
         raise ValueError(f"label file names unknown nodes: {unknown[:5]}")
-    labeled_idx = np.array([g.index_of(t) for t in label_map], dtype=np.int64)
+    labeled_idx = np.array([index[t] for t in label_map], dtype=np.int64)
     columns = np.stack([label_map[t] for t in label_map])  # (L, n_cols)
     if config.loss != "least_squares" and (config.standardize_labels or not np.isin(columns, (-1.0, 1.0)).all()):
         # a classification loss trains on the file's -1 and +1 as they are
@@ -711,11 +713,12 @@ def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
     counts = config.sample_counts or (
         max(1, math.ceil(config.sample_fraction * labeled_idx.size)),
     )
-    all_rows = []
-    seeds_used = []
     for count in counts:
         if count > labeled_idx.size:
             raise ValueError(f"sample count {count} exceeds {labeled_idx.size} labeled nodes")
+    all_rows = []
+    seeds_used = []
+    for count in counts:
         rows_acc: dict = {}
         for trial in range(config.trials):
             for col in range(n_cols):

@@ -150,6 +150,10 @@ class TestLoadLabels:
         with pytest.raises(ValueError, match="line 2: label values must be finite"):
             load_labels(["a 1 2", f"b 3 {value}"])
 
+    def test_node_labeled_twice_rejected(self):
+        with pytest.raises(ValueError, match="line 3: node 'a' already labeled on line 1"):
+            load_labels(["a 1", "b 2", "a 3"])
+
 
 class TestErdosRenyi:
     def test_zero_probability_empty(self):

@@ -522,6 +522,40 @@ class TestRunDataset:
         with pytest.raises(ValueError, match="unknown nodes"):
             run_dataset(config)
 
+    @staticmethod
+    def _count_fits(monkeypatch):
+        calls = []
+        real = graphrf.harness._fit_method
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(graphrf.harness, "_fit_method", counting)
+        return calls
+
+    def test_oversized_sample_count_rejected_before_any_fit(self, tiny_dataset, monkeypatch):
+        edges, labels = tiny_dataset
+        calls = self._count_fits(monkeypatch)
+        config = ExperimentConfig(
+            task="dataset", edge_list=edges, labels=labels,
+            trials=2, sample_counts=(5, 6, 50), d=6, methods=("mkl", "kl", "knn"),
+        )
+        with pytest.raises(ValueError, match="sample count 50 exceeds 12 labeled nodes"):
+            run_dataset(config)
+        assert calls == []
+
+    def test_graph_kernel_on_directed_graph_rejected_before_any_fit(self, tiny_dataset, monkeypatch):
+        edges, labels = tiny_dataset
+        calls = self._count_fits(monkeypatch)
+        config = ExperimentConfig(
+            task="dataset", edge_list=edges, labels=labels, directed=True, symmetrize=False,
+            trials=1, sample_counts=(5,), d=6, methods=("mkl", "kl", "gk_df"),
+        )
+        with pytest.raises(ValueError, match="gk_df requires an undirected graph"):
+            run_dataset(config)
+        assert calls == []
+
     def test_multi_column_labels_run_per_column(self, tiny_dataset, tmp_path):
         edges, _ = tiny_dataset
         multi = tmp_path / "multi.txt"

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -403,3 +408,26 @@ def test_oracle_block_holds_one_prefix_at_large_dim():
     np.testing.assert_allclose(
         harness._prefix_oracle_losses(zs, ys, 1e-3), _reference_oracle(zs, ys, 1e-3), rtol=1e-9
     )
+
+
+def test_learner_runs_as_plain_numpy_even_with_numba_importable(tmp_path):
+    # a numba on the path whose njit fails loudly: importing graphrf must
+    # neither import it nor compile anything with it
+    fake = tmp_path / "numba"
+    fake.mkdir()
+    (fake / "__init__.py").write_text(
+        "def njit(*args, **kwargs):\n    raise AssertionError('numba.njit called')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "GRAPHRF_NUMBA"}
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), str(src)])
+    probe = textwrap.dedent(
+        """
+        import sys, types
+        import graphrf
+        assert "numba" not in sys.modules
+        assert type(graphrf._kernels.learner_block) is types.FunctionType
+        """
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
