@@ -6,23 +6,30 @@ Usage::
 
     python scripts/report_identity.py BASE_REF
 
-Three runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
+Four runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
 with ``git archive`` into a temporary directory, so the repository is left
 untouched) and once on the working tree's ``src/``:
 
 - ``synthetic``: the default config with all five methods and traces;
 - ``regret``: the default config;
 - ``dataset``: a generated 60-node graph with three label columns,
-  ``sample_counts = 10,20``, two trials and all five methods.
+  ``sample_counts = 10,20``, two trials and all five methods;
+- ``bench-newnode``: ``bench_sizes = 60,120`` with mkl, gk_df and knn.
 
 ``report.tsv``, ``summary.json`` and every file under ``traces/`` are
-compared byte for byte.  Exit status: 0 when all are identical, 1 on any
-difference, 2 when the base ref cannot be exported or a run fails.
+compared byte for byte.  ``bench-newnode`` always measures wall-clock time,
+so its timing fields are masked first: the ``train_s`` and ``newnode_s``
+columns of ``report.tsv``, the ``train_time`` and ``newnode_time`` keys of
+each ``summary.json`` row, and ``extras.per_method``, which holds only
+timings.  Everything else in those two files is compared exactly.  Exit
+status: 0 when all are identical, 1 on any difference, 2 when the base ref
+cannot be exported or a run fails.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -34,10 +41,13 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 ALL_METHODS = "methods = mkl,kl,gk_df,gk_bl,knn\n"
+# report.tsv column -> summary.json row key of the timings bench-newnode writes
+TIMING_FIELDS = {"train_s": "train_time", "newnode_s": "newnode_time"}
+MASK = "<timing>"
 
 
 def write_fixture(tmp: Path) -> dict:
-    """Configs for the three runs; the dataset files live in ``tmp`` so both
+    """Configs for the four runs; the dataset files live in ``tmp`` so both
     trees see the same paths (they are echoed into summary.json)."""
     rng = np.random.default_rng(0)
     n = 60
@@ -54,6 +64,7 @@ def write_fixture(tmp: Path) -> dict:
         "dataset": ALL_METHODS
         + f"task = dataset\nedge_list = {tmp / 'edges.txt'}\nlabels = {tmp / 'labels.txt'}\n"
         + "sample_counts = 10,20\ntrials = 2\n",
+        "bench-newnode": "bench_sizes = 60,120\nmethods = mkl,gk_df,knn\ntiming_reps = 1\ntiming_nodes = 5\n",
     }
     paths = {}
     for name, text in configs.items():
@@ -102,17 +113,45 @@ def report_files(out: Path) -> list[str]:
     return names
 
 
-def compare(base: Path, head: Path) -> list[str]:
-    """One line per compared file; lines of differing files start with DIFF."""
+def mask_timings(name: str, data: bytes) -> bytes:
+    """``data`` with the timing fields of a bench-newnode file replaced by
+    ``MASK``; a field missing on one side still shows as a difference."""
+    if name == "report.tsv":
+        rows = [line.split("\t") for line in data.decode("utf-8").splitlines()]
+        masked = [i for i, header in enumerate(rows[0]) if header in TIMING_FIELDS]
+        for row in rows[1:]:
+            for i in masked:
+                row[i] = MASK
+        return "\n".join("\t".join(row) for row in rows).encode("utf-8")
+    if name == "summary.json":
+        payload = json.loads(data)
+        for row in payload["rows"]:
+            for key in TIMING_FIELDS.values():
+                if key in row:
+                    row[key] = MASK
+        if "per_method" in payload["extras"]:
+            payload["extras"]["per_method"] = MASK
+        return json.dumps(payload, sort_keys=True, indent=2).encode("utf-8")
+    return data
+
+
+def compare(base: Path, head: Path, masked: bool = False) -> list[str]:
+    """One line per compared file; lines of differing files start with DIFF.
+    With ``masked`` the timing fields are left out of the comparison."""
     lines = []
     for name in sorted(set(report_files(base)) | set(report_files(head))):
         a, b = base / name, head / name
         if not (a.is_file() and b.is_file()):
             lines.append(f"DIFF {name}: only in {'base' if a.is_file() else 'working tree'}")
-        elif a.read_bytes() != b.read_bytes():
-            lines.append(f"DIFF {name}: contents differ")
+            continue
+        data_a, data_b = a.read_bytes(), b.read_bytes()
+        if masked:
+            data_a, data_b = mask_timings(name, data_a), mask_timings(name, data_b)
+        note = ", timings masked" if masked else ""
+        if data_a != data_b:
+            lines.append(f"DIFF {name}: contents differ{note}")
         else:
-            lines.append(f"same {name} ({a.stat().st_size} bytes)")
+            lines.append(f"same {name} ({a.stat().st_size} bytes{note})")
     return lines
 
 
@@ -138,7 +177,7 @@ def main(argv: list[str]) -> int:
                 except RuntimeError as exc:
                     print(exc, file=sys.stderr)
                     return 2
-            for line in compare(outs["base"], outs["head"]):
+            for line in compare(outs["base"], outs["head"], masked=command == "bench-newnode"):
                 print(f"{command}: {line}")
                 differs = differs or line.startswith("DIFF")
     print("reports differ" if differs else "all reports byte-identical")

@@ -9,7 +9,6 @@ package.
 
 from .graph import (
     Graph,
-    GraphSignal,
     SamplingPlan,
     erdos_renyi,
     load_edge_list,
@@ -38,7 +37,6 @@ from .online import LossKind, loss_grad, loss_value
 from .mkl import (
     MklModel,
     MklTraces,
-    RegretReport,
     load_mkl_checkpoint,
     mkl_encode,
     mkl_from_maps,
@@ -49,7 +47,6 @@ from .mkl import (
     mkl_train_encoded,
     mkl_update,
     save_mkl_checkpoint,
-    static_regret,
     traces_to_tsv,
 )
 from .baselines import (

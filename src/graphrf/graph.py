@@ -112,9 +112,11 @@ class SamplingPlan:
     def __post_init__(self):
         s = np.asarray(self.sampled, dtype=np.int64).copy()
         u = np.asarray(self.unsampled, dtype=np.int64).copy()
-        if np.intersect1d(s, u).size:
+        # set arithmetic, not np.intersect1d, which imports numpy.ma
+        distinct = set(s.tolist())
+        if not distinct.isdisjoint(u.tolist()):
             raise ValueError("sampled and unsampled sets overlap")
-        if len(set(s.tolist())) != s.size:
+        if len(distinct) != s.size:
             raise ValueError("sampled indices must be distinct")
         s.setflags(write=False)
         u.setflags(write=False)
@@ -124,24 +126,6 @@ class SamplingPlan:
     @property
     def n_sampled(self) -> int:
         return int(self.sampled.size)
-
-
-@dataclass(frozen=True)
-class GraphSignal:
-    """Real values attached to every node, plus the generating noise level."""
-
-    values: np.ndarray
-    noise_var: float = 0.0
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("signal values must be finite")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def load_edge_list(source, directed: bool = False, weighted: bool = False) -> Graph:
@@ -281,8 +265,9 @@ def sample_nodes(g: Graph, m: int, seed) -> SamplingPlan:
     return SamplingPlan(sampled=perm[:m], unsampled=np.sort(perm[m:]))
 
 
-def synth_signal(g: Graph, kernel_matrix: np.ndarray, noise_var: float = 0.01, seed=None) -> GraphSignal:
-    """x = K alpha + e with alpha_i ~ U[0.5, 1] and e_i ~ N(0, noise_var)."""
+def synth_signal(g: Graph, kernel_matrix: np.ndarray, noise_var: float = 0.01, seed=None) -> np.ndarray:
+    """x = K alpha + e with alpha_i ~ U[0.5, 1] and e_i ~ N(0, noise_var), as
+    a read-only float64 array."""
     k = np.asarray(kernel_matrix, dtype=np.float64)
     n = g.n_nodes
     if k.shape != (n, n):
@@ -294,4 +279,7 @@ def synth_signal(g: Graph, kernel_matrix: np.ndarray, noise_var: float = 0.01, s
     x = k @ alpha
     if noise_var > 0:
         x = x + rng.normal(0.0, math.sqrt(noise_var), size=n)
-    return GraphSignal(values=x, noise_var=noise_var)
+    if not np.isfinite(x).all():
+        raise ValueError("signal values must be finite")
+    x.setflags(write=False)
+    return x

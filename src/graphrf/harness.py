@@ -48,7 +48,6 @@ from .mkl import (
     mkl_predict_encoded,
     mkl_train,
     mkl_train_encoded,
-    static_regret,
     traces_to_tsv,
 )
 from .online import LOSS_KINDS
@@ -109,6 +108,10 @@ class ExperimentConfig:
         for key in ("bench_sizes", "sample_counts", "band_grid"):
             if any(v < 1 for v in getattr(self, key) or ()):
                 raise ValueError(f"{key} entries must be >= 1")
+        for key in ("methods", "bench_sizes", "sample_counts"):
+            values = getattr(self, key) or ()
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} entries must be distinct")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError("edge_prob must be in [0, 1]")
         if self.eta != "auto" and not (isinstance(self.eta, (int, float)) and 0.0 < self.eta <= 1.0):
@@ -365,7 +368,7 @@ def _standardize(x: np.ndarray) -> np.ndarray:
     return centered / std if std > 0 else centered
 
 
-def _truth_kernel(config: ExperimentConfig, g: Graph, anchor=None) -> np.ndarray:
+def _truth_kernel(config: ExperimentConfig, g: Graph, anchor) -> np.ndarray:
     """Ground-truth kernel matrix for signal synthesis.
 
     ``connectivity`` follows the literal recipe (Gaussian kernel over whole
@@ -382,8 +385,6 @@ def _truth_kernel(config: ExperimentConfig, g: Graph, anchor=None) -> np.ndarray
         return graph_kernel_matrix(g, GraphKernelSpec("diffusion", sigma2=config.truth_sigma2))
     every = np.arange(g.n_nodes)
     if config.scenario == "connectivity_anchored":
-        if anchor is None:
-            raise ValueError("anchored scenario needs the sampling plan first")
         patterns = _patterns(g.adjacency, anchor, every, config.pattern_mode, False)
     else:
         patterns = _patterns(g.adjacency, every, every, config.pattern_mode, config.normalize_patterns)
@@ -645,18 +646,23 @@ def _require_least_squares(config: ExperimentConfig, run: str) -> None:
         raise ValueError(f"{run} runs require the least-squares loss, got loss = {config.loss!r}")
 
 
-def _synthetic_trial(config: ExperimentConfig, n: int, seeds: dict, rows_acc: dict) -> int:
-    """One random-graph trial on n nodes: sample M of them, synthesize the
-    signal, run every enabled method into ``rows_acc``; returns M."""
+def _draw_trial(config: ExperimentConfig, n: int, seeds: dict):
+    """One random graph on n nodes, M of its nodes sampled, and the signal
+    on every node: ``(g, plan, x)``.  The N×N truth kernel lives only here."""
     g = erdos_renyi(n, config.edge_prob, seeds["graph"])
-    m = max(1, math.ceil(config.sample_fraction * n))
-    plan = sample_nodes(g, m, seeds["plan"])
-    truth = _truth_kernel(config, g, anchor=plan.sampled)
-    x = synth_signal(g, truth, config.noise_var, seeds["signal"]).values
+    plan = sample_nodes(g, max(1, math.ceil(config.sample_fraction * n)), seeds["plan"])
+    x = synth_signal(g, _truth_kernel(config, g, plan.sampled), config.noise_var, seeds["signal"])
     if config.standardize_labels:
         x = _standardize(x)
+    return g, plan, x
+
+
+def _synthetic_trial(config: ExperimentConfig, n: int, seeds: dict, rows_acc: dict) -> int:
+    """One random-graph trial on n nodes: run every enabled method on a
+    drawn trial into ``rows_acc``; returns M."""
+    g, plan, x = _draw_trial(config, n, seeds)
     _run_trial_methods(config, g, x, plan, seeds, rows_acc)
-    return m
+    return plan.n_sampled
 
 
 def run_synthetic(config: ExperimentConfig, out_dir=None) -> Report:
@@ -769,8 +775,7 @@ def _prefix_oracle_losses(zs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarr
         z = zs[start:stop]
         np.multiply(z[:, :, None], z[:, None, :], out=a)
         a[0] += gram
-        for k in range(1, stop - start):
-            a[k] += a[k - 1]
+        np.cumsum(a, axis=0, out=a)
         gram[...] = a[-1]
         rhs = rhs_all[start:stop]
         if mu == 0:
@@ -804,11 +809,7 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
     for trial in range(config.trials):
         seeds = _trial_seeds(config.base_seed, trial)
         seeds_used.append(seeds["stream"])
-        g = erdos_renyi(config.n_nodes, config.edge_prob, seeds["graph"])
-        truth = _truth_kernel(config, g)
-        x = synth_signal(g, truth, config.noise_var, seeds["signal"]).values
-        if config.standardize_labels:
-            x = _standardize(x)
+        g, _, x = _draw_trial(config, config.n_nodes, seeds)
         every = np.arange(g.n_nodes)
         pats = _patterns(g.adjacency, every, every, config.pattern_mode, config.normalize_patterns)
         rng = np.random.default_rng(seeds["stream"])
@@ -820,12 +821,13 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
         ys = x[stream]
         model, traces = mkl_train_encoded(model, zs, ys)
         oracle_best = np.min([_prefix_oracle_losses(z, ys, mu) for z in zs], axis=0)
-        rep = static_regret(traces.combined_loss, oracle_best)
-        exponents.append(rep.fitted_growth_exponent)
-        regrets_final.append(float(rep.regret[-1]))
+        cum = np.cumsum(traces.combined_loss)
+        regret = cum - oracle_best
+        exponents.append(fit_growth_exponent(regret))
+        regrets_final.append(float(regret[-1]))
         bound_checks.append(_regret_bound_check(zs, ys, traces, eta, mu))
         if trial == 0:
-            first = rep
+            first = (cum, oracle_best, regret)
     finite_exponents = [e for e in exponents if not math.isnan(e)]
     extras = {
         "eta": eta,
@@ -844,9 +846,29 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
         _steps_to_tsv(
             Path(out_dir) / "traces" / "regret_trial0.tsv",
             ["cum_online", "oracle", "regret"],
-            [first.cumulative_online_loss, first.best_fixed_loss, first.regret],
+            first,
         )
     return report
+
+
+def fit_growth_exponent(series: np.ndarray, t_min: int | None = None) -> float:
+    """Log-log slope of a positive series against step index.
+
+    Returns nan when fewer than two positive values fall in the fit window
+    (e.g. an identically-zero regret series).
+    """
+    series = np.asarray(series, dtype=np.float64)
+    n = series.size
+    if n < 2:
+        return float("nan")
+    if t_min is None:
+        t_min = max(8, n // 100)
+    t = np.arange(1, n + 1)
+    mask = (t >= t_min) & (series > 0)
+    if mask.sum() < 2:
+        return float("nan")
+    slope, _ = np.polyfit(np.log(t[mask]), np.log(series[mask]), 1)
+    return float(slope)
 
 
 def _regret_bound_check(zs, ys, traces, eta, mu) -> dict:

@@ -120,13 +120,6 @@ def _freeze(thetas: np.ndarray, log_weights: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class MklStepRecord:
-    combined_loss: float
-    per_kernel_losses: np.ndarray
-    weights_used: np.ndarray
-
-
-@dataclass(frozen=True)
 class MklTraces:
     """Per-step records of one training pass (all pre-update quantities),
     plus each kernel's largest gradient norm over the pass."""
@@ -240,15 +233,10 @@ def mkl_train_encoded(
     return new_model, MklTraces(combined, per_kernel, weights_used, prediction, max_grad)
 
 
-def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, MklStepRecord]:
-    """One online step: every learner descends, every weight decays."""
-    new_model, traces = mkl_train_encoded(model, mkl_encode(model, _one_node(connectivity)), [label])
-    record = MklStepRecord(
-        combined_loss=float(traces.combined_loss[0]),
-        per_kernel_losses=traces.per_kernel_loss[0],
-        weights_used=traces.weights[0],
-    )
-    return new_model, record
+def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, MklTraces]:
+    """One online step: every learner descends, every weight decays.  The
+    traces hold that one step."""
+    return mkl_train_encoded(model, mkl_encode(model, _one_node(connectivity)), [label])
 
 
 def mkl_train(model: MklModel, samples: Sequence) -> tuple[MklModel, MklTraces]:
@@ -409,53 +397,3 @@ def load_mkl_checkpoint(path) -> MklModel:
                          f"expected one per kernel ({len(maps)})")
     return MklModel(maps, np.stack(thetas), log_weights, float(eta), loss, seed)
 
-
-# ---------------------------------------------------------------------------
-# Regret diagnostics.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RegretReport:
-    """Cumulative online loss against a per-prefix batch comparator."""
-
-    cumulative_online_loss: np.ndarray
-    best_fixed_loss: np.ndarray
-    regret: np.ndarray
-    fitted_growth_exponent: float
-
-
-def fit_growth_exponent(series: np.ndarray, t_min: int | None = None) -> float:
-    """Log-log slope of a positive series against step index.
-
-    Returns nan when fewer than two positive values fall in the fit window
-    (e.g. an identically-zero regret series).
-    """
-    series = np.asarray(series, dtype=np.float64)
-    n = series.size
-    if n < 2:
-        return float("nan")
-    if t_min is None:
-        t_min = max(8, n // 100)
-    t = np.arange(1, n + 1)
-    mask = (t >= t_min) & (series > 0)
-    if mask.sum() < 2:
-        return float("nan")
-    slope, _ = np.polyfit(np.log(t[mask]), np.log(series[mask]), 1)
-    return float(slope)
-
-
-def static_regret(online_losses: np.ndarray, best_fixed_losses: np.ndarray) -> RegretReport:
-    """Regret series: cumulative online loss minus the per-prefix oracle loss."""
-    online_losses = np.asarray(online_losses, dtype=np.float64)
-    best_fixed_losses = np.asarray(best_fixed_losses, dtype=np.float64)
-    if online_losses.shape != best_fixed_losses.shape:
-        raise ValueError("online and oracle loss series must have equal length")
-    cum = np.cumsum(online_losses)
-    regret = cum - best_fixed_losses
-    return RegretReport(
-        cumulative_online_loss=cum,
-        best_fixed_loss=best_fixed_losses,
-        regret=regret,
-        fitted_growth_exponent=fit_growth_exponent(regret),
-    )

@@ -1,6 +1,10 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 
 from graphrf import (
     Graph,
+    SamplingPlan,
     erdos_renyi,
     load_edge_list,
     load_labels,
@@ -308,28 +313,48 @@ class TestSampleNodes:
         with pytest.raises(ValueError):
             sample_nodes(erdos_renyi(5, 0.5, 0), 6, seed=0)
 
+    def test_overlapping_sets_refused(self):
+        with pytest.raises(ValueError, match="overlap"):
+            SamplingPlan(np.array([3, 1]), np.array([0, 1, 2]))
+
+    def test_repeated_sampled_index_refused(self):
+        with pytest.raises(ValueError, match="distinct"):
+            SamplingPlan(np.array([2, 4, 2]), np.array([0, 1]))
+
+    def test_sampling_does_not_import_numpy_ma(self):
+        # np.intersect1d would import numpy.ma, about 0.75 MB of resident
+        # memory for a check that set arithmetic does; run in a fresh process
+        probe = (
+            "import sys, graphrf\n"
+            "graphrf.sample_nodes(graphrf.erdos_renyi(30, 0.2, 0), 5, seed=1)\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
 
 class TestSynthSignal:
     def test_identity_kernel_range(self):
         g = erdos_renyi(50, 0.3, 0)
-        sig = synth_signal(g, np.eye(50), noise_var=0.0, seed=3)
-        assert np.all(sig.values >= 0.5)
-        assert np.all(sig.values <= 1.0)
+        x = synth_signal(g, np.eye(50), noise_var=0.0, seed=3)
+        assert np.all(x >= 0.5)
+        assert np.all(x <= 1.0)
 
     def test_noise_variance_monte_carlo(self):
         # zero kernel leaves x = e, so pooled entries over many draws must
         # recover the configured noise variance
         g = erdos_renyi(10, 0.3, 0)
         draws = np.concatenate(
-            [synth_signal(g, np.zeros((10, 10)), 0.01, seed=s).values for s in range(1000)]
+            [synth_signal(g, np.zeros((10, 10)), 0.01, seed=s) for s in range(1000)]
         )
         assert 0.008 <= draws.var() <= 0.012
 
     def test_deterministic_without_noise(self):
         g = erdos_renyi(12, 0.4, 0)
         k = np.eye(12)
-        a = synth_signal(g, k, 0.0, seed=11).values
-        b = synth_signal(g, k, 0.0, seed=11).values
+        a = synth_signal(g, k, 0.0, seed=11)
+        b = synth_signal(g, k, 0.0, seed=11)
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch(self):
@@ -342,14 +367,30 @@ class TestSynthSignal:
         with pytest.raises(ValueError):
             synth_signal(g, np.eye(5), -0.1, seed=0)
 
+    def test_returns_a_read_only_float64_array(self):
+        g = erdos_renyi(8, 0.4, 0)
+        x = synth_signal(g, np.eye(8, dtype=np.float32), 0.01, seed=1)
+        assert type(x) is np.ndarray
+        assert x.dtype == np.float64 and x.shape == (8,)
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_non_finite_kernel_refused(self):
+        g = erdos_renyi(6, 0.4, 0)
+        k = np.eye(6)
+        k[2, 3] = np.nan
+        with pytest.raises(ValueError, match="signal values must be finite"):
+            synth_signal(g, k, 0.0, seed=0)
+
 
 def test_selection_gather_scatter_roundtrip():
     # the sampling plan acts as a selection operator: gathering observed
     # values then scattering them back reproduces the sampled entries
     g = erdos_renyi(12, 0.4, 1)
-    sig = synth_signal(g, np.eye(12), 0.0, seed=5)
+    x = synth_signal(g, np.eye(12), 0.0, seed=5)
     plan = sample_nodes(g, 5, seed=6)
-    y = sig.values[plan.sampled]
+    y = x[plan.sampled]
     scattered = np.zeros(12)
     scattered[plan.sampled] = y
-    assert np.array_equal(scattered[plan.sampled], sig.values[plan.sampled])
+    assert np.array_equal(scattered[plan.sampled], x[plan.sampled])

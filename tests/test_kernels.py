@@ -399,6 +399,19 @@ def test_blocked_oracle_matches_per_prefix_solves(dim, block, n_steps, mu, seed)
     )
 
 
+@settings(max_examples=30, deadline=None)
+@given(steps=st.integers(1, 90), dim=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
+def test_in_place_cumsum_is_the_running_sum_loop_bit_for_bit(steps, dim, seed):
+    # the oracle accumulates each block's prefix grams with an in-place
+    # np.cumsum; the running-sum loop it replaced is the reference
+    a = np.random.default_rng(seed).normal(size=(steps, dim, dim))
+    reference = a.copy()
+    for k in range(1, steps):
+        reference[k] += reference[k - 1]
+    np.cumsum(a, axis=0, out=a)
+    assert np.array_equal(a, reference)
+
+
 def test_oracle_block_holds_one_prefix_at_large_dim():
     dim = 200
     assert harness._ORACLE_BLOCK_BYTES // (8 * dim * dim) == 0

@@ -19,12 +19,11 @@ from graphrf import (
     mkl_train,
     mkl_update,
     save_mkl_checkpoint,
-    static_regret,
 )
 from graphrf.features import RFMap, _map_bytes, build_map
+from graphrf.harness import _prefix_oracle_losses, fit_growth_exponent
 from graphrf.mkl import (
     absorb_new_node_mkl,
-    fit_growth_exponent,
     mkl_encode,
     mkl_from_maps,
     mkl_predict_batch,
@@ -145,8 +144,8 @@ class TestUpdate:
             thetas=[[0.0, 0.0], [0.0, 1.0]],  # predictions 0 and 1
             log_weights=[math.log(0.5), math.log(0.5)],
         )
-        model, record = mkl_update(model, np.zeros(3), label=1.0)
-        np.testing.assert_allclose(record.per_kernel_losses, [1.0, 0.0], atol=1e-15)
+        model, traces = mkl_update(model, np.zeros(3), label=1.0)
+        np.testing.assert_allclose(traces.per_kernel_loss[0], [1.0, 0.0], atol=1e-15)
         assert model.normalized_weights[0] == pytest.approx(0.37754066879814546, abs=1e-12)
 
     def test_equal_losses_leave_weights_unchanged(self):
@@ -177,6 +176,19 @@ class TestUpdate:
                 loss=model.loss,
             )
         assert all(b > a for a, b in zip(weights, weights[1:]))
+
+    def test_traces_hold_one_step_of_the_absorb_update(self):
+        rng = np.random.default_rng(12)
+        model = mkl_init([KernelSpec("gaussian", b) for b in (1.0, 5.0)], 4, 6, 0.5, 1e-3, "least_squares", 13)
+        model, _ = mkl_train(model, [(rng.random(6), float(rng.normal())) for _ in range(5)])
+        a, y = rng.random(6), float(rng.normal())
+        updated, traces = mkl_update(model, a, y)
+        prediction, absorbed = absorb_new_node_mkl(model, a, y)
+        assert traces.n_steps == 1
+        assert traces.per_kernel_loss.shape == traces.weights.shape == (1, 2)
+        assert traces.prediction[0] == prediction
+        assert np.array_equal(updated.thetas, absorbed.thetas)
+        assert np.array_equal(updated.log_weights, absorbed.log_weights)
 
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(7)
@@ -623,15 +635,13 @@ class TestStaticRegret:
     def test_zero_regret_reports_nan_exponent(self):
         losses = np.full(50, 0.25)
         oracle = np.cumsum(losses)
-        rep = static_regret(losses, oracle)
-        np.testing.assert_allclose(rep.regret, 0.0, atol=1e-12)
-        assert math.isnan(rep.fitted_growth_exponent)
+        regret = np.cumsum(losses) - oracle
+        np.testing.assert_allclose(regret, 0.0, atol=1e-12)
+        assert math.isnan(fit_growth_exponent(regret))
 
     def test_regret_non_negative_for_true_minimizer(self):
         # with one kernel the combined predictor lives in the comparator
         # class, so the per-prefix best fixed parameter can only do better
-        from graphrf.harness import _prefix_oracle_losses
-
         rng = np.random.default_rng(26)
         spec = KernelSpec("gaussian", 1.0)
         model = mkl_init([spec], 5, 6, 0.5, 0.0, "least_squares", 27)
@@ -640,12 +650,8 @@ class TestStaticRegret:
         model2, traces = mkl_train(model, list(zip(pats, ys)))
         zs = model.maps[0].encode_batch(pats)
         oracle = _prefix_oracle_losses(zs, ys, mu=0.0)
-        rep = static_regret(traces.combined_loss, oracle)
-        assert rep.regret[-1] >= -1e-9
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            static_regret(np.zeros(5), np.zeros(4))
+        regret = np.cumsum(traces.combined_loss) - oracle
+        assert regret[-1] >= -1e-9
 
     def test_growth_exponent_recovers_sqrt(self):
         t = np.arange(1, 3000)
