@@ -169,9 +169,7 @@ class TestConfig:
             ("edge_prob", "1.5"),
             ("edge_prob", "-0.1"),
             ("bench_sizes", "500,0"),
-            ("bench_sizes", "100,100"),
             ("sample_counts", "10,-2"),
-            ("sample_counts", "5,6,5"),
             ("noise_var", "-1"),
             ("noise_var", "nan"),
             ("regret_mu", "-1e-6"),
@@ -185,10 +183,12 @@ class TestConfig:
             ("band_grid", ""),
             ("base_seed", "-1"),
             ("methods", ""),
-            ("methods", "knn,knn"),
-            ("methods", "mkl,kl,mkl"),
             ("kernels", "gaussian:0"),
             ("kernels", []),
+            ("bench_sizes", "100,100"),
+            ("sample_counts", "5,6,5"),
+            ("methods", "knn,knn"),
+            ("methods", "mkl,kl,mkl"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, key, value):
