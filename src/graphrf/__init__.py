@@ -7,6 +7,7 @@ kernel-ridge and k-NN baselines plus a benchmark harness round out the
 package.
 """
 
+from ._kernels import LossKind, loss_grad, loss_value
 from .graph import (
     Graph,
     SamplingPlan,
@@ -33,7 +34,6 @@ from .features import (
     null_space_collision,
     save_map,
 )
-from .online import LossKind, loss_grad, loss_value
 from .mkl import (
     MklModel,
     MklTraces,

@@ -93,14 +93,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
-    def index_of(self, name: str) -> int:
-        if self.node_names is None:
-            raise KeyError("graph carries no node names")
-        try:
-            return self.node_names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown node name {name!r}") from None
-
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -272,8 +264,8 @@ def synth_signal(g: Graph, kernel_matrix: np.ndarray, noise_var: float = 0.01, s
     n = g.n_nodes
     if k.shape != (n, n):
         raise ValueError(f"kernel matrix must be {n}x{n}, got {k.shape}")
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
+    if not noise_var >= 0:  # nan is refused too
+        raise ValueError(f"noise_var must be >= 0, got {noise_var}")
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(0.5, 1.0, size=n)
     x = k @ alpha

@@ -26,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._kernels import LOSS_KINDS
 # knn_predict is not called here: it stays importable as harness.knn_predict,
 # a name the perfbench tracer wraps
 from .baselines import batch_kernel_ridge, batch_rf_ls, knn_predict, knn_predict_batch  # noqa: F401
@@ -50,7 +51,6 @@ from .mkl import (
     mkl_train_encoded,
     traces_to_tsv,
 )
-from .online import LOSS_KINDS
 
 METHODS = ("mkl", "kl", "gk_df", "gk_bl", "knn")
 SCENARIOS = ("diffusion", "connectivity", "connectivity_anchored", "identity")
@@ -117,7 +117,7 @@ class ExperimentConfig:
         if self.eta != "auto" and not (isinstance(self.eta, (int, float)) and 0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be 'auto' or a number in (0, 1], got {self.eta!r}")
         if self.loss not in LOSS_KINDS:
-            raise ValueError(f"unknown loss {self.loss!r}; valid: {tuple(LOSS_KINDS)}")
+            raise ValueError(f"unknown loss {self.loss!r}; valid: {LOSS_KINDS}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
         if not 0.0 <= self.cv_fraction < 1.0:

@@ -30,9 +30,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
+from ._kernels import LossKind, _check_label
 from .features import RFMap, _map_bytes, _map_from_bytes, build_map, encode_stacked
 from .kernels import KernelSpec
-from .online import LossKind, _check_label
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -141,27 +141,24 @@ def mkl_init(
     n: int,
     eta: float,
     mu: float,
-    loss: LossKind | str,
+    loss: str,
     seed: int,
 ) -> MklModel:
-    """Zero-initialized model with one independently seeded map per kernel."""
+    """Zero-initialized model with one independently seeded map per kernel,
+    descending the loss of kind ``loss`` with regularization weight ``mu``."""
     maps = tuple(build_map(k, d, n, derive_seed(seed, p)) for p, k in enumerate(kernels))
     return mkl_from_maps(maps, eta, mu, loss, seed)
 
 
 def mkl_from_maps(
-    maps: Sequence[RFMap], eta: float, mu: float, loss: LossKind | str, seed: int | None
+    maps: Sequence[RFMap], eta: float, mu: float, loss: str, seed: int | None
 ) -> MklModel:
     """Zero-initialized model over maps already drawn, e.g. by :func:`mkl_init`."""
     if not maps:
         raise ValueError("kernel dictionary is empty")
-    if isinstance(loss, str):
-        loss = LossKind(loss, mu)
-    elif loss.mu != mu:
-        loss = LossKind(loss.kind, mu)
     thetas = np.zeros((len(maps), 2 * maps[0].d))
     log_weights = np.full(len(maps), -np.log(len(maps)))
-    return MklModel(tuple(maps), thetas, log_weights, eta, loss, seed)
+    return MklModel(tuple(maps), thetas, log_weights, eta, LossKind(loss, mu), seed)
 
 
 def mkl_predict(model: MklModel, connectivity) -> float:
@@ -213,6 +210,8 @@ def mkl_train_encoded(
 ) -> tuple[MklModel, MklTraces]:
     """Sequential training pass over encodings from :func:`mkl_encode`."""
     labels = np.asarray(labels, dtype=np.float64)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be one 1-d array of T labels, got shape {labels.shape}")
     expected = (model.n_kernels, labels.size, model.thetas.shape[1])
     if zs.shape != expected:
         raise ValueError(f"encodings have shape {zs.shape}, expected {expected}")
@@ -222,7 +221,7 @@ def mkl_train_encoded(
     thetas = model.thetas.copy()
     logw = model.log_weights.copy()
     combined, per_kernel, weights_used, prediction, max_grad = _kernels.mkl_stream(
-        zs, labels, model.eta, loss.mu, loss.code, thetas, logw
+        zs, labels, model.eta, loss, thetas, logw
     )
     if not (np.isfinite(thetas).all() and np.isfinite(combined).all()):
         raise FloatingPointError("multi-kernel training diverged to non-finite values")

@@ -107,7 +107,6 @@ class TestLoadEdgeList:
     def test_names_first_seen_order(self):
         g = load_edge_list(["b a", "c a"])
         assert g.node_names == ("b", "a", "c")
-        assert g.index_of("c") == 2
 
     def test_comments_and_blank_lines(self):
         g = load_edge_list(["# header", "", "0 1  # trailing", "1 2"])
@@ -366,6 +365,13 @@ class TestSynthSignal:
         g = erdos_renyi(5, 0.5, 0)
         with pytest.raises(ValueError):
             synth_signal(g, np.eye(5), -0.1, seed=0)
+
+    def test_nan_noise_refused(self):
+        # nan < 0 and nan > 0 are both false: unchecked, a nan variance
+        # would give the noise-free signal
+        g = erdos_renyi(5, 0.5, 0)
+        with pytest.raises(ValueError, match="noise_var"):
+            synth_signal(g, np.eye(5), float("nan"), seed=1)
 
     def test_returns_a_read_only_float64_array(self):
         g = erdos_renyi(8, 0.4, 0)

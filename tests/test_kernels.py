@@ -194,19 +194,19 @@ class TestGraphKernelMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _scalar_cost(code, pred, y):
-    if code == 0:
+def _scalar_cost(kind, pred, y):
+    if kind == "least_squares":
         return (pred - y) ** 2
-    if code == 1:
+    if kind == "hinge":
         return max(1.0 - y * pred, 0.0)
     m = y * pred
     return math.log1p(math.exp(-m)) if m >= 0 else -m + math.log1p(math.exp(m))
 
 
-def _scalar_grad(code, pred, y):
-    if code == 0:
+def _scalar_grad(kind, pred, y):
+    if kind == "least_squares":
         return 2.0 * (pred - y)
-    if code == 1:
+    if kind == "hinge":
         return -y if y * pred < 1.0 else 0.0
     m = y * pred
     if m >= 0:
@@ -215,7 +215,7 @@ def _scalar_grad(code, pred, y):
     return -y / (1.0 + math.exp(m))
 
 
-def _reference_learners(zs, ys, eta, mu, code, thetas):
+def _reference_learners(zs, ys, eta, loss, thetas):
     """Each learner on its own, one sample at a time, with scalar costs."""
     n_learners, n_steps = zs.shape[:2]
     preds = np.empty((n_steps, n_learners))
@@ -228,14 +228,14 @@ def _reference_learners(zs, ys, eta, mu, code, thetas):
             z, y = zs[p, t], ys[t]
             pred = float(np.dot(theta, z))
             preds[t, p] = pred
-            losses[t, p] = _scalar_cost(code, pred, y) + mu * float(np.dot(theta, theta))
-            grad = _scalar_grad(code, pred, y) * z + 2.0 * mu * theta
+            losses[t, p] = _scalar_cost(loss.kind, pred, y) + loss.mu * float(np.dot(theta, theta))
+            grad = _scalar_grad(loss.kind, pred, y) * z + 2.0 * loss.mu * theta
             max_grad[p] = max(max_grad[p], float(np.linalg.norm(grad)))
             theta -= eta * grad
     return preds, losses, thetas, max_grad
 
 
-def _reference_hedge(losses, preds, norms, ys, eta, mu, code, logw):
+def _reference_hedge(losses, preds, norms, ys, eta, loss, logw):
     """Sequential log-domain hedge update, rescaled to a zero maximum each step."""
     logw = logw.copy()
     n_steps = losses.shape[0]
@@ -245,7 +245,7 @@ def _reference_hedge(losses, preds, norms, ys, eta, mu, code, logw):
         w = np.exp(logw - logw.max())
         w /= w.sum()
         weights[t] = w
-        combined[t] = _scalar_cost(code, float(w @ preds[t]), ys[t]) + mu * float(w @ norms[t])
+        combined[t] = _scalar_cost(loss.kind, float(w @ preds[t]), ys[t]) + loss.mu * float(w @ norms[t])
         logw -= eta * np.clip(losses[t], 0.0, 1.0)
         logw -= logw.max()
     return weights, combined, logw
@@ -254,14 +254,14 @@ def _reference_hedge(losses, preds, norms, ys, eta, mu, code, logw):
 @st.composite
 def streams(draw):
     """A small stream of unit-norm encodings with labels fit for the loss."""
-    code = draw(st.sampled_from([_kernels.LOSS_LS, _kernels.LOSS_HINGE, _kernels.LOSS_LOGISTIC]))
+    kind = draw(st.sampled_from(_kernels.LOSS_KINDS))
     n_learners = draw(st.integers(1, 4))
     n_steps = draw(st.integers(0, 60))
     width = 2 * draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zs = rng.normal(size=(n_learners, n_steps, width))
     zs /= np.linalg.norm(zs, axis=2, keepdims=True)
-    if code == _kernels.LOSS_LS:
+    if kind == "least_squares":
         ys = rng.normal(size=n_steps)
     else:
         ys = rng.choice([-1.0, 1.0], size=n_steps)
@@ -269,20 +269,20 @@ def streams(draw):
     logw = rng.normal(size=n_learners)
     eta = draw(st.floats(0.0, 0.5))
     mu = draw(st.sampled_from([0.0, 1e-6, 1e-2, 0.5]))
-    return zs, ys, eta, mu, code, thetas, logw
+    return zs, ys, eta, _kernels.LossKind(kind, mu), thetas, logw
 
 
 @settings(max_examples=60, deadline=None)
 @given(streams())
 def test_learner_block_matches_scalar_reference(stream):
-    zs, ys, eta, mu, code, thetas, logw = stream
-    ref_preds, ref_losses, ref_thetas, _ = _reference_learners(zs, ys, eta, mu, code, thetas)
+    zs, ys, eta, loss, thetas, logw = stream
+    ref_preds, ref_losses, ref_thetas, _ = _reference_learners(zs, ys, eta, loss, thetas)
     block_thetas = thetas.copy()
-    preds, _, _ = _kernels.learner_block(zs, ys, eta, mu, code, block_thetas)
+    preds, _, _ = _kernels.learner_block(zs, ys, eta, loss, block_thetas)
     np.testing.assert_allclose(preds, ref_preds, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(block_thetas, ref_thetas, rtol=1e-12, atol=1e-12)
     stream_thetas = thetas.copy()
-    _, losses, _, _, _ = _kernels.mkl_stream(zs, ys, eta, mu, code, stream_thetas, logw.copy())
+    _, losses, _, _, _ = _kernels.mkl_stream(zs, ys, eta, loss, stream_thetas, logw.copy())
     np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=1e-12)
     assert np.array_equal(stream_thetas, block_thetas)
 
@@ -290,14 +290,14 @@ def test_learner_block_matches_scalar_reference(stream):
 @settings(max_examples=60, deadline=None)
 @given(streams())
 def test_hedge_replay_matches_sequential_update(stream):
-    zs, ys, eta, mu, code, thetas, logw = stream
+    zs, ys, eta, loss, thetas, logw = stream
     final_logw = logw.copy()
     combined, losses, weights, prediction, _ = _kernels.mkl_stream(
-        zs, ys, eta, mu, code, thetas.copy(), final_logw
+        zs, ys, eta, loss, thetas.copy(), final_logw
     )
-    preds, norms, _ = _kernels.learner_block(zs, ys, eta, mu, code, thetas.copy())
+    preds, norms, _ = _kernels.learner_block(zs, ys, eta, loss, thetas.copy())
     ref_weights, ref_combined, ref_logw = _reference_hedge(
-        losses, preds, norms, ys, eta, mu, code, logw
+        losses, preds, norms, ys, eta, loss, logw
     )
     np.testing.assert_allclose(weights, ref_weights, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(combined, ref_combined, rtol=1e-12, atol=1e-12)
@@ -313,26 +313,26 @@ def test_hedge_replay_matches_sequential_update(stream):
 def test_combined_loss_is_at_most_the_weighted_kernel_losses(stream):
     # Jensen's inequality for the convex losses, on which the hedge regret
     # bound rests: at every step, to rounding
-    zs, ys, eta, mu, code, thetas, logw = stream
-    combined, losses, weights, _, _ = _kernels.mkl_stream(zs, ys, eta, mu, code, thetas.copy(), logw.copy())
+    zs, ys, eta, loss, thetas, logw = stream
+    combined, losses, weights, _, _ = _kernels.mkl_stream(zs, ys, eta, loss, thetas.copy(), logw.copy())
     mixed = (weights * losses).sum(axis=1)
     assert np.all(combined <= mixed + 1e-12 * (1 + np.abs(mixed)))
 
 
-def _concatenating_replay(record, ys, eta, mu, code, logw):
+def _concatenating_replay(record, ys, eta, loss, logw):
     """The vectorised hedge replay as it first stood: the same arithmetic as
     mkl_stream's, in separate arrays (the used rows concatenated, the final
     log-weights rescaled on their own)."""
     preds, norms, grad_sq = record
     y = ys[:, None]
-    per_kernel = _kernels.cost_value(code, preds, y) + mu * norms
+    per_kernel = _kernels.cost_value(loss.kind, preds, y) + loss.mu * norms
     clipped = np.minimum(np.maximum(per_kernel, 0.0), 1.0)
     after = logw - eta * clipped.cumsum(axis=0)
     used = np.concatenate((logw[None, :], after))[:-1]
     weights = np.exp(used - used.max(axis=1, keepdims=True))
     weights /= weights.sum(axis=1, keepdims=True)
     f_hat, norm_bar = (weights * record[:2]).sum(axis=2, keepdims=True)
-    combined = (_kernels.cost_value(code, f_hat, y) + mu * norm_bar)[:, 0]
+    combined = (_kernels.cost_value(loss.kind, f_hat, y) + loss.mu * norm_bar)[:, 0]
     final = after[-1] - after[-1].max() if len(after) else logw
     return combined, per_kernel, weights, f_hat[:, 0], np.sqrt(grad_sq.max(axis=0, initial=0.0)), final
 
@@ -340,11 +340,11 @@ def _concatenating_replay(record, ys, eta, mu, code, logw):
 @settings(max_examples=60, deadline=None)
 @given(streams())
 def test_hedge_replay_is_the_concatenating_replay_bit_for_bit(stream):
-    zs, ys, eta, mu, code, thetas, logw = stream
+    zs, ys, eta, loss, thetas, logw = stream
     final_logw = logw.copy()
-    got = _kernels.mkl_stream(zs, ys, eta, mu, code, thetas.copy(), final_logw)
-    record = _kernels.learner_block(zs, ys, eta, mu, code, thetas.copy())
-    *expected, expected_logw = _concatenating_replay(record, ys, eta, mu, code, logw)
+    got = _kernels.mkl_stream(zs, ys, eta, loss, thetas.copy(), final_logw)
+    record = _kernels.learner_block(zs, ys, eta, loss, thetas.copy())
+    *expected, expected_logw = _concatenating_replay(record, ys, eta, loss, logw)
     for a, b in zip(got, expected):
         assert a.shape == b.shape and np.array_equal(a, b)
     assert np.array_equal(final_logw, expected_logw)
@@ -353,9 +353,9 @@ def test_hedge_replay_is_the_concatenating_replay_bit_for_bit(stream):
 @settings(max_examples=60, deadline=None)
 @given(streams())
 def test_max_grad_matches_descent_replay(stream):
-    zs, ys, eta, mu, code, thetas, logw = stream
-    _, _, _, ref_max_grad = _reference_learners(zs, ys, eta, mu, code, thetas)
-    *_, max_grad = _kernels.mkl_stream(zs, ys, eta, mu, code, thetas.copy(), logw)
+    zs, ys, eta, loss, thetas, logw = stream
+    _, _, _, ref_max_grad = _reference_learners(zs, ys, eta, loss, thetas)
+    *_, max_grad = _kernels.mkl_stream(zs, ys, eta, loss, thetas.copy(), logw)
     np.testing.assert_allclose(max_grad, ref_max_grad, rtol=1e-12, atol=0.0)
 
 

@@ -27,6 +27,7 @@ from graphrf.mkl import (
     mkl_encode,
     mkl_from_maps,
     mkl_predict_batch,
+    mkl_train_encoded,
 )
 
 
@@ -90,6 +91,12 @@ class TestInit:
         maps = [build_map(KernelSpec("gaussian", 1.0), d, n, seed) for seed, (d, n) in enumerate(shapes)]
         with pytest.raises(ValueError, match=message):
             mkl_from_maps(maps, 0.5, 0.0, "least_squares", 0)
+
+    def test_loss_is_given_by_name(self):
+        maps = [build_map(KernelSpec("gaussian", 1.0), 4, 6, 0)]
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            mkl_from_maps(maps, 0.5, 0.0, LossKind("hinge", 0.7), 0)
+        assert mkl_from_maps(maps, 0.5, 1e-3, "hinge", 0).loss == LossKind("hinge", 1e-3)
 
     def test_simplex_holds_during_training(self):
         model = mkl_init([KernelSpec("gaussian", b) for b in (1.0, 2.0, 5.0)],
@@ -285,6 +292,30 @@ class TestTrain:
             assert fused == [(3, 4, 6)]
         assert per_map == []
 
+    def test_each_entry_point_makes_one_stream_pass(self, monkeypatch):
+        # mkl.py calls the kernel through the module, so a wrapper set on
+        # graphrf._kernels (as the benchmark's tracer sets one) sees every pass
+        import graphrf._kernels
+
+        calls = []
+        mkl_stream = graphrf._kernels.mkl_stream
+
+        def counting(zs, *args):
+            calls.append(zs.shape)
+            return mkl_stream(zs, *args)
+
+        monkeypatch.setattr(graphrf._kernels, "mkl_stream", counting)
+        model = mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 6, 0.5, 1e-3, "least_squares", 15)
+        rng = np.random.default_rng(16)
+        model, _ = mkl_train(model, [(rng.random(6), float(rng.normal())) for _ in range(5)])
+        assert calls == [(2, 5, 8)]
+        model, _ = mkl_update(model, rng.random(6), 0.3)
+        assert calls[1:] == [(2, 1, 8)]
+        _, model = absorb_new_node_mkl(model, rng.random(6))
+        assert len(calls) == 2
+        _, model = absorb_new_node_mkl(model, rng.random(6), -0.4)
+        assert calls[2:] == [(2, 1, 8)]
+
     def test_labelled_join_returns_read_only_arrays(self):
         model = mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 5, 0.5, 1e-3, "least_squares", 21)
         _, model = absorb_new_node_mkl(model, np.ones(5), 0.4)
@@ -347,6 +378,14 @@ class TestNonFiniteInput:
         samples = [(np.ones(5), 1.0), (np.ones(5), bad)]
         with pytest.raises(ValueError, match="finite"):
             mkl_train(self.model(), samples)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()])
+    def test_labels_that_are_not_1d_refused(self, shape):
+        model = self.model()
+        n_steps = int(np.prod(shape))
+        zs = mkl_encode(model, np.ones((n_steps, 5)))
+        with pytest.raises(ValueError, match=r"1-d.*" + re.escape(str(shape))):
+            mkl_train_encoded(model, zs, np.full(shape, 0.5))
 
     def test_pattern_rejected_by_batch_prediction(self):
         pats = np.ones((3, 5))

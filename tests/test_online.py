@@ -22,9 +22,9 @@ def small_map(d=4, n=6, seed=0):
     return build_map(KernelSpec("gaussian", 1.0), d, n, seed=seed)
 
 
-def one_kernel(rf_map, eta, loss=LossKind("least_squares")):
+def one_kernel(rf_map, eta, kind="least_squares", mu=0.0):
     """A zero P = 1 model: the one-kernel learner over ``rf_map``."""
-    return mkl_from_maps([rf_map], eta, loss.mu, loss, None)
+    return mkl_from_maps([rf_map], eta, mu, kind, None)
 
 
 def step(model, z, label):
@@ -111,7 +111,7 @@ class TestLossGrad:
     def test_one_training_step_descends_this_gradient(self, kind):
         rng = np.random.default_rng(31)
         loss = LossKind(kind, mu=0.05)
-        model = dataclasses.replace(one_kernel(small_map(d=5, n=7, seed=32), 0.3, loss),
+        model = dataclasses.replace(one_kernel(small_map(d=5, n=7, seed=32), 0.3, kind, loss.mu),
                                     thetas=rng.normal(size=(1, 10)))
         pattern = rng.random(7)
         label = float(rng.normal()) if kind == "least_squares" else -1.0
@@ -159,7 +159,7 @@ class TestTrainStream:
             mkl_train(model, [(np.ones(6), 1.0), (np.ones(6), np.nan)])
 
     def test_matches_stepwise_updates(self):
-        model = one_kernel(small_map(d=5, n=7, seed=3), eta=0.3, loss=LossKind("least_squares", 1e-3))
+        model = one_kernel(small_map(d=5, n=7, seed=3), eta=0.3, mu=1e-3)
         rng = np.random.default_rng(4)
         pats = rng.random((20, 7))
         ys = rng.normal(size=20)
@@ -194,12 +194,12 @@ class TestTrainStream:
         assert traces.per_kernel_loss[0, 0] == pytest.approx(1.0)
 
     def test_hinge_stream_accepts_binary_labels_only(self):
-        model = one_kernel(small_map(), eta=0.1, loss=LossKind("hinge"))
+        model = one_kernel(small_map(), eta=0.1, kind="hinge")
         with pytest.raises(ValueError, match="labels"):
             mkl_train(model, [(np.zeros(6), 0.3)])
 
     def test_norm_stays_bounded_with_regularization(self):
-        model = one_kernel(small_map(d=8, n=10, seed=10), eta=0.5, loss=LossKind("least_squares", mu=1e-2))
+        model = one_kernel(small_map(d=8, n=10, seed=10), eta=0.5, mu=1e-2)
         rng = np.random.default_rng(11)
         pats = rng.random((100_000, 10))
         ys = rng.normal(size=100_000)
