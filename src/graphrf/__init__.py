@@ -47,7 +47,6 @@ from .mkl import (
     mkl_train_encoded,
     mkl_update,
     save_mkl_checkpoint,
-    traces_to_tsv,
 )
 from .baselines import (
     KnnInapplicableError,
@@ -65,6 +64,7 @@ from .harness import (
     run_dataset,
     run_regret,
     run_synthetic,
+    traces_to_tsv,
 )
 
 __version__ = "0.1.0"

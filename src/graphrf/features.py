@@ -6,8 +6,12 @@ maps a length-N pattern a to the 2D-dimensional unit vector
     z(a) = D^{-1/2} [sin(v_1.a), ..., sin(v_D.a), cos(v_1.a), ..., cos(v_D.a)]
 
 Inner products of encodings are unbiased estimates of the kernel.  The
-encoding is the only representation of a node that learners consume: the map
-is many-to-one whenever D < N, so the raw pattern cannot be recovered from z.
+encoding is the only representation of a node that learners consume.  Whenever
+D < N the map is many-to-one, so the raw pattern cannot be recovered from z.
+Whenever D >= N, whoever holds V can: ``arctan2`` of the sin and cos halves
+gives V.a (when every |v_i.a| < pi), and one least-squares solve against V
+returns a.  The defaults (d = 100 against 10 anchors) and the README quick
+start (D = 100, N = 25) sit in that regime, and every checkpoint embeds V.
 
 Maps are immutable once built and encoding is pure, so batches of nodes can
 be encoded concurrently against a shared map.  :func:`encode_stacked` is the

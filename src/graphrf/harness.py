@@ -20,15 +20,15 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from ._kernels import LOSS_KINDS
-# knn_predict is not called here: it stays importable as harness.knn_predict,
-# a name the perfbench tracer wraps
+# knn_predict and mkl_train are not called here: they stay importable as
+# harness.knn_predict and harness.mkl_train, names the perfbench tracer wraps
 from .baselines import batch_kernel_ridge, batch_rf_ls, knn_predict, knn_predict_batch  # noqa: F401
 from .graph import (
     Graph,
@@ -41,15 +41,14 @@ from .graph import (
 )
 from .kernels import GraphKernelSpec, KernelSpec, eval_kernel_matrix, graph_kernel_matrix
 from .mkl import (
-    _steps_to_tsv,
+    MklTraces,
     mkl_encode,
     mkl_from_maps,
     mkl_init,
     mkl_predict_batch,
     mkl_predict_encoded,
-    mkl_train,
+    mkl_train,  # noqa: F401
     mkl_train_encoded,
-    traces_to_tsv,
 )
 
 METHODS = ("mkl", "kl", "gk_df", "gk_bl", "knn")
@@ -156,15 +155,6 @@ class ExperimentConfig:
             return 1.0 / math.sqrt(horizon) if horizon else 0.5
         return float(self.eta)
 
-    def echo(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            out[f.name] = value
-        return out
-
 
 def _parse_bool(value) -> bool:
     if not isinstance(value, str):
@@ -232,8 +222,10 @@ def config_from_dict(entries: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse a flat ``key = value`` config file ('#' starts a comment)."""
+    """Parse a flat ``key = value`` config file ('#' starts a comment); no key
+    may be set twice."""
     entries = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -241,7 +233,11 @@ def load_config(path) -> ExperimentConfig:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"line {lineno}: expected 'key = value'")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ValueError(f"line {lineno}: config key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
+        entries[key] = value.strip()
     return config_from_dict(entries)
 
 
@@ -293,7 +289,7 @@ class MethodRow:
 @dataclass
 class Report:
     rows: list[MethodRow]
-    config_echo: dict
+    config: ExperimentConfig
     seeds: list[int]
     extras: dict = field(default_factory=dict)
 
@@ -308,7 +304,7 @@ class Report:
 
     def to_json(self) -> str:
         payload = {
-            "config": self.config_echo,
+            "config": asdict(self.config),
             "seeds": self.seeds,
             "rows": [{key: getattr(r, attr) for _, key, attr, _ in _COLUMNS} for r in self.sorted_rows()],
             "extras": self.extras,
@@ -351,14 +347,34 @@ def write_report(report: Report, out_dir) -> None:
     (out / "summary.json").write_text(report.to_json(), encoding="utf-8")
 
 
+def traces_to_tsv(traces: MklTraces, path) -> None:
+    """One row per step: t, combined loss, P per-kernel losses, P weights."""
+    n_kernels = traces.per_kernel_loss.shape[1] if traces.n_steps else 0
+    _steps_to_tsv(
+        path,
+        ["combined_loss"] + [f"loss_{p}" for p in range(n_kernels)] + [f"weight_{p}" for p in range(n_kernels)],
+        [traces.combined_loss, *traces.per_kernel_loss.T[:n_kernels], *traces.weights.T[:n_kernels]],
+    )
+
+
+def _steps_to_tsv(path, names, columns) -> None:
+    """One row per step: t, then each column's value at that step, written
+    with ``repr`` so it reads back bit-exactly."""
+    lines = ["\t".join(["t", *names])]
+    for t, values in enumerate(zip(*columns), start=1):
+        lines.append("\t".join([str(t), *(repr(float(v)) for v in values)]))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # Shared per-trial machinery.
 # ---------------------------------------------------------------------------
 
 
 def _trial_seeds(base_seed: int, trial: int) -> dict:
-    state = np.random.SeedSequence([int(base_seed), int(trial)]).generate_state(6)
-    names = ("graph", "signal", "plan", "map", "stream", "aux")
+    state = np.random.SeedSequence([int(base_seed), int(trial)]).generate_state(5)
+    names = ("graph", "signal", "plan", "map", "stream")
     return {name: int(s) for name, s in zip(names, state)}
 
 
@@ -459,7 +475,7 @@ class _Fitted:
     score: Callable  # eval inputs -> (predictions, count of nodes it could not score)
     inputs: np.ndarray  # the unsampled nodes as ``score`` takes them
     notes: str = ""
-    traces: object = None  # MklTraces of the final MKL fit
+    traces: MklTraces | None = None  # of the final MKL fit
 
 
 def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) -> _Fitted:
@@ -468,28 +484,27 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
     the method's one trial-level input, as :func:`_select` splits."""
     if method == "mkl":
         # mu enters only the loss, so the maps are drawn and the training
-        # patterns encoded once; each CV fit reads its rows of the encoding
+        # patterns encoded once; every fit, CV or final, reads its rows of
+        # the encoding.  The timed refit encodes again, as kl's refit
+        # evaluates its gram again.
         base = mkl_init(
             config.kernel_specs(), config.d, train_x.shape[1], config.eta_value(len(y)),
             config.mu_grid[0], config.loss, seeds["map"],
         )
         zs = mkl_encode(base, train_x)
 
-        def fresh(mu, n):
-            return mkl_from_maps(base.maps, config.eta_value(n), mu, config.loss, seeds["map"])
+        def fit(mu, n, zs=zs):
+            model = mkl_from_maps(base.maps, config.eta_value(n), mu, config.loss, seeds["map"])
+            return mkl_train_encoded(model, zs[:, :n], y[:n])
 
         def cv_predict(mu, n):
-            model, _ = mkl_train_encoded(fresh(mu, n), zs[:, :n], y[:n])
-            return mkl_predict_encoded(model, zs[:, n:])
+            return mkl_predict_encoded(fit(mu, n)[0], zs[:, n:])
 
         mu = _select(config.mu_grid, y, config.cv_fraction, cv_predict)
-
-        def refit():
-            return mkl_train(fresh(mu, len(y)), list(zip(train_x, y)))
-
-        model, traces = refit()
+        model, traces = fit(mu, len(y))
         return _Fitted(
-            mu=mu, refit=refit, score=lambda xs: (mkl_predict_batch(model, xs), 0), inputs=eval_x, traces=traces
+            mu=mu, refit=lambda: fit(mu, len(y), mkl_encode(base, train_x)),
+            score=lambda xs: (mkl_predict_batch(model, xs), 0), inputs=eval_x, traces=traces,
         )
     if method == "kl":
         # exact connectivity-kernel ridge, no RF approximation.  Its kernel is
@@ -577,8 +592,8 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
 
 
 def _new_accumulator():
-    keys = ("nmse", "nmse_conv", "mu", "train", "newnode", "failures", "notes", "traces")
-    return {key: [] for key in keys}
+    keys = ("nmse", "nmse_conv", "mu", "train", "newnode", "failures", "notes")
+    return {key: [] for key in keys} | {"traces": None}  # the first trial's MklTraces
 
 
 def _run_trial_methods(config, g, x, plan, seeds, rows_acc: dict) -> None:
@@ -593,8 +608,8 @@ def _run_trial_methods(config, g, x, plan, seeds, rows_acc: dict) -> None:
         fitted = _fit_method(method, config, g, plan, seeds, y, train_x, eval_x)
         acc = rows_acc.setdefault(method, _new_accumulator())
         acc["mu"].append(fitted.mu)
-        if fitted.traces is not None:
-            acc["traces"].append(fitted.traces)
+        if acc["traces"] is None:
+            acc["traces"] = fitted.traces
         if plan.unsampled.size:
             preds, failures = fitted.score(fitted.inputs)
             scored = (nmse(preds, truth_eval), conventional_nmse(preds, truth_eval), failures, fitted.notes)
@@ -675,16 +690,12 @@ def run_synthetic(config: ExperimentConfig, out_dir=None) -> Report:
         seeds = _trial_seeds(config.base_seed, trial)
         seeds_used.append(seeds["graph"])
         m = _synthetic_trial(config, config.n_nodes, seeds, rows_acc)
-    report = Report(
-        rows=_aggregate(rows_acc, config.n_nodes, m, config.trials),
-        config_echo=config.echo(),
-        seeds=seeds_used,
-    )
+    report = Report(rows=_aggregate(rows_acc, config.n_nodes, m, config.trials), config=config, seeds=seeds_used)
     if out_dir is not None:
         write_report(report, out_dir)
         for method, acc in rows_acc.items():
-            if config.emit_traces and acc["traces"]:
-                traces_to_tsv(acc["traces"][0], Path(out_dir) / "traces" / f"{method}_trial0.tsv")
+            if config.emit_traces and acc["traces"] is not None:
+                traces_to_tsv(acc["traces"], Path(out_dir) / "traces" / f"{method}_trial0.tsv")
     return report
 
 
@@ -739,7 +750,7 @@ def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
                 plan = SamplingPlan(labeled_idx[order[:count]], np.sort(labeled_idx[order[count:]]))
                 _run_trial_methods(config, g, x, plan, seeds, rows_acc)
         all_rows.extend(_aggregate(rows_acc, g.n_nodes, count, config.trials * n_cols))
-    report = Report(rows=all_rows, config_echo=config.echo(), seeds=seeds_used)
+    report = Report(rows=all_rows, config=config, seeds=seeds_used)
     if out_dir is not None:
         write_report(report, out_dir)
     return report
@@ -832,7 +843,9 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
     extras = {
         "eta": eta,
         "T": horizon,
-        "fitted_exponents": exponents,
+        # an exponent fitted from fewer than two positive values is nan,
+        # which JSON cannot hold
+        "fitted_exponents": [None if math.isnan(e) else e for e in exponents],
         "mean_fitted_exponent": (
             float(np.mean(finite_exponents)) if finite_exponents else None
         ),
@@ -840,7 +853,7 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
         "regret_bound_holds": all(b["holds"] for b in bound_checks),
         "bound_checks": bound_checks,
     }
-    report = Report(rows=[], config_echo=config.echo(), seeds=seeds_used, extras=extras)
+    report = Report(rows=[], config=config, seeds=seeds_used, extras=extras)
     if out_dir is not None:
         write_report(report, out_dir)
         _steps_to_tsv(
@@ -924,7 +937,7 @@ def bench_newnode(config: ExperimentConfig, out_dir=None) -> Report:
         times = [by_size[str(s)] for s in config.bench_sizes if by_size.get(str(s))]
         if len(times) == len(config.bench_sizes) and times[0]:
             extras["per_method"][method]["ratio_max_over_min"] = times[-1] / times[0]
-    report = Report(rows=rows, config_echo=config.echo(), seeds=seeds_used, extras=extras)
+    report = Report(rows=rows, config=config, seeds=seeds_used, extras=extras)
     if out_dir is not None:
         write_report(report, out_dir)
     return report

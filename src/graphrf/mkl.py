@@ -176,20 +176,17 @@ def _one_node(connectivity) -> np.ndarray:
 
 
 def mkl_predict_batch(model: MklModel, patterns) -> np.ndarray:
-    # one map's encoding at a time, each dropped once it has predicted
-    preds = (m.encode_batch(patterns) @ theta for theta, m in zip(model.thetas, model.maps))
-    return _combine(model, preds)
+    # one map's encoding at a time: the (P, T, 2D) block of mkl_encode peaks higher
+    return mkl_predict_encoded(model, (m.encode_batch(patterns) for m in model.maps))
 
 
-def mkl_predict_encoded(model: MklModel, zs: np.ndarray) -> np.ndarray:
-    """Combined predictions from (P, T, 2D) encodings, e.g. of :func:`mkl_encode`."""
-    return _combine(model, (z @ theta for theta, z in zip(model.thetas, zs)))
-
-
-def _combine(model: MklModel, preds) -> np.ndarray:
-    """Hedge-weighted sum of the per-kernel predictions, in kernel order."""
+def mkl_predict_encoded(model: MklModel, zs) -> np.ndarray:
+    """Hedge-weighted sum of the per-kernel predictions, in kernel order, from
+    P encodings of T rows: the (P, T, 2D) block of :func:`mkl_encode`, or any
+    iterable of one (T, 2D) encoding per map."""
     out = None
-    for w, pred in zip(model.normalized_weights, preds):
+    # map, unlike zip, keeps no reference to an encoding while the next is drawn
+    for w, pred in zip(model.normalized_weights, map(np.matmul, zs, model.thetas)):
         contrib = w * pred
         out = contrib if out is None else out + contrib
     return out
@@ -263,7 +260,11 @@ def absorb_new_node_mkl(
     """Combined prediction for a newly-joining node, plus an optional update.
 
     The node is encoded once, in one call for all P maps; scoring and the
-    update share that encoding.
+    update share that encoding.  The score-only sum mirrors the arithmetic of
+    ``learner_block`` and ``mkl_stream`` (elementwise products summed per
+    kernel, then the weighted sum), so a node scores bit-identically with or
+    without its label; :func:`mkl_predict_encoded`'s matrix products round
+    differently, which is why scoring does not go through it.
     """
     zs = mkl_encode(model, _one_node(connectivity))
     if label is None:
@@ -271,26 +272,6 @@ def absorb_new_node_mkl(
         return float((model.normalized_weights * preds).sum()), model
     new_model, traces = mkl_train_encoded(model, zs, [label])
     return float(traces.prediction[0]), new_model
-
-
-def traces_to_tsv(traces: MklTraces, path) -> None:
-    """One row per step: t, combined loss, P per-kernel losses, P weights."""
-    n_kernels = traces.per_kernel_loss.shape[1] if traces.n_steps else 0
-    _steps_to_tsv(
-        path,
-        ["combined_loss"] + [f"loss_{p}" for p in range(n_kernels)] + [f"weight_{p}" for p in range(n_kernels)],
-        [traces.combined_loss, *traces.per_kernel_loss.T[:n_kernels], *traces.weights.T[:n_kernels]],
-    )
-
-
-def _steps_to_tsv(path, names, columns) -> None:
-    """One row per step: t, then each column's value at that step, written
-    with ``repr`` so it reads back bit-exactly."""
-    lines = ["\t".join(["t", *names])]
-    for t, values in enumerate(zip(*columns), start=1):
-        lines.append("\t".join([str(t), *(repr(float(v)) for v in values)]))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _b64(values: np.ndarray) -> str:

@@ -99,6 +99,15 @@ class TestRunCommands:
         assert payload["extras"]["T"] == 80
         assert payload["extras"]["eta"] == pytest.approx(1 / math.sqrt(80))
 
+    def test_short_regret_run_writes_unfitted_exponent_as_null(self, tmp_path, capsys):
+        # at T <= 8 the fit window holds fewer than two positive regrets
+        config = write_config(tmp_path, "n_nodes = 20\ntrials = 1\nregret_T = 5\nd = 5\n")
+        assert main(["regret", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["extras"]["fitted_exponents"] == [None]
+        assert summary["extras"]["mean_fitted_exponent"] is None
+        assert (tmp_path / "out" / "traces" / "regret_trial0.tsv").exists()
+
     @pytest.mark.parametrize(
         "command, extra, trace",
         [("regret", "regret_T = 30\n", "regret_trial0.tsv"), ("synthetic", "emit_traces = true\n", "mkl_trial0.tsv")],

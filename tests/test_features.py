@@ -139,6 +139,29 @@ class TestNullSpaceCollision:
             null_space_collision(m, np.zeros(4))
 
 
+class TestInversionBoundary:
+    """Whoever holds the map inverts an encoding whenever D >= N: arctan2 of
+    the sin and cos halves gives V a, and one least-squares solve gives a."""
+
+    @staticmethod
+    def recovery_errors(d):
+        rng = np.random.default_rng(20)
+        pats = (rng.random((200, 50)) < 0.2).astype(float)
+        pats[np.arange(200), rng.integers(0, 50, size=200)] = 1.0  # at least one 1 each
+        pats /= np.linalg.norm(pats, axis=1, keepdims=True)
+        m = build_map(KernelSpec("gaussian", 5.0), d, 50, seed=21)
+        z = m.encode_batch(pats)
+        angles = np.arctan2(z[:, :d], z[:, d:])
+        recovered = np.linalg.lstsq(m.v_matrix, angles.T, rcond=None)[0].T
+        return np.linalg.norm(recovered - pats, axis=1)
+
+    def test_recovered_when_d_at_least_n(self):
+        assert self.recovery_errors(100).max() <= 1e-12
+
+    def test_not_recovered_when_d_below_n(self):
+        assert np.median(self.recovery_errors(20)) > 0.5
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         m = build_map(KernelSpec("laplacian", 2.5), 9, 14, seed=99)

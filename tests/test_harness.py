@@ -123,6 +123,12 @@ class TestConfig:
         assert config.eta == "auto"
         assert config.measure_runtime is True
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_text("n_nodes = 64\n# comment\nd = 8\nn_nodes = 32\n")
+        with pytest.raises(ValueError, match=r"line 4: config key 'n_nodes' already set on line 1"):
+            load_config(path)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_dict({"n_node": "12"})
@@ -345,13 +351,17 @@ class TestRunSynthetic:
     def test_traces_emitted(self, tmp_path):
         config = ExperimentConfig(
             n_nodes=30, trials=1, sample_fraction=0.3, d=8,
-            methods=("mkl",), scenario="identity", emit_traces=True,
+            methods=("mkl", "knn"), scenario="identity", emit_traces=True,
         )
-        run_synthetic(config, out_dir=tmp_path)
-        trace_file = tmp_path / "traces" / "mkl_trial0.tsv"
+        run_synthetic(config, out_dir=tmp_path / "one")
+        trace_file = tmp_path / "one" / "traces" / "mkl_trial0.tsv"
         assert trace_file.exists()
         header = trace_file.read_text().splitlines()[0].split("\t")
         assert header[:2] == ["t", "combined_loss"]
+        # more trials write the same first trial's traces, and only mkl has any
+        run_synthetic(replace(config, trials=3), out_dir=tmp_path / "three")
+        assert [p.name for p in (tmp_path / "three" / "traces").iterdir()] == ["mkl_trial0.tsv"]
+        assert (tmp_path / "three" / "traces" / "mkl_trial0.tsv").read_bytes() == trace_file.read_bytes()
 
 
 def small_trial(**overrides):

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +293,21 @@ class TestTrain:
             assert fused == [(3, 4, 6)]
         assert per_map == []
 
+    def test_batch_scoring_holds_one_map_encoding_at_a_time(self):
+        # the fused (P, T, 2D) block, or one map's encoding kept alive while
+        # the next is drawn, would take the peak past two encodings
+        specs = [KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0), KernelSpec("laplacian", 1.0)]
+        model = mkl_init(specs, 100, 50, 0.5, 1e-3, "least_squares", 14)
+        patterns = np.random.default_rng(15).random((2000, 50))
+        one_encoding = patterns.shape[0] * 2 * model.maps[0].d * 8
+        tracemalloc.start()
+        try:
+            mkl_predict_batch(model, patterns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * one_encoding
+
     def test_each_entry_point_makes_one_stream_pass(self, monkeypatch):
         # mkl.py calls the kernel through the module, so a wrapper set on
         # graphrf._kernels (as the benchmark's tracer sets one) sees every pass
@@ -338,16 +354,20 @@ class TestTrain:
                 absorb_new_node_mkl(model, np.ones(shape), label)
 
     def test_absorb_scores_the_same_with_or_without_label(self):
-        specs = [KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0)]
+        # the score-only sum mirrors the stream kernel's arithmetic, so a
+        # labelled join's pre-update prediction is the score-only one exactly
         rng = np.random.default_rng(16)
-        model = mkl_init(specs, 5, 6, 0.5, 1e-3, "least_squares", 17)
-        model, _ = mkl_train(model, [(rng.random(6), float(rng.normal())) for _ in range(30)])
-        pattern = rng.random(6)
-        scored, same = absorb_new_node_mkl(model, pattern)
-        absorbed, _ = absorb_new_node_mkl(model, pattern, 0.3)
-        assert same is model
-        assert scored == pytest.approx(absorbed, rel=1e-14, abs=1e-15)
-        assert scored == pytest.approx(mkl_predict(model, pattern), rel=1e-12)
+        families = ("gaussian", "laplacian", "cauchy")
+        for n_kernels, (d, n) in zip((1, 2, 3, 8, 12), ((5, 6), (20, 7), (12, 30), (8, 16), (16, 9))):
+            specs = [KernelSpec(families[p % 3], 0.5 + p) for p in range(n_kernels)]
+            model = mkl_init(specs, d, n, 0.5, 1e-3, "least_squares", 17)
+            model, _ = mkl_train(model, [(rng.random(n), float(rng.normal())) for _ in range(30)])
+            for pattern in rng.random((20, n)):
+                scored, same = absorb_new_node_mkl(model, pattern)
+                absorbed, _ = absorb_new_node_mkl(model, pattern, 0.3)
+                assert same is model
+                assert scored == absorbed, (n_kernels, d, n)
+                assert scored == pytest.approx(mkl_predict(model, pattern), rel=1e-12)
 
     def test_absorbing_a_stream_matches_one_training_pass(self):
         # per-node absorbs encode one row at a time (gemv) and update the
