@@ -64,7 +64,7 @@ from .harness import (
     run_dataset,
     run_regret,
     run_synthetic,
-    traces_to_tsv,
+    write_report,
 )
 
 __version__ = "0.1.0"

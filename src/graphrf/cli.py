@@ -25,6 +25,7 @@ from .harness import (
     run_dataset,
     run_regret,
     run_synthetic,
+    write_report,
 )
 from .kernels import KernelSpec
 
@@ -99,7 +100,9 @@ def main(argv=None) -> int:
         if args.command == "encode":
             return _cmd_encode(args)
         runner, _ = _RUNNERS[args.command]
-        report = runner(_resolve_config(args), out_dir=args.out)
+        report = runner(_resolve_config(args))
+        if args.out is not None:
+            write_report(report, args.out)
         body = report.to_tsv() if args.format == "tsv" else report.to_json()
         sys.stdout.write(body)
         return 0

@@ -124,17 +124,14 @@ class ExperimentConfig:
         for key in ("kernels", "methods", "mu_grid", "gk_sigma2_grid", "band_grid"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must be non-empty")
-        # written as `not v >= 0` so that nan is rejected too
-        for key in ("noise_var", "regret_mu"):
-            if not getattr(self, key) >= 0.0:
-                raise ValueError(f"{key} must be >= 0")
-        for key in ("truth_sigma2", "kl_sigma2"):
-            if not getattr(self, key) > 0.0:
-                raise ValueError(f"{key} must be > 0")
-        if not all(v >= 0.0 for v in self.mu_grid):
-            raise ValueError("mu_grid entries must be >= 0")
-        if not all(v > 0.0 for v in self.gk_sigma2_grid):
-            raise ValueError("gk_sigma2_grid entries must be > 0")
+        # math.isfinite first, so that nan and inf are refused too
+        for key, bound in (("noise_var", ">= 0"), ("regret_mu", ">= 0"), ("mu_grid", ">= 0"),
+                           ("truth_sigma2", "> 0"), ("kl_sigma2", "> 0"), ("gk_sigma2_grid", "> 0")):
+            value = getattr(self, key)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) and (v >= 0.0 if bound == ">= 0" else v > 0.0) for v in values):
+                entries = " entries" if isinstance(value, tuple) else ""
+                raise ValueError(f"{key}{entries} must be finite and {bound}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.pattern_mode not in PATTERN_MODES:
@@ -204,7 +201,7 @@ _PARSERS = {
     "tuple[str, ...]": _tuple_of(str),
     "tuple[float, ...]": _tuple_of(float),
     "tuple[int, ...]": _tuple_of(int),
-    "tuple[int, ...] | None": _tuple_of(int),
+    "tuple[int, ...] | None": lambda value: None if value is None else _tuple_of(int)(value),
 }
 
 
@@ -292,6 +289,9 @@ class Report:
     config: ExperimentConfig
     seeds: list[int]
     extras: dict = field(default_factory=dict)
+    # per-step tables: name -> (column names, columns); written by
+    # write_report as traces/<name>.tsv, never into summary.json
+    traces: dict = field(default_factory=dict)
 
     def sorted_rows(self):
         return sorted(self.rows, key=lambda r: (r.method, r.n_nodes, r.n_sampled))
@@ -341,30 +341,34 @@ def _cell(value, missing: str | None) -> str:
 
 
 def write_report(report: Report, out_dir) -> None:
+    """Write ``report.tsv``, ``summary.json`` and one ``traces/<name>.tsv``
+    per entry of ``report.traces``; the runners themselves write nothing."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.tsv").write_text(report.to_tsv(), encoding="utf-8")
     (out / "summary.json").write_text(report.to_json(), encoding="utf-8")
+    if report.traces:
+        (out / "traces").mkdir(exist_ok=True)
+    for name, (names, columns) in report.traces.items():
+        (out / "traces" / f"{name}.tsv").write_text(_steps_to_tsv(names, columns), encoding="utf-8")
 
 
-def traces_to_tsv(traces: MklTraces, path) -> None:
-    """One row per step: t, combined loss, P per-kernel losses, P weights."""
+def _mkl_trace_table(traces: MklTraces) -> tuple[list[str], list]:
+    """Columns per step: combined loss, P per-kernel losses, P weights."""
     n_kernels = traces.per_kernel_loss.shape[1] if traces.n_steps else 0
-    _steps_to_tsv(
-        path,
+    return (
         ["combined_loss"] + [f"loss_{p}" for p in range(n_kernels)] + [f"weight_{p}" for p in range(n_kernels)],
         [traces.combined_loss, *traces.per_kernel_loss.T[:n_kernels], *traces.weights.T[:n_kernels]],
     )
 
 
-def _steps_to_tsv(path, names, columns) -> None:
+def _steps_to_tsv(names, columns) -> str:
     """One row per step: t, then each column's value at that step, written
     with ``repr`` so it reads back bit-exactly."""
     lines = ["\t".join(["t", *names])]
     for t, values in enumerate(zip(*columns), start=1):
         lines.append("\t".join([str(t), *(repr(float(v)) for v in values)]))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -591,68 +595,69 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
     return _Fitted(mu=None, refit=None, score=score, inputs=plan.unsampled)
 
 
-def _new_accumulator():
-    keys = ("nmse", "nmse_conv", "mu", "train", "newnode", "failures", "notes")
-    return {key: [] for key in keys} | {"traces": None}  # the first trial's MklTraces
-
-
-def _run_trial_methods(config, g, x, plan, seeds, rows_acc: dict) -> None:
-    """Train every enabled method on the sampled nodes, score the rest, and
-    append the trial's results to each method's accumulator in ``rows_acc``."""
-    y = x[plan.sampled]
-    train_x = _patterns(g.adjacency, plan.sampled, plan.sampled, config.pattern_mode, config.normalize_patterns)
-    eval_x = _patterns(g.adjacency, plan.sampled, plan.unsampled, config.pattern_mode, config.normalize_patterns)
-    truth_eval = x[plan.unsampled]
-
-    for method in config.methods:
-        fitted = _fit_method(method, config, g, plan, seeds, y, train_x, eval_x)
-        acc = rows_acc.setdefault(method, _new_accumulator())
-        acc["mu"].append(fitted.mu)
-        if acc["traces"] is None:
-            acc["traces"] = fitted.traces
-        if plan.unsampled.size:
-            preds, failures = fitted.score(fitted.inputs)
-            scored = (nmse(preds, truth_eval), conventional_nmse(preds, truth_eval), failures, fitted.notes)
-        else:
-            scored = (None, None, 0, (fitted.notes + " nmse undefined: empty eval set").strip())
-        for key, value in zip(("nmse", "nmse_conv", "failures", "notes"), scored):
-            acc[key].append(value)
-        if config.measure_runtime:
-            subset = fitted.inputs[: config.timing_nodes]
-            if fitted.refit is not None:
-                acc["train"].append(_median_time(fitted.refit, config.timing_reps))
-            elif len(subset):
-                acc["train"].append(0.0)
-            if len(subset):
-                score_time = _median_time(lambda: fitted.score(subset), config.timing_reps)
-                acc["newnode"].append(score_time / len(subset))
-
-
-def _aggregate(rows_acc: dict, n_nodes: int, n_sampled: int, trials: int):
+def _run_trials(config: ExperimentConfig, trials) -> tuple[list[MethodRow], dict]:
+    """The trial protocol.  For each drawn trial ``(g, plan, x, seeds)``,
+    train every enabled method on the sampled nodes and score the rest as
+    newly-joining nodes.  ``trials`` may be a generator: one trial is held
+    at a time.  Returns one row per method, aggregated over the trials, and
+    each method's first MklTraces (only mkl has any)."""
+    keys = ("nmse", "nmse_conv", "failures", "notes", "mu", "train", "newnode")
+    acc = {method: {key: [] for key in keys} for method in config.methods}
+    first_traces = {}
+    n_trials = 0
+    for g, plan, x, seeds in trials:
+        n_trials += 1
+        n_nodes, n_sampled = g.n_nodes, plan.n_sampled
+        y = x[plan.sampled]
+        train_x = _patterns(g.adjacency, plan.sampled, plan.sampled, config.pattern_mode, config.normalize_patterns)
+        eval_x = _patterns(g.adjacency, plan.sampled, plan.unsampled, config.pattern_mode, config.normalize_patterns)
+        truth_eval = x[plan.unsampled]
+        for method in config.methods:
+            fitted = _fit_method(method, config, g, plan, seeds, y, train_x, eval_x)
+            if fitted.traces is not None:
+                first_traces.setdefault(method, fitted.traces)
+            if plan.unsampled.size:
+                preds, failures = fitted.score(fitted.inputs)
+                scored = (nmse(preds, truth_eval), conventional_nmse(preds, truth_eval), failures, fitted.notes)
+            else:
+                scored = (None, None, 0, (fitted.notes + " nmse undefined: empty eval set").strip())
+            for key, value in zip(keys, (*scored, fitted.mu)):
+                acc[method][key].append(value)
+            if config.measure_runtime:
+                subset = fitted.inputs[: config.timing_nodes]
+                if fitted.refit is not None:
+                    acc[method]["train"].append(_median_time(fitted.refit, config.timing_reps))
+                elif len(subset):
+                    acc[method]["train"].append(0.0)
+                if len(subset):
+                    score_time = _median_time(lambda: fitted.score(subset), config.timing_reps)
+                    acc[method]["newnode"].append(score_time / len(subset))
+        # a for loop keeps its names bound: unbind this trial's graph, arrays
+        # and last scorer, so that they are freed before the next draw
+        del g, plan, x, y, train_x, eval_x, truth_eval, fitted
     rows = []
-    for method in sorted(rows_acc):
-        acc = rows_acc[method]
-        vals = [v for v in acc["nmse"] if v is not None]
-        conv = [v for v in acc["nmse_conv"] if v is not None]
-        defined = bool(vals)
+    for method in sorted(acc):
+        vals = [v for v in acc[method]["nmse"] if v is not None]
+        conv = [v for v in acc[method]["nmse_conv"] if v is not None]
+        train, newnode = acc[method]["train"], acc[method]["newnode"]
         rows.append(
             MethodRow(
                 method=method,
                 n_nodes=n_nodes,
                 n_sampled=n_sampled,
-                trials=trials,
-                nmse_mean=float(np.mean(vals)) if defined else None,
-                nmse_std=float(np.std(vals)) if defined else None,
-                nmse_conv_mean=float(np.mean(conv)) if defined else None,
-                nmse_conv_std=float(np.std(conv)) if defined else None,
-                mu_selected=[m for m in acc["mu"] if m is not None],
-                train_time=(statistics.median(acc["train"]) if acc["train"] else None),
-                newnode_time=(statistics.median(acc["newnode"]) if acc["newnode"] else None),
-                knn_failures=sum(acc["failures"]),
-                notes="; ".join(sorted({n for n in acc["notes"] if n})),
+                trials=n_trials,
+                nmse_mean=float(np.mean(vals)) if vals else None,
+                nmse_std=float(np.std(vals)) if vals else None,
+                nmse_conv_mean=float(np.mean(conv)) if vals else None,
+                nmse_conv_std=float(np.std(conv)) if vals else None,
+                mu_selected=[m for m in acc[method]["mu"] if m is not None],
+                train_time=statistics.median(train) if train else None,
+                newnode_time=statistics.median(newnode) if newnode else None,
+                knn_failures=sum(acc[method]["failures"]),
+                notes="; ".join(sorted({n for n in acc[method]["notes"] if n})),
             )
         )
-    return rows
+    return rows, first_traces
 
 
 def _require_least_squares(config: ExperimentConfig, run: str) -> None:
@@ -672,34 +677,18 @@ def _draw_trial(config: ExperimentConfig, n: int, seeds: dict):
     return g, plan, x
 
 
-def _synthetic_trial(config: ExperimentConfig, n: int, seeds: dict, rows_acc: dict) -> int:
-    """One random-graph trial on n nodes: run every enabled method on a
-    drawn trial into ``rows_acc``; returns M."""
-    g, plan, x = _draw_trial(config, n, seeds)
-    _run_trial_methods(config, g, x, plan, seeds, rows_acc)
-    return plan.n_sampled
-
-
-def run_synthetic(config: ExperimentConfig, out_dir=None) -> Report:
+def run_synthetic(config: ExperimentConfig) -> Report:
     """Random-graph benchmark: train on M sampled nodes, score the rest as
     newly-joining nodes, aggregate over independent trials."""
     _require_least_squares(config, "synthetic")
-    rows_acc: dict = {}
-    seeds_used = []
-    for trial in range(config.trials):
-        seeds = _trial_seeds(config.base_seed, trial)
-        seeds_used.append(seeds["graph"])
-        m = _synthetic_trial(config, config.n_nodes, seeds, rows_acc)
-    report = Report(rows=_aggregate(rows_acc, config.n_nodes, m, config.trials), config=config, seeds=seeds_used)
-    if out_dir is not None:
-        write_report(report, out_dir)
-        for method, acc in rows_acc.items():
-            if config.emit_traces and acc["traces"] is not None:
-                traces_to_tsv(acc["traces"], Path(out_dir) / "traces" / f"{method}_trial0.tsv")
-    return report
+    seeds = [_trial_seeds(config.base_seed, trial) for trial in range(config.trials)]
+    rows, traces = _run_trials(config, ((*_draw_trial(config, config.n_nodes, s), s) for s in seeds))
+    tables = {f"{method}_trial0": _mkl_trace_table(t) for method, t in traces.items()}
+    return Report(rows=rows, config=config, seeds=[s["graph"] for s in seeds],
+                  traces=tables if config.emit_traces else {})
 
 
-def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
+def run_dataset(config: ExperimentConfig) -> Report:
     """Same protocol as the synthetic run, on an edge list plus label file.
 
     Several label columns are treated as repeated trials.  Sampling sweeps
@@ -733,10 +722,10 @@ def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
     for count in counts:
         if count > labeled_idx.size:
             raise ValueError(f"sample count {count} exceeds {labeled_idx.size} labeled nodes")
-    all_rows = []
     seeds_used = []
-    for count in counts:
-        rows_acc: dict = {}
+
+    def trials(count):
+        """Each label column of each trial, with its own draw of ``count`` sampled nodes."""
         for trial in range(config.trials):
             for col in range(n_cols):
                 seeds = _trial_seeds(config.base_seed, trial * n_cols + col)
@@ -748,12 +737,10 @@ def run_dataset(config: ExperimentConfig, out_dir=None) -> Report:
                 rng = np.random.default_rng(seeds["plan"])
                 order = rng.permutation(labeled_idx.size)
                 plan = SamplingPlan(labeled_idx[order[:count]], np.sort(labeled_idx[order[count:]]))
-                _run_trial_methods(config, g, x, plan, seeds, rows_acc)
-        all_rows.extend(_aggregate(rows_acc, g.n_nodes, count, config.trials * n_cols))
-    report = Report(rows=all_rows, config=config, seeds=seeds_used)
-    if out_dir is not None:
-        write_report(report, out_dir)
-    return report
+                yield g, plan, x, seeds
+
+    rows = [row for count in counts for row in _run_trials(config, trials(count))[0]]
+    return Report(rows=rows, config=config, seeds=seeds_used)
 
 
 # Byte budget of the stacked (dim, dim) systems the prefix oracle solves in
@@ -804,7 +791,7 @@ def _prefix_oracle_losses(zs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarr
     return out
 
 
-def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
+def run_regret(config: ExperimentConfig) -> Report:
     """Stream T node samples, train online, and compare against the
     per-prefix batch comparator in the executed random-feature classes."""
     _require_least_squares(config, "regret")
@@ -853,15 +840,8 @@ def run_regret(config: ExperimentConfig, out_dir=None) -> Report:
         "regret_bound_holds": all(b["holds"] for b in bound_checks),
         "bound_checks": bound_checks,
     }
-    report = Report(rows=[], config=config, seeds=seeds_used, extras=extras)
-    if out_dir is not None:
-        write_report(report, out_dir)
-        _steps_to_tsv(
-            Path(out_dir) / "traces" / "regret_trial0.tsv",
-            ["cum_online", "oracle", "regret"],
-            first,
-        )
-    return report
+    traces = {"regret_trial0": (["cum_online", "oracle", "regret"], first)}
+    return Report(rows=[], config=config, seeds=seeds_used, extras=extras, traces=traces)
 
 
 def fit_growth_exponent(series: np.ndarray, t_min: int | None = None) -> float:
@@ -914,7 +894,7 @@ def _regret_bound_check(zs, ys, traces, eta, mu) -> dict:
     return {"holds": holds, "margins": margins, "max_grad": max_grad}
 
 
-def bench_newnode(config: ExperimentConfig, out_dir=None) -> Report:
+def bench_newnode(config: ExperimentConfig) -> Report:
     """Per-method per-size new-node inference timings over graph sizes.
 
     Only timing is claimed here.  The signal scenario comes from the config,
@@ -928,16 +908,11 @@ def bench_newnode(config: ExperimentConfig, out_dir=None) -> Report:
     for size in config.bench_sizes:
         seeds = _trial_seeds(config.base_seed, size)
         seeds_used.append(seeds["graph"])
-        rows_acc: dict = {}
-        m = _synthetic_trial(timing_cfg, size, seeds, rows_acc)
-        for row in _aggregate(rows_acc, size, m, 1):
+        for row in _run_trials(timing_cfg, [(*_draw_trial(timing_cfg, size, seeds), seeds)])[0]:
             rows.append(row)
             extras["per_method"].setdefault(row.method, {})[str(size)] = row.newnode_time
     for method, by_size in extras["per_method"].items():
         times = [by_size[str(s)] for s in config.bench_sizes if by_size.get(str(s))]
         if len(times) == len(config.bench_sizes) and times[0]:
             extras["per_method"][method]["ratio_max_over_min"] = times[-1] / times[0]
-    report = Report(rows=rows, config=config, seeds=seeds_used, extras=extras)
-    if out_dir is not None:
-        write_report(report, out_dir)
-    return report
+    return Report(rows=rows, config=config, seeds=seeds_used, extras=extras)

@@ -9,6 +9,7 @@ batch baselines.  Everything here is a pure function of immutable inputs
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError("bandwidth must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -168,8 +168,8 @@ def test_c06_reduction_and_determinism(tmp_path):
             n_nodes=60, trials=2, sample_fraction=0.2, d=10,
             methods=("mkl", "knn"), scenario="identity", base_seed=11,
         )
-        grf.run_synthetic(config, out_dir=tmp_path / "a")
-        grf.run_synthetic(config, out_dir=tmp_path / "b")
+        grf.write_report(grf.run_synthetic(config), tmp_path / "a")
+        grf.write_report(grf.run_synthetic(config), tmp_path / "b")
         assert (tmp_path / "a/report.tsv").read_bytes() == (tmp_path / "b/report.tsv").read_bytes()
         assert (tmp_path / "a/summary.json").read_bytes() == (tmp_path / "b/summary.json").read_bytes()
 

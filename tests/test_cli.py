@@ -52,6 +52,10 @@ class TestEncodeCommand:
         assert main(["encode", "--vector", "0,1", "--seed", "-1"]) == 1
         assert "error: --seed must be >= 0" in capsys.readouterr().err
 
+    def test_infinite_bandwidth_is_diagnosed(self, capsys):
+        assert main(["encode", "--vector", "0,1", "--bandwidth", "inf"]) == 1
+        assert "error: bandwidth must be positive and finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [("--out", "reports"), ("--config", "config.txt")])
     def test_report_flags_refused(self, tmp_path, flag, value):
         with pytest.raises(SystemExit) as excinfo:

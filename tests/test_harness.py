@@ -1,4 +1,6 @@
+import json
 import math
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from graphrf import (
     run_dataset,
     run_regret,
     run_synthetic,
+    write_report,
 )
 import graphrf.harness
 import graphrf.mkl
@@ -195,11 +198,21 @@ class TestConfig:
             ("sample_counts", "5,6,5"),
             ("methods", "knn,knn"),
             ("methods", "mkl,kl,mkl"),
+            ("noise_var", "inf"),
+            ("regret_mu", "inf"),
+            ("truth_sigma2", "inf"),
+            ("kl_sigma2", "inf"),
+            ("mu_grid", "1e-3,inf"),
+            ("gk_sigma2_grid", "1,inf"),
+            ("kernels", "gaussian:inf"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=rf"\b{key}\b"):
             config_from_dict({key: value})
+
+    def test_none_passes_as_the_default_of_an_optional_tuple(self):
+        assert config_from_dict({"sample_counts": None}).sample_counts is None
 
     def test_parse_error_names_its_key(self):
         with pytest.raises(ValueError, match="config key 'd': "):
@@ -331,11 +344,28 @@ class TestRunSynthetic:
             n_nodes=40, trials=2, sample_fraction=0.2, d=8,
             methods=("mkl", "knn"), scenario="identity", base_seed=9,
         )
-        r1 = run_synthetic(config, out_dir=tmp_path / "a")
-        r2 = run_synthetic(config, out_dir=tmp_path / "b")
+        r1 = run_synthetic(config)
+        r2 = run_synthetic(config)
+        write_report(r1, tmp_path / "a")
+        write_report(r2, tmp_path / "b")
         assert (tmp_path / "a/report.tsv").read_bytes() == (tmp_path / "b/report.tsv").read_bytes()
         assert (tmp_path / "a/summary.json").read_bytes() == (tmp_path / "b/summary.json").read_bytes()
         assert r1.to_tsv() == r2.to_tsv()
+
+    def test_a_trial_is_freed_before_the_next_is_drawn(self, monkeypatch):
+        drawn = []
+
+        def draw(*args):
+            assert all(ref() is None for ref in drawn), "an earlier trial's graph is still alive"
+            g = erdos_renyi(*args)
+            drawn.append(weakref.ref(g))
+            return g
+
+        monkeypatch.setattr(graphrf.harness, "erdos_renyi", draw)
+        run_synthetic(ExperimentConfig(
+            n_nodes=30, trials=3, sample_fraction=0.3, d=8, methods=("mkl", "kl", "knn"), scenario="identity",
+        ))
+        assert len(drawn) == 3
 
     def test_gk_methods_run(self):
         config = ExperimentConfig(
@@ -353,15 +383,27 @@ class TestRunSynthetic:
             n_nodes=30, trials=1, sample_fraction=0.3, d=8,
             methods=("mkl", "knn"), scenario="identity", emit_traces=True,
         )
-        run_synthetic(config, out_dir=tmp_path / "one")
+        write_report(run_synthetic(config), tmp_path / "one")
         trace_file = tmp_path / "one" / "traces" / "mkl_trial0.tsv"
         assert trace_file.exists()
         header = trace_file.read_text().splitlines()[0].split("\t")
         assert header[:2] == ["t", "combined_loss"]
         # more trials write the same first trial's traces, and only mkl has any
-        run_synthetic(replace(config, trials=3), out_dir=tmp_path / "three")
+        write_report(run_synthetic(replace(config, trials=3)), tmp_path / "three")
         assert [p.name for p in (tmp_path / "three" / "traces").iterdir()] == ["mkl_trial0.tsv"]
         assert (tmp_path / "three" / "traces" / "mkl_trial0.tsv").read_bytes() == trace_file.read_bytes()
+
+    def test_traces_only_of_mkl_and_only_when_asked(self):
+        config = ExperimentConfig(
+            n_nodes=30, trials=2, sample_fraction=0.3, d=8,
+            methods=("mkl", "knn"), scenario="identity", emit_traces=True,
+        )
+        report = run_synthetic(config)
+        assert list(report.traces) == ["mkl_trial0"]
+        names, columns = report.traces["mkl_trial0"]
+        assert names == ["combined_loss", "loss_0", "loss_1", "weight_0", "weight_1"]
+        assert len(columns) == len(names)
+        assert run_synthetic(replace(config, emit_traces=False)).traces == {}
 
 
 def small_trial(**overrides):
@@ -663,7 +705,13 @@ class TestRunRegret:
         config = ExperimentConfig(
             n_nodes=40, trials=1, regret_T=60, d=5, scenario="identity", base_seed=2,
         )
-        run_regret(config, out_dir=tmp_path)
+        report = run_regret(config)
+        names, (cum, oracle, regret) = report.traces["regret_trial0"]
+        assert list(report.traces) == ["regret_trial0"]
+        assert names == ["cum_online", "oracle", "regret"]
+        assert len(cum) == len(oracle) == 60
+        assert np.array_equal(regret, cum - oracle)
+        write_report(report, tmp_path)
         assert (tmp_path / "traces" / "regret_trial0.tsv").exists()
 
 
@@ -692,10 +740,10 @@ def test_dataset_run_refuses_a_classification_loss_its_labels_cannot_train(
     (tmp_path / "edges.txt").write_text("".join(f"v{i} v{(i + 1) % n}\n" for i in range(n)))
     (tmp_path / "labels.txt").write_text("".join(f"v{i} {float(rng.choice(values))!r}\n" for i in range(n)))
 
-    def no_trial(*args):
-        raise AssertionError("a trial started")
+    def no_fit(*args):
+        raise AssertionError("a fit started")
 
-    monkeypatch.setattr(graphrf.harness, "_run_trial_methods", no_trial)
+    monkeypatch.setattr(graphrf.harness, "_fit_method", no_fit)
     config = ExperimentConfig(
         task="dataset", edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
         loss=loss, standardize_labels=standardize, sample_counts=(4,), methods=("mkl",),
@@ -728,3 +776,55 @@ class TestBenchNewnode:
         for row in report.rows:
             assert row.newnode_time is not None and row.newnode_time >= 0
         assert "mkl" in report.extras["per_method"]
+
+
+class TestWriteReport:
+    RUNS = {
+        "synthetic": ExperimentConfig(
+            n_nodes=30, trials=1, sample_fraction=0.3, d=8, methods=("mkl", "knn"),
+            scenario="identity", emit_traces=True,
+        ),
+        "regret": ExperimentConfig(n_nodes=40, trials=1, regret_T=60, d=5, scenario="identity"),
+        "bench_newnode": ExperimentConfig(
+            scenario="identity", bench_sizes=(30, 40), d=5, methods=("mkl", "knn"),
+            sample_fraction=0.2, timing_reps=1, timing_nodes=2,
+        ),
+    }
+
+    @staticmethod
+    def files(root):
+        return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+    @pytest.mark.parametrize("runner", ["synthetic", "dataset", "regret", "bench_newnode"])
+    def test_runners_write_no_file(self, tiny_dataset, tmp_path, monkeypatch, runner):
+        if runner == "dataset":
+            edges, labels = tiny_dataset
+            config = ExperimentConfig(
+                task="dataset", edge_list=edges, labels=labels, sample_counts=(4,), trials=1, d=6,
+                methods=("mkl", "knn"), emit_traces=True,
+            )
+        else:
+            config = self.RUNS[runner]
+        monkeypatch.chdir(tmp_path)
+        before = self.files(tmp_path)
+        getattr(graphrf.harness, f"run_{runner}" if runner != "bench_newnode" else runner)(config)
+        assert self.files(tmp_path) == before
+
+    def test_writes_the_report_and_one_file_per_trace(self, tmp_path):
+        report = run_regret(self.RUNS["regret"])
+        report.traces["extra"] = (["a", "b"], [np.arange(3.0), [0.1, 0.2, 0.3]])
+        write_report(report, tmp_path / "out")
+        assert self.files(tmp_path / "out") == [
+            "report.tsv", "summary.json", "traces/extra.tsv", "traces/regret_trial0.tsv",
+        ]
+        assert (tmp_path / "out/report.tsv").read_text() == report.to_tsv()
+        assert (tmp_path / "out/summary.json").read_text() == report.to_json()
+        assert (tmp_path / "out/traces/extra.tsv").read_text() == (
+            "t\ta\tb\n1\t0.0\t0.1\n2\t1.0\t0.2\n3\t2.0\t0.3\n"
+        )
+        assert sorted(json.loads(report.to_json())) == ["config", "extras", "rows", "seeds"]
+
+    def test_no_traces_no_traces_directory(self, tmp_path):
+        write_report(run_synthetic(replace(self.RUNS["synthetic"], emit_traces=False)), tmp_path)
+        assert self.files(tmp_path) == ["report.tsv", "summary.json"]
+        assert not (tmp_path / "traces").exists()

@@ -81,6 +81,11 @@ class TestEvalKernel:
         with pytest.raises(ValueError):
             KernelSpec("gaussian", 0.0)
 
+    @pytest.mark.parametrize("bandwidth", [float("inf"), float("nan")])
+    def test_non_finite_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            KernelSpec("laplacian", bandwidth)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             KernelSpec("sinc", 1.0)
