@@ -7,8 +7,9 @@ Usage::
 
 Builds ``erdos_renyi(N, P, seed=0)`` from this checkout's ``src/`` once in
 this fresh interpreter, then prints the process's peak resident set
-(``ru_maxrss``) before and after the build, the adjacency's own bytes, and
-the ratio of the build's growth to those bytes.  Sizes are in MB of 2**20
+(``ru_maxrss``) before and after the build, the adjacency's dtype and own
+bytes beside the bytes the same graph would hold as float64, and the ratio
+of the build's growth to the adjacency's bytes.  Sizes are in MB of 2**20
 bytes, as ``perfbench`` reports ``peak_rss_mb``.  The script measures and
 prints only; it gates nothing.
 """
@@ -21,6 +22,8 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy.random  # noqa: E402,F401  numpy imports it lazily; load it before the "before" figure
 
 from graphrf import erdos_renyi  # noqa: E402
 
@@ -43,8 +46,10 @@ def main(argv: list[str]) -> int:
     elapsed = time.perf_counter() - start
     after = max_rss_mb()
     adjacency = g.adjacency.nbytes / MB
+    as_float64 = 8 * g.adjacency.size / MB
     print(
-        f"erdos_renyi({n}, {p}): adjacency {adjacency:.1f} MB, ru_maxrss {after:.1f} MB "
+        f"erdos_renyi({n}, {p}): {g.adjacency.dtype} adjacency {adjacency:.1f} MB "
+        f"({as_float64:.1f} MB as float64), ru_maxrss {after:.1f} MB "
         f"({before:.1f} MB before the build, growth {(after - before) / adjacency:.2f}x the adjacency), "
         f"build {elapsed:.2f} s"
     )

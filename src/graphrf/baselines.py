@@ -71,7 +71,7 @@ def knn_predict_batch(
     if k < 1:
         raise ValueError("k must be >= 1")
     ids = np.array(sorted(j for j in labeled if 0 <= j < g.n_nodes), dtype=np.int64)
-    weights = g.adjacency[np.ix_(nodes, ids)]
+    weights = np.asarray(g.adjacency[np.ix_(nodes, ids)], dtype=np.float64)
     weights[nodes[:, None] == ids[None, :]] = 0.0  # a node is not its own neighbor
     n_candidates = (weights > 0).sum(axis=1)
     # a stable sort on -w orders candidates by (-w, id); the columns past a

@@ -1,14 +1,19 @@
 """Graph representation, ingestion, random generation and node sampling.
 
-Adjacency is kept as a dense float64 matrix; that is comfortably within desk
-scale for the graph sizes this package targets (a few thousand nodes).
-Graphs are immutable after construction and safe to share across threads.
+Adjacency is kept as a dense matrix; that is comfortably within desk scale
+for the graph sizes this package targets (a few thousand nodes).  An
+unweighted graph holds a bool matrix, one byte per entry, where True is an
+edge of weight 1; a weighted graph holds float64.  Every consumer that does
+arithmetic on the adjacency converts it to float64, so both layouts of the
+same 0/1 values give bit-identical results.  Graphs are immutable after
+construction and safe to share across threads.
 
-A graph is built once and in place: :func:`erdos_renyi` draws into one N×N
-array, symmetrises it block by block and freezes it, and :class:`Graph`
-adopts a frozen array that owns its memory instead of copying it, so a
-random build peaks at about one adjacency (8 N² bytes).  Every other array
-is copied, and the constructor's checks make no N×N temporary.
+A graph is built once and in place: :func:`erdos_renyi` thresholds its
+uniforms row chunk by row chunk into the one N×N bool array, symmetrises it
+block by block and freezes it, and :class:`Graph` adopts a frozen array that
+owns its memory instead of copying it, so a random build peaks at about one
+adjacency (N² bytes).  Every other array is copied, and the constructor's
+checks make no N×N temporary.
 """
 
 from __future__ import annotations
@@ -54,11 +59,13 @@ class Graph:
     directed graphs (an edge-list line ``i j`` sets it); undirected graphs
     are exactly symmetric.
 
-    A C-ordered float64 array that is read-only and owns its memory is
-    adopted as it is (``g.adjacency is a``): handing one over hands over
-    ownership, and the caller must not make it writeable again.  Any other
-    input (a writeable array, a view, another dtype or order) is copied, so
-    later changes to the caller's array never reach the graph.
+    A bool adjacency stays bool, True meaning an edge of weight 1; any
+    other input becomes float64.  A C-ordered array of that dtype that is
+    read-only and owns its memory is adopted as it is (``g.adjacency is
+    a``): handing one over hands over ownership, and the caller must not
+    make it writeable again.  Any other input (a writeable array, a view,
+    another dtype or order) is copied, so later changes to the caller's
+    array never reach the graph.
     """
 
     adjacency: np.ndarray
@@ -66,16 +73,19 @@ class Graph:
     node_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=np.float64)
+        a = np.asarray(self.adjacency)
+        if a.dtype != np.bool_:
+            a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        # min and max propagate NaN, so a NaN entry fails the finiteness
-        # check; the initial 0 covers a 0×0 matrix and moves neither test
-        lo, hi = a.min(initial=0.0), a.max(initial=0.0)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("adjacency entries must be finite")
-        if lo < 0:
-            raise ValueError("adjacency entries must be non-negative")
+        if a.dtype == np.float64:
+            # min and max propagate NaN, so a NaN entry fails the finiteness
+            # check; the initial 0 covers a 0×0 matrix and moves neither test
+            lo, hi = a.min(initial=0.0), a.max(initial=0.0)
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError("adjacency entries must be finite")
+            if lo < 0:
+                raise ValueError("adjacency entries must be non-negative")
         if not self.directed and not _is_symmetric(a):
             raise ValueError("undirected graph requires an exactly symmetric adjacency")
         if self.node_names is not None and len(self.node_names) != a.shape[0]:
@@ -91,7 +101,7 @@ class Graph:
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return self.adjacency.sum(axis=1, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -125,7 +135,8 @@ def load_edge_list(source, directed: bool = False, weighted: bool = False) -> Gr
 
     Node tokens are mapped to dense 0-based indices in first-seen order.
     ``#`` starts a comment.  Duplicate edges keep the last weight; undirected
-    edges are mirrored.  Extra columns are ignored unless ``weighted``.
+    edges are mirrored.  Extra columns are ignored unless ``weighted``.  The
+    adjacency is float64 when ``weighted`` and bool otherwise.
     """
     names: dict[str, int] = {}
     edges: list[tuple[int, int, float]] = []
@@ -156,7 +167,7 @@ def load_edge_list(source, directed: bool = False, weighted: bool = False) -> Gr
     if not edges:
         raise ValueError("empty edge list")
     n = len(names)
-    a = np.zeros((n, n))
+    a = np.zeros((n, n), dtype=np.float64 if weighted else np.bool_)
     for i, j, w in edges:
         a[i, j] = w
         if not directed:
@@ -208,23 +219,31 @@ def erdos_renyi(n: int, edge_prob: float, seed) -> Graph:
     graph stays simple and binary; the effective undirected edge probability
     is 1 - (1 - edge_prob)^2.
 
-    The uniforms are drawn straight into the one N×N array the graph keeps
-    (the same stream, in the same C order, as ``rng.random((n, n))``), and
-    each upper-triangle block pair is thresholded, or-ed with its mirror and
-    written back to both halves, so the build peaks at about one adjacency.
+    The uniforms are drawn in chunks of rows (the same stream, in the same
+    C order, as ``rng.random((n, n))``) and each chunk is thresholded
+    straight into the one N×N bool array the graph keeps; each
+    upper-triangle block pair is then or-ed with its mirror and written back
+    to both halves, so the build peaks at about one adjacency.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
     rng = np.random.default_rng(seed)
-    a = np.empty((n, n))
-    rng.random(out=a)
+    a = np.empty((n, n), dtype=np.bool_)
+    # n // 64 rows of float64 uniforms take an eighth of the bool array's bytes
+    chunk = max(1, n // 64)
+    uniforms = np.empty((chunk, n))
+    for i in range(0, n, chunk):
+        u = uniforms[: min(chunk, n - i)]
+        rng.random(out=u)
+        np.less(u, edge_prob, out=a[i : i + chunk])
+    del uniforms, u
     for i in range(0, n, _BLOCK):
         rows = slice(i, i + _BLOCK)
         for j in range(i, n, _BLOCK):
             cols = slice(j, j + _BLOCK)
-            s = (a[rows, cols] < edge_prob) | (a[cols, rows] < edge_prob).T
+            s = a[rows, cols] | a[cols, rows].T
             if i == j:
                 np.fill_diagonal(s, False)
             a[rows, cols] = s

@@ -599,8 +599,9 @@ def _run_trials(config: ExperimentConfig, trials) -> tuple[list[MethodRow], dict
     """The trial protocol.  For each drawn trial ``(g, plan, x, seeds)``,
     train every enabled method on the sampled nodes and score the rest as
     newly-joining nodes.  ``trials`` may be a generator: one trial is held
-    at a time.  Returns one row per method, aggregated over the trials, and
-    each method's first MklTraces (only mkl has any)."""
+    at a time.  Returns one row per method, aggregated over the trials, and,
+    when ``emit_traces`` asks for them, the per-step table of each method's
+    first MklTraces as ``<method>_trial0`` (only mkl has any)."""
     keys = ("nmse", "nmse_conv", "failures", "notes", "mu", "train", "newnode")
     acc = {method: {key: [] for key in keys} for method in config.methods}
     first_traces = {}
@@ -657,7 +658,9 @@ def _run_trials(config: ExperimentConfig, trials) -> tuple[list[MethodRow], dict
                 notes="; ".join(sorted({n for n in acc[method]["notes"] if n})),
             )
         )
-    return rows, first_traces
+    if not config.emit_traces:
+        return rows, {}
+    return rows, {f"{method}_trial0": _mkl_trace_table(t) for method, t in first_traces.items()}
 
 
 def _require_least_squares(config: ExperimentConfig, run: str) -> None:
@@ -683,16 +686,16 @@ def run_synthetic(config: ExperimentConfig) -> Report:
     _require_least_squares(config, "synthetic")
     seeds = [_trial_seeds(config.base_seed, trial) for trial in range(config.trials)]
     rows, traces = _run_trials(config, ((*_draw_trial(config, config.n_nodes, s), s) for s in seeds))
-    tables = {f"{method}_trial0": _mkl_trace_table(t) for method, t in traces.items()}
-    return Report(rows=rows, config=config, seeds=[s["graph"] for s in seeds],
-                  traces=tables if config.emit_traces else {})
+    return Report(rows=rows, config=config, seeds=[s["graph"] for s in seeds], traces=traces)
 
 
 def run_dataset(config: ExperimentConfig) -> Report:
     """Same protocol as the synthetic run, on an edge list plus label file.
 
     Several label columns are treated as repeated trials.  Sampling sweeps
-    over ``sample_counts`` when given, else uses ``sample_fraction``.
+    over ``sample_counts`` when given, else uses ``sample_fraction``.  The
+    traces ``emit_traces`` asks for are those of the first sample count's
+    first trial.
     """
     if not config.edge_list or not config.labels:
         raise ValueError("dataset runs need edge_list and labels paths")
@@ -739,8 +742,9 @@ def run_dataset(config: ExperimentConfig) -> Report:
                 plan = SamplingPlan(labeled_idx[order[:count]], np.sort(labeled_idx[order[count:]]))
                 yield g, plan, x, seeds
 
-    rows = [row for count in counts for row in _run_trials(config, trials(count))[0]]
-    return Report(rows=rows, config=config, seeds=seeds_used)
+    results = [_run_trials(config, trials(count)) for count in counts]
+    rows = [row for count_rows, _ in results for row in count_rows]
+    return Report(rows=rows, config=config, seeds=seeds_used, traces=results[0][1])
 
 
 # Byte budget of the stacked (dim, dim) systems the prefix oracle solves in
@@ -901,6 +905,8 @@ def bench_newnode(config: ExperimentConfig) -> Report:
     so pass ``scenario="identity"`` for the cheap kernel, as C10 does.
     """
     _require_least_squares(config, "bench-newnode")
+    if config.emit_traces:
+        raise ValueError("bench-newnode runs write no traces: set emit_traces = false")
     rows = []
     extras: dict = {"sizes": list(config.bench_sizes), "per_method": {}}
     seeds_used = []

@@ -63,8 +63,8 @@ class GraphKernelSpec:
         if self.family not in GRAPH_KERNEL_FAMILIES:
             raise ValueError(f"unknown graph-kernel family {self.family!r}")
         if self.family == "diffusion":
-            if self.sigma2 is None or not self.sigma2 >= 0:
-                raise ValueError("diffusion kernel needs sigma2 >= 0")
+            if self.sigma2 is None or not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+                raise ValueError("diffusion kernel needs a finite sigma2 >= 0")
         else:
             if self.band_size is None or self.band_size < 1:
                 raise ValueError("bandlimited kernel needs band_size >= 1")
@@ -102,7 +102,10 @@ def eval_kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
             - 2.0 * xs @ ys.T
         )
         np.clip(sq, 0.0, None, out=sq)
-        return np.exp(-sq / (2.0 * spec.bandwidth))
+        # exp(-sq / (2 bw)), the same operations in the same order, in place
+        np.negative(sq, out=sq)
+        sq /= 2.0 * spec.bandwidth
+        return np.exp(sq, out=sq)
     out = np.empty((xs.shape[0], ys.shape[0]))
     chunk = max(1, int(2**22 // max(1, ys.shape[0] * xs.shape[1])))
     for i0 in range(0, xs.shape[0], chunk):

@@ -13,14 +13,17 @@ from hypothesis import strategies as st
 
 from graphrf import (
     Graph,
+    GraphKernelSpec,
     SamplingPlan,
     erdos_renyi,
+    graph_kernel_matrix,
     load_edge_list,
     load_labels,
     normalized_laplacian,
     sample_nodes,
     synth_signal,
 )
+from graphrf.baselines import knn_predict_batch
 from graphrf.harness import _patterns
 
 
@@ -209,10 +212,13 @@ class TestErdosRenyi:
         expected = np.logical_or(a0, a0.T).astype(np.float64)
         g = erdos_renyi(n, p, seed)
         assert np.array_equal(g.adjacency, expected)
-        assert g.adjacency.dtype == np.float64 and g.adjacency.flags.c_contiguous
+        assert g.adjacency.dtype == np.bool_ and g.adjacency.flags.c_contiguous
 
     def test_build_peaks_at_about_one_adjacency(self):
-        # numpy reports its buffers to tracemalloc; 1000 nodes hold 8 MB
+        # numpy reports its buffers to tracemalloc; 1000 nodes hold 1 MB.
+        # numpy imports numpy.random on its first use (about 0.6 MB of
+        # module objects), so a small build first keeps that out of the peak
+        erdos_renyi(2, 0.2, seed=0)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -400,3 +406,83 @@ def test_selection_gather_scatter_roundtrip():
     scattered = np.zeros(12)
     scattered[plan.sampled] = y
     assert np.array_equal(scattered[plan.sampled], x[plan.sampled])
+
+
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: NaN matches NaN and -0.0 does not match 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBoolAdjacency:
+    """An unweighted graph holds bool, and every result equals the float64 one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        p=st.floats(0.0, 1.0),
+        directed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bool_and_float64_layouts_give_bit_identical_results(self, n, p, directed, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, n)) < p
+        if not directed:
+            a = np.triu(a, 1)
+            a = a | a.T
+        as_bool, as_float = Graph(a, directed=directed), Graph(a.astype(np.float64), directed=directed)
+        assert as_bool.adjacency.dtype == np.bool_ and as_float.adjacency.dtype == np.float64
+        assert _same_bits(as_bool.degrees, as_float.degrees)
+
+        if not directed:
+            assert _same_bits(normalized_laplacian(as_bool), normalized_laplacian(as_float))
+            for spec in (
+                GraphKernelSpec("diffusion", sigma2=float(rng.uniform(0.0, 10.0))),
+                GraphKernelSpec("bandlimited", band_size=int(rng.integers(1, n + 1))),
+            ):
+                assert _same_bits(graph_kernel_matrix(as_bool, spec), graph_kernel_matrix(as_float, spec))
+
+        labeled_ids = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+        labeled = {int(j): float(v) for j, v in zip(labeled_ids, rng.normal(size=labeled_ids.size))}
+        k = int(rng.integers(1, n + 1))
+        for left, right in zip(
+            knn_predict_batch(as_bool, labeled, np.arange(n), k),
+            knn_predict_batch(as_float, labeled, np.arange(n), k),
+        ):
+            assert _same_bits(left, right)
+
+        anchor = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        nodes = rng.permutation(n)
+        for mode in ("column", "row", "concat"):
+            for normalize in (False, True):
+                assert _same_bits(
+                    _patterns(as_bool.adjacency, anchor, nodes, mode, normalize),
+                    _patterns(as_float.adjacency, anchor, nodes, mode, normalize),
+                )
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_edge_list_is_bool_unweighted_and_float64_weighted(self, directed):
+        lines = ["a b 0.5", "b c 2.0"]
+        unweighted = load_edge_list(lines, directed=directed)
+        weighted = load_edge_list(lines, directed=directed, weighted=True)
+        assert unweighted.adjacency.dtype == np.bool_ and weighted.adjacency.dtype == np.float64
+        assert np.array_equal(unweighted.adjacency, weighted.adjacency > 0)
+        assert weighted.adjacency[1, 2] == 2.0
+
+    def test_frozen_bool_array_owning_its_memory_is_adopted(self):
+        a = np.array([[False, True], [True, False]])
+        a.setflags(write=False)
+        assert Graph(a).adjacency is a
+
+    def test_writeable_bool_array_is_copied_as_bool(self):
+        a = np.array([[False, True], [True, False]])
+        g = Graph(a)
+        a[0, 1] = a[1, 0] = False
+        assert g.adjacency is not a and g.adjacency.dtype == np.bool_
+        assert not g.adjacency.flags.writeable
+        assert np.array_equal(g.adjacency, [[False, True], [True, False]])
+
+    def test_integer_adjacency_becomes_float64_and_is_checked(self):
+        assert Graph(np.array([[0, 2], [2, 0]])).adjacency.dtype == np.float64
+        with pytest.raises(ValueError, match="^adjacency entries must be non-negative$"):
+            Graph(np.array([[0, -1], [-1, 0]]))

@@ -646,6 +646,24 @@ class TestRunDataset:
         report = run_dataset(config)
         assert {r.method for r in report.rows} == {"gk_df", "mkl"}
 
+    def test_emit_traces_gives_the_first_trials_mkl_traces(self, tiny_dataset, tmp_path):
+        edges, labels = tiny_dataset
+        config = ExperimentConfig(
+            task="dataset", edge_list=edges, labels=labels, emit_traces=True,
+            trials=2, sample_counts=(5, 7), d=6, methods=("mkl", "knn"),
+        )
+        report = run_dataset(config)
+        assert list(report.traces) == ["mkl_trial0"]
+        names, columns = report.traces["mkl_trial0"]
+        assert names[0] == "combined_loss" and all(len(c) == 5 for c in columns)
+        # the first sample count's first trial, as a one-trial run draws it
+        first = run_dataset(replace(config, trials=1, sample_counts=(5,)))
+        write_report(report, tmp_path / "all")
+        write_report(first, tmp_path / "first")
+        trace = tmp_path / "all" / "traces" / "mkl_trial0.tsv"
+        assert trace.read_bytes() == (tmp_path / "first" / "traces" / "mkl_trial0.tsv").read_bytes()
+        assert run_dataset(replace(config, emit_traces=False)).traces == {}
+
 
 class TestRunRegret:
     def test_zero_labels_zero_regret(self):
@@ -776,6 +794,14 @@ class TestBenchNewnode:
         for row in report.rows:
             assert row.newnode_time is not None and row.newnode_time >= 0
         assert "mkl" in report.extras["per_method"]
+
+    def test_emit_traces_refused_before_any_trial(self, monkeypatch):
+        def no_graph(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(graphrf.harness, "erdos_renyi", no_graph)
+        with pytest.raises(ValueError, match="emit_traces"):
+            bench_newnode(ExperimentConfig(emit_traces=True))
 
 
 class TestWriteReport:

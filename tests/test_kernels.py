@@ -103,6 +103,20 @@ class TestEvalKernelMatrix:
             for j in range(4):
                 assert mat[i, j] == pytest.approx(eval_kernel(spec, xs[i], ys[j]), abs=1e-10)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 12), cols=st.integers(1, 12), dim=st.integers(1, 6),
+        bw=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gaussian_in_place_equals_the_whole_array_recipe(self, rows, cols, dim, bw, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.normal(size=(rows, dim))
+        ys = np.concatenate([xs[: cols // 2], rng.normal(size=(cols - cols // 2, dim))])
+        sq = (xs * xs).sum(axis=1)[:, None] + (ys * ys).sum(axis=1)[None, :] - 2.0 * xs @ ys.T
+        np.clip(sq, 0.0, None, out=sq)
+        expected = np.exp(-sq / (2.0 * bw))
+        assert eval_kernel_matrix(KernelSpec("gaussian", bw), xs, ys).tobytes() == expected.tobytes()
+
 
 class TestSpectralSample:
     def test_gaussian_unit_variance(self):
@@ -190,6 +204,11 @@ class TestGraphKernelMatrix:
             GraphKernelSpec("diffusion")
         with pytest.raises(ValueError):
             GraphKernelSpec("bandlimited", band_size=0)
+
+    @pytest.mark.parametrize("sigma2", [math.inf, math.nan, -1.0])
+    def test_diffusion_sigma2_must_be_finite_and_non_negative(self, sigma2):
+        with pytest.raises(ValueError, match=r"^diffusion kernel needs a finite sigma2 >= 0$"):
+            GraphKernelSpec("diffusion", sigma2=sigma2)
 
 
 # ---------------------------------------------------------------------------
