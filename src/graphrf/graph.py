@@ -276,18 +276,27 @@ def sample_nodes(g: Graph, m: int, seed) -> SamplingPlan:
     return SamplingPlan(sampled=perm[:m], unsampled=np.sort(perm[m:]))
 
 
-def synth_signal(g: Graph, kernel_matrix: np.ndarray, noise_var: float = 0.01, seed=None) -> np.ndarray:
+def synth_signal(g: Graph, kernel, noise_var: float = 0.01, seed=None) -> np.ndarray:
     """x = K alpha + e with alpha_i ~ U[0.5, 1] and e_i ~ N(0, noise_var), as
-    a read-only float64 array."""
-    k = np.asarray(kernel_matrix, dtype=np.float64)
+    a read-only float64 array.
+
+    ``kernel`` is the N×N matrix K, or a function that maps alpha to K alpha,
+    so that a kernel never needs to exist whole.  alpha is drawn before the
+    noise, from the one generator seeded by ``seed``.
+    """
     n = g.n_nodes
-    if k.shape != (n, n):
-        raise ValueError(f"kernel matrix must be {n}x{n}, got {k.shape}")
+    if not callable(kernel):
+        k = np.asarray(kernel, dtype=np.float64)
+        if k.shape != (n, n):
+            raise ValueError(f"kernel matrix must be {n}x{n}, got {k.shape}")
+        kernel = k.__matmul__
     if not noise_var >= 0:  # nan is refused too
         raise ValueError(f"noise_var must be >= 0, got {noise_var}")
     rng = np.random.default_rng(seed)
     alpha = rng.uniform(0.5, 1.0, size=n)
-    x = k @ alpha
+    x = np.asarray(kernel(alpha), dtype=np.float64)
+    if x.shape != (n,):
+        raise ValueError(f"kernel function must return shape ({n},), got {x.shape}")
     if noise_var > 0:
         x = x + rng.normal(0.0, math.sqrt(noise_var), size=n)
     if not np.isfinite(x).all():

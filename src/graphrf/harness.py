@@ -39,7 +39,7 @@ from .graph import (
     sample_nodes,
     synth_signal,
 )
-from .kernels import GraphKernelSpec, KernelSpec, eval_kernel_matrix, graph_kernel_matrix
+from .kernels import GraphKernelSpec, KernelSpec, eval_kernel_matrix, graph_kernel_matrix, row_chunk
 from .mkl import (
     MklTraces,
     mkl_encode,
@@ -388,8 +388,28 @@ def _standardize(x: np.ndarray) -> np.ndarray:
     return centered / std if std > 0 else centered
 
 
-def _truth_kernel(config: ExperimentConfig, g: Graph, anchor) -> np.ndarray:
-    """Ground-truth kernel matrix for signal synthesis.
+# The connectivity truths stream K alpha in blocks of one row chunk, but of
+# at least this many rows: each block's product reads every pattern again,
+# and at 8 rows of a 20,000-node graph that read makes the signal about five
+# times slower than at 128.
+_TRUTH_MIN_ROWS = 128
+
+
+def _truth_kernel(config: ExperimentConfig, g: Graph, anchor):
+    """The ground truth's K alpha, as a function of alpha, for
+    :func:`~graphrf.graph.synth_signal`.
+
+    ``identity`` copies alpha, which is exactly ``np.eye(n) @ alpha``.
+    ``diffusion`` is a spectral function of the whole graph, so its N×N
+    kernel is built.  The two connectivity truths build their patterns once
+    and stream K alpha in blocks of :func:`~graphrf.kernels.row_chunk` rows,
+    or of ``_TRUTH_MIN_ROWS`` if that is more, so no N×N kernel exists.
+    Blocks start at multiples of 8 rows, where K @ alpha starts its groups
+    of rows, and a lone last row joins the block before it, as numpy
+    multiplies a one-row block as a dot product.  So the signal is the
+    dense recipe's bit for bit wherever the block's kernel rows are the
+    whole kernel's: always for 0/1 patterns, whose products are exact;
+    normalised patterns can move the last bits once N spans blocks.
 
     ``connectivity`` follows the literal recipe (Gaussian kernel over whole
     connectivity patterns); on dense random graphs of a few hundred nodes or
@@ -399,17 +419,25 @@ def _truth_kernel(config: ExperimentConfig, g: Graph, anchor) -> np.ndarray:
     connectivity to the sampled anchor set, which is exactly what learners
     observe and keeps the benchmark informative.
     """
+    n = g.n_nodes
     if config.scenario == "identity":
-        return np.eye(g.n_nodes)
+        return np.copy
     if config.scenario == "diffusion":
-        return graph_kernel_matrix(g, GraphKernelSpec("diffusion", sigma2=config.truth_sigma2))
-    every = np.arange(g.n_nodes)
+        spec = GraphKernelSpec("diffusion", sigma2=config.truth_sigma2)
+        return lambda alpha: graph_kernel_matrix(g, spec) @ alpha
+    every = np.arange(n)
     if config.scenario == "connectivity_anchored":
         patterns = _patterns(g.adjacency, anchor, every, config.pattern_mode, False)
     else:
         patterns = _patterns(g.adjacency, every, every, config.pattern_mode, config.normalize_patterns)
     spec = KernelSpec("gaussian", config.truth_sigma2)
-    return eval_kernel_matrix(spec, patterns, patterns)
+    starts = list(range(0, n, max(_TRUTH_MIN_ROWS, row_chunk(8 * n))))
+    if len(starts) > 1 and starts[-1] == n - 1:
+        starts.pop()
+    bounds = list(zip(starts, starts[1:] + [n]))
+    return lambda alpha: np.concatenate(
+        [eval_kernel_matrix(spec, patterns[i:j], patterns) @ alpha for i, j in bounds]
+    )
 
 
 def _patterns(adjacency, anchor, nodes, mode: str, normalize: bool) -> np.ndarray:
@@ -433,7 +461,7 @@ def _patterns(adjacency, anchor, nodes, mode: str, normalize: bool) -> np.ndarra
     if normalize:
         norms = np.linalg.norm(pats, axis=1)
         norms[norms == 0] = 1.0
-        pats = pats / norms[:, None]
+        pats /= norms[:, None]  # pats is always a fresh array
     return pats
 
 
@@ -671,7 +699,7 @@ def _require_least_squares(config: ExperimentConfig, run: str) -> None:
 
 def _draw_trial(config: ExperimentConfig, n: int, seeds: dict):
     """One random graph on n nodes, M of its nodes sampled, and the signal
-    on every node: ``(g, plan, x)``.  The N×N truth kernel lives only here."""
+    on every node: ``(g, plan, x)``."""
     g = erdos_renyi(n, config.edge_prob, seeds["graph"])
     plan = sample_nodes(g, max(1, math.ceil(config.sample_fraction * n)), seeds["plan"])
     x = synth_signal(g, _truth_kernel(config, g, plan.sampled), config.noise_var, seeds["signal"])

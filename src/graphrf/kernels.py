@@ -26,6 +26,11 @@ PINV_FLOOR = 1e-10
 # The band-limited kernel's damping of out-of-band components.
 BAND_FLOOR = 1e-6
 
+# Byte budget of one row chunk (see row_chunk): the gaussian
+# eval_kernel_matrix finishes its output a chunk at a time, and the truth
+# signal streams K alpha in chunks.
+_ROW_CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -89,24 +94,37 @@ def eval_kernel(spec: KernelSpec, a, b) -> float:
     return float(np.prod(1.0 / (1.0 + (d / spec.bandwidth) ** 2)))
 
 
+def row_chunk(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes each that fit the row-chunk byte budget:
+    a multiple of 8, and at least 8."""
+    return max(8, _ROW_CHUNK_BYTES // (8 * max(1, row_bytes)) * 8)
+
+
 def eval_kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     """Pairwise kernel matrix between the rows of xs and ys."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     if xs.shape[1] != ys.shape[1]:
         raise ValueError("xs and ys must have the same feature dimension")
-    if spec.family == "gaussian":
-        sq = (
-            (xs * xs).sum(axis=1)[:, None]
-            + (ys * ys).sum(axis=1)[None, :]
-            - 2.0 * xs @ ys.T
-        )
-        np.clip(sq, 0.0, None, out=sq)
-        # exp(-sq / (2 bw)), the same operations in the same order, in place
-        np.negative(sq, out=sq)
-        sq /= 2.0 * spec.bandwidth
-        return np.exp(sq, out=sq)
     out = np.empty((xs.shape[0], ys.shape[0]))
+    if spec.family == "gaussian":
+        # (xn + yn) - 2.0 * xs @ ys.T, the same operations in the same order,
+        # with the output the only array of its size.  The product is one
+        # call, written into the output, as a product split by rows can round
+        # differently in BLAS; 2.0 * xs is a new array, so numpy does not take
+        # its syrk path when xs is ys.  The sums follow a row chunk at a time
+        xn = (xs * xs).sum(axis=1)
+        yn = (ys * ys).sum(axis=1)
+        np.matmul(2.0 * xs, ys.T, out=out)
+        chunk = row_chunk(8 * ys.shape[0])
+        for i0 in range(0, xs.shape[0], chunk):
+            blk = out[i0 : i0 + chunk]
+            np.subtract(xn[i0 : i0 + chunk, None] + yn[None, :], blk, out=blk)
+        np.clip(out, 0.0, None, out=out)
+        # exp(-sq / (2 bw)), in place
+        np.negative(out, out=out)
+        out /= 2.0 * spec.bandwidth
+        return np.exp(out, out=out)
     chunk = max(1, int(2**22 // max(1, ys.shape[0] * xs.shape[1])))
     for i0 in range(0, xs.shape[0], chunk):
         d = np.abs(xs[i0 : i0 + chunk, None, :] - ys[None, :, :])

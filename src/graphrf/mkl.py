@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import LossKind, _check_label
+from ._kernels import _CLASSIFICATION, LossKind, _check_label
 from .features import RFMap, _map_bytes, _map_from_bytes, build_map, encode_stacked
 from .kernels import KernelSpec
 
@@ -213,8 +213,11 @@ def mkl_train_encoded(
     if zs.shape != expected:
         raise ValueError(f"encodings have shape {zs.shape}, expected {expected}")
     loss = model.loss
-    for y in labels:
-        _check_label(loss, y)
+    ok = np.isfinite(labels)
+    if loss.kind in _CLASSIFICATION:
+        ok &= np.abs(labels) == 1.0
+    if np.count_nonzero(ok) < labels.size:
+        _check_label(loss, labels[np.argmin(ok)])  # raises, naming the first bad label
     thetas = model.thetas.copy()
     logw = model.log_weights.copy()
     combined, per_kernel, weights_used, prediction, max_grad = _kernels.mkl_stream(

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -394,6 +395,28 @@ class TestSynthSignal:
         k[2, 3] = np.nan
         with pytest.raises(ValueError, match="signal values must be finite"):
             synth_signal(g, k, 0.0, seed=0)
+
+    @pytest.mark.parametrize("noise_var", [0.0, 0.01])
+    def test_a_function_gives_the_matrix_signal(self, noise_var):
+        # alpha, then the noise, from the one generator either way
+        g = erdos_renyi(9, 0.4, 0)
+        k = np.random.default_rng(2).random((9, 9))
+        x = synth_signal(g, lambda alpha: k @ alpha, noise_var, seed=4)
+        assert x.tobytes() == synth_signal(g, k, noise_var, seed=4).tobytes()
+        assert not x.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(5,), (6, 1), (1, 6), ()])
+    def test_a_function_of_the_wrong_shape_refused(self, shape):
+        g = erdos_renyi(6, 0.4, 0)
+        message = r"kernel function must return shape \(6,\), got " + re.escape(str(shape))
+        with pytest.raises(ValueError, match=message):
+            synth_signal(g, lambda alpha: np.ones(shape), 0.0, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_function_refused(self, bad):
+        g = erdos_renyi(6, 0.4, 0)
+        with pytest.raises(ValueError, match="signal values must be finite"):
+            synth_signal(g, lambda alpha: np.where(alpha > 0, bad, 0.0), 0.01, seed=0)
 
 
 def test_selection_gather_scatter_roundtrip():

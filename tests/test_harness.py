@@ -1,11 +1,15 @@
 import json
 import math
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphrf import (
     ExperimentConfig,
@@ -21,13 +25,15 @@ from graphrf import (
     write_report,
 )
 import graphrf.harness
+import graphrf.kernels
 import graphrf.mkl
-from graphrf import KernelSpec, eval_kernel_matrix, mkl_init, mkl_predict_batch, mkl_train, sample_nodes
+from graphrf import KernelSpec, eval_kernel_matrix, mkl_init, mkl_predict_batch, mkl_train, sample_nodes, synth_signal
 from graphrf.baselines import batch_kernel_ridge
 from graphrf.harness import (
     _COLUMNS,
     MethodRow,
     Report,
+    _draw_trial,
     _fit_method,
     _patterns,
     _select,
@@ -316,6 +322,104 @@ class TestPatterns:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="pattern mode"):
             _patterns(np.zeros((3, 3)), [0], [1], "diagonal", False)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 12), directed=st.booleans(), mode=st.sampled_from(["column", "row", "concat"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_normalising_in_place_is_the_division(self, n, directed, mode, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        if not directed:
+            a = np.triu(a, 1) + np.triu(a, 1).T
+        adjacency = Graph(a, directed=directed).adjacency
+        anchor = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+        nodes = rng.integers(0, n, size=rng.integers(1, 2 * n))
+        raw = _patterns(adjacency, anchor, nodes, mode, False)
+        norms = np.linalg.norm(raw, axis=1)
+        norms[norms == 0] = 1.0
+        expected = raw / norms[:, None]
+        assert _patterns(adjacency, anchor, nodes, mode, True).tobytes() == expected.tobytes()
+
+
+def dense_truth_signal(config, g, plan, seeds):
+    """The signal as drawn from the whole N×N truth kernel."""
+    every = np.arange(g.n_nodes)
+    if config.scenario == "identity":
+        k = np.eye(g.n_nodes)
+    else:
+        anchored = config.scenario == "connectivity_anchored"
+        patterns = _patterns(
+            g.adjacency, plan.sampled if anchored else every, every, config.pattern_mode,
+            config.normalize_patterns and not anchored,
+        )
+        k = eval_kernel_matrix(KernelSpec("gaussian", config.truth_sigma2), patterns, patterns)
+    return synth_signal(g, k, config.noise_var, seeds["signal"])
+
+
+class TestTruthSignal:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        groups=st.integers(2, 11), tail=st.integers(1, 7), block_groups=st.integers(1, 3),
+        scenario=st.sampled_from(["connectivity", "connectivity_anchored"]),
+        noise_var=st.sampled_from([0.0, 0.01]), trial=st.integers(0, 2**16),
+    )
+    def test_blocks_give_the_dense_signal(self, groups, tail, block_groups, scenario, noise_var, trial):
+        # n = 8 groups + tail is never a multiple of 8, and a budget of
+        # 64 n block_groups bytes with no 128-row floor cuts K alpha into
+        # blocks of 8 block_groups rows, so n spans several blocks; 0/1
+        # patterns make every kernel entry exact, so only the blocking could
+        # move a bit
+        n = 8 * groups + tail
+        config = ExperimentConfig(
+            n_nodes=n, scenario=scenario, noise_var=noise_var, normalize_patterns=False,
+            sample_fraction=0.2, standardize_labels=False,
+        )
+        seeds = _trial_seeds(0, trial)
+        with mock.patch.object(graphrf.kernels, "_ROW_CHUNK_BYTES", 64 * n * block_groups), \
+                mock.patch.object(graphrf.harness, "_TRUTH_MIN_ROWS", 8):
+            g, plan, x = _draw_trial(config, n, seeds)
+        assert x.tobytes() == dense_truth_signal(config, g, plan, seeds).tobytes()
+
+    def test_normalised_patterns_keep_the_dense_signal_to_rounding(self):
+        # normalised entries are not exact, and BLAS may round a block of
+        # rows differently from the whole product
+        n = 77
+        config = ExperimentConfig(n_nodes=n, scenario="connectivity", standardize_labels=False)
+        seeds = _trial_seeds(0, 1)
+        with mock.patch.object(graphrf.kernels, "_ROW_CHUNK_BYTES", 0), \
+                mock.patch.object(graphrf.harness, "_TRUTH_MIN_ROWS", 8):
+            g, plan, x = _draw_trial(config, n, seeds)
+        np.testing.assert_allclose(x, dense_truth_signal(config, g, plan, seeds), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [60, 120, 200, 500, 1000, 2000])
+    def test_identity_is_the_eye_signal(self, n):
+        config = ExperimentConfig(n_nodes=n, scenario="identity", standardize_labels=False)
+        seeds = _trial_seeds(3, 0)
+        g, plan, x = _draw_trial(config, n, seeds)
+        assert x.tobytes() == dense_truth_signal(config, g, plan, seeds).tobytes()
+
+    @pytest.mark.parametrize("scenario,bound", [("identity", 0.2), ("connectivity_anchored", 0.35)])
+    def test_no_n_by_n_kernel_is_built(self, scenario, bound):
+        # one N×N float64 array at n = 2000 is 30.5 MB; the bool adjacency is
+        # an eighth of that, the anchored patterns a twentieth and each block
+        # of 128 rows a sixteenth (measured: 0.14 and 0.29 of one N×N array)
+        n = 2000
+        config = ExperimentConfig(n_nodes=n, scenario=scenario)
+        erdos_renyi(2, 0.2, seed=0)  # imports numpy.random before measuring
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _draw_trial(config, n, _trial_seeds(0, 0))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < bound * 8 * n * n
 
 
 class TestRunSynthetic:

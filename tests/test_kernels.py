@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphrf import _kernels, harness
+from graphrf import _kernels, harness, kernels
 from graphrf import (
     Graph,
     GraphKernelSpec,
@@ -103,19 +104,47 @@ class TestEvalKernelMatrix:
             for j in range(4):
                 assert mat[i, j] == pytest.approx(eval_kernel(spec, xs[i], ys[j]), abs=1e-10)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        rows=st.integers(1, 12), cols=st.integers(1, 12), dim=st.integers(1, 6),
+        rows=st.integers(1, 44), cols=st.integers(1, 12), dim=st.integers(1, 6),
         bw=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1),
+        budget=st.sampled_from([0, 1 << 20]), self_gram=st.booleans(),
     )
-    def test_gaussian_in_place_equals_the_whole_array_recipe(self, rows, cols, dim, bw, seed):
+    def test_gaussian_in_place_equals_the_whole_array_recipe(
+        self, rows, cols, dim, bw, seed, budget, self_gram
+    ):
+        # a budget of 0 bytes gives chunks of 8 rows, so up to 6 chunks
         rng = np.random.default_rng(seed)
         xs = rng.normal(size=(rows, dim))
-        ys = np.concatenate([xs[: cols // 2], rng.normal(size=(cols - cols // 2, dim))])
+        ys = xs if self_gram else np.concatenate([xs[: cols // 2], rng.normal(size=(cols - cols // 2, dim))])
         sq = (xs * xs).sum(axis=1)[:, None] + (ys * ys).sum(axis=1)[None, :] - 2.0 * xs @ ys.T
         np.clip(sq, 0.0, None, out=sq)
         expected = np.exp(-sq / (2.0 * bw))
-        assert eval_kernel_matrix(KernelSpec("gaussian", bw), xs, ys).tobytes() == expected.tobytes()
+        with mock.patch.object(kernels, "_ROW_CHUNK_BYTES", budget):
+            got = eval_kernel_matrix(KernelSpec("gaussian", bw), xs, ys)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_gaussian_peaks_at_about_one_output(self):
+        # the whole-array recipe holds the sum and the product, two outputs, at once
+        xs = np.random.default_rng(5).random((1500, 20))
+        tracemalloc.start()
+        try:
+            out = eval_kernel_matrix(KernelSpec("gaussian", 5.0), xs, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * out.nbytes
+
+
+class TestRowChunk:
+    def test_a_multiple_of_8_within_the_budget(self):
+        assert kernels.row_chunk(8 * 1000) == 128
+        assert kernels.row_chunk(8 * 999) == 128
+        assert kernels.row_chunk(8) == kernels._ROW_CHUNK_BYTES // 8
+
+    @pytest.mark.parametrize("row_bytes", [8 * 20000, 10**12])
+    def test_at_least_8_rows(self, row_bytes):
+        assert kernels.row_chunk(row_bytes) == 8
 
 
 class TestSpectralSample:

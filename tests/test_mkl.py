@@ -399,6 +399,25 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             mkl_train(self.model(), samples)
 
+    @pytest.mark.parametrize(
+        "loss,bad,message",
+        [
+            ("least_squares", np.nan, "labels must be finite, got nan"),
+            ("hinge", 0.5, "hinge loss requires labels in {-1, +1}, got 0.5"),
+            ("logistic", -np.inf, "labels must be finite, got -inf"),
+        ],
+    )
+    def test_first_bad_label_of_a_long_stream_is_named(self, loss, bad, message):
+        # the labels are checked as one array; the error names the first bad
+        # one exactly as the per-label check words it, not a later one
+        model = mkl_init([KernelSpec("gaussian", 1.0)], 2, 3, 0.5, 0.0, loss, 21)
+        labels = np.where(np.arange(2000) % 2 == 0, 1.0, -1.0)
+        labels[1000] = bad
+        labels[1500] = 7.0
+        zs = mkl_encode(model, np.ones((labels.size, 3)))
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            mkl_train_encoded(model, zs, labels)
+
     @pytest.mark.parametrize("shape", [(3, 1), (1, 3), ()])
     def test_labels_that_are_not_1d_refused(self, shape):
         model = self.model()
