@@ -16,6 +16,10 @@ untouched) and once on the working tree's ``src/``:
   ``sample_counts = 10,20``, two trials and all five methods;
 - ``bench-newnode``: ``bench_sizes = 60,120`` with mkl, gk_df and knn.
 
+Every config, edge and label file opens with a comment line, then a blank
+line, and its first record carries a trailing comment, so that both trees
+parse comments too.
+
 ``report.tsv``, ``summary.json`` and every file under ``traces/`` are
 compared byte for byte.  ``bench-newnode`` always measures wall-clock time,
 so its timing fields are masked first: the ``train_s`` and ``newnode_s``
@@ -46,6 +50,13 @@ TIMING_FIELDS = {"train_s": "train_time", "newnode_s": "newnode_time"}
 MASK = "<timing>"
 
 
+def commented(text: str) -> str:
+    """``text`` under a comment line and a blank line, with a trailing comment
+    on its first line."""
+    first, newline, rest = text.partition("\n")
+    return f"# report-identity fixture\n\n{first}  # first record{newline}{rest}"
+
+
 def write_fixture(tmp: Path) -> dict:
     """Configs for the four runs; the dataset files live in ``tmp`` so both
     trees see the same paths (they are echoed into summary.json)."""
@@ -53,10 +64,10 @@ def write_fixture(tmp: Path) -> dict:
     n = 60
     edges = [(i, (i + 1) % n) for i in range(n)]  # a ring: no node is isolated
     edges += [(i, j) for i in range(n) for j in range(i + 2, n) if rng.random() < 0.15]
-    (tmp / "edges.txt").write_text("".join(f"n{i} n{j}\n" for i, j in edges))
+    (tmp / "edges.txt").write_text(commented("".join(f"n{i} n{j}\n" for i, j in edges)))
     labels = rng.normal(size=(n, 3))
     (tmp / "labels.txt").write_text(
-        "".join(f"n{i} " + " ".join(f"{v:.6f}" for v in row) + "\n" for i, row in enumerate(labels))
+        commented("".join(f"n{i} " + " ".join(f"{v:.6f}" for v in row) + "\n" for i, row in enumerate(labels)))
     )
     configs = {
         "synthetic": ALL_METHODS + "emit_traces = true\n",
@@ -69,7 +80,7 @@ def write_fixture(tmp: Path) -> dict:
     paths = {}
     for name, text in configs.items():
         paths[name] = tmp / f"{name}.cfg"
-        paths[name].write_text(text)
+        paths[name].write_text(commented(text))
     return paths
 
 

@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .features import build_map
+from .graph import _lines
 from .harness import (
     ExperimentConfig,
     bench_newnode,
@@ -27,7 +28,7 @@ from .harness import (
     run_synthetic,
     write_report,
 )
-from .kernels import KernelSpec
+from .kernels import KERNEL_FAMILIES, KernelSpec
 
 
 def _output_flags(parser: argparse.ArgumentParser, seed_help: str) -> None:
@@ -60,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--vector", help="comma-separated connectivity pattern")
     enc.add_argument("--vector-file", help="file with one pattern value per line")
     enc.add_argument("--d", type=int, default=10, help="number of spectral samples")
-    enc.add_argument("--family", default="gaussian", choices=("gaussian", "laplacian", "cauchy"))
+    enc.add_argument("--family", default="gaussian", choices=KERNEL_FAMILIES)
     enc.add_argument("--bandwidth", type=float, default=1.0)
     return parser
 
@@ -76,8 +77,13 @@ def _cmd_encode(args) -> int:
     if args.vector:
         pattern = np.array([float(v) for v in args.vector.split(",") if v.strip() != ""])
     elif args.vector_file:
-        with open(args.vector_file, "r", encoding="utf-8") as fh:
-            pattern = np.array([float(line) for line in fh if line.strip()])
+        values = []
+        for lineno, line in _lines(args.vector_file):
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(f"line {lineno}: {line!r} is not a number") from None
+        pattern = np.array(values)
     else:
         raise ValueError("encode needs --vector or --vector-file")
     if pattern.size == 0:

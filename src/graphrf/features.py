@@ -49,6 +49,8 @@ class RFMap:
         v = np.ascontiguousarray(self.v_matrix, dtype=np.float64)
         if v.ndim != 2:
             raise ValueError("v_matrix must be 2-d (D x N)")
+        if min(v.shape) < 1:
+            raise ValueError(f"v_matrix needs D >= 1 and N >= 1, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("v_matrix must be finite")
         v = v.copy()

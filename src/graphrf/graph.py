@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterator
 
 import numpy as np
 
@@ -30,15 +30,20 @@ import numpy as np
 _BLOCK = 256
 
 
-def _read_lines(source) -> Iterable[str]:
+def _lines(source) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` for each line of ``source`` that holds text
+    before its ``#`` comment.  ``source`` is a path, read as UTF-8 with
+    universal newlines and a leading byte-order mark dropped, an open text
+    file or an iterable of lines.  Every text input is read here."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh.readlines()
-        return
-    if hasattr(source, "read"):
-        yield from source.read().splitlines()
-        return
-    yield from source
+        with open(source, "r", encoding="utf-8-sig") as fh:
+            source = fh.readlines()
+    elif hasattr(source, "read"):
+        source = source.read().splitlines()
+    for lineno, raw in enumerate(source, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
 
 
 def _is_symmetric(a: np.ndarray) -> bool:
@@ -140,13 +145,10 @@ def load_edge_list(source, directed: bool = False, weighted: bool = False) -> Gr
     """
     names: dict[str, int] = {}
     edges: list[tuple[int, int, float]] = []
-    for lineno, raw in enumerate(_read_lines(source), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(source):
         tokens = line.split()
         if len(tokens) < 2:
-            raise ValueError(f"line {lineno}: expected 'src dst [weight]', got {raw.strip()!r}")
+            raise ValueError(f"line {lineno}: expected 'src dst [weight]', got {line!r}")
         if weighted:
             if len(tokens) < 3:
                 raise ValueError(f"line {lineno}: weighted edge list needs a third column")
@@ -186,10 +188,7 @@ def load_labels(source) -> dict[str, np.ndarray]:
     labels: dict[str, np.ndarray] = {}
     first_line: dict[str, int] = {}
     width = None
-    for lineno, raw in enumerate(_read_lines(source), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(source):
         tokens = line.split()
         if len(tokens) < 2:
             raise ValueError(f"line {lineno}: expected 'node value [value ...]'")

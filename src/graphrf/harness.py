@@ -33,6 +33,7 @@ from .baselines import batch_kernel_ridge, batch_rf_ls, knn_predict, knn_predict
 from .graph import (
     Graph,
     SamplingPlan,
+    _lines,
     erdos_renyi,
     load_edge_list,
     load_labels,
@@ -223,10 +224,7 @@ def load_config(path) -> ExperimentConfig:
     may be set twice."""
     entries = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(path):
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"line {lineno}: expected 'key = value'")
@@ -876,20 +874,19 @@ def run_regret(config: ExperimentConfig) -> Report:
     return Report(rows=[], config=config, seeds=seeds_used, extras=extras, traces=traces)
 
 
-def fit_growth_exponent(series: np.ndarray, t_min: int | None = None) -> float:
+def fit_growth_exponent(series: np.ndarray) -> float:
     """Log-log slope of a positive series against step index.
 
-    Returns nan when fewer than two positive values fall in the fit window
-    (e.g. an identically-zero regret series).
+    The fit window starts at step max(8, n // 100).  Returns nan when fewer
+    than two positive values fall in it (e.g. an identically-zero regret
+    series).
     """
     series = np.asarray(series, dtype=np.float64)
     n = series.size
     if n < 2:
         return float("nan")
-    if t_min is None:
-        t_min = max(8, n // 100)
     t = np.arange(1, n + 1)
-    mask = (t >= t_min) & (series > 0)
+    mask = (t >= max(8, n // 100)) & (series > 0)
     if mask.sum() < 2:
         return float("nan")
     slope, _ = np.polyfit(np.log(t[mask]), np.log(series[mask]), 1)

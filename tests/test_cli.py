@@ -44,6 +44,22 @@ class TestEncodeCommand:
         values = [float(v) for v in capsys.readouterr().out.split()]
         np.testing.assert_allclose(values, [0.0, 1.0], atol=1e-12)
 
+    def test_bom_comments_and_blank_lines_encode_like_the_plain_file(self, tmp_path, capsys):
+        plain, decorated = tmp_path / "plain.txt", tmp_path / "decorated.txt"
+        plain.write_text("0.5\n1\n-2\n")
+        decorated.write_bytes("\ufeff# a pattern\r\n\n0.5 # first\r\n1\n\n-2  # last".encode("utf-8"))
+        outputs = []
+        for path in (plain, decorated):
+            assert main(["encode", "--vector-file", str(path), "--d", "3", "--seed", "4"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_vector_file_names_the_line_that_is_not_a_number(self, tmp_path, capsys):
+        vec = tmp_path / "vec.txt"
+        vec.write_text("# pattern\n1\nx\n")
+        assert main(["encode", "--vector-file", str(vec)]) == 1
+        assert capsys.readouterr().err == "error: line 3: 'x' is not a number\n"
+
     def test_missing_vector_is_diagnosed(self, capsys):
         assert main(["encode", "--d", "3"]) == 1
         assert "error:" in capsys.readouterr().err

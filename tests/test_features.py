@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphrf import (
     KernelSpec,
@@ -15,7 +17,11 @@ from graphrf import (
     null_space_collision,
     save_map,
 )
-from graphrf.features import LAYOUT_VERSION
+from graphrf.features import _HEADER, _MAGIC, LAYOUT_VERSION, _map_bytes, _map_from_bytes
+
+# byte offset and struct format of the header fields a map file's reader checks
+HEADER_FIELDS = {"d": (16, "<Q"), "n": (24, "<Q"), "family": (32, "<B"), "bandwidth": (33, "<d")}
+BODY = len(_MAGIC) + struct.calcsize(_HEADER)
 
 
 def manual_map(v_matrix, family="gaussian", bandwidth=1.0, seed=0):
@@ -204,6 +210,41 @@ class TestSerialization:
         v[1, 2] = bad
         with pytest.raises(ValueError, match="v_matrix must be finite"):
             manual_map(v)
+
+    @pytest.mark.parametrize("d, n", [(0, 5), (3, 0)])
+    def test_zero_size_map_refused(self, tmp_path, d, n):
+        with pytest.raises(ValueError, match=rf"v_matrix needs D >= 1 and N >= 1, got shape \({d}, {n}\)"):
+            manual_map(np.zeros((d, n)))
+        raw = bytearray(_map_bytes(build_map(KernelSpec("gaussian", 1.0), 3, 5, seed=2))[:BODY])
+        struct.pack_into("<QQ", raw, HEADER_FIELDS["d"][0], d, n)  # an empty body is all that D * N = 0 needs
+        path = tmp_path / "map.rfm"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"D >= 1 and N >= 1"):
+            load_map(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 4), n=st.integers(1, 4), data=st.data())
+    def test_a_changed_header_field_reloads_or_is_refused(self, d, n, data):
+        raw = bytearray(_map_bytes(build_map(KernelSpec("cauchy", 2.0), d, n, seed=3)))
+        name = data.draw(st.sampled_from(sorted(HEADER_FIELDS)), label="field")
+        if name == "bandwidth":
+            value = data.draw(st.floats(), label="value")
+        elif name == "family":
+            value = data.draw(st.integers(0, 255), label="value")
+        else:
+            value = data.draw(st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1)), label="value")
+            size = value * (n if name == "d" else d)
+            if size <= 64:  # the body the new header asks for
+                raw = raw[:BODY] + np.linspace(-1.0, 1.0, size).astype("<f8").tobytes()
+        offset, fmt = HEADER_FIELDS[name]
+        struct.pack_into(fmt, raw, offset, value)
+        try:
+            loaded = _map_from_bytes(bytes(raw))
+        except ValueError:
+            return
+        z = loaded.encode(np.linspace(0.0, 1.0, loaded.n))
+        assert z.shape == (2 * loaded.d,)
+        assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
 
     def test_ref_distinguishes_maps(self):
         a = build_map(KernelSpec("gaussian", 1.0), 4, 6, seed=0)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from graphrf import (
     synth_signal,
 )
 from graphrf.baselines import knn_predict_batch
-from graphrf.harness import _patterns
+from graphrf.harness import _patterns, load_config
 
 
 def triangle():
@@ -161,6 +162,96 @@ class TestLoadLabels:
     def test_node_labeled_twice_rejected(self):
         with pytest.raises(ValueError, match="line 3: node 'a' already labeled on line 1"):
             load_labels(["a 1", "b 2", "a 3"])
+
+
+# Every text input goes through one reader; these are the loaders built on it.
+TEXT_LOADERS = {
+    "edges": load_edge_list,
+    "weighted_edges": partial(load_edge_list, weighted=True),
+    "labels": load_labels,
+    "config": load_config,
+}
+# junk, numbers, non-finite values, config keys and values, separators
+_WORDS = ["a", "b", "0", "1", "-2.5", "1e400", "nan", "inf", "-inf", "x", "é", "d", "trials", "eta",
+          "methods", "auto", "mkl,knn", "gaussian:1.0", "=", "=="]
+_NUMBER = st.sampled_from(["0", "1", "0.25", "3e2", "-2.5"])
+# a label row, an edge, or a weighted edge when the last number is >= 0
+_ROW = st.builds("{} {} {}".format, st.sampled_from("abcdefghijklmnoé"), _NUMBER, _NUMBER)
+_ENTRY = st.builds(
+    "{} = {}".format,
+    st.sampled_from(["n_nodes", "trials", "d", "eta", "edge_prob", "noise_var", "regret_T", "timing_reps"]),
+    st.sampled_from(["2", "0.5", "1", "auto"]),
+)
+_JUNK = st.lists(st.sampled_from(_WORDS), max_size=4).map(" ".join)
+_TEXT_LINES = st.one_of(
+    st.lists(_ROW, max_size=6),
+    st.lists(_ENTRY, max_size=6),
+    st.lists(st.one_of(_JUNK, _ROW, _ENTRY), max_size=8),
+)
+_COMMENT = st.sampled_from(["", "#", "# note", "#x # y", "#=1"])
+_NEWLINE = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("text")
+
+
+def loaded(loader: str, text: str, directory: Path):
+    """What the loader makes of ``text`` written to a file as UTF-8, newlines
+    untranslated: ``("ok", comparable result)`` or ``("error", message)``."""
+    path = directory / "input.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        result = TEXT_LOADERS[loader](path)
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(result, Graph):
+        return "ok", (result.adjacency.dtype, result.adjacency.tobytes(), result.n_nodes, result.node_names)
+    if isinstance(result, dict):
+        return "ok", [(node, values.tobytes()) for node, values in result.items()]
+    return "ok", repr(result)
+
+
+class TestTextInput:
+    PLAIN = {
+        "edges": "a b\nb c\nc a\n",
+        "weighted_edges": "a b 0.5\nb c 2\n",
+        "labels": "a 1 2\nb -0.5 3\n",
+        "config": "n_nodes = 12\nmethods = mkl,knn\n",
+    }
+
+    @pytest.mark.parametrize("loader", sorted(TEXT_LOADERS))
+    def test_bom_comments_and_blank_lines_read_like_the_plain_file(self, text_dir, loader):
+        plain = self.PLAIN[loader]
+        decorated = "\ufeff# header\n\n" + plain.replace("\n", "  # trailing\r\n")
+        assert loaded(loader, plain, text_dir)[0] == "ok"
+        assert loaded(loader, decorated, text_dir) == loaded(loader, plain, text_dir)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        loader=st.sampled_from(sorted(TEXT_LOADERS)),
+        lines=_TEXT_LINES,
+        comments=st.lists(_COMMENT, min_size=8, max_size=8),
+        newlines=st.lists(_NEWLINE, min_size=8, max_size=8),
+        bom=st.booleans(),
+    )
+    def test_random_text_parses_or_is_refused(self, text_dir, loader, lines, comments, newlines, bom):
+        text = "\ufeff" * bom + "".join(map("".join, zip(lines, comments, newlines)))
+        loaded(loader, text, text_dir)  # any exception but ValueError fails the test
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        loader=st.sampled_from(sorted(TEXT_LOADERS)),
+        lines=_TEXT_LINES,
+        newlines=st.lists(_NEWLINE, min_size=8, max_size=8),
+    )
+    def test_bom_and_trailing_comments_change_nothing(self, text_dir, loader, lines, newlines):
+        # every decorated line holds a comment, so no line is empty and no
+        # CR before an LF can merge two lines: the line numbers stay
+        plain = "".join(line + "\n" for line in lines)
+        decorated = "\ufeff" + "".join(f"{line} # note{newline}" for line, newline in zip(lines, newlines))
+        assert loaded(loader, decorated, text_dir) == loaded(loader, plain, text_dir)
 
 
 class TestErdosRenyi:

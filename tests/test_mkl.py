@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import re
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from graphrf import (
     mkl_update,
     save_mkl_checkpoint,
 )
-from graphrf.features import RFMap, _map_bytes, build_map
+from graphrf.features import _HEADER, _MAGIC, RFMap, _map_bytes, build_map
 from graphrf.harness import _prefix_oracle_losses, fit_growth_exponent
 from graphrf.mkl import (
     absorb_new_node_mkl,
@@ -616,6 +617,19 @@ class TestCheckpoint:
             record["maps_b64"][0] = base64.b64encode(bytes(blob)).decode("ascii")
 
         with pytest.raises(ValueError, match=r"maps_b64\[0\] .*v_matrix must be finite"):
+            load_mkl_checkpoint(self.tampered(tmp_path, change))
+
+    # D and N are the 8-byte header fields after the magic and the two versions
+    @pytest.mark.parametrize("offset", [16, 24], ids=["D", "N"])
+    def test_zero_size_map_refused(self, tmp_path, offset):
+        def change(record):
+            for p, text in enumerate(record["maps_b64"]):
+                # the header alone: D * N = 0 needs no body
+                blob = bytearray(base64.b64decode(text)[: len(_MAGIC) + struct.calcsize(_HEADER)])
+                blob[offset : offset + 8] = bytes(8)
+                record["maps_b64"][p] = base64.b64encode(bytes(blob)).decode("ascii")
+
+        with pytest.raises(ValueError, match=r"maps_b64\[0\] is malformed .*D >= 1 and N >= 1"):
             load_mkl_checkpoint(self.tampered(tmp_path, change))
 
     @pytest.mark.parametrize(
