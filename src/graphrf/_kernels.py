@@ -12,6 +12,13 @@ numpy pass, which is exact in structure because no learner's update reads
 the weights.  Each learner's row takes the same arithmetic at any P, so a
 learner of a P-kernel pass is bit-identical to the P = 1 pass over its
 stream alone.
+
+A pass of one sample over fewer than 8 kernels, which is what a labelled
+join makes, takes a one-step branch inside :func:`mkl_stream` instead.  It
+runs ``learner_block``'s numpy operations and the replay's arithmetic in the
+same order, the P-length hedge arithmetic on Python floats, so it returns
+the general path's arrays bit for bit at about half the fixed cost.  Where a
+value is not finite, the general path runs.
 """
 
 from __future__ import annotations
@@ -137,7 +144,14 @@ def mkl_stream(zs, ys, eta, loss, thetas, logw):
     weights used at each step (T, P), combined predictions (T,), largest
     gradient norm per kernel (P,)).  All recorded values are pre-update, as
     the online protocol requires.
+
+    One sample over fewer than 8 kernels takes :func:`_one_step`, which
+    returns the same arrays bit for bit.
     """
+    if len(ys) == 1 and len(logw) < 8:
+        step = _one_step(zs[:, 0], float(ys[0]), eta, loss, thetas, logw)
+        if step is not None:
+            return step
     record = learner_block(zs, ys, eta, loss, thetas)
     preds, norms, grad_sq = record
     kind, mu = loss.kind, loss.mu
@@ -164,3 +178,89 @@ def mkl_stream(zs, ys, eta, loss, thetas, logw):
         logw[:] = hist[-1]
     max_grad = np.sqrt(np.maximum.reduce(grad_sq, axis=0, initial=0.0))
     return combined, per_kernel, weights, f_hat[:, 0], max_grad
+
+
+def _cost_floats(kind, preds, y):
+    """:func:`cost_value` of each float in ``preds``, rounded as numpy rounds
+    it: least squares and hinge take plain IEEE arithmetic, and logistic goes
+    through numpy's exp and log1p, which may round differently from libm's."""
+    if kind == "least_squares":
+        return [(p - y) * (p - y) for p in preds]
+    if kind == "hinge":
+        return [max(1.0 - y * p, 0.0) for p in preds]
+    return cost_value(kind, np.array(preds), y).tolist()
+
+
+def _grad_floats(kind, preds, y):
+    """:func:`cost_grad_scale` of each float in ``preds``, rounded as numpy
+    rounds it."""
+    if kind == "least_squares":
+        return [2.0 * (p - y) for p in preds]
+    if kind == "hinge":
+        return [-y if y * p < 1.0 else 0.0 for p in preds]
+    return cost_grad_scale(kind, np.array(preds), y).tolist()
+
+
+def _weights_floats(log_weights):
+    """The normalised hedge weights of fewer than 8 finite log-weights, as
+    floats rounded as :func:`mkl_stream` rounds them.  Of equal entries (0.0
+    and -0.0) numpy's maximum keeps the last, as max over the reversed list
+    does, and numpy sums fewer than 8 entries left to right from 0.0.  (From 8
+    entries on it sums in pairs, and this order no longer holds.)"""
+    top = max(reversed(log_weights))
+    scale = np.exp(np.array([w - top for w in log_weights])).tolist()
+    total = 0.0
+    for s in scale:
+        total += s
+    return [s / total for s in scale]
+
+
+def hedge_mix(log_weights, values) -> float:
+    """The hedge-weighted sum of P per-kernel values, rounded as
+    :func:`mkl_stream` rounds its combined prediction."""
+    if len(log_weights) >= 8:
+        weights = np.exp(log_weights - log_weights.max())
+        weights /= weights.sum()
+        return float((weights * values).sum())
+    total = 0.0
+    for w, v in zip(_weights_floats(log_weights.tolist()), values.tolist()):
+        total += w * v
+    return total
+
+
+def _one_step(z, y, eta, loss, thetas, logw):
+    """:func:`mkl_stream` over one sample of P < 8 kernels, bit for bit.
+
+    ``z`` is the (P, 2D) encoding.  Every operation of ``learner_block`` and
+    of the hedge replay runs in the same order, the P-length hedge arithmetic
+    on Python floats.  Returns None, having changed nothing, when a
+    prediction, norm, label, step or log-weight is not finite; the general
+    path then runs.
+    """
+    kind, mu = loss.kind, loss.mu
+    # rows [z * theta, theta * theta]: one sum gives predictions and norms
+    work = np.empty((2,) + z.shape)
+    np.multiply(z, thetas, work[0])
+    np.multiply(thetas, thetas, work[1])
+    preds, norms = np.add.reduce(work, 2).tolist()
+    log_weights = logw.tolist()
+    if not all(map(math.isfinite, [y, eta, mu, *preds, *norms, *log_weights])):
+        return None
+    grad = np.array(_grad_floats(kind, preds, y))[:, None] * z
+    grad += np.multiply(thetas, 2.0 * mu, work[0])
+    grad_sq = np.add.reduce(np.multiply(grad, grad, work[1]), 1)
+    grad *= eta
+    thetas -= grad
+    per_kernel, after, used = [], [], _weights_floats(log_weights)
+    f_hat = norm_bar = 0.0
+    for c, p, n, w, u in zip(_cost_floats(kind, preds, y), preds, norms, log_weights, used):
+        c += mu * n
+        per_kernel.append(c)
+        after.append(w - eta * min(max(c, 0.0), 1.0))
+        f_hat += u * p
+        norm_bar += u * n
+    combined = _cost_floats(kind, [f_hat], y)[0] + mu * norm_bar
+    top = max(reversed(after))  # numpy's maximum, as in _weights_floats
+    logw[:] = [w - top for w in after]
+    return (np.array([combined]), np.array([per_kernel]), np.array([used]), np.array([f_hat]),
+            np.sqrt(grad_sq))

@@ -73,17 +73,24 @@ def _resolve_config(args) -> ExperimentConfig:
     return config
 
 
+def _numbers(entries) -> np.ndarray:
+    """The values of ``(where, text)`` entries, refusing one that is not a
+    number with an error that says where it is."""
+    values = []
+    for where, text in entries:
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise ValueError(f"{where}: {text!r} is not a number") from None
+    return np.array(values)
+
+
 def _cmd_encode(args) -> int:
     if args.vector:
-        pattern = np.array([float(v) for v in args.vector.split(",") if v.strip() != ""])
+        entries = enumerate(args.vector.split(","), start=1)
+        pattern = _numbers((f"--vector entry {i}", v.strip()) for i, v in entries if v.strip())
     elif args.vector_file:
-        values = []
-        for lineno, line in _lines(args.vector_file):
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise ValueError(f"line {lineno}: {line!r} is not a number") from None
-        pattern = np.array(values)
+        pattern = _numbers((f"line {lineno}", line) for lineno, line in _lines(args.vector_file))
     else:
         raise ValueError("encode needs --vector or --vector-file")
     if pattern.size == 0:

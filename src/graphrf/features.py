@@ -97,7 +97,9 @@ def encode_stacked(v_block: np.ndarray, patterns) -> np.ndarray:
     its kernel and blocking by shape, and the results differ in the last bits.)
     One sin, one cos and one scaling then cover all P maps.
     """
-    a = np.atleast_2d(np.asarray(patterns, dtype=np.float64))
+    a = np.asarray(patterns, dtype=np.float64)
+    if a.ndim < 2:
+        a = a.reshape(1, -1)  # np.atleast_2d, without its cost per call
     n_maps, d, n = v_block.shape
     if a.ndim != 2:
         raise ValueError(f"patterns must be one pattern or a (T, N) array of them, got shape {a.shape}")
@@ -179,6 +181,9 @@ def _map_from_bytes(raw: bytes) -> RFMap:
         raise ValueError(f"unsupported map layout {layout}, expected {LAYOUT_VERSION}")
     if family_code >= len(KERNEL_FAMILIES):
         raise ValueError(f"unknown kernel family code {family_code}")
+    for field, size in (("D", d), ("N", n)):
+        if size < 1:
+            raise ValueError(f"map header field {field} is {size}; a map needs D >= 1 and N >= 1")
     body = np.frombuffer(raw, dtype="<f8", offset=offset)
     if body.size != d * n:
         raise ValueError("map file truncated")

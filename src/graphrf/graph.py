@@ -18,6 +18,7 @@ checks make no N×N temporary.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,15 +32,18 @@ _BLOCK = 256
 
 
 def _lines(source) -> Iterator[tuple[int, str]]:
-    """``(line number, text)`` for each line of ``source`` that holds text
-    before its ``#`` comment.  ``source`` is a path, read as UTF-8 with
-    universal newlines and a leading byte-order mark dropped, an open text
-    file or an iterable of lines.  Every text input is read here."""
+    r"""``(line number, text)`` for each line of ``source`` that holds text
+    before its ``#`` comment.  ``source`` is a path, read as UTF-8 with a
+    leading byte-order mark dropped, an open text file or an iterable of
+    lines.  A path and an open file split into lines by one rule, universal
+    newlines: only ``\n``, ``\r\n`` and ``\r`` end a line.  Every text
+    input is read here."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            source = fh.readlines()
+        source = Path(source).read_text(encoding="utf-8-sig")
     elif hasattr(source, "read"):
-        source = source.read().splitlines()
+        source = source.read()
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
     for lineno, raw in enumerate(source, start=1):
         text = raw.split("#", 1)[0].strip()
         if text:

@@ -341,10 +341,13 @@ def _cell(value, missing: str | None) -> str:
 def write_report(report: Report, out_dir) -> None:
     """Write ``report.tsv``, ``summary.json`` and one ``traces/<name>.tsv``
     per entry of ``report.traces``; the runners themselves write nothing."""
+    # render both before writing either: a report that cannot be written as
+    # JSON (a non-finite value) leaves no report.tsv behind
+    tsv, summary = report.to_tsv(), report.to_json()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.tsv").write_text(report.to_tsv(), encoding="utf-8")
-    (out / "summary.json").write_text(report.to_json(), encoding="utf-8")
+    (out / "report.tsv").write_text(tsv, encoding="utf-8")
+    (out / "summary.json").write_text(summary, encoding="utf-8")
     if report.traces:
         (out / "traces").mkdir(exist_ok=True)
     for name, (names, columns) in report.traces.items():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -107,13 +108,22 @@ def _with_fields(obj, **fields):
     """Copy of a frozen dataclass with some fields replaced, without re-running
     its ``__post_init__``: for values whose checks the caller has done."""
     new = object.__new__(type(obj))
-    new.__dict__.update(obj.__dict__, **fields)
+    new.__dict__.update(obj.__dict__)
+    new.__dict__.update(fields)
     return new
+
+
+def _finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite.  A few entries are checked one by one,
+    which is quicker than a numpy pass."""
+    if values.size > 8:
+        return bool(np.isfinite(values).all())
+    return all(map(math.isfinite, values.ravel().tolist()))
 
 
 def _freeze(thetas: np.ndarray, log_weights: np.ndarray) -> None:
     """Check the log weights finite and make both arrays read-only."""
-    if not np.isfinite(log_weights).all():
+    if not _finite(log_weights):
         raise ValueError("log weights must be finite")
     thetas.setflags(write=False)
     log_weights.setflags(write=False)
@@ -206,9 +216,7 @@ def mkl_train_encoded(
     model: MklModel, zs: np.ndarray, labels
 ) -> tuple[MklModel, MklTraces]:
     """Sequential training pass over encodings from :func:`mkl_encode`."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be one 1-d array of T labels, got shape {labels.shape}")
+    labels = _label_array(labels)
     expected = (model.n_kernels, labels.size, model.thetas.shape[1])
     if zs.shape != expected:
         raise ValueError(f"encodings have shape {zs.shape}, expected {expected}")
@@ -218,18 +226,30 @@ def mkl_train_encoded(
         ok &= np.abs(labels) == 1.0
     if np.count_nonzero(ok) < labels.size:
         _check_label(loss, labels[np.argmin(ok)])  # raises, naming the first bad label
+    new_model, stream = _trained(model, zs, labels)
+    return new_model, MklTraces(*stream)
+
+
+def _label_array(labels) -> np.ndarray:
+    """Labels as one 1-d float array, or a ``ValueError`` naming their shape."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be one 1-d array of T labels, got shape {labels.shape}")
+    return labels
+
+
+def _trained(model: MklModel, zs: np.ndarray, labels: np.ndarray):
+    """The model after one :func:`~graphrf._kernels.mkl_stream` pass over
+    checked encodings and labels, and the pass's five arrays."""
     thetas = model.thetas.copy()
     logw = model.log_weights.copy()
-    combined, per_kernel, weights_used, prediction, max_grad = _kernels.mkl_stream(
-        zs, labels, model.eta, loss, thetas, logw
-    )
-    if not (np.isfinite(thetas).all() and np.isfinite(combined).all()):
+    stream = _kernels.mkl_stream(zs, labels, model.eta, model.loss, thetas, logw)
+    if not (np.isfinite(thetas).all() and _finite(stream[0])):
         raise FloatingPointError("multi-kernel training diverged to non-finite values")
     # the maps and eta carry over, so their checks are not repeated, and
     # neither is the stacking of the maps that mkl_encode caches on the model
     _freeze(thetas, logw)
-    new_model = _with_fields(model, thetas=thetas, log_weights=logw)
-    return new_model, MklTraces(combined, per_kernel, weights_used, prediction, max_grad)
+    return _with_fields(model, thetas=thetas, log_weights=logw), stream
 
 
 def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, MklTraces]:
@@ -263,18 +283,23 @@ def absorb_new_node_mkl(
     """Combined prediction for a newly-joining node, plus an optional update.
 
     The node is encoded once, in one call for all P maps; scoring and the
-    update share that encoding.  The score-only sum mirrors the arithmetic of
-    ``learner_block`` and ``mkl_stream`` (elementwise products summed per
-    kernel, then the weighted sum), so a node scores bit-identically with or
-    without its label; :func:`mkl_predict_encoded`'s matrix products round
-    differently, which is why scoring does not go through it.
+    update share that encoding.  A label is checked as
+    :func:`mkl_train_encoded` checks it, and the update is one
+    ``_kernels.mkl_stream`` pass of one sample, which below 8 kernels takes
+    the stream's one-step branch: the same arrays as the general path, bit
+    for bit, at about half its fixed cost.  The score-only sum mirrors the
+    arithmetic of that pass (elementwise products summed per kernel, then
+    :func:`~graphrf._kernels.hedge_mix`), so a node scores bit-identically
+    with or without its label; :func:`mkl_predict_encoded`'s matrix products
+    round differently, which is why scoring does not go through it.
     """
     zs = mkl_encode(model, _one_node(connectivity))
     if label is None:
-        preds = (model.thetas * zs[:, 0]).sum(axis=1)
-        return float((model.normalized_weights * preds).sum()), model
-    new_model, traces = mkl_train_encoded(model, zs, [label])
-    return float(traces.prediction[0]), new_model
+        return _kernels.hedge_mix(model.log_weights, (model.thetas * zs[:, 0]).sum(axis=1)), model
+    labels = _label_array([label])
+    _check_label(model.loss, labels[0])
+    new_model, stream = _trained(model, zs, labels)
+    return float(stream[3][0]), new_model
 
 
 def _b64(values: np.ndarray) -> str:

@@ -60,6 +60,14 @@ class TestEncodeCommand:
         assert main(["encode", "--vector-file", str(vec)]) == 1
         assert capsys.readouterr().err == "error: line 3: 'x' is not a number\n"
 
+    def test_vector_names_the_entry_that_is_not_a_number(self, capsys):
+        assert main(["encode", "--vector", "1,x"]) == 1
+        assert capsys.readouterr().err == "error: --vector entry 2: 'x' is not a number\n"
+
+    def test_vector_counts_empty_entries_in_the_position(self, capsys):
+        assert main(["encode", "--vector", "1,,2, y "]) == 1
+        assert capsys.readouterr().err == "error: --vector entry 4: 'y' is not a number\n"
+
     def test_missing_vector_is_diagnosed(self, capsys):
         assert main(["encode", "--d", "3"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -222,6 +222,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"D >= 1 and N >= 1"):
             load_map(path)
 
+    def test_a_zero_size_header_is_refused_before_the_body_is_shaped(self):
+        # D = 0 with N = 2^64 - 1 passes the size check with an empty body,
+        # and reshaping that body would fail inside numpy, naming no field
+        header = _MAGIC + struct.pack(_HEADER, 1, 1, 0, 2**64 - 1, 0, 1.0, 0)
+        with pytest.raises(ValueError, match=r"^map header field D is 0; a map needs D >= 1 and N >= 1$"):
+            _map_from_bytes(header)
+
     @settings(max_examples=150, deadline=None)
     @given(d=st.integers(1, 4), n=st.integers(1, 4), data=st.data())
     def test_a_changed_header_field_reloads_or_is_refused(self, d, n, data):

@@ -26,6 +26,7 @@ from graphrf import (
     synth_signal,
 )
 from graphrf.baselines import knn_predict_batch
+from graphrf.graph import _lines
 from graphrf.harness import _patterns, load_config
 
 
@@ -227,6 +228,24 @@ class TestTextInput:
         decorated = "\ufeff# header\n\n" + plain.replace("\n", "  # trailing\r\n")
         assert loaded(loader, plain, text_dir)[0] == "ok"
         assert loaded(loader, decorated, text_dir) == loaded(loader, plain, text_dir)
+
+    # only \n, \r\n and \r end a line; the other characters that
+    # str.splitlines() splits at stay inside it
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("a b\x0cc d\r\ne f\n", [(1, "a b\x0cc d"), (2, "e f")]),
+            ("a\x1cb\x1dc\x1ed\re f\r\n", [(1, "a\x1cb\x1dc\x1ed"), (2, "e f")]),
+            ("a b\x85c d\u2028e f\n# tail", [(1, "a b\x85c d\u2028e f")]),
+            ("x\x0c\x1c\x1d\x1e\x85\u2028 # separators\r\n\r\ny z\r", [(1, "x"), (3, "y z")]),
+        ],
+        ids=["form_feed", "group_separators", "next_line_and_line_separator", "all_at_once"],
+    )
+    def test_an_open_file_and_a_path_split_the_same_lines(self, tmp_path, text, lines):
+        path = tmp_path / "text.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert list(_lines(io.StringIO(text))) == lines
+        assert list(_lines(path)) == lines
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -286,6 +286,14 @@ class TestColumns:
         ]
 
 
+    def test_a_report_that_cannot_be_written_as_json_writes_nothing(self, tmp_path):
+        row = MethodRow("mkl", 10, 2, 3, 0.5, math.inf, 0.5, 0.0)
+        with pytest.raises(ValueError, match="JSON"):
+            write_report(Report([row], ExperimentConfig(), [0]), tmp_path / "out")
+        assert not (tmp_path / "out" / "report.tsv").exists()
+        assert not (tmp_path / "out").exists()
+
+
 class TestPatterns:
     def test_concat_is_column_then_row(self):
         g = erdos_renyi(7, 0.5, 0)

@@ -305,11 +305,11 @@ def _reference_hedge(losses, preds, norms, ys, eta, loss, logw):
 
 
 @st.composite
-def streams(draw):
+def streams(draw, steps=st.integers(0, 60), etas=st.floats(0.0, 0.5)):
     """A small stream of unit-norm encodings with labels fit for the loss."""
     kind = draw(st.sampled_from(_kernels.LOSS_KINDS))
     n_learners = draw(st.integers(1, 4))
-    n_steps = draw(st.integers(0, 60))
+    n_steps = draw(steps)
     width = 2 * draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zs = rng.normal(size=(n_learners, n_steps, width))
@@ -320,7 +320,7 @@ def streams(draw):
         ys = rng.choice([-1.0, 1.0], size=n_steps)
     thetas = rng.normal(scale=0.5, size=(n_learners, width))
     logw = rng.normal(size=n_learners)
-    eta = draw(st.floats(0.0, 0.5))
+    eta = draw(etas)
     mu = draw(st.sampled_from([0.0, 1e-6, 1e-2, 0.5]))
     return zs, ys, eta, _kernels.LossKind(kind, mu), thetas, logw
 
@@ -401,6 +401,77 @@ def test_hedge_replay_is_the_concatenating_replay_bit_for_bit(stream):
     for a, b in zip(got, expected):
         assert a.shape == b.shape and np.array_equal(a, b)
     assert np.array_equal(final_logw, expected_logw)
+
+
+def _general_stream(zs, ys, eta, loss, thetas, logw):
+    """The stream's general path: learner_block, then the concatenating
+    replay; returns its five arrays, the final thetas and log-weights."""
+    thetas = thetas.copy()
+    record = _kernels.learner_block(zs, ys, eta, loss, thetas)
+    return (*_concatenating_replay(record, ys, eta, loss, logw), thetas)
+
+
+def _assert_one_step_is_the_general_path(zs, ys, eta, loss, thetas, logw):
+    got_thetas, got_logw = thetas.copy(), logw.copy()
+    got = _kernels.mkl_stream(zs, ys, eta, loss, got_thetas, got_logw)
+    *expected, expected_logw, expected_thetas = _general_stream(zs, ys, eta, loss, thetas, logw)
+    assert len(got) == len(expected) == 5
+    for a, b in zip((*got, got_thetas, got_logw), (*expected, expected_thetas, expected_logw)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams(steps=st.just(1), etas=st.floats(0.0, 1.0, exclude_min=True)))
+def test_one_step_is_the_general_path_bit_for_bit(stream):
+    _assert_one_step_is_the_general_path(*stream)
+
+
+# numpy's maximum keeps the last of equal entries, so with 0.0 and -0.0 both
+# at the top the sign of a zero log-weight depends on which one is kept; a
+# zero loss (least squares at the label, hinge at the margin) keeps the tie
+# through the step
+@pytest.mark.parametrize(
+    "logw",
+    [[0.0, -0.0], [-0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, -1.0, -0.0, 0.0], [-0.0]],
+    ids=["pos_neg", "neg_pos", "neg_pos_neg", "mixed", "one"],
+)
+@pytest.mark.parametrize("kind", _kernels.LOSS_KINDS)
+def test_one_step_keeps_signed_zero_ties_as_the_general_path(kind, logw):
+    logw = np.array(logw)
+    n_learners = logw.size
+    zs = np.full((n_learners, 1, 4), -0.5)
+    label = 0.0 if kind == "least_squares" else 1.0
+    thetas = np.zeros((n_learners, 4)) if kind == "least_squares" else np.full((n_learners, 4), -0.5)
+    _assert_one_step_is_the_general_path(zs, np.array([label]), 0.5, _kernels.LossKind(kind, 0.0), thetas, logw)
+
+
+@pytest.mark.parametrize(
+    "n_learners, n_steps, finite, tried",
+    [(2, 1, True, True), (7, 1, True, True), (8, 1, True, False), (2, 2, True, False),
+     (2, 0, True, False), (2, 1, False, True)],
+    ids=["one_step", "seven_kernels", "eight_kernels", "two_steps", "no_steps", "non_finite"],
+)
+def test_only_one_step_of_fewer_than_8_kernels_takes_the_branch(monkeypatch, n_learners, n_steps, finite, tried):
+    calls = []
+    one_step = _kernels._one_step
+
+    def recording(*args):
+        result = one_step(*args)
+        calls.append(result is not None)
+        return result
+
+    monkeypatch.setattr(_kernels, "_one_step", recording)
+    rng = np.random.default_rng(3)
+    zs = rng.normal(size=(n_learners, n_steps, 6))
+    thetas = rng.normal(size=(n_learners, 6))
+    logw = np.zeros(n_learners)
+    if not finite:
+        thetas[0, 0] = np.inf  # the branch declines, and the general path runs
+    ys = rng.normal(size=n_steps)
+    loss = _kernels.LossKind("least_squares", 1e-3)
+    with np.errstate(invalid="ignore"):
+        _assert_one_step_is_the_general_path(zs, ys, 0.5, loss, thetas, logw)
+    assert calls == ([finite] if tried else [])
 
 
 @settings(max_examples=60, deadline=None)

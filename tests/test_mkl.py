@@ -22,6 +22,7 @@ from graphrf import (
     mkl_update,
     save_mkl_checkpoint,
 )
+from graphrf import _kernels
 from graphrf.features import _HEADER, _MAGIC, RFMap, _map_bytes, build_map
 from graphrf.harness import _prefix_oracle_losses, fit_growth_exponent
 from graphrf.mkl import (
@@ -388,6 +389,88 @@ class TestTrain:
         np.testing.assert_allclose(
             absorbed.normalized_weights, trained.normalized_weights, rtol=1e-11, atol=1e-13
         )
+
+
+def _frozen_absorb(v_block, eta, loss, thetas, logw, pattern, label):
+    """A labelled or score-only join as the general stream computes it:
+    learner_block's and the vectorised hedge replay's numpy operations in
+    their order, kept here so that the join's one-step path is held to them.
+    Returns (prediction, thetas, log-weights)."""
+    d = v_block.shape[1]
+    x = np.matmul(pattern[None, :], v_block.transpose(0, 2, 1))
+    zs = np.empty((v_block.shape[0], 1, 2 * d))
+    np.sin(x, out=zs[..., :d])
+    np.cos(x, out=zs[..., d:])
+    zs *= d**-0.5
+    if label is None:
+        preds = (thetas * zs[:, 0]).sum(axis=1)
+        w = np.exp(logw - logw.max())
+        return float(((w / w.sum()) * preds).sum()), thetas, logw
+    thetas, logw, ys = thetas.copy(), logw.copy(), np.array([label])
+    work = np.empty((2,) + thetas.shape)
+    theta = work[1]
+    theta[:] = thetas
+    z = zs[:, 0]
+    work[0] = z
+    dots = (work * theta).sum(axis=2)
+    g = _kernels.cost_grad_scale(loss.kind, dots[0], ys[0])
+    grad = g.reshape((-1, 1)) * z
+    grad += 2.0 * loss.mu * theta
+    grad *= eta
+    theta -= grad
+    per_kernel = _kernels.cost_value(loss.kind, dots[None, 0], ys[:, None]) + loss.mu * dots[None, 1]
+    hist = np.empty((2, logw.size))
+    hist[0] = logw
+    after = hist[1:]
+    np.minimum(np.maximum(per_kernel, 0.0, out=after), 1.0, out=after)
+    np.add.accumulate(after, axis=0, out=after)
+    after *= eta
+    np.subtract(logw, after, out=after)
+    hist -= np.maximum.reduce(hist, axis=1, keepdims=True)
+    weights = np.exp(hist[:-1])
+    weights /= np.add.reduce(weights, axis=1, keepdims=True)
+    f_hat = np.add.reduce(weights * dots[None, 0], axis=1)
+    return float(f_hat[0]), theta.copy(), hist[-1].copy()
+
+
+class TestOneStepJoin:
+    @pytest.mark.parametrize(
+        "loss, n_kernels", [("least_squares", 2), ("least_squares", 5), ("hinge", 3), ("logistic", 2)]
+    )
+    def test_chained_joins_are_the_frozen_arithmetic_bit_for_bit(self, loss, n_kernels):
+        # 500 joins, a quarter of them score-only, each on the model the last
+        # one returned, against a frozen copy of the general path's arithmetic
+        specs = [KernelSpec(("gaussian", "laplacian", "cauchy")[p % 3], 1.0 + 2 * p) for p in range(n_kernels)]
+        rng = np.random.default_rng(23)
+        pats = (rng.random((500, 20)) < 0.2).astype(float)
+        labels = rng.normal(size=500) if loss == "least_squares" else rng.choice([-1.0, 1.0], size=500)
+        labelled = rng.random(500) >= 0.25
+        model = mkl_init(specs, 30, 20, 0.5, 1e-6, loss, 24)
+        thetas, logw = model.thetas, model.log_weights
+        for pattern, label, absorb in zip(pats, labels, labelled):
+            label = float(label) if absorb else None
+            expected, thetas, logw = _frozen_absorb(
+                model._v_block, model.eta, model.loss, thetas, logw, pattern, label
+            )
+            prediction, model = absorb_new_node_mkl(model, pattern, label)
+            assert prediction == expected
+            assert model.thetas.tobytes() == thetas.tobytes()
+            assert model.log_weights.tobytes() == logw.tobytes()
+            assert not (model.thetas.flags.writeable or model.log_weights.flags.writeable)
+
+    @pytest.mark.parametrize(
+        "loss, label",
+        [("least_squares", np.nan), ("least_squares", np.inf), ("least_squares", "x"),
+         ("least_squares", [0.5]), ("least_squares", np.array([1.0, -1.0])), ("hinge", 0.5), ("hinge", np.nan)],
+        ids=["nan", "inf", "text", "list", "array", "hinge_half", "hinge_nan"],
+    )
+    def test_a_join_refuses_a_label_as_a_training_pass_does(self, loss, label):
+        model = mkl_init([KernelSpec("gaussian", 1.0)] * 2, 4, 5, 0.5, 1e-3, loss, 25)
+        pattern = np.full(5, 0.5)
+        with pytest.raises(ValueError) as trained:
+            mkl_train_encoded(model, mkl_encode(model, pattern[None, :]), [label])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(trained.value))}$"):
+            absorb_new_node_mkl(model, pattern, label)
 
 
 class TestNonFiniteInput:
