@@ -6,7 +6,7 @@ Usage::
 
     python scripts/report_identity.py BASE_REF
 
-Four runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
+Six runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
 with ``git archive`` into a temporary directory, so the repository is left
 untouched) and once on the working tree's ``src/``:
 
@@ -14,7 +14,14 @@ untouched) and once on the working tree's ``src/``:
 - ``regret``: the default config;
 - ``dataset``: a generated 60-node graph with three label columns,
   ``sample_counts = 10,20``, two trials and all five methods;
+- ``dataset-hinge`` and ``dataset-logistic``: the same graph and sampling
+  with three columns of -1 and +1 labels, ``standardize_labels = false``,
+  the classification loss the name gives, and traces, so that mkl's
+  cross-validation is checked under both classification losses;
 - ``bench-newnode``: ``bench_sizes = 60,120`` with mkl, gk_df and knn.
+
+The three dataset runs are the ``dataset`` command; every other run is the
+command it is named after.
 
 Every config, edge and label file opens with a comment line, then a blank
 line, and its first record carries a trailing comment, so that both trees
@@ -58,7 +65,7 @@ def commented(text: str) -> str:
 
 
 def write_fixture(tmp: Path) -> dict:
-    """Configs for the four runs; the dataset files live in ``tmp`` so both
+    """Configs for the six runs; the dataset files live in ``tmp`` so both
     trees see the same paths (they are echoed into summary.json)."""
     rng = np.random.default_rng(0)
     n = 60
@@ -69,12 +76,18 @@ def write_fixture(tmp: Path) -> dict:
     (tmp / "labels.txt").write_text(
         commented("".join(f"n{i} " + " ".join(f"{v:.6f}" for v in row) + "\n" for i, row in enumerate(labels)))
     )
+    signs = np.where(labels > 0, 1, -1)
+    (tmp / "signs.txt").write_text(
+        commented("".join(f"n{i} " + " ".join(map(str, row)) + "\n" for i, row in enumerate(signs)))
+    )
+    dataset = ALL_METHODS + f"task = dataset\nedge_list = {tmp / 'edges.txt'}\nsample_counts = 10,20\ntrials = 2\n"
+    classification = dataset + f"labels = {tmp / 'signs.txt'}\nstandardize_labels = false\nemit_traces = true\n"
     configs = {
         "synthetic": ALL_METHODS + "emit_traces = true\n",
         "regret": "",
-        "dataset": ALL_METHODS
-        + f"task = dataset\nedge_list = {tmp / 'edges.txt'}\nlabels = {tmp / 'labels.txt'}\n"
-        + "sample_counts = 10,20\ntrials = 2\n",
+        "dataset": dataset + f"labels = {tmp / 'labels.txt'}\n",
+        "dataset-hinge": classification + "loss = hinge\n",
+        "dataset-logistic": classification + "loss = logistic\n",
         "bench-newnode": "bench_sizes = 60,120\nmethods = mkl,gk_df,knn\ntiming_reps = 1\ntiming_nodes = 5\n",
     }
     paths = {}
@@ -179,17 +192,18 @@ def main(argv: list[str]) -> int:
             print(f"cannot export {argv[0]}: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
         differs = False
-        for command, config in configs.items():
+        for name, config in configs.items():
+            command = "dataset" if name.startswith("dataset") else name
             outs = {}
             for label, src in trees.items():
-                outs[label] = tmp / "out" / label / command
+                outs[label] = tmp / "out" / label / name
                 try:
                     run_cli(src, command, config, outs[label])
                 except RuntimeError as exc:
                     print(exc, file=sys.stderr)
                     return 2
             for line in compare(outs["base"], outs["head"], masked=command == "bench-newnode"):
-                print(f"{command}: {line}")
+                print(f"{name}: {line}")
                 differs = differs or line.startswith("DIFF")
     print("reports differ" if differs else "all reports byte-identical")
     return 1 if differs else 0

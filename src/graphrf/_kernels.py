@@ -6,12 +6,19 @@ squared-norm regularizer mu * ||theta||^2.  :func:`cost_value` and
 :func:`loss_grad` state the same loss and its gradient one sample at a time.
 
 Every learner trains through :func:`mkl_stream`.  Its per-sample loop,
-:func:`learner_block`, steps all P learners at once as one (P, 2D) numpy
-block.  The hedge weights are replayed after the loop in one vectorised
-numpy pass, which is exact in structure because no learner's update reads
-the weights.  Each learner's row takes the same arithmetic at any P, so a
-learner of a P-kernel pass is bit-identical to the P = 1 pass over its
-stream alone.
+:func:`learner_block`, steps all learners at once as one (R, 2D) numpy
+block, and each step computes only the prediction, the gradient and the
+update.  The record's squared weight and gradient norms are reduced once
+per block of steps, from buffers that keep the weights before each step and
+each step's gradient.  The hedge weights are replayed after the loop in one
+vectorised numpy pass, which is exact in structure because no learner's
+update reads the weights.  Each learner's row takes the same arithmetic at
+any R, so a learner of a P-kernel pass is bit-identical to the P = 1 pass
+over its stream alone.
+
+A μ grid of G models over the same P kernels trains in one pass of
+R = G·P rows: each group of P rows has its own μ, and the hedge is replayed
+per group.  Each group's arrays are those of its own pass, bit for bit.
 
 A pass of one sample over fewer than 8 kernels, which is what a labelled
 join makes, takes a one-step branch inside :func:`mkl_stream` instead.  It
@@ -31,6 +38,11 @@ import numpy as np
 LOSS_KINDS = ("least_squares", "hinge", "logistic")
 
 _CLASSIFICATION = ("hinge", "logistic")
+
+# Byte budget of learner_block's two block buffers, the weights before each
+# step and each step's gradient: the record's norm columns are reduced once
+# per block of steps, and the buffers stay in cache.
+_STEP_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -103,33 +115,77 @@ def loss_grad(loss: LossKind, z, theta, label: float) -> np.ndarray:
     return g * z + 2.0 * loss.mu * theta
 
 
-def learner_block(zs, ys, eta, loss, thetas):
-    """Constant-step descent of P independent learners over one stream.
+def _losses(loss) -> tuple[LossKind, ...]:
+    """One LossKind as a one-group grid, or a grid of G LossKinds of one kind."""
+    losses = (loss,) if isinstance(loss, LossKind) else tuple(loss)
+    if len({each.kind for each in losses}) != 1:
+        raise ValueError("a stream's loss grid needs one loss kind")
+    return losses
 
-    zs (P, T, 2D) holds one encoded stream per learner and thetas (P, 2D) is
-    updated in place.  Returns a (3, T, P) record of each learner's
-    pre-update prediction, squared weight norm and squared gradient norm.
+
+def learner_block(zs, ys, eta, loss, thetas):
+    """Constant-step descent of R independent learners over one stream.
+
+    zs (R, T, 2D) holds one encoded stream per learner and thetas (R, 2D) is
+    updated in place.  ``loss`` is one LossKind for every row, or a sequence
+    of G LossKinds of one kind, one per group of R / G consecutive rows (a μ
+    grid over P kernels has R = G·P), which sets each row's shrink 2μ.
+    Returns a (3, T, R) record of each learner's pre-update prediction,
+    squared weight norm and squared gradient norm.
+
+    A step computes the prediction, the gradient and the update.  The
+    weights before each step and each step's gradient stay in two block
+    buffers of ``_STEP_BLOCK_BYTES`` together, and the record's two norm
+    columns are reduced once per block, with the elementwise products and
+    the per-row sum over 2D that a step would take, so the record is the
+    same bit for bit.
     """
-    n_learners, n_steps, width = zs.shape
-    record = np.empty((3, n_steps, n_learners))
-    kind, shrink = loss.kind, 2.0 * loss.mu
-    # rows [z_t, theta_t]: one product and one sum give every learner's
-    # prediction and squared norm
-    work = np.empty((2, n_learners, width))
-    theta = work[1]
-    theta[:] = thetas
-    for t in range(n_steps):
-        z = zs[:, t]
-        work[0] = z
-        dots = (work * theta).sum(axis=2)
-        record[:2, t] = dots
-        g = cost_grad_scale(kind, dots[0], ys[t])
-        grad = g.reshape((n_learners, 1)) * z
-        grad += shrink * theta
-        record[2, t] = (grad * grad).sum(axis=1)
-        grad *= eta
-        theta -= grad
-    thetas[:] = theta
+    losses = _losses(loss)
+    kind = losses[0].kind
+    n_rows, n_steps, width = zs.shape
+    # the step's operands are whole (R, 2D) arrays: numpy multiplies two equal
+    # shapes faster than it broadcasts a column or a Python float
+    shape = (n_rows, width)
+    shrink = np.repeat([2.0 * each.mu for each in losses], n_rows // len(losses) * width).reshape(shape)
+    rate = np.full(shape, eta, dtype=np.float64)
+    record = np.empty((3, n_steps, n_rows))
+    block = max(1, min(n_steps, _STEP_BLOCK_BYTES // (16 * n_rows * width)))
+    # history[k] holds the weights before step k of a block, and the step
+    # writes its update into history[k + 1]
+    history = np.empty((block + 1,) + shape)
+    grads = np.empty((block,) + shape)
+    prod = np.empty(shape)
+    scale = np.empty(n_rows)
+    column = scale[:, None]
+    history[0] = thetas
+    rows = list(zip(history, history[1:], grads))
+    by_step = zs.transpose(1, 0, 2)
+    # local names for the nine numpy calls a step makes
+    multiply, subtract, add, row_sum = np.multiply, np.subtract, np.add, np.add.reduce
+    least_squares = kind == "least_squares"
+    for t0 in range(0, n_steps, block):
+        t1 = min(t0 + block, n_steps)
+        labels = np.repeat(ys[t0:t1, None], n_rows, axis=1)
+        for (theta, after, grad), z, y, pred in zip(rows, by_step[t0:t1], labels, record[0, t0:t1]):
+            multiply(z, theta, prod)
+            row_sum(prod, 1, None, pred)
+            if least_squares:
+                # cost_grad_scale's 2 (pred - y); x + x rounds as 2 x does
+                subtract(pred, y, scale)
+                add(scale, scale, scale)
+            else:
+                scale[:] = cost_grad_scale(kind, pred, y)
+            multiply(column, z, grad)
+            multiply(shrink, theta, prod)
+            add(grad, prod, grad)
+            multiply(grad, rate, prod)
+            subtract(theta, prod, after)
+        n = t1 - t0
+        for buffer, out in ((history[:n], record[1, t0:t1]), (grads[:n], record[2, t0:t1])):
+            multiply(buffer, buffer, buffer)
+            row_sum(buffer, 2, None, out)
+        history[0] = history[n]
+    thetas[:] = history[0]
     return record
 
 
@@ -145,39 +201,53 @@ def mkl_stream(zs, ys, eta, loss, thetas, logw):
     gradient norm per kernel (P,)).  All recorded values are pre-update, as
     the online protocol requires.
 
-    One sample over fewer than 8 kernels takes :func:`_one_step`, which
-    returns the same arrays bit for bit.
+    A μ grid trains G models of P kernels in one pass: ``loss`` is a
+    sequence of G LossKinds of one kind, zs (G·P, T, 2D) and thetas
+    (G·P, 2D) hold the groups one after another, and logw is (G, P).  The
+    hedge is replayed per group, with shapes (T, G, P), so the arrays gain a
+    G axis: (T, G), (T, G, P), (T, G, P), (T, G) and (G, P).  Rows and
+    groups never mix, so each group's arrays are those of its own pass, bit
+    for bit.
+
+    One sample over fewer than 8 kernels of one group takes
+    :func:`_one_step`, which returns the same arrays bit for bit.
     """
-    if len(ys) == 1 and len(logw) < 8:
+    grid = not isinstance(loss, LossKind)
+    if len(ys) == 1 and not grid and len(logw) < 8:
         step = _one_step(zs[:, 0], float(ys[0]), eta, loss, thetas, logw)
         if step is not None:
             return step
     record = learner_block(zs, ys, eta, loss, thetas)
-    preds, norms, grad_sq = record
-    kind, mu = loss.kind, loss.mu
-    y = ys[:, None]
+    n_steps = len(ys)
+    # predictions and squared norms as (2, T, P), or (2, T, G, P)
+    pred_norm = record[:2].reshape((2, n_steps) + logw.shape)
+    preds, norms = pred_norm
+    kind = loss[0].kind if grid else loss.kind
+    # μ as a float, or as a (G, 1) column beside the kernel axis
+    mu = np.array([each.mu for each in loss])[:, None] if grid else loss.mu
+    y = ys.reshape((n_steps,) + (1,) * logw.ndim)
     per_kernel = cost_value(kind, preds, y) + mu * norms
     # rows: the starting log-weights, then the log-weights after each step,
     # so the weights used at step t are row t; one max and one subtraction
     # rescale every row, the last one included, to a largest entry of 0
-    hist = np.empty((len(ys) + 1, len(logw)))
+    hist = np.empty((n_steps + 1,) + logw.shape)
     hist[0] = logw
     after = hist[1:]
     np.minimum(np.maximum(per_kernel, 0.0, out=after), 1.0, out=after)
     np.add.accumulate(after, axis=0, out=after)
     after *= eta
     np.subtract(logw, after, out=after)
-    hist -= np.maximum.reduce(hist, axis=1, keepdims=True)
+    hist -= np.maximum.reduce(hist, axis=-1, keepdims=True)
     weights = np.exp(hist[:-1])
-    weights /= np.add.reduce(weights, axis=1, keepdims=True)
-    # weighted prediction and norm as (T, 1) columns, so that at P = 1 the
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    # weighted prediction and norm as (..., 1) columns, so that at P = 1 the
     # combined loss takes exactly the per-kernel loss's arithmetic
-    f_hat, norm_bar = np.add.reduce(weights * record[:2], axis=2, keepdims=True)
-    combined = (cost_value(kind, f_hat, y) + mu * norm_bar)[:, 0]
-    if len(ys):
+    f_hat, norm_bar = np.add.reduce(weights * pred_norm, axis=-1, keepdims=True)
+    combined = (cost_value(kind, f_hat, y) + mu * norm_bar)[..., 0]
+    if n_steps:
         logw[:] = hist[-1]
-    max_grad = np.sqrt(np.maximum.reduce(grad_sq, axis=0, initial=0.0))
-    return combined, per_kernel, weights, f_hat[:, 0], max_grad
+    max_grad = np.sqrt(np.maximum.reduce(record[2], axis=0, initial=0.0)).reshape(logw.shape)
+    return combined, per_kernel, weights, f_hat[..., 0], max_grad
 
 
 def _cost_floats(kind, preds, y):

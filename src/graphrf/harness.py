@@ -50,6 +50,7 @@ from .mkl import (
     mkl_predict_encoded,
     mkl_train,  # noqa: F401
     mkl_train_encoded,
+    mkl_train_grid,
 )
 
 METHODS = ("mkl", "kl", "gk_df", "gk_bl", "knn")
@@ -402,9 +403,10 @@ def _truth_kernel(config: ExperimentConfig, g: Graph, anchor):
 
     ``identity`` copies alpha, which is exactly ``np.eye(n) @ alpha``.
     ``diffusion`` is a spectral function of the whole graph, so its N×N
-    kernel is built.  The two connectivity truths build their patterns once
-    and stream K alpha in blocks of :func:`~graphrf.kernels.row_chunk` rows,
-    or of ``_TRUTH_MIN_ROWS`` if that is more, so no N×N kernel exists.
+    kernel is built.  The two connectivity truths build their patterns and
+    their squared row norms once and stream K alpha in blocks of
+    :func:`~graphrf.kernels.row_chunk` rows, or of ``_TRUTH_MIN_ROWS`` if
+    that is more, so no N×N kernel exists.
     Blocks start at multiples of 8 rows, where K @ alpha starts its groups
     of rows, and a lone last row joins the block before it, as numpy
     multiplies a one-row block as a dot product.  So the signal is the
@@ -436,8 +438,9 @@ def _truth_kernel(config: ExperimentConfig, g: Graph, anchor):
     if len(starts) > 1 and starts[-1] == n - 1:
         starts.pop()
     bounds = list(zip(starts, starts[1:] + [n]))
+    norms = (patterns * patterns).sum(axis=1)
     return lambda alpha: np.concatenate(
-        [eval_kernel_matrix(spec, patterns[i:j], patterns) @ alpha for i, j in bounds]
+        [eval_kernel_matrix(spec, patterns[i:j], patterns, norms) @ alpha for i, j in bounds]
     )
 
 
@@ -469,7 +472,8 @@ def _patterns(adjacency, anchor, nodes, mode: str, normalize: bool) -> np.ndarra
 def _select(grid, y, cv_fraction: float, cv_predict):
     """Pick the grid entry with the least held-out MSE over the training
     nodes.  The validation nodes are the tail of the training order:
-    ``cv_predict(params, n)`` fits on nodes ``[:n]`` and predicts ``[n:]``.
+    ``cv_predict(n)`` fits every grid entry on nodes ``[:n]`` and returns
+    each entry's predictions of ``[n:]``, in grid order.
 
     The first minimum wins and a NaN MSE is never chosen.
     """
@@ -478,8 +482,8 @@ def _select(grid, y, cv_fraction: float, cv_predict):
     if n < 1 or len(grid) == 1:
         return grid[0]
     best, best_mse = grid[0], math.inf
-    for params in grid:
-        mse = float(np.mean((cv_predict(params, n) - y[n:]) ** 2))
+    for params, preds in zip(grid, cv_predict(n), strict=True):
+        mse = float(np.mean((preds - y[n:]) ** 2))
         if mse < best_mse:
             best, best_mse = params, mse
     return best
@@ -526,18 +530,19 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
         )
         zs = mkl_encode(base, train_x)
 
-        def fit(mu, n, zs=zs):
-            model = mkl_from_maps(base.maps, config.eta_value(n), mu, config.loss, seeds["map"])
-            return mkl_train_encoded(model, zs[:, :n], y[:n])
+        def model(mu, n):
+            return mkl_from_maps(base.maps, config.eta_value(n), mu, config.loss, seeds["map"])
 
-        def cv_predict(mu, n):
-            return mkl_predict_encoded(fit(mu, n)[0], zs[:, n:])
+        def cv_predict(n):
+            # one stream pass trains the whole grid
+            trained = mkl_train_grid([model(mu, n) for mu in config.mu_grid], zs[:, :n], y[:n])
+            return [mkl_predict_encoded(fitted, zs[:, n:]) for fitted, _ in trained]
 
         mu = _select(config.mu_grid, y, config.cv_fraction, cv_predict)
-        model, traces = fit(mu, len(y))
+        final, traces = mkl_train_encoded(model(mu, len(y)), zs, y)
         return _Fitted(
-            mu=mu, refit=lambda: fit(mu, len(y), mkl_encode(base, train_x)),
-            score=lambda xs: (mkl_predict_batch(model, xs), 0), inputs=eval_x, traces=traces,
+            mu=mu, refit=lambda: mkl_train_encoded(model(mu, len(y)), mkl_encode(base, train_x), y),
+            score=lambda xs: (mkl_predict_batch(final, xs), 0), inputs=eval_x, traces=traces,
         )
     if method == "kl":
         # exact connectivity-kernel ridge, no RF approximation.  Its kernel is
@@ -545,8 +550,8 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
         spec = KernelSpec("gaussian", config.kl_sigma2)
         gram = eval_kernel_matrix(spec, train_x, train_x)
 
-        def cv_predict(mu, n):
-            return gram[n:, :n] @ batch_kernel_ridge(gram[:n, :n], y[:n], mu)
+        def cv_predict(n):
+            return [gram[n:, :n] @ batch_kernel_ridge(gram[:n, :n], y[:n], mu) for mu in config.mu_grid]
 
         mu = _select(config.mu_grid, y, config.cv_fraction, cv_predict)
         alpha = batch_kernel_ridge(gram, y, mu)
@@ -577,12 +582,19 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
             mu, knob = params
             return batch_kernel_ridge(kernel(sub[:n, :n], knob), y[:n], mu)
 
-        def cv_predict(params, n):
-            return kernel(sub, params[1])[n:, :n] @ fit(params, n)
+        grid = [(mu, knob) for mu in config.mu_grid for knob in knobs]
 
-        params = _select(
-            [(mu, knob) for mu in config.mu_grid for knob in knobs], y, config.cv_fraction, cv_predict
-        )
+        def cv_predict(n):
+            # each knob's two kernels, on the subgraph and on its CV prefix,
+            # serve every mu
+            preds = {}
+            for knob in knobs:
+                whole, prefix = kernel(sub, knob), kernel(sub[:n, :n], knob)
+                for mu in config.mu_grid:
+                    preds[mu, knob] = whole[n:, :n] @ batch_kernel_ridge(prefix, y[:n], mu)
+            return [preds[params] for params in grid]
+
+        params = _select(grid, y, config.cv_fraction, cv_predict)
 
         def score(new_patterns):
             """Per new node: rebuild L and the kernel at size M+1, re-solve."""

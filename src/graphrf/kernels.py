@@ -100,8 +100,13 @@ def row_chunk(row_bytes: int) -> int:
     return max(8, _ROW_CHUNK_BYTES // (8 * max(1, row_bytes)) * 8)
 
 
-def eval_kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
-    """Pairwise kernel matrix between the rows of xs and ys."""
+def eval_kernel_matrix(spec: KernelSpec, xs, ys, ys_norms=None) -> np.ndarray:
+    """Pairwise kernel matrix between the rows of xs and ys.
+
+    ``ys_norms``, used by the gaussian family only, is ``(ys * ys).sum(axis=1)``
+    for a caller that evaluates many row blocks against one ys: it is then
+    computed once, not once per block.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
     if xs.shape[1] != ys.shape[1]:
@@ -114,7 +119,7 @@ def eval_kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
         # differently in BLAS; 2.0 * xs is a new array, so numpy does not take
         # its syrk path when xs is ys.  The sums follow a row chunk at a time
         xn = (xs * xs).sum(axis=1)
-        yn = (ys * ys).sum(axis=1)
+        yn = (ys * ys).sum(axis=1) if ys_norms is None else ys_norms
         np.matmul(2.0 * xs, ys.T, out=out)
         chunk = row_chunk(8 * ys.shape[0])
         for i0 in range(0, xs.shape[0], chunk):

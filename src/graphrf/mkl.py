@@ -12,7 +12,9 @@ maximum, which is a pure rescaling: normalized weights are invariant to it
 and nothing can underflow on long streams.
 
 Steps are strictly sequential; within a step the per-kernel updates are
-independent.  Models are immutable snapshots, safe to share for prediction.
+independent.  :func:`mkl_train_grid` trains G models of one shape, step
+size and loss kind, such as a μ grid, in one pass, each as it would train
+alone.  Models are immutable snapshots, safe to share for prediction.
 A model scores and absorbs a newly-joining node (:func:`absorb_new_node_mkl`)
 and saves to, and reloads exactly from, one JSON checkpoint.
 """
@@ -216,18 +218,52 @@ def mkl_train_encoded(
     model: MklModel, zs: np.ndarray, labels
 ) -> tuple[MklModel, MklTraces]:
     """Sequential training pass over encodings from :func:`mkl_encode`."""
+    labels = _checked_labels(model, zs, labels)
+    new_model, stream = _trained(model, zs, labels)
+    return new_model, MklTraces(*stream)
+
+
+def mkl_train_grid(
+    models: Sequence[MklModel], zs: np.ndarray, labels
+) -> list[tuple[MklModel, MklTraces]]:
+    """:func:`mkl_train_encoded` of each of G models over one encoding, in
+    one ``_kernels.mkl_stream`` pass over G stacked copies of it.
+
+    The models share P, D, eta and the loss kind, and may differ in mu and
+    in their weights: a μ grid.  Each result is the model's own
+    :func:`mkl_train_encoded` result, bit for bit, and the labels and every
+    group's weights are checked as it checks them.
+    """
+    first = models[0]
+    if len({(model.thetas.shape, model.eta, model.loss.kind) for model in models}) > 1:
+        raise ValueError("a grid pass needs models of one (P, 2D), eta and loss kind")
+    labels = _checked_labels(first, zs, labels)
+    thetas = np.concatenate([model.thetas for model in models])
+    logw = np.stack([model.log_weights for model in models])
+    stream = _kernels.mkl_stream(
+        np.concatenate([zs] * len(models)), labels, first.eta, [model.loss for model in models], thetas, logw
+    )
+    p = first.n_kernels
+    return [
+        (_checked(model, thetas[g * p : (g + 1) * p].copy(), logw[g].copy(), stream[0][:, g]),
+         MklTraces(*(a[:, g] for a in stream[:4]), stream[4][g]))
+        for g, model in enumerate(models)
+    ]
+
+
+def _checked_labels(model: MklModel, zs: np.ndarray, labels) -> np.ndarray:
+    """The labels as a float array, checked against the encodings' shape and
+    the loss, or a ``ValueError`` naming the first bad label."""
     labels = _label_array(labels)
     expected = (model.n_kernels, labels.size, model.thetas.shape[1])
     if zs.shape != expected:
         raise ValueError(f"encodings have shape {zs.shape}, expected {expected}")
-    loss = model.loss
     ok = np.isfinite(labels)
-    if loss.kind in _CLASSIFICATION:
+    if model.loss.kind in _CLASSIFICATION:
         ok &= np.abs(labels) == 1.0
     if np.count_nonzero(ok) < labels.size:
-        _check_label(loss, labels[np.argmin(ok)])  # raises, naming the first bad label
-    new_model, stream = _trained(model, zs, labels)
-    return new_model, MklTraces(*stream)
+        _check_label(model.loss, labels[np.argmin(ok)])  # raises, naming the first bad label
+    return labels
 
 
 def _label_array(labels) -> np.ndarray:
@@ -244,12 +280,18 @@ def _trained(model: MklModel, zs: np.ndarray, labels: np.ndarray):
     thetas = model.thetas.copy()
     logw = model.log_weights.copy()
     stream = _kernels.mkl_stream(zs, labels, model.eta, model.loss, thetas, logw)
-    if not (np.isfinite(thetas).all() and _finite(stream[0])):
+    return _checked(model, thetas, logw, stream[0]), stream
+
+
+def _checked(model: MklModel, thetas: np.ndarray, logw: np.ndarray, combined: np.ndarray) -> MklModel:
+    """``model`` with the weights a pass left, frozen, or a
+    ``FloatingPointError`` if a weight or a combined loss is not finite."""
+    if not (np.isfinite(thetas).all() and _finite(combined)):
         raise FloatingPointError("multi-kernel training diverged to non-finite values")
     # the maps and eta carry over, so their checks are not repeated, and
     # neither is the stacking of the maps that mkl_encode caches on the model
     _freeze(thetas, logw)
-    return _with_fields(model, thetas=thetas, log_weights=logw), stream
+    return _with_fields(model, thetas=thetas, log_weights=logw)
 
 
 def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, MklTraces]:

@@ -251,19 +251,19 @@ class TestSelect:
 
     def test_ties_go_to_the_first_entry(self):
         offsets = {"worse": 1.0, "first": 0.5, "tied": -0.5}
-        chosen = _select(list(offsets), self.y, 0.25, lambda p, n: self.y[n:] + offsets[p])
+        chosen = _select(list(offsets), self.y, 0.25, lambda n: [self.y[n:] + o for o in offsets.values()])
         assert chosen == "first"
 
     @pytest.mark.parametrize("grid, y", [(["only"], np.arange(8.0)), (["a", "b"], np.ones(1))])
     def test_nothing_to_compare_makes_no_fit(self, grid, y):
-        def cv_predict(params, n):
+        def cv_predict(n):
             raise AssertionError("cv_predict called")
 
         assert _select(grid, y, 0.25, cv_predict) == grid[0]
 
     def test_nan_error_never_chosen(self):
         preds = {"nan": np.nan, "far": 10.0, "nan_again": np.nan}
-        chosen = _select(list(preds), self.y, 0.25, lambda p, n: self.y[n:] + preds[p])
+        chosen = _select(list(preds), self.y, 0.25, lambda n: [self.y[n:] + p for p in preds.values()])
         assert chosen == "far"
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphrf import _kernels, harness, kernels
+from graphrf import _kernels, harness, kernels, mkl
 from graphrf import (
     Graph,
     GraphKernelSpec,
@@ -108,10 +108,10 @@ class TestEvalKernelMatrix:
     @given(
         rows=st.integers(1, 44), cols=st.integers(1, 12), dim=st.integers(1, 6),
         bw=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1),
-        budget=st.sampled_from([0, 1 << 20]), self_gram=st.booleans(),
+        budget=st.sampled_from([0, 1 << 20]), self_gram=st.booleans(), pass_norms=st.booleans(),
     )
     def test_gaussian_in_place_equals_the_whole_array_recipe(
-        self, rows, cols, dim, bw, seed, budget, self_gram
+        self, rows, cols, dim, bw, seed, budget, self_gram, pass_norms
     ):
         # a budget of 0 bytes gives chunks of 8 rows, so up to 6 chunks
         rng = np.random.default_rng(seed)
@@ -120,8 +120,10 @@ class TestEvalKernelMatrix:
         sq = (xs * xs).sum(axis=1)[:, None] + (ys * ys).sum(axis=1)[None, :] - 2.0 * xs @ ys.T
         np.clip(sq, 0.0, None, out=sq)
         expected = np.exp(-sq / (2.0 * bw))
+        # a caller that passes the squared row norms of ys gets the same bytes
+        norms = (ys * ys).sum(axis=1) if pass_norms else None
         with mock.patch.object(kernels, "_ROW_CHUNK_BYTES", budget):
-            got = eval_kernel_matrix(KernelSpec("gaussian", bw), xs, ys)
+            got = eval_kernel_matrix(KernelSpec("gaussian", bw), xs, ys, norms)
         assert got.tobytes() == expected.tobytes()
 
     def test_gaussian_peaks_at_about_one_output(self):
@@ -472,6 +474,152 @@ def test_only_one_step_of_fewer_than_8_kernels_takes_the_branch(monkeypatch, n_l
     with np.errstate(invalid="ignore"):
         _assert_one_step_is_the_general_path(zs, ys, 0.5, loss, thetas, logw)
     assert calls == ([finite] if tried else [])
+
+
+def _frozen_learner_block(zs, ys, eta, loss, thetas):
+    """learner_block as it stood before its record was reduced per block: one
+    (2, P, 2D) product and sum per step give the predictions and squared
+    norms, and each step's squared gradient norm is summed in the step.  Kept
+    here so that the blocked loop and the μ-grid pass are held to it."""
+    n_learners, n_steps, width = zs.shape
+    record = np.empty((3, n_steps, n_learners))
+    kind, shrink = loss.kind, 2.0 * loss.mu
+    work = np.empty((2, n_learners, width))
+    theta = work[1]
+    theta[:] = thetas
+    for t in range(n_steps):
+        z = zs[:, t]
+        work[0] = z
+        dots = (work * theta).sum(axis=2)
+        record[:2, t] = dots
+        g = _kernels.cost_grad_scale(kind, dots[0], ys[t])
+        grad = g.reshape((n_learners, 1)) * z
+        grad += shrink * theta
+        record[2, t] = (grad * grad).sum(axis=1)
+        grad *= eta
+        theta -= grad
+    thetas[:] = theta
+    return record
+
+
+@st.composite
+def mu_grids(draw):
+    """A stream of P kernels and a μ grid over it: G models' weights, a loss
+    per group and a step block of 1 to 9 steps, or the default budget."""
+    zs, ys, eta, loss, thetas, logw = draw(streams(steps=st.sampled_from([0, 1]) | st.integers(2, 40)))
+    n_groups = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mus = draw(st.lists(st.sampled_from([0.0, 1e-6, 1e-2, 0.5]), min_size=n_groups, max_size=n_groups))
+    losses = [_kernels.LossKind(loss.kind, mu) for mu in mus]
+    thetas = np.concatenate([thetas[None], rng.normal(scale=0.5, size=(n_groups - 1,) + thetas.shape)])
+    logw = np.concatenate([logw[None], rng.normal(size=(n_groups - 1,) + logw.shape)])
+    block = draw(st.sampled_from([1, 2, 3, 9, None]))
+    return zs, ys, eta, losses, thetas, logw, block
+
+
+@settings(max_examples=200, deadline=None)
+@given(mu_grids())
+def test_grid_pass_is_each_groups_frozen_pass_bit_for_bit(grid):
+    zs, ys, eta, losses, thetas, logw, block = grid
+    n_groups, n_kernels, width = thetas.shape
+    stacked = np.concatenate([zs] * n_groups)
+    budget = _kernels._STEP_BLOCK_BYTES if block is None else block * 16 * n_groups * n_kernels * width
+    block_thetas = thetas.reshape(-1, width).copy()
+    stream_thetas, stream_logw = block_thetas.copy(), logw.copy()
+    with mock.patch.object(_kernels, "_STEP_BLOCK_BYTES", budget):
+        record = _kernels.learner_block(stacked, ys, eta, losses, block_thetas)
+        got = _kernels.mkl_stream(stacked, ys, eta, losses, stream_thetas, stream_logw)
+        if n_groups == 1:  # one LossKind: today's shapes
+            one_thetas, one_logw = thetas[0].copy(), logw[0].copy()
+            one = _kernels.mkl_stream(zs, ys, eta, losses[0], one_thetas, one_logw)
+    assert [a.shape for a in got] == [
+        (len(ys), n_groups), (len(ys), n_groups, n_kernels), (len(ys), n_groups, n_kernels),
+        (len(ys), n_groups), (n_groups, n_kernels),
+    ]
+    for g, loss in enumerate(losses):
+        rows = slice(g * n_kernels, (g + 1) * n_kernels)
+        frozen_thetas = thetas[g].copy()
+        frozen = _frozen_learner_block(zs, ys, eta, loss, frozen_thetas)
+        assert np.ascontiguousarray(record[:, :, rows]).tobytes() == frozen.tobytes()
+        assert block_thetas[rows].tobytes() == stream_thetas[rows].tobytes() == frozen_thetas.tobytes()
+        *expected, expected_logw = _concatenating_replay(frozen, ys, eta, loss, logw[g])
+        group = (got[0][:, g], got[1][:, g], got[2][:, g], got[3][:, g], got[4][g])
+        for a, b in zip(group, expected):
+            assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+        assert stream_logw[g].tobytes() == expected_logw.tobytes()
+        if n_groups == 1:
+            for a, b in zip(one, expected):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert one_thetas.tobytes() == frozen_thetas.tobytes()
+            assert one_logw.tobytes() == expected_logw.tobytes()
+
+
+def test_a_grid_of_two_loss_kinds_is_refused():
+    losses = [_kernels.LossKind("hinge"), _kernels.LossKind("logistic")]
+    with pytest.raises(ValueError, match="one loss kind"):
+        _kernels.mkl_stream(np.zeros((2, 1, 4)), np.ones(1), 0.5, losses, np.zeros((2, 4)), np.zeros((2, 1)))
+
+
+def _grid_models(mus, kind="least_squares", eta=0.5):
+    base = mkl.mkl_init([KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0)], 4, 6, eta, 0.0, kind, 3)
+    return [mkl.mkl_from_maps(base.maps, eta, mu, kind, 3) for mu in mus], base
+
+
+@pytest.mark.parametrize("kind", _kernels.LOSS_KINDS)
+def test_grid_training_is_each_models_own_training(kind):
+    models, base = _grid_models([1e-3, 0.0, 0.5], kind)
+    rng = np.random.default_rng(4)
+    zs = mkl.mkl_encode(base, rng.random((30, 6)))
+    labels = rng.choice([-1.0, 1.0], size=30)
+    for model, (trained, traces) in zip(models, mkl.mkl_train_grid(models, zs, labels)):
+        expected, expected_traces = mkl.mkl_train_encoded(model, zs, labels)
+        assert trained.loss == model.loss
+        for a, b in ((trained.thetas, expected.thetas), (trained.log_weights, expected.log_weights)):
+            assert a.tobytes() == b.tobytes() and not a.flags.writeable
+        for name in ("combined_loss", "per_kernel_loss", "weights", "prediction", "max_grad"):
+            a, b = getattr(traces, name), getattr(expected_traces, name)
+            assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+def test_grid_training_checks_labels_and_models():
+    models, base = _grid_models([1e-3, 0.5], "hinge")
+    zs = mkl.mkl_encode(base, np.ones((3, 6)))
+    with pytest.raises(ValueError, match=r"hinge loss requires labels in \{-1, \+1\}, got 0.5"):
+        mkl.mkl_train_grid(models, zs, [1.0, 0.5, -1.0])
+    with pytest.raises(ValueError, match="one \\(P, 2D\\), eta and loss kind"):
+        mkl.mkl_train_grid([models[0], _grid_models([0.5], "hinge", eta=0.25)[0][0]], zs, [1.0] * 3)
+
+
+def _mkl_run(mu_grid):
+    return harness.ExperimentConfig(
+        n_nodes=80, sample_fraction=0.5, trials=1, methods=("mkl",), d=8, mu_grid=mu_grid
+    )
+
+
+@pytest.mark.parametrize("mu_grid", [(1e-3,), (1e-3, 1e-1), (1e-7, 1e-5, 1e-3, 1e-1, 1.0)])
+def test_mkl_cv_trains_the_whole_grid_in_one_stream_pass(monkeypatch, mu_grid):
+    calls = []
+    mkl_stream = _kernels.mkl_stream
+
+    def counting(zs, *args):
+        calls.append(zs.shape)
+        return mkl_stream(zs, *args)
+
+    monkeypatch.setattr(_kernels, "mkl_stream", counting)
+    harness.run_synthetic(_mkl_run(mu_grid))
+    # 40 sampled nodes, 30 of them in the CV prefix; 2 kernels of 2D = 16
+    cv = [(2 * len(mu_grid), 30, 16)] if len(mu_grid) > 1 else []
+    assert calls == cv + [(2, 40, 16)]
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_a_diverging_mu_in_the_grid_raises(position):
+    # a step of eta * 2 mu = 1e10 multiplies the weights by about -1e10 per
+    # step, so they overflow within the 30 CV steps
+    mu_grid = (1e10, 1e-3, 1e-1) if position == "first" else (1e-3, 1e-1, 1e10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="diverged"):
+            harness.run_synthetic(_mkl_run(mu_grid))
 
 
 @settings(max_examples=60, deadline=None)
