@@ -6,10 +6,12 @@ Usage::
     python scripts/synthetic_memory.py N
 
 Runs ``run_synthetic`` from this checkout's ``src/`` once in this fresh
-interpreter, at the config of ROADMAP.md item 7 with ``n_nodes = N``:
-``edge_prob = 0.005``, ``scenario = connectivity_anchored``,
-``sample_fraction = 0.01``, ``methods = mkl,kl,knn`` and ``trials = 1``;
-every other key keeps its default.  It prints the process's peak resident
+interpreter with ``n_nodes = N``, ``edge_prob = 0.005``,
+``scenario = connectivity_anchored``, ``sample_fraction = 0.01``,
+``methods = mkl,kl,knn`` and ``trials = 1``; every other key keeps its
+default.  This is the config that ROADMAP.md item 7 first set (its 20,000-node
+figures are cited there and in item 10); item 7's Done-when config is now
+50,000 nodes on the ``identity`` truth.  It prints the process's peak resident
 set (``ru_maxrss``) before and after the run, the run's wall time, the
 bytes the graph's bool adjacency and one N×N float64 matrix would hold,
 and each method's NMSE.  Sizes are in MB of 2**20 bytes, as ``perfbench``

@@ -7,7 +7,7 @@ kernel-ridge and k-NN baselines plus a benchmark harness round out the
 package.
 """
 
-from ._kernels import LossKind, loss_grad, loss_value
+from ._kernels import LossKind
 from .graph import (
     Graph,
     SamplingPlan,

@@ -2,8 +2,9 @@
 
 A loss is a pointwise cost C(prediction, label), named by its kind, plus a
 squared-norm regularizer mu * ||theta||^2.  :func:`cost_value` and
-:func:`cost_grad_scale` act elementwise on arrays; :func:`loss_value` and
-:func:`loss_grad` state the same loss and its gradient one sample at a time.
+:func:`cost_grad_scale` are the one statement of each cost and its
+derivative, elementwise on arrays or on one float; a learner's gradient is
+``cost_grad_scale(kind, z·θ, y)·z + 2μθ``.
 
 Every learner trains through :func:`mkl_stream`.  Its per-sample loop,
 :func:`learner_block`, steps all learners at once as one (R, 2D) numpy
@@ -84,7 +85,7 @@ def cost_value(kind, pred, y):
 
 
 def cost_grad_scale(kind, pred, y):
-    """dC/dpred for an array of predictions against one label.
+    """dC/dpred, elementwise.
 
     Hinge uses the subgradient, 0 at the margin boundary.
     """
@@ -95,24 +96,6 @@ def cost_grad_scale(kind, pred, y):
     m = y * pred
     e = np.exp(-np.abs(m))
     return -y * np.where(m >= 0.0, e, 1.0) / (1.0 + e)
-
-
-def loss_value(loss: LossKind, prediction: float, label: float, theta_norm2: float = 0.0) -> float:
-    """Regularized loss C(prediction, label) + mu * ||theta||^2."""
-    label = _check_label(loss, label)
-    return float(cost_value(loss.kind, float(prediction), label) + loss.mu * theta_norm2)
-
-
-def loss_grad(loss: LossKind, z, theta, label: float) -> np.ndarray:
-    """Gradient of the regularized loss with respect to theta."""
-    z = np.asarray(z, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64)
-    if z.shape != theta.shape:
-        raise ValueError(f"z and theta shapes differ: {z.shape} vs {theta.shape}")
-    label = _check_label(loss, label)
-    pred = np.array([np.dot(theta, z)])
-    g = cost_grad_scale(loss.kind, pred, label)[0]
-    return g * z + 2.0 * loss.mu * theta
 
 
 def _losses(loss) -> tuple[LossKind, ...]:
@@ -250,27 +233,6 @@ def mkl_stream(zs, ys, eta, loss, thetas, logw):
     return combined, per_kernel, weights, f_hat[..., 0], max_grad
 
 
-def _cost_floats(kind, preds, y):
-    """:func:`cost_value` of each float in ``preds``, rounded as numpy rounds
-    it: least squares and hinge take plain IEEE arithmetic, and logistic goes
-    through numpy's exp and log1p, which may round differently from libm's."""
-    if kind == "least_squares":
-        return [(p - y) * (p - y) for p in preds]
-    if kind == "hinge":
-        return [max(1.0 - y * p, 0.0) for p in preds]
-    return cost_value(kind, np.array(preds), y).tolist()
-
-
-def _grad_floats(kind, preds, y):
-    """:func:`cost_grad_scale` of each float in ``preds``, rounded as numpy
-    rounds it."""
-    if kind == "least_squares":
-        return [2.0 * (p - y) for p in preds]
-    if kind == "hinge":
-        return [-y if y * p < 1.0 else 0.0 for p in preds]
-    return cost_grad_scale(kind, np.array(preds), y).tolist()
-
-
 def _weights_floats(log_weights):
     """The normalised hedge weights of fewer than 8 finite log-weights, as
     floats rounded as :func:`mkl_stream` rounds them.  Of equal entries (0.0
@@ -285,13 +247,19 @@ def _weights_floats(log_weights):
     return [s / total for s in scale]
 
 
+def normalized_weights(log_weights) -> np.ndarray:
+    """The hedge weights exp(w - max w) of an array of log-weights, scaled to
+    sum to 1."""
+    weights = np.exp(log_weights - log_weights.max())
+    weights /= weights.sum()
+    return weights
+
+
 def hedge_mix(log_weights, values) -> float:
     """The hedge-weighted sum of P per-kernel values, rounded as
     :func:`mkl_stream` rounds its combined prediction."""
     if len(log_weights) >= 8:
-        weights = np.exp(log_weights - log_weights.max())
-        weights /= weights.sum()
-        return float((weights * values).sum())
+        return float((normalized_weights(log_weights) * values).sum())
     total = 0.0
     for w, v in zip(_weights_floats(log_weights.tolist()), values.tolist()):
         total += w * v
@@ -303,9 +271,10 @@ def _one_step(z, y, eta, loss, thetas, logw):
 
     ``z`` is the (P, 2D) encoding.  Every operation of ``learner_block`` and
     of the hedge replay runs in the same order, the P-length hedge arithmetic
-    on Python floats.  Returns None, having changed nothing, when a
-    prediction, norm, label, step or log-weight is not finite; the general
-    path then runs.
+    on Python floats, through :func:`cost_value` and :func:`cost_grad_scale`
+    of each float (plain float arithmetic for least squares).  Returns None,
+    having changed nothing, when a prediction, norm, label, step or
+    log-weight is not finite; the general path then runs.
     """
     kind, mu = loss.kind, loss.mu
     # rows [z * theta, theta * theta]: one sum gives predictions and norms
@@ -316,20 +285,20 @@ def _one_step(z, y, eta, loss, thetas, logw):
     log_weights = logw.tolist()
     if not all(map(math.isfinite, [y, eta, mu, *preds, *norms, *log_weights])):
         return None
-    grad = np.array(_grad_floats(kind, preds, y))[:, None] * z
+    grad = np.array([cost_grad_scale(kind, p, y) for p in preds])[:, None] * z
     grad += np.multiply(thetas, 2.0 * mu, work[0])
     grad_sq = np.add.reduce(np.multiply(grad, grad, work[1]), 1)
     grad *= eta
     thetas -= grad
     per_kernel, after, used = [], [], _weights_floats(log_weights)
     f_hat = norm_bar = 0.0
-    for c, p, n, w, u in zip(_cost_floats(kind, preds, y), preds, norms, log_weights, used):
-        c += mu * n
+    for p, n, w, u in zip(preds, norms, log_weights, used):
+        c = cost_value(kind, p, y) + mu * n
         per_kernel.append(c)
         after.append(w - eta * min(max(c, 0.0), 1.0))
         f_hat += u * p
         norm_bar += u * n
-    combined = _cost_floats(kind, [f_hat], y)[0] + mu * norm_bar
+    combined = cost_value(kind, f_hat, y) + mu * norm_bar
     top = max(reversed(after))  # numpy's maximum, as in _weights_floats
     logw[:] = [w - top for w in after]
     return (np.array([combined]), np.array([per_kernel]), np.array([used]), np.array([f_hat]),

@@ -115,11 +115,3 @@ def batch_rf_ls(z_matrix: np.ndarray, y: np.ndarray, mu: float) -> np.ndarray:
         return np.linalg.solve(gram, z.T @ y)
     theta, *_ = np.linalg.lstsq(z, y, rcond=None)
     return theta
-
-
-def rf_ls_objective_grad(z_matrix: np.ndarray, y: np.ndarray, mu: float, theta: np.ndarray) -> np.ndarray:
-    """Gradient of (1/M) sum (z.theta - y)^2 + mu ||theta||^2 at theta."""
-    z = np.asarray(z_matrix, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    m = y.size
-    return (2.0 / m) * (z.T @ (z @ theta - y)) + 2.0 * mu * theta

@@ -96,8 +96,7 @@ class MklModel:
 
     @property
     def normalized_weights(self) -> np.ndarray:
-        w = np.exp(self.log_weights - self.log_weights.max())
-        return w / w.sum()
+        return _kernels.normalized_weights(self.log_weights)
 
     @property
     def learners(self) -> tuple[SimpleNamespace, ...]:
@@ -234,6 +233,8 @@ def mkl_train_grid(
     :func:`mkl_train_encoded` result, bit for bit, and the labels and every
     group's weights are checked as it checks them.
     """
+    if not models:
+        raise ValueError("a grid pass needs at least one model; the grid of models is empty")
     first = models[0]
     if len({(model.thetas.shape, model.eta, model.loss.kind) for model in models}) > 1:
         raise ValueError("a grid pass needs models of one (P, 2D), eta and loss kind")

@@ -307,10 +307,10 @@ def _reference_hedge(losses, preds, norms, ys, eta, loss, logw):
 
 
 @st.composite
-def streams(draw, steps=st.integers(0, 60), etas=st.floats(0.0, 0.5)):
+def streams(draw, steps=st.integers(0, 60), etas=st.floats(0.0, 0.5), learners=st.integers(1, 4)):
     """A small stream of unit-norm encodings with labels fit for the loss."""
     kind = draw(st.sampled_from(_kernels.LOSS_KINDS))
-    n_learners = draw(st.integers(1, 4))
+    n_learners = draw(learners)
     n_steps = draw(steps)
     width = 2 * draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -422,8 +422,10 @@ def _assert_one_step_is_the_general_path(zs, ys, eta, loss, thetas, logw):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# P from 1 to 7 is the whole domain of the one-step branch, whose costs and
+# gradients are cost_value and cost_grad_scale of each float
 @settings(max_examples=300, deadline=None)
-@given(streams(steps=st.just(1), etas=st.floats(0.0, 1.0, exclude_min=True)))
+@given(streams(steps=st.just(1), etas=st.floats(0.0, 1.0, exclude_min=True), learners=st.integers(1, 7)))
 def test_one_step_is_the_general_path_bit_for_bit(stream):
     _assert_one_step_is_the_general_path(*stream)
 
@@ -588,6 +590,12 @@ def test_grid_training_checks_labels_and_models():
         mkl.mkl_train_grid(models, zs, [1.0, 0.5, -1.0])
     with pytest.raises(ValueError, match="one \\(P, 2D\\), eta and loss kind"):
         mkl.mkl_train_grid([models[0], _grid_models([0.5], "hinge", eta=0.25)[0][0]], zs, [1.0] * 3)
+
+
+def test_an_empty_grid_is_refused():
+    _, base = _grid_models([])
+    with pytest.raises(ValueError, match="the grid of models is empty"):
+        mkl.mkl_train_grid([], mkl.mkl_encode(base, np.ones((3, 6))), [1.0] * 3)
 
 
 def _mkl_run(mu_grid):

@@ -522,7 +522,35 @@ class TestNonFiniteInput:
 GOLDEN_V2 = Path(__file__).parent / "data" / "mkl_v2.json"
 
 
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """The bytes of TestCheckpoint's saved file, and its directory."""
+    _, path = TestCheckpoint().saved(tmp_path_factory.mktemp("checkpoint"))
+    return path.read_bytes(), path.parent
+
+
 class TestCheckpoint:
+    # a file cut at any byte, or with any one byte replaced, must load to a
+    # usable model or be refused with a ValueError (json's and the UTF-8
+    # decoder's errors are ValueErrors too), and raise nothing else
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_truncated_or_changed_file_loads_or_is_refused(self, checkpoint, data):
+        raw, directory = checkpoint
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        if data.draw(st.booleans(), label="truncate"):
+            changed = raw[:at]
+        else:
+            changed = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at + 1 :]
+        path = directory / "changed.json"
+        path.write_bytes(changed)
+        try:
+            loaded = load_mkl_checkpoint(path)
+        except ValueError:
+            return
+        for a in (loaded.thetas, loaded.log_weights, *(m.v_matrix for m in loaded.maps)):
+            assert np.isfinite(a).all() and not a.flags.writeable
+
     def test_golden_v2_file_loads_scores_and_resaves_unchanged(self, tmp_path):
         model = load_mkl_checkpoint(GOLDEN_V2)
         assert model.thetas.shape == (2, 8)

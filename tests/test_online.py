@@ -8,13 +8,12 @@ from graphrf import (
     KernelSpec,
     LossKind,
     build_map,
-    loss_grad,
-    loss_value,
     mkl_encode,
     mkl_from_maps,
     mkl_train,
     mkl_train_encoded,
 )
+from graphrf._kernels import cost_grad_scale, cost_value
 from graphrf.features import null_space_collision
 
 
@@ -32,28 +31,41 @@ def step(model, z, label):
     return mkl_train_encoded(model, np.asarray(z, dtype=float)[None, None, :], [label])[0]
 
 
+def objective(loss, z, theta, label):
+    """The regularized loss a learner records: C(z.theta, y) + mu ||theta||^2."""
+    return cost_value(loss.kind, np.dot(z, theta), label) + loss.mu * np.dot(theta, theta)
+
+
+def gradient(loss, z, theta, label):
+    """The step a learner descends: C'(z.theta, y) z + 2 mu theta."""
+    return cost_grad_scale(loss.kind, np.dot(z, theta), label) * z + 2.0 * loss.mu * theta
+
+
 class TestLossValue:
     def test_ls_zero_at_exact_prediction(self):
-        assert loss_value(LossKind("least_squares"), 2.5, 2.5) == 0.0
+        assert cost_value("least_squares", 2.5, 2.5) == 0.0
 
     def test_hinge_margin_boundary(self):
-        hinge = LossKind("hinge")
-        assert loss_value(hinge, 1.0, 1.0) == 0.0
-        assert loss_value(hinge, 0.0, 1.0) == 1.0
+        assert cost_value("hinge", 1.0, 1.0) == 0.0
+        assert cost_value("hinge", 0.0, 1.0) == 1.0
 
     def test_logistic_at_zero_prediction(self):
-        val = loss_value(LossKind("logistic"), 0.0, 1.0)
+        val = cost_value("logistic", 0.0, 1.0)
         assert val == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_regularizer_added(self):
-        loss = LossKind("least_squares", mu=0.5)
-        assert loss_value(loss, 1.0, 0.0, theta_norm2=2.0) == pytest.approx(2.0)
+        # z.theta = 1 against label 0 and ||theta||^2 = 2: the recorded
+        # pre-update loss is 1 + 0.5 * 2
+        model = dataclasses.replace(one_kernel(small_map(d=1, n=2), eta=0.1, mu=0.5), thetas=[[1.0, 1.0]])
+        _, traces = mkl_train_encoded(model, np.array([[[1.0, 0.0]]]), [0.0])
+        assert traces.per_kernel_loss[0, 0] == pytest.approx(2.0)
 
     def test_classification_label_validation(self):
-        with pytest.raises(ValueError, match="labels"):
-            loss_value(LossKind("hinge"), 0.0, 0.5)
-        with pytest.raises(ValueError, match="labels"):
-            loss_value(LossKind("logistic"), 0.0, 2.0)
+        z = np.array([[[1.0, 0.0]]])
+        with pytest.raises(ValueError, match=r"hinge loss requires labels in \{-1, \+1\}, got 0.5"):
+            mkl_train_encoded(one_kernel(small_map(d=1, n=2), 0.1, "hinge"), z, [0.5])
+        with pytest.raises(ValueError, match=r"logistic loss requires labels in \{-1, \+1\}, got 2.0"):
+            mkl_train_encoded(one_kernel(small_map(d=1, n=2), 0.1, "logistic"), z, [2.0])
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -63,19 +75,19 @@ class TestLossValue:
 class TestLossGrad:
     def test_ls_hand_value(self):
         # theta = 0, y = 1, z = (0, 1): gradient 2 (pred - y) z = (0, -2)
-        grad = loss_grad(LossKind("least_squares"), np.array([0.0, 1.0]), np.zeros(2), 1.0)
+        grad = gradient(LossKind("least_squares"), np.array([0.0, 1.0]), np.zeros(2), 1.0)
         np.testing.assert_allclose(grad, [0.0, -2.0], atol=1e-15)
 
     def test_hinge_inactive_outside_margin(self):
         z = np.array([0.0, 2.0])
         theta = np.array([0.0, 1.0])  # y * theta.z = 2 > 1
-        grad = loss_grad(LossKind("hinge"), z, theta, 1.0)
+        grad = gradient(LossKind("hinge"), z, theta, 1.0)
         np.testing.assert_array_equal(grad, np.zeros(2))
 
     def test_hinge_boundary_uses_zero_subgradient(self):
         z = np.array([1.0])
         theta = np.array([1.0])  # margin exactly 1
-        grad = loss_grad(LossKind("hinge"), z, theta, 1.0)
+        grad = gradient(LossKind("hinge"), z, theta, 1.0)
         np.testing.assert_array_equal(grad, np.zeros(1))
 
     @pytest.mark.parametrize("kind", ["least_squares", "hinge", "logistic"])
@@ -93,16 +105,13 @@ class TestLossGrad:
                 label = float(rng.normal())
             if kind == "hinge" and abs(label * np.dot(theta, z) - 1.0) < 1e-4:
                 continue  # finite differences straddle the kink
-            grad = loss_grad(loss, z, theta, label)
+            grad = gradient(loss, z, theta, label)
             fd = np.empty(dim)
             for i in range(dim):
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += h
                 tm[i] -= h
-                fd[i] = (
-                    loss_value(loss, float(np.dot(tp, z)), label, float(np.dot(tp, tp)))
-                    - loss_value(loss, float(np.dot(tm, z)), label, float(np.dot(tm, tm)))
-                ) / (2 * h)
+                fd[i] = (objective(loss, z, tp, label) - objective(loss, z, tm, label)) / (2 * h)
             denom = max(np.linalg.norm(fd), 1e-8)
             assert np.linalg.norm(grad - fd) / denom <= 1e-5
             checked += 1
@@ -117,14 +126,14 @@ class TestLossGrad:
         label = float(rng.normal()) if kind == "least_squares" else -1.0
         trained, _ = mkl_train(model, [(pattern, label)])
         z = mkl_encode(model, pattern)[0, 0]
-        expected = model.thetas[0] - model.eta * loss_grad(loss, z, model.thetas[0], label)
+        expected = model.thetas[0] - model.eta * gradient(loss, z, model.thetas[0], label)
         np.testing.assert_allclose(trained.thetas[0], expected, rtol=1e-12)
 
     def test_logistic_stable_at_large_scores(self):
         z = np.array([1.0])
         theta = np.array([500.0])
         for label in (-1.0, 1.0):
-            grad = loss_grad(LossKind("logistic"), z, theta, label)
+            grad = gradient(LossKind("logistic"), z, theta, label)
             assert np.all(np.isfinite(grad))
 
 
