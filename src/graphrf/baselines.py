@@ -65,12 +65,13 @@ def knn_predict_batch(
     is nan.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
-    bad = (nodes < 0) | (nodes >= g.n_nodes)
-    if bad.any():
-        raise IndexError(f"node {int(nodes[bad][0])} out of range")
+    ids = np.array(sorted(labeled), dtype=np.int64)
+    for what, a in (("node", nodes), ("labeled node", ids)):
+        bad = (a < 0) | (a >= g.n_nodes)
+        if bad.any():
+            raise IndexError(f"{what} {int(a[bad][0])} out of range")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids = np.array(sorted(j for j in labeled if 0 <= j < g.n_nodes), dtype=np.int64)
     weights = np.asarray(g.adjacency[np.ix_(nodes, ids)], dtype=np.float64)
     weights[nodes[:, None] == ids[None, :]] = 0.0  # a node is not its own neighbor
     n_candidates = (weights > 0).sum(axis=1)

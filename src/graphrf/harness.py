@@ -535,7 +535,7 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
 
         def cv_predict(n):
             # one stream pass trains the whole grid
-            trained = mkl_train_grid([model(mu, n) for mu in config.mu_grid], zs[:, :n], y[:n])
+            trained = mkl_train_grid(model(config.mu_grid[0], n), config.mu_grid, zs[:, :n], y[:n])
             return [mkl_predict_encoded(fitted, zs[:, n:]) for fitted, _ in trained]
 
         mu = _select(config.mu_grid, y, config.cv_fraction, cv_predict)

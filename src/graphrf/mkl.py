@@ -12,11 +12,11 @@ maximum, which is a pure rescaling: normalized weights are invariant to it
 and nothing can underflow on long streams.
 
 Steps are strictly sequential; within a step the per-kernel updates are
-independent.  :func:`mkl_train_grid` trains G models of one shape, step
-size and loss kind, such as a μ grid, in one pass, each as it would train
-alone.  Models are immutable snapshots, safe to share for prediction.
-A model scores and absorbs a newly-joining node (:func:`absorb_new_node_mkl`)
-and saves to, and reloads exactly from, one JSON checkpoint.
+independent.  :func:`mkl_train_grid` trains one model at each μ of a grid
+in one pass, each as it would train alone.  Models are immutable
+snapshots, safe to share for prediction.  A model scores and absorbs a
+newly-joining node (:func:`absorb_new_node_mkl`) and saves to, and reloads
+exactly from, one JSON checkpoint.
 """
 
 from __future__ import annotations
@@ -223,32 +223,27 @@ def mkl_train_encoded(
 
 
 def mkl_train_grid(
-    models: Sequence[MklModel], zs: np.ndarray, labels
+    model: MklModel, mus: Sequence[float], zs: np.ndarray, labels
 ) -> list[tuple[MklModel, MklTraces]]:
-    """:func:`mkl_train_encoded` of each of G models over one encoding, in
-    one ``_kernels.mkl_stream`` pass over G stacked copies of it.
+    """:func:`mkl_train_encoded` of ``model`` at each μ of ``mus``, in one
+    ``_kernels.mkl_stream`` pass over G stacked copies of its encoding.
 
-    The models share P, D, eta and the loss kind, and may differ in mu and
-    in their weights: a μ grid.  Each result is the model's own
-    :func:`mkl_train_encoded` result, bit for bit, and the labels and every
-    group's weights are checked as it checks them.
+    Each result is ``model`` with its loss's μ replaced, so the G models
+    share the maps, weights, eta and loss kind by construction, and each is
+    that model's own :func:`mkl_train_encoded` result, bit for bit.
     """
-    if not models:
-        raise ValueError("a grid pass needs at least one model; the grid of models is empty")
-    first = models[0]
-    if len({(model.thetas.shape, model.eta, model.loss.kind) for model in models}) > 1:
-        raise ValueError("a grid pass needs models of one (P, 2D), eta and loss kind")
-    labels = _checked_labels(first, zs, labels)
-    thetas = np.concatenate([model.thetas for model in models])
-    logw = np.stack([model.log_weights for model in models])
-    stream = _kernels.mkl_stream(
-        np.concatenate([zs] * len(models)), labels, first.eta, [model.loss for model in models], thetas, logw
-    )
-    p = first.n_kernels
+    if not len(mus):
+        raise ValueError("a grid pass needs at least one mu; mus is empty")
+    labels = _checked_labels(model, zs, labels)
+    losses = [LossKind(model.loss.kind, mu) for mu in mus]
+    thetas = np.tile(model.thetas, (len(losses), 1))
+    logw = np.tile(model.log_weights, (len(losses), 1))
+    stream = _kernels.mkl_stream(np.concatenate([zs] * len(losses)), labels, model.eta, losses, thetas, logw)
+    rows = np.split(thetas, len(losses))
     return [
-        (_checked(model, thetas[g * p : (g + 1) * p].copy(), logw[g].copy(), stream[0][:, g]),
+        (_checked(_with_fields(model, loss=loss), rows[g].copy(), logw[g].copy(), stream[0][:, g]),
          MklTraces(*(a[:, g] for a in stream[:4]), stream[4][g]))
-        for g, model in enumerate(models)
+        for g, loss in enumerate(losses)
     ]
 
 

@@ -124,6 +124,10 @@ class TestKnnPredict:
             knn_predict(g, {0: 1.0}, node=-1, k=3)
         with pytest.raises(ValueError, match="k must be"):
             knn_predict(g, {0: 1.0}, node=1, k=0)
+        # a labeled id outside [0, N) is refused, not dropped from the average
+        for bad in (99, -3):
+            with pytest.raises(IndexError, match=f"labeled node {bad} out of range"):
+                knn_predict_batch(g, {0: 1.0, bad: 5.0}, [1, 2], k=3)
 
     def test_batch_marks_nodes_without_labeled_neighbor(self):
         g = self.path_graph()

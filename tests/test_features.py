@@ -168,6 +168,14 @@ class TestInversionBoundary:
         assert np.median(self.recovery_errors(20)) > 0.5
 
 
+@pytest.fixture(scope="module")
+def map_file(tmp_path_factory):
+    """The bytes of a saved D = 3, N = 4 map, and a path to write changed copies to."""
+    path = tmp_path_factory.mktemp("map") / "map.rfm"
+    save_map(build_map(KernelSpec("laplacian", 1.5), 3, 4, seed=5), path)
+    return path.read_bytes(), path
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         m = build_map(KernelSpec("laplacian", 2.5), 9, 14, seed=99)
@@ -252,6 +260,24 @@ class TestSerialization:
         z = loaded.encode(np.linspace(0.0, 1.0, loaded.n))
         assert z.shape == (2 * loaded.d,)
         assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
+
+    # a file cut at any byte, or with any one byte replaced, must load to a
+    # finite, read-only map or be refused with a ValueError, and raise nothing else
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_a_truncated_or_changed_file_loads_or_is_refused(self, map_file, data):
+        raw, path = map_file
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        if data.draw(st.booleans(), label="truncate"):
+            changed = raw[:at]
+        else:
+            changed = raw[:at] + bytes([data.draw(st.integers(0, 255), label="byte")]) + raw[at + 1 :]
+        path.write_bytes(changed)
+        try:
+            loaded = load_map(path)
+        except ValueError:
+            return
+        assert np.isfinite(loaded.v_matrix).all() and not loaded.v_matrix.flags.writeable
 
     def test_ref_distinguishes_maps(self):
         a = build_map(KernelSpec("gaussian", 1.0), 4, 6, seed=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -562,20 +563,23 @@ def test_a_grid_of_two_loss_kinds_is_refused():
         _kernels.mkl_stream(np.zeros((2, 1, 4)), np.ones(1), 0.5, losses, np.zeros((2, 4)), np.zeros((2, 1)))
 
 
-def _grid_models(mus, kind="least_squares", eta=0.5):
-    base = mkl.mkl_init([KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0)], 4, 6, eta, 0.0, kind, 3)
-    return [mkl.mkl_from_maps(base.maps, eta, mu, kind, 3) for mu in mus], base
+def _grid_model(kind="least_squares"):
+    return mkl.mkl_init([KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0)], 4, 6, 0.5, 0.0, kind, 3)
 
 
 @pytest.mark.parametrize("kind", _kernels.LOSS_KINDS)
 def test_grid_training_is_each_models_own_training(kind):
-    models, base = _grid_models([1e-3, 0.0, 0.5], kind)
+    mus = [1e-3, 0.0, 0.5]
     rng = np.random.default_rng(4)
-    zs = mkl.mkl_encode(base, rng.random((30, 6)))
-    labels = rng.choice([-1.0, 1.0], size=30)
-    for model, (trained, traces) in zip(models, mkl.mkl_train_grid(models, zs, labels)):
+    zs = mkl.mkl_encode(_grid_model(kind), rng.random((40, 6)))
+    labels = rng.choice([-1.0, 1.0], size=40)
+    # a trained model, so the grid starts from weights other than the zero model's
+    base, _ = mkl.mkl_train_encoded(_grid_model(kind), zs[:, :10], labels[:10])
+    zs, labels = zs[:, 10:], labels[10:]
+    for mu, (trained, traces) in zip(mus, mkl.mkl_train_grid(base, mus, zs, labels)):
+        model = dataclasses.replace(base, loss=_kernels.LossKind(kind, mu))
         expected, expected_traces = mkl.mkl_train_encoded(model, zs, labels)
-        assert trained.loss == model.loss
+        assert trained.loss == model.loss and trained.maps == base.maps
         for a, b in ((trained.thetas, expected.thetas), (trained.log_weights, expected.log_weights)):
             assert a.tobytes() == b.tobytes() and not a.flags.writeable
         for name in ("combined_loss", "per_kernel_loss", "weights", "prediction", "max_grad"):
@@ -583,19 +587,17 @@ def test_grid_training_is_each_models_own_training(kind):
             assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
 
 
-def test_grid_training_checks_labels_and_models():
-    models, base = _grid_models([1e-3, 0.5], "hinge")
+def test_grid_training_checks_labels():
+    base = _grid_model("hinge")
     zs = mkl.mkl_encode(base, np.ones((3, 6)))
     with pytest.raises(ValueError, match=r"hinge loss requires labels in \{-1, \+1\}, got 0.5"):
-        mkl.mkl_train_grid(models, zs, [1.0, 0.5, -1.0])
-    with pytest.raises(ValueError, match="one \\(P, 2D\\), eta and loss kind"):
-        mkl.mkl_train_grid([models[0], _grid_models([0.5], "hinge", eta=0.25)[0][0]], zs, [1.0] * 3)
+        mkl.mkl_train_grid(base, [1e-3, 0.5], zs, [1.0, 0.5, -1.0])
 
 
 def test_an_empty_grid_is_refused():
-    _, base = _grid_models([])
-    with pytest.raises(ValueError, match="the grid of models is empty"):
-        mkl.mkl_train_grid([], mkl.mkl_encode(base, np.ones((3, 6))), [1.0] * 3)
+    base = _grid_model()
+    with pytest.raises(ValueError, match="mus is empty"):
+        mkl.mkl_train_grid(base, [], mkl.mkl_encode(base, np.ones((3, 6))), [1.0] * 3)
 
 
 def _mkl_run(mu_grid):

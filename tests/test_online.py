@@ -130,11 +130,13 @@ class TestLossGrad:
         np.testing.assert_allclose(trained.thetas[0], expected, rtol=1e-12)
 
     def test_logistic_stable_at_large_scores(self):
+        # exp overflows past about 709.8, so a naive -y / (1 + exp(y s)) raises here
         z = np.array([1.0])
-        theta = np.array([500.0])
-        for label in (-1.0, 1.0):
-            grad = gradient(LossKind("logistic"), z, theta, label)
-            assert np.all(np.isfinite(grad))
+        for score in (1000.0, -1000.0):
+            for label in (-1.0, 1.0):
+                with np.errstate(over="raise", invalid="raise"):
+                    grad = gradient(LossKind("logistic"), z, np.array([score]), label)
+                assert np.all(np.isfinite(grad))
 
 
 class TestOgdStep:
