@@ -587,11 +587,15 @@ def test_grid_training_is_each_models_own_training(kind):
             assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
 
 
-def test_grid_training_checks_labels():
+def test_grid_training_checks_labels_and_models():
     base = _grid_model("hinge")
     zs = mkl.mkl_encode(base, np.ones((3, 6)))
     with pytest.raises(ValueError, match=r"hinge loss requires labels in \{-1, \+1\}, got 0.5"):
         mkl.mkl_train_grid(base, [1e-3, 0.5], zs, [1.0, 0.5, -1.0])
+    # the grid trains its one model only on that model's own encoding shape
+    other = mkl.mkl_init([KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0)], 8, 6, 0.5, 0.0, "hinge", 3)
+    with pytest.raises(ValueError, match=r"encodings have shape \(2, 3, 16\), expected \(2, 3, 8\)"):
+        mkl.mkl_train_grid(base, [1e-3, 0.5], mkl.mkl_encode(other, np.ones((3, 6))), [1.0] * 3)
 
 
 def test_an_empty_grid_is_refused():
