@@ -6,11 +6,15 @@ Usage::
 
     python scripts/report_identity.py BASE_REF
 
-Six runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
+Seven runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
 with ``git archive`` into a temporary directory, so the repository is left
 untouched) and once on the working tree's ``src/``:
 
 - ``synthetic``: the default config with all five methods and traces;
+- ``synthetic-anchored``: 120 nodes under ``connectivity_anchored``, with
+  ``normalize_patterns = false``, ``eta = auto`` (so mkl's cross-validation
+  runs at each prefix's own step size), ``pattern_mode = concat``,
+  ``sample_fraction = 0.2``, two trials, all five methods and traces;
 - ``regret``: the default config;
 - ``dataset``: a generated 60-node graph with three label columns,
   ``sample_counts = 10,20``, two trials and all five methods;
@@ -20,8 +24,8 @@ untouched) and once on the working tree's ``src/``:
   cross-validation is checked under both classification losses;
 - ``bench-newnode``: ``bench_sizes = 60,120`` with mkl, gk_df and knn.
 
-The three dataset runs are the ``dataset`` command; every other run is the
-command it is named after.
+Each run is the command its name starts with: ``synthetic``, ``dataset``,
+``regret`` or ``bench-newnode``.
 
 Every config, edge and label file opens with a comment line, then a blank
 line, and its first record carries a trailing comment, so that both trees
@@ -55,6 +59,7 @@ ALL_METHODS = "methods = mkl,kl,gk_df,gk_bl,knn\n"
 # report.tsv column -> summary.json row key of the timings bench-newnode writes
 TIMING_FIELDS = {"train_s": "train_time", "newnode_s": "newnode_time"}
 MASK = "<timing>"
+COMMANDS = ("synthetic", "dataset", "regret", "bench-newnode")
 
 
 def commented(text: str) -> str:
@@ -65,7 +70,7 @@ def commented(text: str) -> str:
 
 
 def write_fixture(tmp: Path) -> dict:
-    """Configs for the six runs; the dataset files live in ``tmp`` so both
+    """Configs for the seven runs; the dataset files live in ``tmp`` so both
     trees see the same paths (they are echoed into summary.json)."""
     rng = np.random.default_rng(0)
     n = 60
@@ -84,6 +89,8 @@ def write_fixture(tmp: Path) -> dict:
     classification = dataset + f"labels = {tmp / 'signs.txt'}\nstandardize_labels = false\nemit_traces = true\n"
     configs = {
         "synthetic": ALL_METHODS + "emit_traces = true\n",
+        "synthetic-anchored": ALL_METHODS + "emit_traces = true\nn_nodes = 120\nscenario = connectivity_anchored\n"
+        "normalize_patterns = false\neta = auto\npattern_mode = concat\nsample_fraction = 0.2\ntrials = 2\n",
         "regret": "",
         "dataset": dataset + f"labels = {tmp / 'labels.txt'}\n",
         "dataset-hinge": classification + "loss = hinge\n",
@@ -193,7 +200,7 @@ def main(argv: list[str]) -> int:
             return 2
         differs = False
         for name, config in configs.items():
-            command = "dataset" if name.startswith("dataset") else name
+            command = next(c for c in COMMANDS if name.startswith(c))
             outs = {}
             for label, src in trees.items():
                 outs[label] = tmp / "out" / label / name

@@ -44,7 +44,6 @@ from .kernels import GraphKernelSpec, KernelSpec, eval_kernel_matrix, graph_kern
 from .mkl import (
     MklTraces,
     mkl_encode,
-    mkl_from_maps,
     mkl_init,
     mkl_predict_batch,
     mkl_predict_encoded,
@@ -135,7 +134,7 @@ class ExperimentConfig:
                 entries = " entries" if isinstance(value, tuple) else ""
                 raise ValueError(f"{key}{entries} must be finite and {bound}")
         if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+            raise ValueError(f"unknown scenario {self.scenario!r}; valid: {SCENARIOS}")
         if self.pattern_mode not in PATTERN_MODES:
             raise ValueError(f"unknown pattern_mode {self.pattern_mode!r}; valid: {PATTERN_MODES}")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -166,29 +165,22 @@ def _parse_bool(value) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _parse_kernels(value):
-    if not isinstance(value, str):
-        return tuple(value)
-    out = []
-    for part in value.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        family, _, bw = part.partition(":")
-        if not bw:
-            raise ValueError(f"kernel entry {part!r} must look like family:bandwidth")
-        out.append((family.strip(), float(bw)))
-    if not out:
-        raise ValueError("kernel list is empty")
-    return tuple(out)
-
-
 def _tuple_of(cast):
     def parse(value):
         items = value.split(",") if isinstance(value, str) else value
         return tuple(cast(v.strip() if isinstance(v, str) else v) for v in items if str(v).strip())
 
     return parse
+
+
+def _kernel_entry(entry):
+    """One ``family:bandwidth`` entry of the ``kernels`` key as (family, bandwidth)."""
+    if not isinstance(entry, str):
+        return entry
+    family, _, bw = entry.partition(":")
+    if not bw:
+        raise ValueError(f"kernel entry {entry!r} must look like family:bandwidth")
+    return family.strip(), float(bw)
 
 
 # One parser per field annotation of ExperimentConfig.
@@ -199,7 +191,7 @@ _PARSERS = {
     "str": lambda value: value,
     "str | None": lambda value: value,
     "float | str": lambda value: value if value == "auto" else float(value),
-    "tuple[tuple[str, float], ...]": _parse_kernels,
+    "tuple[tuple[str, float], ...]": _tuple_of(_kernel_entry),
     "tuple[str, ...]": _tuple_of(str),
     "tuple[float, ...]": _tuple_of(float),
     "tuple[int, ...]": _tuple_of(int),
@@ -521,27 +513,22 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
     the method's one trial-level input, as :func:`_select` splits."""
     if method == "mkl":
         # mu enters only the loss, so the maps are drawn and the training
-        # patterns encoded once; every fit, CV or final, reads its rows of
-        # the encoding.  The timed refit encodes again, as kl's refit
-        # evaluates its gram again.
-        base = mkl_init(
-            config.kernel_specs(), config.d, train_x.shape[1], config.eta_value(len(y)),
-            config.mu_grid[0], config.loss, seeds["map"],
-        )
+        # patterns encoded once, and every fit is a grid pass of the zero
+        # model base over rows of the encoding: CV's over the whole grid at
+        # its prefix's eta, the final fit's over the chosen mu.  The timed
+        # refit encodes again, as kl's refit evaluates its gram again.
+        base = mkl_init(config.kernel_specs(), config.d, train_x.shape[1], config.eta_value(len(y)),
+                        config.mu_grid[0], config.loss, seeds["map"])
         zs = mkl_encode(base, train_x)
 
-        def model(mu, n):
-            return mkl_from_maps(base.maps, config.eta_value(n), mu, config.loss, seeds["map"])
-
         def cv_predict(n):
-            # one stream pass trains the whole grid
-            trained = mkl_train_grid(model(config.mu_grid[0], n), config.mu_grid, zs[:, :n], y[:n])
+            trained = mkl_train_grid(replace(base, eta=config.eta_value(n)), config.mu_grid, zs[:, :n], y[:n])
             return [mkl_predict_encoded(fitted, zs[:, n:]) for fitted, _ in trained]
 
         mu = _select(config.mu_grid, y, config.cv_fraction, cv_predict)
-        final, traces = mkl_train_encoded(model(mu, len(y)), zs, y)
+        final, traces = mkl_train_grid(base, [mu], zs, y)[0]
         return _Fitted(
-            mu=mu, refit=lambda: mkl_train_encoded(model(mu, len(y)), mkl_encode(base, train_x), y),
+            mu=mu, refit=lambda: mkl_train_grid(base, [mu], mkl_encode(base, train_x), y)[0],
             score=lambda xs: (mkl_predict_batch(final, xs), 0), inputs=eval_x, traces=traces,
         )
     if method == "kl":
@@ -569,36 +556,29 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
         m = plan.sampled.size
         sub = np.ascontiguousarray(g.adjacency[np.ix_(plan.sampled, plan.sampled)])
         sub.setflags(write=False)  # fresh and never written: Graph adopts it
+        # one spec per knob, in grid order: _select keeps the first of equal errors
         knobs = config.gk_sigma2_grid if method == "gk_df" else sorted({min(b, m) for b in config.band_grid})
+        specs = {knob: GraphKernelSpec("diffusion", sigma2=knob) if method == "gk_df"
+                 else GraphKernelSpec("bandlimited", band_size=int(knob)) for knob in knobs}
 
         def kernel(adjacency, knob):
-            if method == "gk_df":
-                spec = GraphKernelSpec("diffusion", sigma2=knob)
-            else:
-                spec = GraphKernelSpec("bandlimited", band_size=int(knob))
-            return graph_kernel_matrix(Graph(adjacency, directed=False), spec)
+            return graph_kernel_matrix(Graph(adjacency, directed=False), specs[knob])
 
-        def fit(params, n):
-            mu, knob = params
-            return batch_kernel_ridge(kernel(sub[:n, :n], knob), y[:n], mu)
-
-        grid = [(mu, knob) for mu in config.mu_grid for knob in knobs]
+        grid = [(mu, knob) for mu in config.mu_grid for knob in specs]
 
         def cv_predict(n):
             # each knob's two kernels, on the subgraph and on its CV prefix,
-            # serve every mu
-            preds = {}
-            for knob in knobs:
+            # serve every mu; zip regroups the predictions mu by mu, as grid runs
+            by_knob = []
+            for knob in specs:
                 whole, prefix = kernel(sub, knob), kernel(sub[:n, :n], knob)
-                for mu in config.mu_grid:
-                    preds[mu, knob] = whole[n:, :n] @ batch_kernel_ridge(prefix, y[:n], mu)
-            return [preds[params] for params in grid]
+                by_knob.append([whole[n:, :n] @ batch_kernel_ridge(prefix, y[:n], mu) for mu in config.mu_grid])
+            return [preds for by_mu in zip(*by_knob) for preds in by_mu]
 
-        params = _select(grid, y, config.cv_fraction, cv_predict)
+        mu, knob = _select(grid, y, config.cv_fraction, cv_predict)
 
         def score(new_patterns):
             """Per new node: rebuild L and the kernel at size M+1, re-solve."""
-            mu, knob = params
             out = np.empty(len(new_patterns))
             for i, a_new in enumerate(np.asarray(new_patterns, dtype=np.float64)):
                 grown = np.zeros((m + 1, m + 1))
@@ -612,13 +592,13 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
             return out, 0
 
         return _Fitted(
-            mu=params[0],
-            refit=lambda: fit(params, m),
+            mu=mu,
+            refit=lambda: batch_kernel_ridge(kernel(sub, knob), y, mu),
             score=score,
             # GK consumes raw connectivity to the sampled set, not the
             # normalized learner features.
             inputs=_patterns(g.adjacency, plan.sampled, plan.unsampled, "column", False),
-            notes=f"knob={params[1]}",
+            notes=f"knob={knob}",
         )
     labeled = {int(node): float(val) for node, val in zip(plan.sampled, y)}
     # no node has more candidates than there are labeled nodes, so this k
@@ -759,6 +739,11 @@ def run_dataset(config: ExperimentConfig) -> Report:
         # a classification loss trains on the file's -1 and +1 as they are
         raise ValueError(f"loss = {config.loss} needs labels of -1 and +1: set standardize_labels = false "
                          f"and give only -1 and +1 in the labels file {config.labels}")
+    for col, values in enumerate(columns.T, start=1):
+        # no truth of zeros has an NMSE, and standardising makes a constant column zeros
+        if not values.any() or (config.standardize_labels and values.min() == values.max()):
+            what = "all zero" if not values.any() else "constant, which standardize_labels makes all zero"
+            raise ValueError(f"label column {col} of the labels file {config.labels} is {what}; no NMSE is defined")
     n_cols = columns.shape[1]
     counts = config.sample_counts or (
         max(1, math.ceil(config.sample_fraction * labeled_idx.size)),
@@ -857,9 +842,7 @@ def run_regret(config: ExperimentConfig) -> Report:
         pats = _patterns(g.adjacency, every, every, config.pattern_mode, config.normalize_patterns)
         rng = np.random.default_rng(seeds["stream"])
         stream = rng.integers(0, g.n_nodes, size=horizon)
-        model = mkl_init(
-            config.kernel_specs(), config.d, pats.shape[1], eta, mu, config.loss, seeds["map"]
-        )
+        model = mkl_init(config.kernel_specs(), config.d, pats.shape[1], eta, mu, config.loss, seeds["map"])
         zs = mkl_encode(model, pats[stream])
         ys = x[stream]
         model, traces = mkl_train_encoded(model, zs, ys)

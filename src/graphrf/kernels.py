@@ -26,9 +26,9 @@ PINV_FLOOR = 1e-10
 # The band-limited kernel's damping of out-of-band components.
 BAND_FLOOR = 1e-6
 
-# Byte budget of one row chunk (see row_chunk): the gaussian
-# eval_kernel_matrix finishes its output a chunk at a time, and the truth
-# signal streams K alpha in chunks.
+# Byte budget of one row chunk (see row_chunk): eval_kernel_matrix works a
+# chunk of output rows at a time, and the truth signal streams K alpha in
+# chunks.
 _ROW_CHUNK_BYTES = 1 << 20
 
 
@@ -130,7 +130,7 @@ def eval_kernel_matrix(spec: KernelSpec, xs, ys, ys_norms=None) -> np.ndarray:
         np.negative(out, out=out)
         out /= 2.0 * spec.bandwidth
         return np.exp(out, out=out)
-    chunk = max(1, int(2**22 // max(1, ys.shape[0] * xs.shape[1])))
+    chunk = row_chunk(8 * ys.shape[0] * xs.shape[1])
     for i0 in range(0, xs.shape[0], chunk):
         d = np.abs(xs[i0 : i0 + chunk, None, :] - ys[None, :, :])
         if spec.family == "laplacian":

@@ -13,10 +13,11 @@ and nothing can underflow on long streams.
 
 Steps are strictly sequential; within a step the per-kernel updates are
 independent.  :func:`mkl_train_grid` trains one model at each μ of a grid
-in one pass, each as it would train alone.  Models are immutable
-snapshots, safe to share for prediction.  A model scores and absorbs a
-newly-joining node (:func:`absorb_new_node_mkl`) and saves to, and reloads
-exactly from, one JSON checkpoint.
+in one pass, each as it would train alone; every pass but a labelled
+join's is such a grid pass.  Models are immutable snapshots, safe to share
+for prediction.  A model scores and absorbs a newly-joining node
+(:func:`absorb_new_node_mkl`) and saves to, and reloads exactly from, one
+JSON checkpoint.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -216,21 +217,19 @@ def mkl_encode(model: MklModel, patterns) -> np.ndarray:
 def mkl_train_encoded(
     model: MklModel, zs: np.ndarray, labels
 ) -> tuple[MklModel, MklTraces]:
-    """Sequential training pass over encodings from :func:`mkl_encode`."""
-    labels = _checked_labels(model, zs, labels)
-    new_model, stream = _trained(model, zs, labels)
-    return new_model, MklTraces(*stream)
+    """Sequential pass over :func:`mkl_encode` encodings: the grid of one μ."""
+    return mkl_train_grid(model, [model.loss.mu], zs, labels)[0]
 
 
 def mkl_train_grid(
     model: MklModel, mus: Sequence[float], zs: np.ndarray, labels
 ) -> list[tuple[MklModel, MklTraces]]:
-    """:func:`mkl_train_encoded` of ``model`` at each μ of ``mus``, in one
-    ``_kernels.mkl_stream`` pass over G stacked copies of its encoding.
-
-    Each result is ``model`` with its loss's μ replaced, so the G models
-    share the maps, weights, eta and loss kind by construction, and each is
-    that model's own :func:`mkl_train_encoded` result, bit for bit.
+    """``model`` trained at each μ of ``mus``, in one ``_kernels.mkl_stream``
+    pass over G stacked copies of its encoding: every pass but a labelled
+    join's.  Each result is ``model`` with its loss's μ replaced, so the G
+    models share maps, weights, eta and loss kind by construction, and each
+    trains as its own one-model pass, bit for bit
+    (``test_grid_pass_is_each_groups_frozen_pass_bit_for_bit``).
     """
     if not len(mus):
         raise ValueError("a grid pass needs at least one mu; mus is empty")
@@ -239,11 +238,10 @@ def mkl_train_grid(
     thetas = np.tile(model.thetas, (len(losses), 1))
     logw = np.tile(model.log_weights, (len(losses), 1))
     stream = _kernels.mkl_stream(np.concatenate([zs] * len(losses)), labels, model.eta, losses, thetas, logw)
-    rows = np.split(thetas, len(losses))
     return [
-        (_checked(_with_fields(model, loss=loss), rows[g].copy(), logw[g].copy(), stream[0][:, g]),
+        (_checked(_with_fields(model, loss=loss), theta.copy(), logw[g].copy(), stream[0][:, g]),
          MklTraces(*(a[:, g] for a in stream[:4]), stream[4][g]))
-        for g, loss in enumerate(losses)
+        for g, (loss, theta) in enumerate(zip(losses, np.split(thetas, len(losses))))
     ]
 
 
@@ -270,15 +268,6 @@ def _label_array(labels) -> np.ndarray:
     return labels
 
 
-def _trained(model: MklModel, zs: np.ndarray, labels: np.ndarray):
-    """The model after one :func:`~graphrf._kernels.mkl_stream` pass over
-    checked encodings and labels, and the pass's five arrays."""
-    thetas = model.thetas.copy()
-    logw = model.log_weights.copy()
-    stream = _kernels.mkl_stream(zs, labels, model.eta, model.loss, thetas, logw)
-    return _checked(model, thetas, logw, stream[0]), stream
-
-
 def _checked(model: MklModel, thetas: np.ndarray, logw: np.ndarray, combined: np.ndarray) -> MklModel:
     """``model`` with the weights a pass left, frozen, or a
     ``FloatingPointError`` if a weight or a combined loss is not finite."""
@@ -298,21 +287,9 @@ def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, M
 
 def mkl_train(model: MklModel, samples: Sequence) -> tuple[MklModel, MklTraces]:
     """Sequential pass over (connectivity, label) samples; see MklTraces."""
-    patterns, labels = _stack_samples(samples, model.maps[0].n)
-    return mkl_train_encoded(model, mkl_encode(model, patterns), labels)
-
-
-def _stack_samples(samples: Iterable, n: int):
-    patterns, labels = [], []
-    for pattern, label in samples:
-        patterns.append(np.asarray(pattern, dtype=np.float64))
-        labels.append(float(label))
-    if not patterns:
-        return np.empty((0, n)), np.empty(0)
-    a = np.stack(patterns)
-    if a.shape[1] != n:
-        raise ValueError(f"connectivity vectors have length {a.shape[1]}, expected {n}")
-    return a, np.array(labels)
+    samples = list(samples)
+    patterns = np.stack([p for p, _ in samples]) if samples else np.empty((0, model.maps[0].n))
+    return mkl_train_encoded(model, mkl_encode(model, patterns), [label for _, label in samples])
 
 
 def absorb_new_node_mkl(
@@ -322,22 +299,24 @@ def absorb_new_node_mkl(
 
     The node is encoded once, in one call for all P maps; scoring and the
     update share that encoding.  A label is checked as
-    :func:`mkl_train_encoded` checks it, and the update is one
-    ``_kernels.mkl_stream`` pass of one sample, which below 8 kernels takes
-    the stream's one-step branch: the same arrays as the general path, bit
-    for bit, at about half its fixed cost.  The score-only sum mirrors the
-    arithmetic of that pass (elementwise products summed per kernel, then
-    :func:`~graphrf._kernels.hedge_mix`), so a node scores bit-identically
-    with or without its label; :func:`mkl_predict_encoded`'s matrix products
-    round differently, which is why scoring does not go through it.
+    :func:`mkl_train_encoded` checks it.  The update is the one pass that is
+    not a grid pass: a ``_kernels.mkl_stream`` pass of one sample, which
+    below 8 kernels takes the stream's one-step branch, the same arrays as
+    the general path, bit for bit, at about half its fixed cost.  The
+    score-only sum mirrors the arithmetic of that pass (elementwise products
+    summed per kernel, then :func:`~graphrf._kernels.hedge_mix`), so a node
+    scores bit-identically with or without its label;
+    :func:`mkl_predict_encoded`'s matrix products round differently, which
+    is why scoring does not go through it.
     """
     zs = mkl_encode(model, _one_node(connectivity))
     if label is None:
         return _kernels.hedge_mix(model.log_weights, (model.thetas * zs[:, 0]).sum(axis=1)), model
     labels = _label_array([label])
     _check_label(model.loss, labels[0])
-    new_model, stream = _trained(model, zs, labels)
-    return float(stream[3][0]), new_model
+    thetas, logw = model.thetas.copy(), model.log_weights.copy()
+    stream = _kernels.mkl_stream(zs, labels, model.eta, model.loss, thetas, logw)
+    return float(stream[3][0]), _checked(model, thetas, logw, stream[0])
 
 
 def _b64(values: np.ndarray) -> str:

@@ -70,7 +70,7 @@ class TestEncodeCommand:
 
     def test_missing_vector_is_diagnosed(self, capsys):
         assert main(["encode", "--d", "3"]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: encode needs --vector or --vector-file\n"
 
     def test_negative_seed_names_the_flag(self, capsys):
         assert main(["encode", "--vector", "0,1", "--seed", "-1"]) == 1

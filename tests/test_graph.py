@@ -87,6 +87,16 @@ class TestGraphType:
         assert Graph(np.zeros((0, 0))).n_nodes == 0
 
     @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"adjacency": np.zeros((2, 3))}, r"adjacency must be square, got shape \(2, 3\)"),
+         ({"adjacency": np.zeros((2, 2)), "node_names": ("a",)}, "node_names length must match")],
+        ids=["not-square", "node-names"],
+    )
+    def test_malformed_graph_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(**kwargs)
+
+    @pytest.mark.parametrize(
         "value, message",
         [(np.nan, "must be finite"), (-np.inf, "must be finite"), (-1.0, "must be non-negative")],
     )
@@ -163,6 +173,13 @@ class TestLoadLabels:
     def test_node_labeled_twice_rejected(self):
         with pytest.raises(ValueError, match="line 3: node 'a' already labeled on line 1"):
             load_labels(["a 1", "b 2", "a 3"])
+
+    @pytest.mark.parametrize(
+        "line, message", [("b", "expected 'node value \\[value ...\\]'"), ("b x", "non-numeric label value")]
+    )
+    def test_malformed_line_reports_number(self, line, message):
+        with pytest.raises(ValueError, match=f"line 2: {message}"):
+            load_labels(["a 1", line])
 
 
 # Every text input goes through one reader; these are the loaders built on it.
@@ -306,7 +323,7 @@ class TestErdosRenyi:
         assert np.array_equal(erdos_renyi(30, 0.4, 5).adjacency, erdos_renyi(30, 0.4, 5).adjacency)
 
     def test_bad_probability(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge_prob must be in \[0, 1\], got 1.5$"):
             erdos_renyi(5, 1.5, seed=0)
 
     @settings(max_examples=40, deadline=None)

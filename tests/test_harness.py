@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -31,6 +32,7 @@ from graphrf import KernelSpec, eval_kernel_matrix, mkl_init, mkl_predict_batch,
 from graphrf.baselines import batch_kernel_ridge
 from graphrf.harness import (
     _COLUMNS,
+    SCENARIOS,
     MethodRow,
     Report,
     _draw_trial,
@@ -168,6 +170,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="pattern_mode"):
             ExperimentConfig(pattern_mode="diagonal")
 
+    def test_unknown_scenario_lists_the_valid_ones(self):
+        with pytest.raises(ValueError, match=re.escape(f"unknown scenario 'x'; valid: {SCENARIOS}")):
+            config_from_dict({"scenario": "x"})
+
+    def test_empty_kernel_list(self):
+        with pytest.raises(ValueError, match="^kernels must be non-empty$"):
+            config_from_dict({"kernels": " , "})
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -211,6 +221,9 @@ class TestConfig:
             ("mu_grid", "1e-3,inf"),
             ("gk_sigma2_grid", "1,inf"),
             ("kernels", "gaussian:inf"),
+            ("kernels", "gaussian"),
+            ("scenario", "x"),
+            ("normalize_patterns", "maybe"),
         ],
     )
     def test_out_of_range_value_names_its_key(self, key, value):
@@ -857,6 +870,15 @@ def test_random_graph_runs_refuse_a_classification_loss_before_any_trial(monkeyp
         runner(ExperimentConfig(loss=loss))
 
 
+def test_regret_run_refuses_the_anchored_scenario_before_any_trial(monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(graphrf.harness, "erdos_renyi", no_graph)
+    with pytest.raises(ValueError, match="regret runs stream whole patterns; use another scenario"):
+        run_regret(ExperimentConfig(scenario="connectivity_anchored"))
+
+
 @pytest.mark.parametrize("loss", ["hinge", "logistic"])
 @pytest.mark.parametrize(
     "standardize, values, message",
@@ -880,6 +902,42 @@ def test_dataset_run_refuses_a_classification_loss_its_labels_cannot_train(
     )
     with pytest.raises(ValueError, match=f"loss = {loss} .*{message}"):
         run_dataset(config)
+
+
+@pytest.mark.parametrize(
+    "standardize, value, message",
+    [(True, 3.0, "constant, which standardize_labels makes all zero"), (True, 0.0, "all zero"),
+     (False, 0.0, "all zero")],
+    ids=["constant", "zero", "zero-unstandardized"],
+)
+def test_dataset_run_refuses_a_label_column_without_an_nmse(tmp_path, monkeypatch, standardize, value, message):
+    # column 2 holds no signal to score; column 1 is a normal one
+    rng = np.random.default_rng(3)
+    n = 30
+    (tmp_path / "edges.txt").write_text("".join(f"n{i} n{(i + 1) % n}\n" for i in range(n)))
+    (tmp_path / "labels.txt").write_text("".join(f"n{i} {rng.normal()!r} {value!r}\n" for i in range(n)))
+
+    def no_fit(*args):
+        raise AssertionError("a fit started")
+
+    monkeypatch.setattr(graphrf.harness, "_fit_method", no_fit)
+    config = ExperimentConfig(
+        task="dataset", edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
+        standardize_labels=standardize, methods=("mkl", "knn"),
+    )
+    with pytest.raises(ValueError, match=rf"label column 2 of the labels file .*labels\.txt is {message}"):
+        run_dataset(config)
+
+
+def test_dataset_run_keeps_a_constant_column_it_does_not_standardize(tmp_path):
+    n = 30
+    (tmp_path / "edges.txt").write_text("".join(f"n{i} n{(i + 1) % n}\n" for i in range(n)))
+    (tmp_path / "labels.txt").write_text("".join(f"n{i} 3.0\n" for i in range(n)))
+    config = ExperimentConfig(
+        task="dataset", edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
+        standardize_labels=False, trials=1, d=6, methods=("mkl", "knn"),
+    )
+    assert [row.method for row in run_dataset(config).rows] == ["knn", "mkl"]
 
 
 def test_dataset_run_trains_a_classification_loss_on_plain_labels(tmp_path):

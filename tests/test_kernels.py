@@ -105,26 +105,34 @@ class TestEvalKernelMatrix:
             for j in range(4):
                 assert mat[i, j] == pytest.approx(eval_kernel(spec, xs[i], ys[j]), abs=1e-10)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=90, deadline=None)
     @given(
+        family=st.sampled_from(kernels.KERNEL_FAMILIES),
         rows=st.integers(1, 44), cols=st.integers(1, 12), dim=st.integers(1, 6),
         bw=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1),
         budget=st.sampled_from([0, 1 << 20]), self_gram=st.booleans(), pass_norms=st.booleans(),
     )
-    def test_gaussian_in_place_equals_the_whole_array_recipe(
-        self, rows, cols, dim, bw, seed, budget, self_gram, pass_norms
+    def test_in_place_equals_the_whole_array_recipe(
+        self, family, rows, cols, dim, bw, seed, budget, self_gram, pass_norms
     ):
         # a budget of 0 bytes gives chunks of 8 rows, so up to 6 chunks
         rng = np.random.default_rng(seed)
         xs = rng.normal(size=(rows, dim))
         ys = xs if self_gram else np.concatenate([xs[: cols // 2], rng.normal(size=(cols - cols // 2, dim))])
-        sq = (xs * xs).sum(axis=1)[:, None] + (ys * ys).sum(axis=1)[None, :] - 2.0 * xs @ ys.T
-        np.clip(sq, 0.0, None, out=sq)
-        expected = np.exp(-sq / (2.0 * bw))
+        if family == "gaussian":
+            sq = (xs * xs).sum(axis=1)[:, None] + (ys * ys).sum(axis=1)[None, :] - 2.0 * xs @ ys.T
+            np.clip(sq, 0.0, None, out=sq)
+            expected = np.exp(-sq / (2.0 * bw))
+        else:
+            d = np.abs(xs[:, None, :] - ys[None, :, :])
+            if family == "laplacian":
+                expected = np.exp(-d.sum(axis=2) / bw)
+            else:
+                expected = np.prod(1.0 / (1.0 + (d / bw) ** 2), axis=2)
         # a caller that passes the squared row norms of ys gets the same bytes
         norms = (ys * ys).sum(axis=1) if pass_norms else None
         with mock.patch.object(kernels, "_ROW_CHUNK_BYTES", budget):
-            got = eval_kernel_matrix(KernelSpec("gaussian", bw), xs, ys, norms)
+            got = eval_kernel_matrix(KernelSpec(family, bw), xs, ys, norms)
         assert got.tobytes() == expected.tobytes()
 
     def test_gaussian_peaks_at_about_one_output(self):
@@ -578,9 +586,11 @@ def test_grid_training_is_each_models_own_training(kind):
     zs, labels = zs[:, 10:], labels[10:]
     for mu, (trained, traces) in zip(mus, mkl.mkl_train_grid(base, mus, zs, labels)):
         model = dataclasses.replace(base, loss=_kernels.LossKind(kind, mu))
-        expected, expected_traces = mkl.mkl_train_encoded(model, zs, labels)
+        # the model's own pass: the stream under its one LossKind, from copies of its weights
+        thetas, logw = base.thetas.copy(), base.log_weights.copy()
+        expected_traces = mkl.MklTraces(*_kernels.mkl_stream(zs, labels, base.eta, model.loss, thetas, logw))
         assert trained.loss == model.loss and trained.maps == base.maps
-        for a, b in ((trained.thetas, expected.thetas), (trained.log_weights, expected.log_weights)):
+        for a, b in ((trained.thetas, thetas), (trained.log_weights, logw)):
             assert a.tobytes() == b.tobytes() and not a.flags.writeable
         for name in ("combined_loss", "per_kernel_loss", "weights", "prediction", "max_grad"):
             a, b = getattr(traces, name), getattr(expected_traces, name)

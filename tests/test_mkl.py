@@ -605,9 +605,10 @@ class TestCheckpoint:
 
     def test_wrong_format_refused(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError, match="not a multi-kernel checkpoint"):
-            load_mkl_checkpoint(path)
+        for text in ('{"format": "something-else"}', "[]"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="not a multi-kernel checkpoint"):
+                load_mkl_checkpoint(path)
 
     def saved(self, tmp_path):
         model = mkl_init([KernelSpec("gaussian", 1.0), KernelSpec("cauchy", 2.0)], 4, 6, 0.5, 1e-3,
@@ -692,6 +693,13 @@ class TestCheckpoint:
             record["learners"][0]["loss"] = {"kind": "hinge", "mu": 0.001}
 
         with pytest.raises(ValueError, match=r"learners\[1\]\.loss is .*learners\[0\]\.loss is .*hinge"):
+            load_mkl_checkpoint(self.tampered(tmp_path, change))
+
+    def test_no_maps_refused(self, tmp_path):
+        def change(record):
+            record["maps_b64"] = []
+
+        with pytest.raises(ValueError, match="^checkpoint field maps_b64 holds no maps$"):
             load_mkl_checkpoint(self.tampered(tmp_path, change))
 
     @pytest.mark.parametrize("count", [1, 3])
