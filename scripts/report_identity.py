@@ -36,9 +36,12 @@ compared byte for byte.  ``bench-newnode`` always measures wall-clock time,
 so its timing fields are masked first: the ``train_s`` and ``newnode_s``
 columns of ``report.tsv``, the ``train_time`` and ``newnode_time`` keys of
 each ``summary.json`` row, and ``extras.per_method``, which holds only
-timings.  Everything else in those two files is compared exactly.  Exit
-status: 0 when all are identical, 1 on any difference, 2 when the base ref
-cannot be exported or a run fails.
+timings.  Everything else in those two files is compared exactly.  Under
+each ``summary.json`` that differs, one line per differing JSON path gives
+the base value, the head value and, for two numbers, their relative
+difference |base - head| / max(|base|, |head|).  Exit status: 0 when all are
+identical, 1 on any difference, 2 when the base ref cannot be exported or a
+run fails.
 """
 
 from __future__ import annotations
@@ -166,9 +169,37 @@ def mask_timings(name: str, data: bytes) -> bytes:
     return data
 
 
+MISSING = "<missing>"
+
+
+def json_differences(a, b, path: str = "") -> list[tuple[str, object, object]]:
+    """``(path, base value, head value)`` of every leaf where two parsed JSON
+    documents differ, in document order; a key or list entry on one side
+    only shows ``MISSING`` on the other."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = list(a) + [k for k in b if k not in a]
+        return [d for k in keys
+                for d in json_differences(a.get(k, MISSING), b.get(k, MISSING), f"{path}.{k}" if path else k)]
+    if isinstance(a, list) and isinstance(b, list):
+        return [d for i in range(max(len(a), len(b)))
+                for d in json_differences(a[i] if i < len(a) else MISSING, b[i] if i < len(b) else MISSING,
+                                          f"{path}[{i}]")]
+    return [] if a == b and type(a) is type(b) else [(path, a, b)]
+
+
+def relative(a, b) -> str:
+    """|a - b| / max(|a|, |b|) of two numbers, or "-" for anything else."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        return "-"
+    top = max(abs(a), abs(b))
+    return f"{abs(a - b) / top:.3g}" if top else "0"
+
+
 def compare(base: Path, head: Path, masked: bool = False) -> list[str]:
-    """One line per compared file; lines of differing files start with DIFF.
-    With ``masked`` the timing fields are left out of the comparison."""
+    """One line per compared file; lines of differing files start with DIFF,
+    and a differing ``summary.json`` is followed by one indented line per
+    differing JSON path (see :func:`json_differences`).  With ``masked`` the
+    timing fields are left out of the comparison."""
     lines = []
     for name in sorted(set(report_files(base)) | set(report_files(head))):
         a, b = base / name, head / name
@@ -181,6 +212,9 @@ def compare(base: Path, head: Path, masked: bool = False) -> list[str]:
         note = ", timings masked" if masked else ""
         if data_a != data_b:
             lines.append(f"DIFF {name}: contents differ{note}")
+            if name == "summary.json":
+                lines += [f"  {path}: base {va!r} head {vb!r} (rel {relative(va, vb)})"
+                          for path, va, vb in json_differences(json.loads(data_a), json.loads(data_b))]
         else:
             lines.append(f"same {name} ({a.stat().st_size} bytes{note})")
     return lines

@@ -21,12 +21,13 @@ A μ grid of G models over the same P kernels trains in one pass of
 R = G·P rows: each group of P rows has its own μ, and the hedge is replayed
 per group.  Each group's arrays are those of its own pass, bit for bit.
 
-A pass of one sample over fewer than 8 kernels, which is what a labelled
-join makes, takes a one-step branch inside :func:`mkl_stream` instead.  It
-runs ``learner_block``'s numpy operations and the replay's arithmetic in the
-same order, the P-length hedge arithmetic on Python floats, so it returns
-the general path's arrays bit for bit at about half the fixed cost.  Where a
-value is not finite, the general path runs.
+A pass of one sample over fewer than 8 kernels and one μ, which is what a
+labelled join and ``mkl_update`` make, takes a one-step branch inside
+:func:`mkl_stream` instead.  It runs ``learner_block``'s numpy operations
+and the replay's arithmetic in the same order, the P-length hedge
+arithmetic on Python floats, so it returns the general path's arrays bit
+for bit at about half the fixed cost.  Where a value is not finite, the
+general path runs.
 """
 
 from __future__ import annotations
@@ -192,14 +193,17 @@ def mkl_stream(zs, ys, eta, loss, thetas, logw):
     groups never mix, so each group's arrays are those of its own pass, bit
     for bit.
 
-    One sample over fewer than 8 kernels of one group takes
-    :func:`_one_step`, which returns the same arrays bit for bit.
+    One sample over fewer than 8 kernels of one group, a grid of one μ
+    included, takes :func:`_one_step`, which returns the same arrays bit for
+    bit.
     """
     grid = not isinstance(loss, LossKind)
-    if len(ys) == 1 and not grid and len(logw) < 8:
-        step = _one_step(zs[:, 0], float(ys[0]), eta, loss, thetas, logw)
+    if len(ys) == 1 and logw.shape[-1] < 8 and (not grid or len(loss) == 1):
+        step = _one_step(zs[:, 0], float(ys[0]), eta, loss[0] if grid else loss, thetas,
+                         logw[0] if grid else logw)
         if step is not None:
-            return step
+            # a grid of one gains its G = 1 axis, after the step axis
+            return (*(a[:, None] for a in step[:4]), step[4][None]) if grid else step
     record = learner_block(zs, ys, eta, loss, thetas)
     n_steps = len(ys)
     # predictions and squared norms as (2, T, P), or (2, T, G, P)

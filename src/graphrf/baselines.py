@@ -35,12 +35,48 @@ def batch_kernel_ridge(k_matrix: np.ndarray, y: np.ndarray, mu: float) -> np.nda
         raise ValueError(
             "singular ridge system; kernel is rank-deficient and mu is too small"
         ) from exc
-    residual = np.linalg.norm(system @ alpha - y)
-    if residual > 1e-8 * max(np.linalg.norm(y), 1.0):
-        raise ValueError(
-            f"ridge solve residual {residual:.3e} exceeds tolerance; increase mu"
-        )
+    _check_residual(system @ alpha - y, y)
     return alpha
+
+
+def _check_residual(residual: np.ndarray, y: np.ndarray) -> None:
+    """Refuse a ridge solve whose residual vector exceeds 1e-8 max(|y|, 1)."""
+    norm = np.linalg.norm(residual)
+    if norm > 1e-8 * max(np.linalg.norm(y), 1.0):
+        raise ValueError(f"ridge solve residual {norm:.3e} exceeds tolerance; increase mu")
+
+
+def spectral_ridge_predict(u: np.ndarray, response: np.ndarray, y: np.ndarray, mu: float) -> float:
+    """:func:`batch_kernel_ridge`'s prediction k^T (K_MM + mu M I)^{-1} y for
+    the last of M+1 nodes, whose kernel is K = U diag(response) U^T, read off
+    the eigendecomposition in O(M^2): no kernel is formed and nothing solved.
+
+    With c = mu M, h = 1 / (response + c), a = U[M] and w = U[:M]^T y, the
+    block inverse of K + c I gives the prediction p = -sum(a h w) / sum(a h a)
+    and the weights alpha = U[:M] (h (w + p a)) (the leave-one-out identity,
+    Rasmussen & Williams 2006, section 5.4.2).  The refusals are
+    batch_kernel_ridge's: a singular system when some response + c is not
+    positive, and the residual of alpha, taken through U, held to its bound.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    response = np.asarray(response, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m = y.size
+    if y.ndim != 1 or u.shape != (m + 1, m + 1) or response.shape != (m + 1,):
+        raise ValueError(f"need (M+1)x(M+1) eigenvectors, M+1 eigenvalues and length-M labels, "
+                         f"got {u.shape}, {response.shape} and {y.shape}")
+    c = mu * m
+    shifted = response + c
+    if not (shifted > 0).all():
+        raise ValueError("singular ridge system; kernel is rank-deficient and mu is too small")
+    h = 1.0 / shifted
+    v, a = u[:m], u[m]
+    w = y @ v
+    ah = a * h
+    pred = -float(ah @ w) / float(ah @ a)
+    alpha = v @ (h * (w + pred * a))
+    _check_residual(v @ (response * (alpha @ v)) + c * alpha - y, y)
+    return pred
 
 
 def knn_predict(g: Graph, labeled: Mapping[int, float], node: int, k: int) -> float:

@@ -29,7 +29,13 @@ import numpy as np
 from ._kernels import LOSS_KINDS
 # knn_predict and mkl_train are not called here: they stay importable as
 # harness.knn_predict and harness.mkl_train, names the perfbench tracer wraps
-from .baselines import batch_kernel_ridge, batch_rf_ls, knn_predict, knn_predict_batch  # noqa: F401
+from .baselines import (
+    batch_kernel_ridge,
+    batch_rf_ls,
+    knn_predict,  # noqa: F401
+    knn_predict_batch,
+    spectral_ridge_predict,
+)
 from .graph import (
     Graph,
     SamplingPlan,
@@ -37,10 +43,18 @@ from .graph import (
     erdos_renyi,
     load_edge_list,
     load_labels,
+    normalized_laplacian,
     sample_nodes,
     synth_signal,
 )
-from .kernels import GraphKernelSpec, KernelSpec, eval_kernel_matrix, graph_kernel_matrix, row_chunk
+from .kernels import (
+    GraphKernelSpec,
+    KernelSpec,
+    eval_kernel_matrix,
+    graph_kernel_matrix,
+    graph_kernel_response,
+    row_chunk,
+)
 from .mkl import (
     MklTraces,
     mkl_encode,
@@ -294,13 +308,32 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "config": asdict(self.config),
-            "seeds": self.seeds,
-            "rows": [{key: getattr(r, attr) for _, key, attr, _ in _COLUMNS} for r in self.sorted_rows()],
-            "extras": self.extras,
-        }
+        """The report as JSON, or a ``ValueError`` naming the row's method and
+        field, or the ``extras`` key, of a value that is not finite."""
+        rows = [{key: getattr(r, attr) for _, key, attr, _ in _COLUMNS} for r in self.sorted_rows()]
+        named = [(f"row {row['method']!r} field", row) for row in rows] + [("extras key", self.extras)]
+        for what, value in named:
+            where = _non_finite(value)
+            if where is not None:
+                raise ValueError(f"report {what} {where!r} is not finite, so no JSON report can be written")
+        payload = {"config": asdict(self.config), "seeds": self.seeds, "rows": rows, "extras": self.extras}
         return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _non_finite(value, path: str = "") -> str | None:
+    """The dotted key path, within dicts, lists and tuples, of the first
+    float in ``value`` that is not finite, or None if there is none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, (list, tuple)) else ()
+    for key, item in items:
+        found = _non_finite(item, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
 
 
 # Report columns: (TSV header, JSON key, MethodRow attribute, TSV text when
@@ -550,9 +583,10 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
         )
     if method in ("gk_df", "gk_bl"):
         # Graph-kernel ridge on the sampled subgraph.  CV scores are computed
-        # transductively inside it; each new node rebuilds the Laplacian and
-        # kernel at size M+1 and re-solves, which is the deliberately
-        # expensive cubic path the runtime benchmark is about.
+        # transductively inside it.  Each new node rebuilds the Laplacian at
+        # size M+1 and pays its (M+1) eigendecomposition, the deliberately
+        # cubic re-solve the runtime benchmark is about; the prediction is
+        # read off that spectrum, so no kernel matrix or ridge solve is formed.
         m = plan.sampled.size
         sub = np.ascontiguousarray(g.adjacency[np.ix_(plan.sampled, plan.sampled)])
         sub.setflags(write=False)  # fresh and never written: Graph adopts it
@@ -578,7 +612,8 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
         mu, knob = _select(grid, y, config.cv_fraction, cv_predict)
 
         def score(new_patterns):
-            """Per new node: rebuild L and the kernel at size M+1, re-solve."""
+            """Per new node: rebuild L at size M+1, decompose it, and predict
+            from its spectrum (:func:`spectral_ridge_predict`)."""
             out = np.empty(len(new_patterns))
             for i, a_new in enumerate(np.asarray(new_patterns, dtype=np.float64)):
                 grown = np.zeros((m + 1, m + 1))
@@ -586,9 +621,8 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
                 grown[m, :m] = a_new
                 grown[:m, m] = a_new
                 grown.setflags(write=False)
-                k = kernel(grown, knob)
-                alpha = batch_kernel_ridge(k[:m, :m], y, mu)
-                out[i] = float(np.dot(k[m, :m], alpha))
+                lam, u = np.linalg.eigh(normalized_laplacian(Graph(grown, directed=False)))
+                out[i] = spectral_ridge_predict(u, graph_kernel_response(specs[knob], lam), y, mu)
             return out, 0
 
         return _Fitted(
@@ -616,13 +650,18 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
     return _Fitted(mu=None, refit=None, score=score, inputs=plan.unsampled)
 
 
-def _run_trials(config: ExperimentConfig, trials) -> tuple[list[MethodRow], dict]:
+def _run_trials(
+    config: ExperimentConfig, trials, trial_name=lambda i: f"trial {i}"
+) -> tuple[list[MethodRow], dict]:
     """The trial protocol.  For each drawn trial ``(g, plan, x, seeds)``,
     train every enabled method on the sampled nodes and score the rest as
     newly-joining nodes.  ``trials`` may be a generator: one trial is held
-    at a time.  Returns one row per method, aggregated over the trials, and,
-    when ``emit_traces`` asks for them, the per-step table of each method's
-    first MklTraces as ``<method>_trial0`` (only mkl has any)."""
+    at a time.  A trial with no unsampled node, or whose unsampled truth is
+    all zero, has no NMSE: its note says why, naming the trial by
+    ``trial_name`` of its 1-based index.  Returns one row per method,
+    aggregated over the trials, and, when ``emit_traces`` asks for them, the
+    per-step table of each method's first MklTraces as ``<method>_trial0``
+    (only mkl has any)."""
     keys = ("nmse", "nmse_conv", "failures", "notes", "mu", "train", "newnode")
     acc = {method: {key: [] for key in keys} for method in config.methods}
     first_traces = {}
@@ -634,15 +673,18 @@ def _run_trials(config: ExperimentConfig, trials) -> tuple[list[MethodRow], dict
         train_x = _patterns(g.adjacency, plan.sampled, plan.sampled, config.pattern_mode, config.normalize_patterns)
         eval_x = _patterns(g.adjacency, plan.sampled, plan.unsampled, config.pattern_mode, config.normalize_patterns)
         truth_eval = x[plan.unsampled]
+        undefined = ("empty eval set" if not truth_eval.size
+                     else f"zero truth on the unsampled nodes of {trial_name(n_trials)}" if not truth_eval.any()
+                     else None)
         for method in config.methods:
             fitted = _fit_method(method, config, g, plan, seeds, y, train_x, eval_x)
             if fitted.traces is not None:
                 first_traces.setdefault(method, fitted.traces)
-            if plan.unsampled.size:
+            if undefined is None:
                 preds, failures = fitted.score(fitted.inputs)
                 scored = (nmse(preds, truth_eval), conventional_nmse(preds, truth_eval), failures, fitted.notes)
             else:
-                scored = (None, None, 0, (fitted.notes + " nmse undefined: empty eval set").strip())
+                scored = (None, None, 0, f"{fitted.notes} nmse undefined: {undefined}".strip())
             for key, value in zip(keys, (*scored, fitted.mu)):
                 acc[method][key].append(value)
             if config.measure_runtime:
@@ -768,7 +810,11 @@ def run_dataset(config: ExperimentConfig) -> Report:
                 plan = SamplingPlan(labeled_idx[order[:count]], np.sort(labeled_idx[order[count:]]))
                 yield g, plan, x, seeds
 
-    results = [_run_trials(config, trials(count)) for count in counts]
+    def trial_name(i):
+        """The label column and the trial of ``trials``' i-th item, 1-based."""
+        return f"label column {(i - 1) % n_cols + 1}, trial {(i - 1) // n_cols + 1} of {config.trials}"
+
+    results = [_run_trials(config, trials(count), trial_name) for count in counts]
     rows = [row for count_rows, _ in results for row in count_rows]
     return Report(rows=rows, config=config, seeds=seeds_used, traces=results[0][1])
 

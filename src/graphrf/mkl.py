@@ -241,7 +241,7 @@ def mkl_train_grid(
     return [
         (_checked(_with_fields(model, loss=loss), theta.copy(), logw[g].copy(), stream[0][:, g]),
          MklTraces(*(a[:, g] for a in stream[:4]), stream[4][g]))
-        for g, (loss, theta) in enumerate(zip(losses, np.split(thetas, len(losses))))
+        for g, (loss, theta) in enumerate(zip(losses, thetas.reshape((len(losses),) + model.thetas.shape)))
     ]
 
 
@@ -281,7 +281,9 @@ def _checked(model: MklModel, thetas: np.ndarray, logw: np.ndarray, combined: np
 
 def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, MklTraces]:
     """One online step: every learner descends, every weight decays.  The
-    traces hold that one step."""
+    traces hold that one step.  It is a grid pass of one μ over one sample,
+    which below 8 kernels takes the stream's one-step branch, as a labelled
+    join does."""
     return mkl_train_encoded(model, mkl_encode(model, _one_node(connectivity)), [label])
 
 

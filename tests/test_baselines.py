@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphrf import (
     Graph,
+    GraphKernelSpec,
     KernelSpec,
     KnnInapplicableError,
     batch_kernel_ridge,
@@ -12,10 +15,13 @@ from graphrf import (
     build_map,
     erdos_renyi,
     eval_kernel_matrix,
+    graph_kernel_matrix,
     knn_predict,
+    normalized_laplacian,
 )
 from graphrf._kernels import cost_grad_scale
-from graphrf.baselines import knn_predict_batch
+from graphrf.baselines import knn_predict_batch, spectral_ridge_predict
+from graphrf.kernels import graph_kernel_response
 
 
 class TestBatchKernelRidge:
@@ -71,6 +77,106 @@ class TestBatchKernelRidge:
         k = eval_kernel_matrix(spec, pats, pats)
         y = rng.normal(size=8)
         np.testing.assert_allclose(k @ batch_kernel_ridge(k, y, 0.0), y, atol=1e-6)
+
+
+@st.composite
+def grown_graphs(draw):
+    """A graph of M sampled nodes, one to three new nodes' connectivity to
+    them, a graph kernel, a mu of the harness's default grid or 0, and M
+    labels.  Sparse draws leave sampled nodes isolated, and a new node may
+    have no edge at all."""
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+    weighted = draw(st.booleans())
+
+    def edges(shape):
+        a = (rng.random(shape) < density).astype(np.float64)
+        return a * rng.uniform(0.1, 2.0, size=shape) if weighted else a
+
+    sub = np.triu(edges((m, m)), 1)
+    sub += sub.T
+    if draw(st.booleans()):
+        isolated = draw(st.integers(0, m - 1))
+        sub[isolated] = sub[:, isolated] = 0.0
+    new = edges((draw(st.integers(1, 3)), m))
+    if draw(st.booleans()):
+        new[0] = 0.0
+    spec = draw(
+        st.builds(lambda s: GraphKernelSpec("diffusion", sigma2=s), st.sampled_from([0.5, 1.0, 5.0, 10.0]))
+        | st.builds(lambda b: GraphKernelSpec("bandlimited", band_size=b), st.integers(1, m + 1))
+    )
+    mu = draw(st.sampled_from([0.0] + [10.0**-k for k in range(7, -1, -1)]))
+    return sub, new, spec, mu, rng.normal(size=m)
+
+
+def _grown(sub, a_new):
+    m = sub.shape[0]
+    grown = np.zeros((m + 1, m + 1))
+    grown[:m, :m] = sub
+    grown[m, :m] = grown[:m, m] = a_new
+    return Graph(grown, directed=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grown_graphs())
+def test_spectral_prediction_is_the_kernel_ridge_prediction(case):
+    # the explicit route forms the (M+1)^2 kernel and solves; the closed form
+    # reads the same prediction off the grown Laplacian's eigendecomposition.
+    # The tolerance is 1e-8 of the largest prediction, floored by the largest
+    # label: where the kernel is the identity on a node (a full band, a new
+    # node with no edge) the prediction is exactly 0 and both routes return
+    # rounding noise.
+    sub, new, spec, mu, y = case
+    m = y.size
+    explicit, closed = [], []
+    for a_new in new:
+        g = _grown(sub, a_new)
+        k = graph_kernel_matrix(g, spec)
+        explicit.append(float(np.dot(k[m, :m], batch_kernel_ridge(k[:m, :m], y, mu))))
+        lam, u = np.linalg.eigh(normalized_laplacian(g))
+        closed.append(spectral_ridge_predict(u, graph_kernel_response(spec, lam), y, mu))
+    tolerance = 1e-8 * max(np.abs(explicit).max(), np.abs(y).max())
+    np.testing.assert_allclose(closed, explicit, rtol=0.0, atol=tolerance)
+
+
+class TestSpectralRidgePredict:
+    def refusal(self, fit):
+        try:
+            fit()
+        except ValueError as exc:
+            return str(exc)
+        raise AssertionError("no refusal")
+
+    def both_routes(self, u, response, y, mu):
+        """The refusal each route gives: the closed form's, and
+        batch_kernel_ridge's on the kernel the spectrum defines."""
+        m = y.size
+        k = (u * response) @ u.T
+        k = (k + k.T) / 2.0
+        return (self.refusal(lambda: spectral_ridge_predict(u, response, y, mu)),
+                self.refusal(lambda: batch_kernel_ridge(k[:m, :m], y, mu)))
+
+    def test_a_singular_system_is_refused_as_batch_kernel_ridge_refuses_it(self):
+        closed, explicit = self.both_routes(np.eye(3), np.array([0.0, 1.0, 1.0]), np.array([1.0, 2.0]), 0.0)
+        assert closed == explicit == "singular ridge system; kernel is rank-deficient and mu is too small"
+
+    def test_a_negative_shifted_eigenvalue_is_singular(self):
+        with pytest.raises(ValueError, match="^singular ridge system"):
+            spectral_ridge_predict(np.eye(3), np.array([-1.0, 1.0, 1.0]), np.array([1.0, 2.0]), 0.25)
+
+    def test_a_large_residual_is_refused_as_batch_kernel_ridge_refuses_it(self):
+        # two eigenvalues of 1e-14 leave an M x M system of condition 1e14
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        response, y = np.array([1e-14, 1e-14, 1.0, 1.0, 1.0, 1.0]), rng.normal(size=5)
+        closed, explicit = self.both_routes(u, response, y, 0.0)
+        pattern = r"^ridge solve residual \S+ exceeds tolerance; increase mu$"
+        assert re.match(pattern, closed) and re.match(pattern, explicit)
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ValueError, match=r"need \(M\+1\)x\(M\+1\) eigenvectors"):
+            spectral_ridge_predict(np.eye(3), np.ones(3), np.ones(3), 0.1)
 
 
 class TestKnnPredict:

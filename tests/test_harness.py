@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 from graphrf import (
     ExperimentConfig,
     Graph,
+    GraphKernelSpec,
     bench_newnode,
     conventional_nmse,
     erdos_renyi,
+    graph_kernel_matrix,
     load_config,
     nmse,
     run_dataset,
@@ -304,6 +306,26 @@ class TestColumns:
         with pytest.raises(ValueError, match="JSON"):
             write_report(Report([row], ExperimentConfig(), [0]), tmp_path / "out")
         assert not (tmp_path / "out" / "report.tsv").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "row, extras, message",
+        [(MethodRow("mkl", 10, 2, 3, 0.5, math.inf, 0.5, 0.0), {},
+          r"report row 'mkl' field 'nmse_std' is not finite"),
+         (MethodRow("kl", 10, 2, 3, 0.5, 0.1, 0.5, 0.0, [1e-3, math.nan]), {},
+          r"report row 'kl' field 'mu_selected\.1' is not finite"),
+         (MethodRow("knn", 10, 2, 3, 0.5, 0.1, 0.5, 0.0), {"per_method": {"mkl": {"60": 1.0, "120": -math.inf}}},
+          r"report extras key 'per_method\.mkl\.120' is not finite"),
+         (MethodRow("knn", 10, 2, 3, 0.5, 0.1, 0.5, 0.0), {"sizes": [60, math.inf]},
+          r"report extras key 'sizes\.1' is not finite")],
+        ids=["row", "row_list", "extras", "extras_list"],
+    )
+    def test_a_non_finite_value_is_named_and_nothing_written(self, tmp_path, row, extras, message):
+        report = Report([row], ExperimentConfig(), [0], extras=extras)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            report.to_json()
+        with pytest.raises(ValueError, match=f"^{message}"):
+            write_report(report, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
 
@@ -613,6 +635,34 @@ class TestKlTrial:
         preds, failures = fitted.score(x_eval)
         assert np.array_equal(preds, eval_kernel_matrix(spec, x_eval, x_train) @ alpha)
         assert failures == 0
+
+
+class TestGkTrial:
+    @pytest.mark.parametrize("method, family", [("gk_df", "diffusion"), ("gk_bl", "bandlimited")])
+    def test_scores_each_new_node_as_a_ridge_fit_on_its_grown_graph(self, monkeypatch, method, family):
+        # scoring forms no kernel matrix and solves nothing, yet predicts what
+        # the explicit route does: the kernel of the grown graph, one ridge
+        # solve on its sampled block and one dot product
+        config, g, plan, seeds, y, x_train, x_eval = small_trial()
+        fitted = _fit_method(method, config, g, plan, seeds, y, x_train, x_eval)
+        knob = fitted.notes.removeprefix("knob=")
+        spec = (GraphKernelSpec("diffusion", sigma2=float(knob)) if family == "diffusion"
+                else GraphKernelSpec("bandlimited", band_size=int(knob)))
+        with monkeypatch.context() as patched:
+            for name in ("graph_kernel_matrix", "batch_kernel_ridge"):
+                patched.setattr(graphrf.harness, name, mock.Mock(side_effect=AssertionError(f"{name} called")))
+            preds, failures = fitted.score(fitted.inputs)
+        m = plan.sampled.size
+        expected = []
+        for a_new in fitted.inputs:
+            grown = np.zeros((m + 1, m + 1))
+            grown[:m, :m] = g.adjacency[np.ix_(plan.sampled, plan.sampled)]
+            grown[m, :m] = grown[:m, m] = a_new
+            k = graph_kernel_matrix(Graph(grown, directed=False), spec)
+            expected.append(float(np.dot(k[m, :m], batch_kernel_ridge(k[:m, :m], y, fitted.mu))))
+        assert failures == 0
+        np.testing.assert_allclose(preds, expected, rtol=0.0,
+                                   atol=1e-8 * max(np.abs(expected).max(), np.abs(y).max()))
 
 
 class TestRunDataset:
@@ -927,6 +977,37 @@ def test_dataset_run_refuses_a_label_column_without_an_nmse(tmp_path, monkeypatc
     )
     with pytest.raises(ValueError, match=rf"label column 2 of the labels file .*labels\.txt is {message}"):
         run_dataset(config)
+
+
+def test_a_trial_whose_unsampled_truth_is_zero_has_no_nmse(tmp_path, monkeypatch):
+    # one nonzero label, at n0: a trial that samples n0 leaves zero truth on
+    # its unsampled nodes, so it reports no NMSE and names itself in the notes;
+    # the other trials are scored
+    n = 30
+    (tmp_path / "edges.txt").write_text("".join(f"n{i} n{(i + 1) % n}\n" for i in range(n)))
+    (tmp_path / "labels.txt").write_text("".join(f"n{i} {float(i == 0)!r}\n" for i in range(n)))
+    sampled = []
+    fit = graphrf.harness._fit_method
+
+    def recording(method, config, g, plan, *args):
+        if method == "mkl":
+            sampled.append(g.node_names.index("n0") in plan.sampled)
+        return fit(method, config, g, plan, *args)
+
+    monkeypatch.setattr(graphrf.harness, "_fit_method", recording)
+    config = ExperimentConfig(
+        task="dataset", edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
+        standardize_labels=False, sample_fraction=0.5, trials=10, methods=("mkl", "knn"),
+    )
+    report = run_dataset(config)
+    zero = [t for t, hit in enumerate(sampled, start=1) if hit]
+    assert len(sampled) == 10 and 0 < len(zero) < 10
+    notes = "; ".join(sorted(f"nmse undefined: zero truth on the unsampled nodes of label column 1, trial {t} of 10"
+                             for t in zero))
+    for row in report.rows:
+        assert row.trials == 10 and row.notes == notes
+        assert row.nmse_mean is not None and math.isfinite(row.nmse_mean)
+    write_report(report, tmp_path / "out")
 
 
 def test_dataset_run_keeps_a_constant_column_it_does_not_standardize(tmp_path):

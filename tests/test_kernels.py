@@ -487,6 +487,47 @@ def test_only_one_step_of_fewer_than_8_kernels_takes_the_branch(monkeypatch, n_l
     assert calls == ([finite] if tried else [])
 
 
+def _declined(*args):
+    """A one-step branch that always declines, so the general path runs."""
+    return None
+
+
+def _no_learner_block(*args):
+    raise AssertionError("learner_block ran")
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams(steps=st.just(1), etas=st.floats(0.0, 1.0, exclude_min=True), learners=st.integers(1, 7)))
+def test_a_one_sample_grid_of_one_takes_the_one_step_branch(stream):
+    # a grid of one mu over one sample (what mkl_update makes) returns the
+    # general path's grid-shaped arrays, weights and log-weights bit for bit,
+    # and no learner_block runs
+    zs, ys, eta, loss, thetas, logw = stream
+    expected_thetas, expected_logw = thetas.copy(), logw[None].copy()
+    with mock.patch.object(_kernels, "_one_step", _declined):
+        expected = _kernels.mkl_stream(zs, ys, eta, [loss], expected_thetas, expected_logw)
+    got_thetas, got_logw = thetas.copy(), logw[None].copy()
+    with mock.patch.object(_kernels, "learner_block", _no_learner_block):
+        got = _kernels.mkl_stream(zs, ys, eta, [loss], got_thetas, got_logw)
+    assert len(got) == len(expected) == 5
+    for a, b in zip((*got, got_thetas, got_logw), (*expected, expected_thetas, expected_logw)):
+        assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def test_mkl_update_takes_the_one_step_branch():
+    model = _grid_model()
+    pattern = np.random.default_rng(5).random(6)
+    with mock.patch.object(_kernels, "_one_step", _declined):
+        expected, expected_traces = mkl.mkl_update(model, pattern, 0.7)
+    with mock.patch.object(_kernels, "learner_block", _no_learner_block):
+        got, got_traces = mkl.mkl_update(model, pattern, 0.7)
+    assert got.thetas.tobytes() == expected.thetas.tobytes()
+    assert got.log_weights.tobytes() == expected.log_weights.tobytes()
+    for name in ("combined_loss", "per_kernel_loss", "weights", "prediction", "max_grad"):
+        a, b = getattr(got_traces, name), getattr(expected_traces, name)
+        assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
 def _frozen_learner_block(zs, ys, eta, loss, thetas):
     """learner_block as it stood before its record was reduced per block: one
     (2, P, 2D) product and sum per step give the predictions and squared
