@@ -6,7 +6,7 @@ Usage::
 
     python scripts/report_identity.py BASE_REF
 
-Seven runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
+Eight runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
 with ``git archive`` into a temporary directory, so the repository is left
 untouched) and once on the working tree's ``src/``:
 
@@ -15,6 +15,8 @@ untouched) and once on the working tree's ``src/``:
   ``normalize_patterns = false``, ``eta = auto`` (so mkl's cross-validation
   runs at each prefix's own step size), ``pattern_mode = concat``,
   ``sample_fraction = 0.2``, two trials, all five methods and traces;
+- ``synthetic-connectivity``: the default graph under ``connectivity``, with
+  ``pattern_mode = row``, two trials, methods mkl, kl and knn, and traces;
 - ``regret``: the default config;
 - ``dataset``: a generated 60-node graph with three label columns,
   ``sample_counts = 10,20``, two trials and all five methods;
@@ -22,7 +24,10 @@ untouched) and once on the working tree's ``src/``:
   with three columns of -1 and +1 labels, ``standardize_labels = false``,
   the classification loss the name gives, and traces, so that mkl's
   cross-validation is checked under both classification losses;
-- ``bench-newnode``: ``bench_sizes = 60,120`` with mkl, gk_df and knn.
+- ``bench-newnode``: ``bench_sizes = 60,120`` with mkl, gk_df and knn,
+  under the ``identity`` scenario, as the C10 acceptance config runs it.
+
+So every scenario and every pattern mode runs at least once.
 
 Each run is the command its name starts with: ``synthetic``, ``dataset``,
 ``regret`` or ``bench-newnode``.
@@ -73,7 +78,7 @@ def commented(text: str) -> str:
 
 
 def write_fixture(tmp: Path) -> dict:
-    """Configs for the seven runs; the dataset files live in ``tmp`` so both
+    """Configs for the eight runs; the dataset files live in ``tmp`` so both
     trees see the same paths (they are echoed into summary.json)."""
     rng = np.random.default_rng(0)
     n = 60
@@ -94,11 +99,14 @@ def write_fixture(tmp: Path) -> dict:
         "synthetic": ALL_METHODS + "emit_traces = true\n",
         "synthetic-anchored": ALL_METHODS + "emit_traces = true\nn_nodes = 120\nscenario = connectivity_anchored\n"
         "normalize_patterns = false\neta = auto\npattern_mode = concat\nsample_fraction = 0.2\ntrials = 2\n",
+        "synthetic-connectivity": "methods = mkl,kl,knn\nemit_traces = true\nscenario = connectivity\n"
+        "pattern_mode = row\ntrials = 2\n",
         "regret": "",
         "dataset": dataset + f"labels = {tmp / 'labels.txt'}\n",
         "dataset-hinge": classification + "loss = hinge\n",
         "dataset-logistic": classification + "loss = logistic\n",
-        "bench-newnode": "bench_sizes = 60,120\nmethods = mkl,gk_df,knn\ntiming_reps = 1\ntiming_nodes = 5\n",
+        "bench-newnode": "bench_sizes = 60,120\nmethods = mkl,gk_df,knn\ntiming_reps = 1\ntiming_nodes = 5\n"
+        "scenario = identity\n",
     }
     paths = {}
     for name, text in configs.items():

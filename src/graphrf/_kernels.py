@@ -6,20 +6,19 @@ squared-norm regularizer mu * ||theta||^2.  :func:`cost_value` and
 derivative, elementwise on arrays or on one float; a learner's gradient is
 ``cost_grad_scale(kind, z·θ, y)·z + 2μθ``.
 
-Every learner trains through :func:`mkl_stream`.  Its per-sample loop,
-:func:`learner_block`, steps all learners at once as one (R, 2D) numpy
-block, and each step computes only the prediction, the gradient and the
-update.  The record's squared weight and gradient norms are reduced once
+Every learner trains through :func:`mkl_stream`, in a μ grid of G models
+over the same P kernels: one pass of R = G·P rows, where each group of P
+rows has its own μ and all share one loss kind.  The stream's per-sample
+loop, :func:`learner_block`, steps all learners at once as one (R, 2D)
+numpy block, and each step computes only the prediction, the gradient and
+the update.  The record's squared weight and gradient norms are reduced once
 per block of steps, from buffers that keep the weights before each step and
 each step's gradient.  The hedge weights are replayed after the loop in one
 vectorised numpy pass, which is exact in structure because no learner's
 update reads the weights.  Each learner's row takes the same arithmetic at
 any R, so a learner of a P-kernel pass is bit-identical to the P = 1 pass
-over its stream alone.
-
-A μ grid of G models over the same P kernels trains in one pass of
-R = G·P rows: each group of P rows has its own μ, and the hedge is replayed
-per group.  Each group's arrays are those of its own pass, bit for bit.
+over its stream alone.  The hedge is replayed per group, so each group's
+arrays are those of its own pass, bit for bit.
 
 A pass of one sample over fewer than 8 kernels and one μ, which is what a
 labelled join and ``mkl_update`` make, takes a one-step branch inside
@@ -99,23 +98,14 @@ def cost_grad_scale(kind, pred, y):
     return -y * np.where(m >= 0.0, e, 1.0) / (1.0 + e)
 
 
-def _losses(loss) -> tuple[LossKind, ...]:
-    """One LossKind as a one-group grid, or a grid of G LossKinds of one kind."""
-    losses = (loss,) if isinstance(loss, LossKind) else tuple(loss)
-    if len({each.kind for each in losses}) != 1:
-        raise ValueError("a stream's loss grid needs one loss kind")
-    return losses
-
-
-def learner_block(zs, ys, eta, loss, thetas):
+def learner_block(zs, ys, eta, kind, mus, thetas):
     """Constant-step descent of R independent learners over one stream.
 
     zs (R, T, 2D) holds one encoded stream per learner and thetas (R, 2D) is
-    updated in place.  ``loss`` is one LossKind for every row, or a sequence
-    of G LossKinds of one kind, one per group of R / G consecutive rows (a μ
-    grid over P kernels has R = G·P), which sets each row's shrink 2μ.
-    Returns a (3, T, R) record of each learner's pre-update prediction,
-    squared weight norm and squared gradient norm.
+    updated in place.  Every row descends the loss ``kind``; the rows form
+    G = len(mus) groups of R / G consecutive rows, and group g's μ = mus[g]
+    sets its rows' shrink 2μ.  Returns a (3, T, R) record of each learner's
+    pre-update prediction, squared weight norm and squared gradient norm.
 
     A step computes the prediction, the gradient and the update.  The
     weights before each step and each step's gradient stay in two block
@@ -124,13 +114,11 @@ def learner_block(zs, ys, eta, loss, thetas):
     the per-row sum over 2D that a step would take, so the record is the
     same bit for bit.
     """
-    losses = _losses(loss)
-    kind = losses[0].kind
     n_rows, n_steps, width = zs.shape
     # the step's operands are whole (R, 2D) arrays: numpy multiplies two equal
     # shapes faster than it broadcasts a column or a Python float
     shape = (n_rows, width)
-    shrink = np.repeat([2.0 * each.mu for each in losses], n_rows // len(losses) * width).reshape(shape)
+    shrink = np.repeat([2.0 * mu for mu in mus], n_rows // len(mus) * width).reshape(shape)
     rate = np.full(shape, eta, dtype=np.float64)
     record = np.empty((3, n_steps, n_rows))
     block = max(1, min(n_steps, _STEP_BLOCK_BYTES // (16 * n_rows * width)))
@@ -173,46 +161,37 @@ def learner_block(zs, ys, eta, loss, thetas):
     return record
 
 
-def mkl_stream(zs, ys, eta, loss, thetas, logw):
-    """Multi-kernel online pass with multiplicative weight updates.
+def mkl_stream(zs, ys, eta, kind, mus, thetas, logw):
+    """Multi-kernel online pass with multiplicative weight updates, for a μ
+    grid of G = len(mus) models of P kernels under the loss ``kind``.
 
-    zs has shape (P, T, 2D): one encoded stream per kernel.  thetas (P, 2D)
-    and logw (P,) are updated in place; logw is rescaled so its largest
-    entry is 0, which leaves the normalized weights untouched.
+    zs (G·P, T, 2D) holds one encoded stream per learner and thetas
+    (G·P, 2D) its weights, the groups one after another; logw is (G, P).
+    thetas and logw are updated in place; each row of logw is rescaled so its
+    largest entry is 0, which leaves the normalized weights untouched.
 
-    Returns (combined losses (T,), per-kernel losses (T, P), normalized
-    weights used at each step (T, P), combined predictions (T,), largest
-    gradient norm per kernel (P,)).  All recorded values are pre-update, as
-    the online protocol requires.
+    Returns (combined losses (T, G), per-kernel losses (T, G, P), normalized
+    weights used at each step (T, G, P), combined predictions (T, G), largest
+    gradient norm per kernel (G, P)).  All recorded values are pre-update, as
+    the online protocol requires.  The hedge is replayed per group, and rows
+    and groups never mix, so each group's arrays are those of its own pass,
+    bit for bit.
 
-    A μ grid trains G models of P kernels in one pass: ``loss`` is a
-    sequence of G LossKinds of one kind, zs (G·P, T, 2D) and thetas
-    (G·P, 2D) hold the groups one after another, and logw is (G, P).  The
-    hedge is replayed per group, with shapes (T, G, P), so the arrays gain a
-    G axis: (T, G), (T, G, P), (T, G, P), (T, G) and (G, P).  Rows and
-    groups never mix, so each group's arrays are those of its own pass, bit
-    for bit.
-
-    One sample over fewer than 8 kernels of one group, a grid of one μ
-    included, takes :func:`_one_step`, which returns the same arrays bit for
-    bit.
+    One sample over fewer than 8 kernels and one μ takes :func:`_one_step`,
+    which returns the same arrays bit for bit.
     """
-    grid = not isinstance(loss, LossKind)
-    if len(ys) == 1 and logw.shape[-1] < 8 and (not grid or len(loss) == 1):
-        step = _one_step(zs[:, 0], float(ys[0]), eta, loss[0] if grid else loss, thetas,
-                         logw[0] if grid else logw)
+    if len(ys) == 1 and len(mus) == 1 and logw.shape[1] < 8:
+        step = _one_step(zs[:, 0], float(ys[0]), eta, kind, mus[0], thetas, logw)
         if step is not None:
-            # a grid of one gains its G = 1 axis, after the step axis
-            return (*(a[:, None] for a in step[:4]), step[4][None]) if grid else step
-    record = learner_block(zs, ys, eta, loss, thetas)
+            return step
+    record = learner_block(zs, ys, eta, kind, mus, thetas)
     n_steps = len(ys)
-    # predictions and squared norms as (2, T, P), or (2, T, G, P)
+    # predictions and squared norms as (2, T, G, P)
     pred_norm = record[:2].reshape((2, n_steps) + logw.shape)
     preds, norms = pred_norm
-    kind = loss[0].kind if grid else loss.kind
-    # μ as a float, or as a (G, 1) column beside the kernel axis
-    mu = np.array([each.mu for each in loss])[:, None] if grid else loss.mu
-    y = ys.reshape((n_steps,) + (1,) * logw.ndim)
+    # μ as a (G, 1) column beside the kernel axis
+    mu = np.array(mus)[:, None]
+    y = ys[:, None, None]
     per_kernel = cost_value(kind, preds, y) + mu * norms
     # rows: the starting log-weights, then the log-weights after each step,
     # so the weights used at step t are row t; one max and one subtraction
@@ -227,7 +206,7 @@ def mkl_stream(zs, ys, eta, loss, thetas, logw):
     hist -= np.maximum.reduce(hist, axis=-1, keepdims=True)
     weights = np.exp(hist[:-1])
     weights /= np.add.reduce(weights, axis=-1, keepdims=True)
-    # weighted prediction and norm as (..., 1) columns, so that at P = 1 the
+    # weighted prediction and norm as (T, G, 1) columns, so that at P = 1 the
     # combined loss takes exactly the per-kernel loss's arithmetic
     f_hat, norm_bar = np.add.reduce(weights * pred_norm, axis=-1, keepdims=True)
     combined = (cost_value(kind, f_hat, y) + mu * norm_bar)[..., 0]
@@ -270,23 +249,24 @@ def hedge_mix(log_weights, values) -> float:
     return total
 
 
-def _one_step(z, y, eta, loss, thetas, logw):
-    """:func:`mkl_stream` over one sample of P < 8 kernels, bit for bit.
+def _one_step(z, y, eta, kind, mu, thetas, logw):
+    """:func:`mkl_stream` over one sample of P < 8 kernels and one μ, bit for
+    bit.
 
-    ``z`` is the (P, 2D) encoding.  Every operation of ``learner_block`` and
-    of the hedge replay runs in the same order, the P-length hedge arithmetic
-    on Python floats, through :func:`cost_value` and :func:`cost_grad_scale`
-    of each float (plain float arithmetic for least squares).  Returns None,
+    ``z`` is the (P, 2D) encoding and logw is (1, P).  Every operation of
+    ``learner_block`` and of the hedge replay runs in the same order, the
+    P-length hedge arithmetic on Python floats, through :func:`cost_value`
+    and :func:`cost_grad_scale` of each float (plain float arithmetic for
+    least squares).  Returns None,
     having changed nothing, when a prediction, norm, label, step or
     log-weight is not finite; the general path then runs.
     """
-    kind, mu = loss.kind, loss.mu
     # rows [z * theta, theta * theta]: one sum gives predictions and norms
     work = np.empty((2,) + z.shape)
     np.multiply(z, thetas, work[0])
     np.multiply(thetas, thetas, work[1])
     preds, norms = np.add.reduce(work, 2).tolist()
-    log_weights = logw.tolist()
+    log_weights = logw.tolist()[0]
     if not all(map(math.isfinite, [y, eta, mu, *preds, *norms, *log_weights])):
         return None
     grad = np.array([cost_grad_scale(kind, p, y) for p in preds])[:, None] * z
@@ -304,6 +284,7 @@ def _one_step(z, y, eta, loss, thetas, logw):
         norm_bar += u * n
     combined = cost_value(kind, f_hat, y) + mu * norm_bar
     top = max(reversed(after))  # numpy's maximum, as in _weights_floats
-    logw[:] = [w - top for w in after]
-    return (np.array([combined]), np.array([per_kernel]), np.array([used]), np.array([f_hat]),
-            np.sqrt(grad_sq))
+    logw[0] = [w - top for w in after]
+    # the stream's shapes at T = G = 1; ndmin costs less than nested lists
+    return (np.array(combined, ndmin=2), np.array(per_kernel, ndmin=3), np.array(used, ndmin=3),
+            np.array(f_hat, ndmin=2), np.sqrt(grad_sq)[None])

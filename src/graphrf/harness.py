@@ -718,7 +718,7 @@ def _run_trials(
                 train_time=statistics.median(train) if train else None,
                 newnode_time=statistics.median(newnode) if newnode else None,
                 knn_failures=sum(acc[method]["failures"]),
-                notes="; ".join(sorted({n for n in acc[method]["notes"] if n})),
+                notes="; ".join(dict.fromkeys(n for n in acc[method]["notes"] if n)),
             )
         )
     if not config.emit_traces:

@@ -12,10 +12,10 @@ maximum, which is a pure rescaling: normalized weights are invariant to it
 and nothing can underflow on long streams.
 
 Steps are strictly sequential; within a step the per-kernel updates are
-independent.  :func:`mkl_train_grid` trains one model at each μ of a grid
-in one pass, each as it would train alone; every pass but a labelled
-join's is such a grid pass.  Models are immutable snapshots, safe to share
-for prediction.  A model scores and absorbs a newly-joining node
+independent.  Every pass is a μ-grid pass: :func:`mkl_train_grid` trains
+one model at each μ of a grid in one pass, each as it would train alone,
+and a labelled join is a grid of one.  Models are immutable snapshots, safe
+to share for prediction.  A model scores and absorbs a newly-joining node
 (:func:`absorb_new_node_mkl`) and saves to, and reloads exactly from, one
 JSON checkpoint.
 """
@@ -50,7 +50,9 @@ class MklModel:
 
     ``thetas`` is the read-only (P, 2D) block of the learners' weights, row p
     for ``maps[p]``.  All P learners share the step size ``eta``, which also
-    drives the hedge weights, and the ``loss``.
+    drives the hedge weights, and the ``loss``.  A ``loss`` that is not a
+    ``LossKind``, or a ``seed`` that is neither None nor an integer, is
+    refused; a numpy integer seed is stored as an int.
     """
 
     maps: tuple[RFMap, ...]
@@ -65,6 +67,13 @@ class MklModel:
             raise ValueError("need at least one kernel")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must be in (0, 1] for the weight update")
+        if not isinstance(self.loss, LossKind):
+            raise ValueError(f"loss must be a LossKind, got {self.loss!r}")
+        if self.seed is not None:
+            # bool is an int, but a checkpoint cannot reload it as a seed
+            if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+                raise ValueError(f"seed must be an integer or None, got {self.seed!r}")
+            object.__setattr__(self, "seed", int(self.seed))
         d, n = self.maps[0].d, self.maps[0].n
         for m in self.maps[1:]:
             if m.d != d:
@@ -225,23 +234,22 @@ def mkl_train_grid(
     model: MklModel, mus: Sequence[float], zs: np.ndarray, labels
 ) -> list[tuple[MklModel, MklTraces]]:
     """``model`` trained at each μ of ``mus``, in one ``_kernels.mkl_stream``
-    pass over G stacked copies of its encoding: every pass but a labelled
-    join's.  Each result is ``model`` with its loss's μ replaced, so the G
-    models share maps, weights, eta and loss kind by construction, and each
-    trains as its own one-model pass, bit for bit
-    (``test_grid_pass_is_each_groups_frozen_pass_bit_for_bit``).
+    pass over G stacked copies of its encoding.  Each result is ``model``
+    with its loss's μ replaced, so the G models share maps, weights, eta and
+    loss kind by construction, and each trains as its own one-model pass,
+    bit for bit (``test_grid_pass_is_each_groups_frozen_pass_bit_for_bit``).
     """
     if not len(mus):
         raise ValueError("a grid pass needs at least one mu; mus is empty")
     labels = _checked_labels(model, zs, labels)
-    losses = [LossKind(model.loss.kind, mu) for mu in mus]
-    thetas = np.tile(model.thetas, (len(losses), 1))
-    logw = np.tile(model.log_weights, (len(losses), 1))
-    stream = _kernels.mkl_stream(np.concatenate([zs] * len(losses)), labels, model.eta, losses, thetas, logw)
+    kind = model.loss.kind
+    thetas = np.tile(model.thetas, (len(mus), 1))
+    logw = np.tile(model.log_weights, (len(mus), 1))
+    stream = _kernels.mkl_stream(np.concatenate([zs] * len(mus)), labels, model.eta, kind, mus, thetas, logw)
     return [
-        (_checked(_with_fields(model, loss=loss), theta.copy(), logw[g].copy(), stream[0][:, g]),
+        (_checked(_with_fields(model, loss=LossKind(kind, mu)), theta.copy(), logw[g].copy(), stream[0][:, g]),
          MklTraces(*(a[:, g] for a in stream[:4]), stream[4][g]))
-        for g, (loss, theta) in enumerate(zip(losses, thetas.reshape((len(losses),) + model.thetas.shape)))
+        for g, (mu, theta) in enumerate(zip(mus, thetas.reshape((len(mus),) + model.thetas.shape)))
     ]
 
 
@@ -301,15 +309,14 @@ def absorb_new_node_mkl(
 
     The node is encoded once, in one call for all P maps; scoring and the
     update share that encoding.  A label is checked as
-    :func:`mkl_train_encoded` checks it.  The update is the one pass that is
-    not a grid pass: a ``_kernels.mkl_stream`` pass of one sample, which
-    below 8 kernels takes the stream's one-step branch, the same arrays as
-    the general path, bit for bit, at about half its fixed cost.  The
-    score-only sum mirrors the arithmetic of that pass (elementwise products
-    summed per kernel, then :func:`~graphrf._kernels.hedge_mix`), so a node
-    scores bit-identically with or without its label;
-    :func:`mkl_predict_encoded`'s matrix products round differently, which
-    is why scoring does not go through it.
+    :func:`mkl_train_encoded` checks it.  The update is a
+    ``_kernels.mkl_stream`` grid pass of one μ over one sample, as
+    :func:`mkl_update` makes, which below 8 kernels takes the stream's
+    one-step branch.  The score-only sum mirrors the arithmetic of that pass
+    (elementwise products summed per kernel, then
+    :func:`~graphrf._kernels.hedge_mix`), so a node scores bit-identically
+    with or without its label; :func:`mkl_predict_encoded`'s matrix products
+    round differently, which is why scoring does not go through it.
     """
     zs = mkl_encode(model, _one_node(connectivity))
     if label is None:
@@ -317,8 +324,8 @@ def absorb_new_node_mkl(
     labels = _label_array([label])
     _check_label(model.loss, labels[0])
     thetas, logw = model.thetas.copy(), model.log_weights.copy()
-    stream = _kernels.mkl_stream(zs, labels, model.eta, model.loss, thetas, logw)
-    return float(stream[3][0]), _checked(model, thetas, logw, stream[0])
+    stream = _kernels.mkl_stream(zs, labels, model.eta, model.loss.kind, [model.loss.mu], thetas, logw[None])
+    return float(stream[3][0, 0]), _checked(model, thetas, logw, stream[0])
 
 
 def _b64(values: np.ndarray) -> str:

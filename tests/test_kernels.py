@@ -336,17 +336,31 @@ def streams(draw, steps=st.integers(0, 60), etas=st.floats(0.0, 0.5), learners=s
     return zs, ys, eta, _kernels.LossKind(kind, mu), thetas, logw
 
 
+def _block(zs, ys, eta, loss, thetas):
+    """learner_block over one group of learners, under one loss."""
+    return _kernels.learner_block(zs, ys, eta, loss.kind, [loss.mu], thetas)
+
+
+def _one_group(zs, ys, eta, loss, thetas, logw):
+    """mkl_stream as a grid of one: its five arrays' group 0.  thetas (P, 2D)
+    and logw (P,) are updated in place."""
+    combined, per_kernel, weights, prediction, max_grad = _kernels.mkl_stream(
+        zs, ys, eta, loss.kind, [loss.mu], thetas, logw[None]
+    )
+    return combined[:, 0], per_kernel[:, 0], weights[:, 0], prediction[:, 0], max_grad[0]
+
+
 @settings(max_examples=60, deadline=None)
 @given(streams())
 def test_learner_block_matches_scalar_reference(stream):
     zs, ys, eta, loss, thetas, logw = stream
     ref_preds, ref_losses, ref_thetas, _ = _reference_learners(zs, ys, eta, loss, thetas)
     block_thetas = thetas.copy()
-    preds, _, _ = _kernels.learner_block(zs, ys, eta, loss, block_thetas)
+    preds, _, _ = _block(zs, ys, eta, loss, block_thetas)
     np.testing.assert_allclose(preds, ref_preds, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(block_thetas, ref_thetas, rtol=1e-12, atol=1e-12)
     stream_thetas = thetas.copy()
-    _, losses, _, _, _ = _kernels.mkl_stream(zs, ys, eta, loss, stream_thetas, logw.copy())
+    _, losses, _, _, _ = _one_group(zs, ys, eta, loss, stream_thetas, logw.copy())
     np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=1e-12)
     assert np.array_equal(stream_thetas, block_thetas)
 
@@ -356,10 +370,8 @@ def test_learner_block_matches_scalar_reference(stream):
 def test_hedge_replay_matches_sequential_update(stream):
     zs, ys, eta, loss, thetas, logw = stream
     final_logw = logw.copy()
-    combined, losses, weights, prediction, _ = _kernels.mkl_stream(
-        zs, ys, eta, loss, thetas.copy(), final_logw
-    )
-    preds, norms, _ = _kernels.learner_block(zs, ys, eta, loss, thetas.copy())
+    combined, losses, weights, prediction, _ = _one_group(zs, ys, eta, loss, thetas.copy(), final_logw)
+    preds, norms, _ = _block(zs, ys, eta, loss, thetas.copy())
     ref_weights, ref_combined, ref_logw = _reference_hedge(
         losses, preds, norms, ys, eta, loss, logw
     )
@@ -378,7 +390,7 @@ def test_combined_loss_is_at_most_the_weighted_kernel_losses(stream):
     # Jensen's inequality for the convex losses, on which the hedge regret
     # bound rests: at every step, to rounding
     zs, ys, eta, loss, thetas, logw = stream
-    combined, losses, weights, _, _ = _kernels.mkl_stream(zs, ys, eta, loss, thetas.copy(), logw.copy())
+    combined, losses, weights, _, _ = _one_group(zs, ys, eta, loss, thetas.copy(), logw.copy())
     mixed = (weights * losses).sum(axis=1)
     assert np.all(combined <= mixed + 1e-12 * (1 + np.abs(mixed)))
 
@@ -406,8 +418,8 @@ def _concatenating_replay(record, ys, eta, loss, logw):
 def test_hedge_replay_is_the_concatenating_replay_bit_for_bit(stream):
     zs, ys, eta, loss, thetas, logw = stream
     final_logw = logw.copy()
-    got = _kernels.mkl_stream(zs, ys, eta, loss, thetas.copy(), final_logw)
-    record = _kernels.learner_block(zs, ys, eta, loss, thetas.copy())
+    got = _one_group(zs, ys, eta, loss, thetas.copy(), final_logw)
+    record = _block(zs, ys, eta, loss, thetas.copy())
     *expected, expected_logw = _concatenating_replay(record, ys, eta, loss, logw)
     for a, b in zip(got, expected):
         assert a.shape == b.shape and np.array_equal(a, b)
@@ -418,13 +430,13 @@ def _general_stream(zs, ys, eta, loss, thetas, logw):
     """The stream's general path: learner_block, then the concatenating
     replay; returns its five arrays, the final thetas and log-weights."""
     thetas = thetas.copy()
-    record = _kernels.learner_block(zs, ys, eta, loss, thetas)
+    record = _block(zs, ys, eta, loss, thetas)
     return (*_concatenating_replay(record, ys, eta, loss, logw), thetas)
 
 
 def _assert_one_step_is_the_general_path(zs, ys, eta, loss, thetas, logw):
     got_thetas, got_logw = thetas.copy(), logw.copy()
-    got = _kernels.mkl_stream(zs, ys, eta, loss, got_thetas, got_logw)
+    got = _one_group(zs, ys, eta, loss, got_thetas, got_logw)
     *expected, expected_logw, expected_thetas = _general_stream(zs, ys, eta, loss, thetas, logw)
     assert len(got) == len(expected) == 5
     for a, b in zip((*got, got_thetas, got_logw), (*expected, expected_thetas, expected_logw)):
@@ -505,10 +517,10 @@ def test_a_one_sample_grid_of_one_takes_the_one_step_branch(stream):
     zs, ys, eta, loss, thetas, logw = stream
     expected_thetas, expected_logw = thetas.copy(), logw[None].copy()
     with mock.patch.object(_kernels, "_one_step", _declined):
-        expected = _kernels.mkl_stream(zs, ys, eta, [loss], expected_thetas, expected_logw)
+        expected = _kernels.mkl_stream(zs, ys, eta, loss.kind, [loss.mu], expected_thetas, expected_logw)
     got_thetas, got_logw = thetas.copy(), logw[None].copy()
     with mock.patch.object(_kernels, "learner_block", _no_learner_block):
-        got = _kernels.mkl_stream(zs, ys, eta, [loss], got_thetas, got_logw)
+        got = _kernels.mkl_stream(zs, ys, eta, loss.kind, [loss.mu], got_thetas, got_logw)
     assert len(got) == len(expected) == 5
     for a, b in zip((*got, got_thetas, got_logw), (*expected, expected_thetas, expected_logw)):
         assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
@@ -526,6 +538,22 @@ def test_mkl_update_takes_the_one_step_branch():
     for name in ("combined_loss", "per_kernel_loss", "weights", "prediction", "max_grad"):
         a, b = getattr(got_traces, name), getattr(expected_traces, name)
         assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("kind", _kernels.LOSS_KINDS)
+def test_a_labelled_join_takes_the_one_step_branch(kind):
+    # a labelled join is a grid of one mu over one sample, as mkl_update is;
+    # one update first, so the join starts from nonzero weights
+    rng = np.random.default_rng(6)
+    model, _ = mkl.mkl_update(_grid_model(kind), rng.random(6), 1.0)
+    pattern = rng.random(6)
+    with mock.patch.object(_kernels, "_one_step", _declined):
+        expected_score, expected = mkl.absorb_new_node_mkl(model, pattern, -1.0)
+    with mock.patch.object(_kernels, "learner_block", _no_learner_block):
+        score, got = mkl.absorb_new_node_mkl(model, pattern, -1.0)
+    assert score != 0.0 and np.float64(score).tobytes() == np.float64(expected_score).tobytes()
+    assert got.thetas.tobytes() == expected.thetas.tobytes()
+    assert got.log_weights.tobytes() == expected.log_weights.tobytes()
 
 
 def _frozen_learner_block(zs, ys, eta, loss, thetas):
@@ -579,11 +607,12 @@ def test_grid_pass_is_each_groups_frozen_pass_bit_for_bit(grid):
     block_thetas = thetas.reshape(-1, width).copy()
     stream_thetas, stream_logw = block_thetas.copy(), logw.copy()
     with mock.patch.object(_kernels, "_STEP_BLOCK_BYTES", budget):
-        record = _kernels.learner_block(stacked, ys, eta, losses, block_thetas)
-        got = _kernels.mkl_stream(stacked, ys, eta, losses, stream_thetas, stream_logw)
-        if n_groups == 1:  # one LossKind: today's shapes
+        kind, mus = losses[0].kind, [loss.mu for loss in losses]
+        record = _kernels.learner_block(stacked, ys, eta, kind, mus, block_thetas)
+        got = _kernels.mkl_stream(stacked, ys, eta, kind, mus, stream_thetas, stream_logw)
+        if n_groups == 1:  # a grid of one, read as group 0
             one_thetas, one_logw = thetas[0].copy(), logw[0].copy()
-            one = _kernels.mkl_stream(zs, ys, eta, losses[0], one_thetas, one_logw)
+            one = _one_group(zs, ys, eta, losses[0], one_thetas, one_logw)
     assert [a.shape for a in got] == [
         (len(ys), n_groups), (len(ys), n_groups, n_kernels), (len(ys), n_groups, n_kernels),
         (len(ys), n_groups), (n_groups, n_kernels),
@@ -606,12 +635,6 @@ def test_grid_pass_is_each_groups_frozen_pass_bit_for_bit(grid):
             assert one_logw.tobytes() == expected_logw.tobytes()
 
 
-def test_a_grid_of_two_loss_kinds_is_refused():
-    losses = [_kernels.LossKind("hinge"), _kernels.LossKind("logistic")]
-    with pytest.raises(ValueError, match="one loss kind"):
-        _kernels.mkl_stream(np.zeros((2, 1, 4)), np.ones(1), 0.5, losses, np.zeros((2, 4)), np.zeros((2, 1)))
-
-
 def _grid_model(kind="least_squares"):
     return mkl.mkl_init([KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0)], 4, 6, 0.5, 0.0, kind, 3)
 
@@ -627,9 +650,9 @@ def test_grid_training_is_each_models_own_training(kind):
     zs, labels = zs[:, 10:], labels[10:]
     for mu, (trained, traces) in zip(mus, mkl.mkl_train_grid(base, mus, zs, labels)):
         model = dataclasses.replace(base, loss=_kernels.LossKind(kind, mu))
-        # the model's own pass: the stream under its one LossKind, from copies of its weights
+        # the model's own pass: the stream as a grid of its one μ, from copies of its weights
         thetas, logw = base.thetas.copy(), base.log_weights.copy()
-        expected_traces = mkl.MklTraces(*_kernels.mkl_stream(zs, labels, base.eta, model.loss, thetas, logw))
+        expected_traces = mkl.MklTraces(*_one_group(zs, labels, base.eta, model.loss, thetas, logw))
         assert trained.loss == model.loss and trained.maps == base.maps
         for a, b in ((trained.thetas, thetas), (trained.log_weights, logw)):
             assert a.tobytes() == b.tobytes() and not a.flags.writeable
@@ -692,7 +715,7 @@ def test_a_diverging_mu_in_the_grid_raises(position):
 def test_max_grad_matches_descent_replay(stream):
     zs, ys, eta, loss, thetas, logw = stream
     _, _, _, ref_max_grad = _reference_learners(zs, ys, eta, loss, thetas)
-    *_, max_grad = _kernels.mkl_stream(zs, ys, eta, loss, thetas.copy(), logw)
+    *_, max_grad = _one_group(zs, ys, eta, loss, thetas.copy(), logw)
     np.testing.assert_allclose(max_grad, ref_max_grad, rtol=1e-12, atol=0.0)
 
 

@@ -101,6 +101,23 @@ class TestInit:
             mkl_from_maps(maps, 0.5, 0.0, LossKind("hinge", 0.7), 0)
         assert mkl_from_maps(maps, 0.5, 1e-3, "hinge", 0).loss == LossKind("hinge", 1e-3)
 
+    def test_a_loss_that_is_not_a_loss_kind_is_refused(self):
+        maps = (build_map(KernelSpec("gaussian", 1.0), 4, 6, 0),)
+        with pytest.raises(ValueError, match="loss must be a LossKind, got 'least_squares'"):
+            MklModel(maps, np.zeros((1, 8)), np.zeros(1), 0.5, "least_squares")
+
+    def test_a_numpy_integer_seed_is_stored_as_int_and_saves(self, tmp_path):
+        model = mkl_init([KernelSpec("gaussian", 1.0)], 4, 6, 0.5, 0.0, "least_squares", np.int64(3))
+        assert type(model.seed) is int and model.seed == 3
+        save_mkl_checkpoint(model, tmp_path / "mkl.json")
+        assert load_mkl_checkpoint(tmp_path / "mkl.json").seed == 3
+
+    @pytest.mark.parametrize("seed", ["x", True, np.bool_(False), 3.0])
+    def test_a_seed_that_is_not_an_integer_is_refused(self, seed):
+        maps = [build_map(KernelSpec("gaussian", 1.0), 4, 6, 0)]
+        with pytest.raises(ValueError, match="seed must be an integer or None"):
+            mkl_from_maps(maps, 0.5, 0.0, "least_squares", seed)
+
     def test_simplex_holds_during_training(self):
         model = mkl_init([KernelSpec("gaussian", b) for b in (1.0, 2.0, 5.0)],
                          4, 6, 0.9, 0.0, "least_squares", 1)
