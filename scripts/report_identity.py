@@ -44,7 +44,9 @@ each ``summary.json`` row, and ``extras.per_method``, which holds only
 timings.  Everything else in those two files is compared exactly.  Under
 each ``summary.json`` that differs, one line per differing JSON path gives
 the base value, the head value and, for two numbers, their relative
-difference |base - head| / max(|base|, |head|).  Exit status: 0 when all are
+difference |base - head| / max(|base|, |head|).  Under each ``.tsv`` file
+that differs, one line per differing column gives how many of its rows
+differ and the largest such relative difference.  Exit status: 0 when all are
 identical, 1 on any difference, 2 when the base ref cannot be exported or a
 run fails.
 """
@@ -53,6 +55,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -203,6 +206,41 @@ def relative(a, b) -> str:
     return f"{abs(a - b) / top:.3g}" if top else "0"
 
 
+def number(text: str):
+    """``text`` as a float, or ``text`` itself when it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def tsv_differences(a: bytes, b: bytes) -> list[str]:
+    """One indented line per column of two tab-separated tables that differs:
+    how many of the rows differ, and the largest relative difference
+    |base - head| / max(|base|, |head|) over the rows where both values are
+    finite numbers ("-" when there are none).  Columns are matched by header;
+    a differing header or row count gets a line of its own."""
+    base, head = ([line.split("\t") for line in data.decode("utf-8").splitlines()] or [[]] for data in (a, b))
+    lines = []
+    if base[0] != head[0]:
+        lines.append(f"  header: base {base[0]} head {head[0]}")
+    if len(base) != len(head):
+        lines.append(f"  rows: base {len(base) - 1} head {len(head) - 1}")
+    n_rows = min(len(base), len(head)) - 1
+    for name in [c for c in base[0] if c in head[0]]:
+        i, j = base[0].index(name), head[0].index(name)
+        pairs = [(ra[i] if i < len(ra) else MISSING, rb[j] if j < len(rb) else MISSING)
+                 for ra, rb in zip(base[1:], head[1:])]
+        differing = [(number(va), number(vb)) for va, vb in pairs if va != vb]
+        if not differing:
+            continue
+        rels = [relative(va, vb) for va, vb in differing
+                if all(isinstance(v, float) and math.isfinite(v) for v in (va, vb))]
+        top = max(rels, key=float) if rels else "-"
+        lines.append(f"  {name}: {len(differing)} of {n_rows} rows differ (max rel {top})")
+    return lines
+
+
 def compare(base: Path, head: Path, masked: bool = False) -> list[str]:
     """One line per compared file; lines of differing files start with DIFF,
     and a differing ``summary.json`` is followed by one indented line per
@@ -223,6 +261,8 @@ def compare(base: Path, head: Path, masked: bool = False) -> list[str]:
             if name == "summary.json":
                 lines += [f"  {path}: base {va!r} head {vb!r} (rel {relative(va, vb)})"
                           for path, va, vb in json_differences(json.loads(data_a), json.loads(data_b))]
+            elif name.endswith(".tsv"):
+                lines += tsv_differences(data_a, data_b)
         else:
             lines.append(f"same {name} ({a.stat().st_size} bytes{note})")
     return lines

@@ -819,9 +819,8 @@ def run_dataset(config: ExperimentConfig) -> Report:
     return Report(rows=rows, config=config, seeds=seeds_used, traces=results[0][1])
 
 
-# Byte budget of the stacked (dim, dim) systems the prefix oracle solves in
-# one batch: memory stays flat, and once dim^2 doubles exceed it a block
-# holds a single prefix, which is one solve per prefix.
+# Byte budget of the bordered (dim + 1, dim + 1) grams the prefix oracle
+# factors in one batch: memory stays flat, and past it a block holds one prefix.
 _ORACLE_BLOCK_BYTES = 1 << 18
 
 
@@ -831,39 +830,41 @@ def _prefix_oracle_losses(zs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarr
     For prefix t the comparator re-solves the regularized LS problem on the
     first t samples and is charged its own regularized loss on them.  With
     the running gram G, right-hand side r and A = G + t mu I, that loss is
-    theta' A theta - 2 theta' r + y'y, which is stationary at the solution,
-    so errors in theta enter only to second order.  Prefixes are solved in
-    blocks of stacked systems.  With mu = 0 each prefix is solved by least
-    squares and charged the residual of its solution.
+    y'y - r' A^-1 r, the Schur complement of A in the bordered gram
+    [[A, r], [r', y'y]]: the square of the last pivot of its Cholesky factor
+    (Golub & Van Loan, Matrix Computations, 4.2), so no theta is formed.
+    With y appended to each z, one cumsum builds every prefix's bordered
+    gram.  A mu that leaves a loss below the rounding of y'y is refused.
+    With mu = 0 each prefix is charged the residual of its least squares fit.
     """
     n_steps, dim = zs.shape
-    block = max(1, _ORACLE_BLOCK_BYTES // (8 * dim * dim))
-    systems = np.empty((min(block, n_steps), dim, dim))
-    gram = np.zeros((dim, dim))
-    rhs_all = np.cumsum(zs * ys[:, None], axis=0)
-    yy_all = np.cumsum(ys * ys)
+    block = max(1, _ORACLE_BLOCK_BYTES // (8 * (dim + 1) ** 2))
+    gram = np.zeros((dim + 1, dim + 1))
+    zy = np.concatenate([zs, ys[:, None]], axis=1)
     out = np.empty(n_steps)
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
-        a = systems[: stop - start]
-        z = zs[start:stop]
-        np.multiply(z[:, :, None], z[:, None, :], out=a)
+        z = zy[start:stop]
+        a = z[:, :, None] * z[:, None, :]
         a[0] += gram
         np.cumsum(a, axis=0, out=a)
         gram[...] = a[-1]
-        rhs = rhs_all[start:stop]
         if mu == 0:
-            # without the ridge term theta is unbounded on an ill-conditioned
-            # gram and the quadratic form loses all precision to cancellation,
-            # so each prefix is charged its residual directly
-            for t, g, r in zip(range(start, stop), a, rhs):
-                resid = zs[: t + 1] @ np.linalg.lstsq(g, r, rcond=None)[0] - ys[: t + 1]
+            # without the ridge term A may be singular and the Schur complement
+            # has no precision left, so each prefix is charged its residual
+            for t, g in zip(range(start, stop), a):
+                resid = zs[: t + 1] @ np.linalg.lstsq(g[:dim, :dim], g[:dim, dim], rcond=None)[0] - ys[: t + 1]
                 out[t] = resid @ resid
             continue
-        np.einsum("kii->ki", a)[...] += mu * np.arange(start + 1, stop + 1)[:, None]
-        theta = np.linalg.solve(a, rhs[:, :, None])[:, :, 0]
-        quad = (theta * (a @ theta[:, :, None])[:, :, 0]).sum(axis=1)
-        out[start:stop] = quad - 2.0 * (theta * rhs).sum(axis=1) + yy_all[start:stop]
+        np.einsum("kii->ki", a)[:, :dim] += mu * np.arange(start + 1, stop + 1)[:, None]
+        # a prefix of zero labels has a zero last row: its loss is exactly 0
+        zero_labels = a[:, dim, dim] == 0.0
+        a[zero_labels, dim, dim] = 1.0
+        try:
+            out[start:stop] = np.where(zero_labels, 0.0, np.linalg.cholesky(a)[:, -1, -1] ** 2)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"regret_mu = {mu!r} is too small for the prefix oracle: use a larger one, "
+                             "or regret_mu = 0 for the unregularised comparator") from None
     return out
 
 
@@ -874,10 +875,7 @@ def run_regret(config: ExperimentConfig) -> Report:
     horizon = config.regret_T
     eta = config.eta_value(horizon)
     mu = config.regret_mu
-    exponents = []
-    regrets_final = []
-    bound_checks = []
-    seeds_used = []
+    exponents, regrets_final, bound_checks, seeds_used = [], [], [], []
     if config.scenario == "connectivity_anchored":
         raise ValueError("regret runs stream whole patterns; use another scenario")
     for trial in range(config.trials):
@@ -886,10 +884,9 @@ def run_regret(config: ExperimentConfig) -> Report:
         g, _, x = _draw_trial(config, config.n_nodes, seeds)
         every = np.arange(g.n_nodes)
         pats = _patterns(g.adjacency, every, every, config.pattern_mode, config.normalize_patterns)
-        rng = np.random.default_rng(seeds["stream"])
-        stream = rng.integers(0, g.n_nodes, size=horizon)
+        stream = np.random.default_rng(seeds["stream"]).integers(0, g.n_nodes, size=horizon)
         model = mkl_init(config.kernel_specs(), config.d, pats.shape[1], eta, mu, config.loss, seeds["map"])
-        zs = mkl_encode(model, pats[stream])
+        zs = mkl_encode(model, pats)[:, stream]
         ys = x[stream]
         model, traces = mkl_train_encoded(model, zs, ys)
         oracle_best = np.min([_prefix_oracle_losses(z, ys, mu) for z in zs], axis=0)
@@ -927,8 +924,6 @@ def fit_growth_exponent(series: np.ndarray) -> float:
     """
     series = np.asarray(series, dtype=np.float64)
     n = series.size
-    if n < 2:
-        return float("nan")
     t = np.arange(1, n + 1)
     mask = (t >= max(8, n // 100)) & (series > 0)
     if mask.sum() < 2:
@@ -948,7 +943,6 @@ def _regret_bound_check(zs, ys, traces, eta, mu) -> dict:
     horizon = ys.size
     lhs_total = float(traces.combined_loss.sum())
     max_grad = float(traces.max_grad.max())
-    holds = True
     margins = []
     for z in zs:
         theta_star = batch_rf_ls(z, ys, mu)
@@ -961,10 +955,9 @@ def _regret_bound_check(zs, ys, traces, eta, mu) -> dict:
             + eta * max_grad**2 * horizon / 2.0
             + eta * horizon
         )
-        lhs = lhs_total - oracle_loss
-        margins.append(bound - lhs)
-        holds = holds and (lhs <= bound)
-    return {"holds": holds, "margins": margins, "max_grad": max_grad}
+        margins.append(bound - (lhs_total - oracle_loss))
+    # a nan margin does not hold
+    return {"holds": all(m >= 0.0 for m in margins), "margins": margins, "max_grad": max_grad}
 
 
 def bench_newnode(config: ExperimentConfig) -> Report:

@@ -167,6 +167,8 @@ def mkl_init(
 ) -> MklModel:
     """Zero-initialized model with one independently seeded map per kernel,
     descending the loss of kind ``loss`` with regularization weight ``mu``."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     maps = tuple(build_map(k, d, n, derive_seed(seed, p)) for p, k in enumerate(kernels))
     return mkl_from_maps(maps, eta, mu, loss, seed)
 
@@ -289,10 +291,20 @@ def _checked(model: MklModel, thetas: np.ndarray, logw: np.ndarray, combined: np
 
 def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, MklTraces]:
     """One online step: every learner descends, every weight decays.  The
-    traces hold that one step.  It is a grid pass of one μ over one sample,
-    which below 8 kernels takes the stream's one-step branch, as a labelled
-    join does."""
-    return mkl_train_encoded(model, mkl_encode(model, _one_node(connectivity)), [label])
+    traces hold that one step, a labelled join's :func:`_labelled_step`."""
+    stream, model = _labelled_step(model, mkl_encode(model, _one_node(connectivity)), label)
+    return model, MklTraces(*(a[:, 0] for a in stream[:4]), stream[4][0])
+
+
+def _labelled_step(model: MklModel, zs: np.ndarray, label) -> tuple[tuple, MklModel]:
+    """One sample's (P, 1, 2D) encoding through the stream as a grid of one μ
+    (below 8 kernels, its one-step branch): the stream's arrays and ``model``
+    after the step.  The label is checked as a training pass checks it."""
+    labels = _label_array([label])
+    _check_label(model.loss, labels[0])
+    thetas, logw = model.thetas.copy(), model.log_weights.copy()
+    stream = _kernels.mkl_stream(zs, labels, model.eta, model.loss.kind, [model.loss.mu], thetas, logw[None])
+    return stream, _checked(model, thetas, logw, stream[0])
 
 
 def mkl_train(model: MklModel, samples: Sequence) -> tuple[MklModel, MklTraces]:
@@ -308,24 +320,17 @@ def absorb_new_node_mkl(
     """Combined prediction for a newly-joining node, plus an optional update.
 
     The node is encoded once, in one call for all P maps; scoring and the
-    update share that encoding.  A label is checked as
-    :func:`mkl_train_encoded` checks it.  The update is a
-    ``_kernels.mkl_stream`` grid pass of one μ over one sample, as
-    :func:`mkl_update` makes, which below 8 kernels takes the stream's
-    one-step branch.  The score-only sum mirrors the arithmetic of that pass
-    (elementwise products summed per kernel, then
-    :func:`~graphrf._kernels.hedge_mix`), so a node scores bit-identically
-    with or without its label; :func:`mkl_predict_encoded`'s matrix products
-    round differently, which is why scoring does not go through it.
+    update (:func:`_labelled_step`, as in :func:`mkl_update`) share that
+    encoding.  The score-only sum mirrors the arithmetic of that step
+    (products summed per kernel, then :func:`~graphrf._kernels.hedge_mix`),
+    so a node scores bit-identically with or without its label;
+    :func:`mkl_predict_encoded`'s matrix products round differently.
     """
     zs = mkl_encode(model, _one_node(connectivity))
     if label is None:
         return _kernels.hedge_mix(model.log_weights, (model.thetas * zs[:, 0]).sum(axis=1)), model
-    labels = _label_array([label])
-    _check_label(model.loss, labels[0])
-    thetas, logw = model.thetas.copy(), model.log_weights.copy()
-    stream = _kernels.mkl_stream(zs, labels, model.eta, model.loss.kind, [model.loss.mu], thetas, logw[None])
-    return float(stream[3][0, 0]), _checked(model, thetas, logw, stream[0])
+    stream, model = _labelled_step(model, zs, label)
+    return float(stream[3][0, 0]), model
 
 
 def _b64(values: np.ndarray) -> str:

@@ -894,6 +894,33 @@ class TestRunRegret:
         with pytest.raises(ValueError, match="least-squares"):
             run_regret(ExperimentConfig(loss="hinge"))
 
+    # the C8 stream, one trial of it
+    C8_STREAM = dict(n_nodes=200, trials=1, regret_T=2000, d=10, eta="auto", scenario="diffusion",
+                     truth_sigma2=5.0, kernels=(("gaussian", 1.0), ("gaussian", 5.0)), base_seed=5)
+
+    @pytest.mark.parametrize("mu", [1e-16, 1e-20])
+    def test_a_mu_too_small_for_the_oracle_is_refused(self, mu):
+        # the first prefixes' losses fall below the rounding of y'y
+        with pytest.raises(ValueError, match=r"regret_mu = .*regret_mu = 0 for the unregularised comparator"):
+            run_regret(ExperimentConfig(**self.C8_STREAM, regret_mu=mu))
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-6])
+    def test_zero_and_a_small_mu_run(self, mu):
+        report = run_regret(ExperimentConfig(**self.C8_STREAM, regret_mu=mu))
+        assert report.extras["regret_bound_holds"] is True
+        oracle = report.traces["regret_trial0"][1][1]
+        assert np.all(np.isfinite(oracle)) and np.all(oracle >= 0.0)
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-6])
+    def test_zero_labels_cost_the_oracle_nothing(self, mu):
+        from graphrf.harness import _prefix_oracle_losses
+
+        rng = np.random.default_rng(4)
+        zs = rng.normal(size=(30, 6))
+        ys = np.where(np.arange(30) < 10, 0.0, rng.normal(size=30))
+        oracle = _prefix_oracle_losses(zs, ys, mu)
+        assert np.all(oracle[:10] == 0.0) and np.all(oracle[10:] > 0.0)
+
     def test_regret_trace_written(self, tmp_path):
         config = ExperimentConfig(
             n_nodes=40, trials=1, regret_T=60, d=5, scenario="identity", base_seed=2,

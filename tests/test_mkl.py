@@ -109,6 +109,8 @@ class TestInit:
     def test_a_numpy_integer_seed_is_stored_as_int_and_saves(self, tmp_path):
         model = mkl_init([KernelSpec("gaussian", 1.0)], 4, 6, 0.5, 0.0, "least_squares", np.int64(3))
         assert type(model.seed) is int and model.seed == 3
+        same = mkl_init([KernelSpec("gaussian", 1.0)], 4, 6, 0.5, 0.0, "least_squares", 3)
+        assert np.array_equal(model.maps[0].v_matrix, same.maps[0].v_matrix)
         save_mkl_checkpoint(model, tmp_path / "mkl.json")
         assert load_mkl_checkpoint(tmp_path / "mkl.json").seed == 3
 
@@ -117,6 +119,12 @@ class TestInit:
         maps = [build_map(KernelSpec("gaussian", 1.0), 4, 6, 0)]
         with pytest.raises(ValueError, match="seed must be an integer or None"):
             mkl_from_maps(maps, 0.5, 0.0, "least_squares", seed)
+
+    @pytest.mark.parametrize("seed", ["x", -1, np.int64(-1), True, None, 3.0])
+    def test_init_refuses_a_seed_that_seeds_no_maps(self, seed):
+        # checked before the per-map seeds are derived, whose errors name no field
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+            mkl_init([KernelSpec("gaussian", 1.0)], 4, 6, 0.5, 0.0, "least_squares", seed)
 
     def test_simplex_holds_during_training(self):
         model = mkl_init([KernelSpec("gaussian", b) for b in (1.0, 2.0, 5.0)],
@@ -857,6 +865,17 @@ def test_fused_encoding_is_the_per_map_encoding_bit_for_bit(case):
     assert fused.shape == (model.n_kernels, patterns.shape[0], 2 * model.maps[0].d)
     assert np.array_equal(fused, per_map)
     assert np.array_equal(fused, np.stack(reference))
+
+
+def test_encoding_each_node_once_and_gathering_is_encoding_the_gathered_rows():
+    # run_regret encodes the n node patterns once and gathers the stream's
+    # rows; both are one BLAS product per map over rows of the same patterns
+    rng = np.random.default_rng(12)
+    pats = (rng.random((200, 200)) < 0.2).astype(float)
+    stream = rng.integers(0, 200, size=2000)
+    model = mkl_init([KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 5.0)], 10, 200, 0.5, 1e-6,
+                     "least_squares", 5)
+    assert np.array_equal(mkl_encode(model, pats)[:, stream], mkl_encode(model, pats[stream]))
 
 
 class TestStaticRegret:

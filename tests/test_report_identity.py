@@ -52,9 +52,10 @@ def test_a_differing_summary_lists_every_differing_path(report_identity, tmp_pat
     head = write_out(tmp_path / "head", head_summary, tsv="method\tnmse\nmkl\t0.6\n")
     lines = report_identity.compare(base, head)
     assert lines[0] == "DIFF report.tsv: contents differ"
-    assert lines[1] == "DIFF summary.json: contents differ"
+    assert lines[1] == "  nmse: 1 of 1 rows differ (max rel 0.167)"
+    assert lines[2] == "DIFF summary.json: contents differ"
     rel = f"{abs(0.25 - head_summary['rows'][0]['nmse_mean']) / head_summary['rows'][0]['nmse_mean']:.3g}"
-    assert lines[2:] == [
+    assert lines[3:] == [
         "  extras.new: base '<missing>' head 1 (rel -)",
         "  rows[0].mu_selected[1]: base 0.01 head '<missing>' (rel -)",
         f"  rows[0].nmse_mean: base 0.25 head {head_summary['rows'][0]['nmse_mean']!r} (rel {rel})",
@@ -80,3 +81,24 @@ def test_a_file_on_one_side_only_is_a_difference(report_identity, tmp_path):
     base = write_out(tmp_path / "base", SUMMARY, traces="a\n1\n")
     head = write_out(tmp_path / "head", SUMMARY)
     assert report_identity.compare(base, head)[-1] == "DIFF traces/mkl_trial0.tsv: only in base"
+
+
+def test_a_differing_table_lists_every_differing_column(report_identity, tmp_path):
+    base_tsv = "t\tcum\toracle\tnote\n1\t0.5\t2.0\ta\n2\t1.0\t4.0\tb\n3\t1.5\t8.0\tc\n"
+    head_tsv = "t\tcum\toracle\tnote\n1\t0.5\t2.0\ta\n2\t1.0\t4.000001\tb\n3\t1.5\t8.0004\td\n"
+    base = write_out(tmp_path / "base", SUMMARY, tsv=base_tsv, traces=base_tsv)
+    head = write_out(tmp_path / "head", SUMMARY, tsv=head_tsv, traces=head_tsv)
+    table = ["  oracle: 2 of 3 rows differ (max rel 5e-05)", "  note: 1 of 3 rows differ (max rel -)"]
+    assert report_identity.compare(base, head) == [
+        "DIFF report.tsv: contents differ", *table,
+        f"same summary.json ({(base / 'summary.json').stat().st_size} bytes)",
+        "DIFF traces/mkl_trial0.tsv: contents differ", *table,
+    ]
+
+
+def test_a_table_with_other_columns_or_rows_says_so(report_identity, tmp_path):
+    base = write_out(tmp_path / "base", SUMMARY, tsv="t\tx\n1\t1.0\n2\t2.0\n")
+    head = write_out(tmp_path / "head", SUMMARY, tsv="t\ty\n1\t1.0\n")
+    assert report_identity.compare(base, head)[:3] == [
+        "DIFF report.tsv: contents differ", "  header: base ['t', 'x'] head ['t', 'y']", "  rows: base 2 head 1",
+    ]
