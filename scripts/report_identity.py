@@ -6,7 +6,7 @@ Usage::
 
     python scripts/report_identity.py BASE_REF
 
-Eight runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
+Nine runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
 with ``git archive`` into a temporary directory, so the repository is left
 untouched) and once on the working tree's ``src/``:
 
@@ -20,6 +20,10 @@ untouched) and once on the working tree's ``src/``:
 - ``regret``: the default config;
 - ``dataset``: a generated 60-node graph with three label columns,
   ``sample_counts = 10,20``, two trials and all five methods;
+- ``dataset-weighted``: the same graph with a weight drawn from
+  [0.1, 2] on each edge, ``weighted = true``, the same labels and all
+  five methods, so that the float-weight Laplacians of gk_df and gk_bl are
+  compared too;
 - ``dataset-hinge`` and ``dataset-logistic``: the same graph and sampling
   with three columns of -1 and +1 labels, ``standardize_labels = false``,
   the classification loss the name gives, and traces, so that mkl's
@@ -81,7 +85,7 @@ def commented(text: str) -> str:
 
 
 def write_fixture(tmp: Path) -> dict:
-    """Configs for the eight runs; the dataset files live in ``tmp`` so both
+    """Configs for the nine runs; the dataset files live in ``tmp`` so both
     trees see the same paths (they are echoed into summary.json)."""
     rng = np.random.default_rng(0)
     n = 60
@@ -96,6 +100,10 @@ def write_fixture(tmp: Path) -> dict:
     (tmp / "signs.txt").write_text(
         commented("".join(f"n{i} " + " ".join(map(str, row)) + "\n" for i, row in enumerate(signs)))
     )
+    weights = rng.uniform(0.1, 2.0, size=len(edges))
+    (tmp / "weighted.txt").write_text(
+        commented("".join(f"n{i} n{j} {w:.6f}\n" for (i, j), w in zip(edges, weights)))
+    )
     dataset = ALL_METHODS + f"task = dataset\nedge_list = {tmp / 'edges.txt'}\nsample_counts = 10,20\ntrials = 2\n"
     classification = dataset + f"labels = {tmp / 'signs.txt'}\nstandardize_labels = false\nemit_traces = true\n"
     configs = {
@@ -106,6 +114,8 @@ def write_fixture(tmp: Path) -> dict:
         "pattern_mode = row\ntrials = 2\n",
         "regret": "",
         "dataset": dataset + f"labels = {tmp / 'labels.txt'}\n",
+        "dataset-weighted": ALL_METHODS + f"task = dataset\nedge_list = {tmp / 'weighted.txt'}\nweighted = true\n"
+        f"labels = {tmp / 'labels.txt'}\nsample_counts = 10,20\ntrials = 2\n",
         "dataset-hinge": classification + "loss = hinge\n",
         "dataset-logistic": classification + "loss = logistic\n",
         "bench-newnode": "bench_sizes = 60,120\nmethods = mkl,gk_df,knn\ntiming_reps = 1\ntiming_nodes = 5\n"

@@ -18,6 +18,9 @@ class KnnInapplicableError(ValueError):
     """Raised when a node has no labeled neighbor to average over."""
 
 
+_SINGULAR = "singular ridge system; kernel is rank-deficient and mu is too small"
+
+
 def batch_kernel_ridge(k_matrix: np.ndarray, y: np.ndarray, mu: float) -> np.ndarray:
     """Solve (K + mu * M * I) alpha = y for a symmetric PSD kernel matrix."""
     k = np.asarray(k_matrix, dtype=np.float64)
@@ -32,51 +35,64 @@ def batch_kernel_ridge(k_matrix: np.ndarray, y: np.ndarray, mu: float) -> np.nda
     try:
         alpha = np.linalg.solve(system, y)
     except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            "singular ridge system; kernel is rank-deficient and mu is too small"
-        ) from exc
-    _check_residual(system @ alpha - y, y)
+        raise ValueError(_SINGULAR) from exc
+    _check_solves(system @ alpha - y, y)
     return alpha
 
 
-def _check_residual(residual: np.ndarray, y: np.ndarray) -> None:
-    """Refuse a ridge solve whose residual vector exceeds 1e-8 max(|y|, 1)."""
-    norm = np.linalg.norm(residual)
-    if norm > 1e-8 * max(np.linalg.norm(y), 1.0):
-        raise ValueError(f"ridge solve residual {norm:.3e} exceeds tolerance; increase mu")
+def _check_solves(residual: np.ndarray, y: np.ndarray, singular=False) -> None:
+    """Refuse the first ridge solve of a stack of residual vectors that is
+    ``singular`` or whose residual norm exceeds 1e-8 max(|y|, 1).  Each norm
+    is the 1-D np.linalg.norm's: the root of one BLAS dot product."""
+    norm = np.ravel(np.sqrt(np.vecdot(residual, residual)))
+    singular = np.broadcast_to(np.ravel(singular), norm.shape)
+    failing = np.flatnonzero(singular | (norm > 1e-8 * max(np.linalg.norm(y), 1.0)))
+    if failing.size and singular[failing[0]]:
+        raise ValueError(_SINGULAR)
+    if failing.size:
+        raise ValueError(f"ridge solve residual {norm[failing[0]]:.3e} exceeds tolerance; increase mu")
 
 
-def spectral_ridge_predict(u: np.ndarray, response: np.ndarray, y: np.ndarray, mu: float) -> float:
+def spectral_ridge_predict(u: np.ndarray, response: np.ndarray, y: np.ndarray, mu: float) -> float | np.ndarray:
     """:func:`batch_kernel_ridge`'s prediction k^T (K_MM + mu M I)^{-1} y for
     the last of M+1 nodes, whose kernel is K = U diag(response) U^T, read off
     the eigendecomposition in O(M^2): no kernel is formed and nothing solved.
+
+    A (..., M+1, M+1) stack of eigenvectors, with a (..., M+1) stack of
+    responses and shared labels, returns each matrix's prediction, bit for
+    bit as its own call's float.
 
     With c = mu M, h = 1 / (response + c), a = U[M] and w = U[:M]^T y, the
     block inverse of K + c I gives the prediction p = -sum(a h w) / sum(a h a)
     and the weights alpha = U[:M] (h (w + p a)) (the leave-one-out identity,
     Rasmussen & Williams 2006, section 5.4.2).  The refusals are
     batch_kernel_ridge's: a singular system when some response + c is not
-    positive, and the residual of alpha, taken through U, held to its bound.
+    positive, and the residual of alpha, taken through U, held to its bound;
+    in a stack the first refused node raises.
     """
     u = np.asarray(u, dtype=np.float64)
     response = np.asarray(response, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     m = y.size
-    if y.ndim != 1 or u.shape != (m + 1, m + 1) or response.shape != (m + 1,):
-        raise ValueError(f"need (M+1)x(M+1) eigenvectors, M+1 eigenvalues and length-M labels, "
+    if y.ndim != 1 or u.shape[-2:] != (m + 1, m + 1) or response.shape != u.shape[:-1]:
+        raise ValueError(f"need (M+1)x(M+1) eigenvectors with M+1 eigenvalues each and length-M labels, "
                          f"got {u.shape}, {response.shape} and {y.shape}")
     c = mu * m
     shifted = response + c
-    if not (shifted > 0).all():
-        raise ValueError("singular ridge system; kernel is rank-deficient and mu is too small")
-    h = 1.0 / shifted
-    v, a = u[:m], u[m]
+    singular = ~(shifted > 0).all(axis=-1)
+    # a singular node is refused whatever its prediction: 1 stands in for
+    # its shifts so that nothing divides by zero
+    h = 1.0 / np.where(singular[..., None], 1.0, shifted)
+    v, a = u[..., :m, :], u[..., m, :]
     w = y @ v
     ah = a * h
-    pred = -float(ah @ w) / float(ah @ a)
-    alpha = v @ (h * (w + pred * a))
-    _check_residual(v @ (response * (alpha @ v)) + c * alpha - y, y)
-    return pred
+    pred = -np.vecdot(ah, w) / np.vecdot(ah, a)
+    # matrix-vector and vector-matrix products as one-column and one-row
+    # matmuls, each the BLAS gemv a single matrix's product makes
+    alpha = (v @ (h * (w + pred[..., None] * a))[..., None])[..., 0]
+    fitted = (v @ (response * (alpha[..., None, :] @ v)[..., 0, :])[..., None])[..., 0]
+    _check_solves(fitted + c * alpha - y, y, singular)
+    return float(pred) if pred.ndim == 0 else pred
 
 
 def knn_predict(g: Graph, labeled: Mapping[int, float], node: int, k: int) -> float:

@@ -60,6 +60,17 @@ def _is_symmetric(a: np.ndarray) -> bool:
     )
 
 
+def _check_weights(a: np.ndarray) -> None:
+    """Refuse float64 edge weights that are not finite or are negative."""
+    # min and max propagate NaN, so a NaN entry fails the finiteness check;
+    # the initial 0 covers an empty array and moves neither test
+    lo, hi = a.min(initial=0.0), a.max(initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("adjacency entries must be finite")
+    if lo < 0:
+        raise ValueError("adjacency entries must be non-negative")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A (possibly directed, possibly weighted) graph over N nodes.
@@ -88,13 +99,7 @@ class Graph:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
         if a.dtype == np.float64:
-            # min and max propagate NaN, so a NaN entry fails the finiteness
-            # check; the initial 0 covers a 0×0 matrix and moves neither test
-            lo, hi = a.min(initial=0.0), a.max(initial=0.0)
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError("adjacency entries must be finite")
-            if lo < 0:
-                raise ValueError("adjacency entries must be non-negative")
+            _check_weights(a)
         if not self.directed and not _is_symmetric(a):
             raise ValueError("undirected graph requires an exactly symmetric adjacency")
         if self.node_names is not None and len(self.node_names) != a.shape[0]:
@@ -263,11 +268,23 @@ def normalized_laplacian(g: Graph) -> np.ndarray:
     """
     if g.directed:
         raise ValueError("normalized Laplacian requires an undirected graph")
-    deg = g.degrees
+    return _normalized_laplacian(g.adjacency)
+
+
+def _normalized_laplacian(adjacency: np.ndarray) -> np.ndarray:
+    """:func:`normalized_laplacian` of a symmetric adjacency, or of each
+    one in a (..., n, n) stack, by the same elementwise operations: a
+    stacked Laplacian is each graph's Laplacian bit for bit."""
+    deg = adjacency.sum(axis=-1, dtype=np.float64)
     dinv = np.where(deg > 0, deg, 1.0) ** -0.5
     dinv[deg <= 0] = 0.0
-    lap = np.eye(g.n_nodes) - dinv[:, None] * g.adjacency * dinv[None, :]
-    return (lap + lap.T) / 2.0
+    # in place where it can be: two arrays of the input's size are made
+    lap = dinv[..., :, None] * adjacency
+    lap *= dinv[..., None, :]
+    np.subtract(np.eye(adjacency.shape[-1]), lap, out=lap)
+    lap = lap + np.swapaxes(lap, -1, -2)
+    lap /= 2.0
+    return lap
 
 
 def sample_nodes(g: Graph, m: int, seed) -> SamplingPlan:

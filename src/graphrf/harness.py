@@ -39,11 +39,12 @@ from .baselines import (
 from .graph import (
     Graph,
     SamplingPlan,
+    _check_weights,
     _lines,
+    _normalized_laplacian,
     erdos_renyi,
     load_edge_list,
     load_labels,
-    normalized_laplacian,
     sample_nodes,
     synth_signal,
 )
@@ -51,6 +52,7 @@ from .kernels import (
     GraphKernelSpec,
     KernelSpec,
     eval_kernel_matrix,
+    graph_kernel_matrices,
     graph_kernel_matrix,
     graph_kernel_response,
     row_chunk,
@@ -540,6 +542,40 @@ class _Fitted:
     traces: MklTraces | None = None  # of the final MKL fit
 
 
+# Byte budget of the (B, M+1, M+1) stack of grown adjacencies the gk scorer
+# decomposes in one batch; its Laplacian and eigenvector stacks are as large.
+# 512 KB keeps the new-node benchmark's peak RSS within about 1 MB.
+_GK_BLOCK_BYTES = 1 << 19
+
+
+def _gk_new_node_scores(sub: np.ndarray, new_patterns, spec: GraphKernelSpec, y: np.ndarray,
+                        mu: float) -> np.ndarray:
+    """Graph-kernel ridge prediction of each new node from the spectrum of
+    the sampled subgraph ``sub`` grown by that node alone, bit for bit as
+    node by node, a block of nodes at a time: one stacked Laplacian, one
+    ``eigh`` call (LAPACK still runs once per node) and one spectral readout.
+    ``sub`` comes from a checked graph and each mirror is symmetric by
+    construction, so only the incoming patterns are checked.  The first
+    refused node's refusal is raised."""
+    m = sub.shape[0]
+    new_patterns = np.asarray(new_patterns, dtype=np.float64)
+    if new_patterns.ndim != 2 or new_patterns.shape[1] != m:
+        raise ValueError(f"need (nodes, {m}) new-node patterns, got shape {new_patterns.shape}")
+    rows = max(1, _GK_BLOCK_BYTES // (8 * (m + 1) ** 2))
+    grown = np.zeros((min(rows, len(new_patterns)), m + 1, m + 1))
+    grown[:, :m, :m] = sub
+    out = np.empty(len(new_patterns))
+    for start in range(0, len(new_patterns), rows):
+        block = new_patterns[start : start + rows]
+        _check_weights(block)
+        stack = grown[: len(block)]
+        stack[:, m, :m] = block
+        stack[:, :m, m] = block
+        lam, u = np.linalg.eigh(_normalized_laplacian(stack))
+        out[start : start + len(block)] = spectral_ridge_predict(u, graph_kernel_response(spec, lam), y, mu)
+    return out
+
+
 def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) -> _Fitted:
     """Select and fit one method; mkl and kl score learner features, gk raw
     column connectivity and knn node ids.  Every CV fit reads a prefix of
@@ -584,9 +620,10 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
     if method in ("gk_df", "gk_bl"):
         # Graph-kernel ridge on the sampled subgraph.  CV scores are computed
         # transductively inside it.  Each new node rebuilds the Laplacian at
-        # size M+1 and pays its (M+1) eigendecomposition, the deliberately
+        # size M+1 and pays its own (M+1) eigendecomposition, the deliberately
         # cubic re-solve the runtime benchmark is about; the prediction is
-        # read off that spectrum, so no kernel matrix or ridge solve is formed.
+        # read off that spectrum, so no kernel matrix or ridge solve is formed,
+        # and new nodes are scored in blocks (:func:`_gk_new_node_scores`).
         m = plan.sampled.size
         sub = np.ascontiguousarray(g.adjacency[np.ix_(plan.sampled, plan.sampled)])
         sub.setflags(write=False)  # fresh and never written: Graph adopts it
@@ -594,41 +631,23 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
         knobs = config.gk_sigma2_grid if method == "gk_df" else sorted({min(b, m) for b in config.band_grid})
         specs = {knob: GraphKernelSpec("diffusion", sigma2=knob) if method == "gk_df"
                  else GraphKernelSpec("bandlimited", band_size=int(knob)) for knob in knobs}
-
-        def kernel(adjacency, knob):
-            return graph_kernel_matrix(Graph(adjacency, directed=False), specs[knob])
-
         grid = [(mu, knob) for mu in config.mu_grid for knob in specs]
 
         def cv_predict(n):
-            # each knob's two kernels, on the subgraph and on its CV prefix,
-            # serve every mu; zip regroups the predictions mu by mu, as grid runs
-            by_knob = []
-            for knob in specs:
-                whole, prefix = kernel(sub, knob), kernel(sub[:n, :n], knob)
-                by_knob.append([whole[n:, :n] @ batch_kernel_ridge(prefix, y[:n], mu) for mu in config.mu_grid])
+            # one decomposition of the subgraph and one of its CV prefix give
+            # every knob's two kernels, which serve every mu; zip regroups the
+            # predictions mu by mu, as grid runs
+            wholes = graph_kernel_matrices(Graph(sub), specs.values())
+            prefixes = graph_kernel_matrices(Graph(sub[:n, :n]), specs.values())
+            by_knob = [[whole[n:, :n] @ batch_kernel_ridge(prefix, y[:n], mu) for mu in config.mu_grid]
+                       for whole, prefix in zip(wholes, prefixes)]
             return [preds for by_mu in zip(*by_knob) for preds in by_mu]
 
         mu, knob = _select(grid, y, config.cv_fraction, cv_predict)
-
-        def score(new_patterns):
-            """Per new node: rebuild L at size M+1, decompose it, and predict
-            from its spectrum (:func:`spectral_ridge_predict`)."""
-            out = np.empty(len(new_patterns))
-            for i, a_new in enumerate(np.asarray(new_patterns, dtype=np.float64)):
-                grown = np.zeros((m + 1, m + 1))
-                grown[:m, :m] = sub
-                grown[m, :m] = a_new
-                grown[:m, m] = a_new
-                grown.setflags(write=False)
-                lam, u = np.linalg.eigh(normalized_laplacian(Graph(grown, directed=False)))
-                out[i] = spectral_ridge_predict(u, graph_kernel_response(specs[knob], lam), y, mu)
-            return out, 0
-
         return _Fitted(
             mu=mu,
-            refit=lambda: batch_kernel_ridge(kernel(sub, knob), y, mu),
-            score=score,
+            refit=lambda: batch_kernel_ridge(graph_kernel_matrix(Graph(sub), specs[knob]), y, mu),
+            score=lambda new_patterns: (_gk_new_node_scores(sub, new_patterns, specs[knob], y, mu), 0),
             # GK consumes raw connectivity to the sampled set, not the
             # normalized learner features.
             inputs=_patterns(g.adjacency, plan.sampled, plan.unsampled, "column", False),

@@ -159,20 +159,30 @@ def spectral_sample(spec: KernelSpec, d: int, dim: int, seed) -> np.ndarray:
 
 def graph_kernel_response(spec: GraphKernelSpec, lam: np.ndarray) -> np.ndarray:
     """The kernel's eigenvalues r^+(lambda) at the Laplacian eigenvalues
-    ``lam``, in ascending order as ``eigh`` returns them: 1/r(lambda), or 0
-    where r is at or below ``PINV_FLOOR``."""
+    ``lam``, in ascending order along the last axis as ``eigh`` returns them,
+    for one graph or a stack of them: 1/r(lambda), or 0 where r is at or
+    below ``PINV_FLOOR``."""
     if spec.family == "diffusion":
         r = np.exp(spec.sigma2 * lam / 2.0)
     else:
         r = np.full(lam.shape, 1.0 / BAND_FLOOR)
-        r[: min(spec.band_size, lam.size)] = 1.0
+        r[..., : spec.band_size] = 1.0
     return np.where(r > PINV_FLOOR, 1.0 / r, 0.0)
 
 
 def graph_kernel_matrix(g: Graph, spec: GraphKernelSpec) -> np.ndarray:
     """Kernel matrix U r^+(Lambda) U^T from the normalized Laplacian."""
+    return graph_kernel_matrices(g, [spec])[0]
+
+
+def graph_kernel_matrices(g: Graph, specs) -> list[np.ndarray]:
+    """:func:`graph_kernel_matrix` of each spec in ``specs``, all read off
+    one eigendecomposition of the normalized Laplacian."""
     if g.directed:
         raise ValueError("graph kernels require an undirected graph")
     lam, u = np.linalg.eigh(normalized_laplacian(g))
-    k = (u * graph_kernel_response(spec, lam)) @ u.T
-    return (k + k.T) / 2.0
+    out = []
+    for spec in specs:
+        k = (u * graph_kernel_response(spec, lam)) @ u.T
+        out.append((k + k.T) / 2.0)
+    return out

@@ -20,7 +20,7 @@ from graphrf import (
     normalized_laplacian,
 )
 from graphrf._kernels import cost_grad_scale
-from graphrf.baselines import knn_predict_batch, spectral_ridge_predict
+from graphrf.baselines import _check_solves, knn_predict_batch, spectral_ridge_predict
 from graphrf.kernels import graph_kernel_response
 
 
@@ -173,6 +173,50 @@ class TestSpectralRidgePredict:
         closed, explicit = self.both_routes(u, response, y, 0.0)
         pattern = r"^ridge solve residual \S+ exceeds tolerance; increase mu$"
         assert re.match(pattern, closed) and re.match(pattern, explicit)
+
+    def test_a_stack_predicts_each_node_as_its_own_call_does(self):
+        rng = np.random.default_rng(1)
+        u = np.linalg.qr(rng.normal(size=(5, 7, 7)))[0]
+        response, y = rng.uniform(0.1, 1.0, size=(5, 7)), rng.normal(size=6)
+        stacked = spectral_ridge_predict(u, response, y, 1e-3)
+        alone = [spectral_ridge_predict(ui, ri, y, 1e-3) for ui, ri in zip(u, response)]
+        assert isinstance(alone[0], float) and stacked.shape == (5,)
+        assert stacked.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("order", [("ok", "residual", "singular", "residual"), ("ok", "singular", "residual")])
+    def test_a_stack_refuses_its_first_refused_node_as_that_node_s_call_does(self, order):
+        # two residual-refused nodes differ in their residual norm, so the
+        # message names which node was refused
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=5)
+        u = np.linalg.qr(rng.normal(size=(len(order), 6, 6)))[0]
+        response = np.ones((len(order), 6))
+        for i, kind in enumerate(order):
+            if kind == "residual":
+                response[i, :2] = 1e-14 * (i + 1)
+            elif kind == "singular":
+                response[i, 0] = 0.0
+        first = next(i for i, kind in enumerate(order) if kind != "ok")
+        alone = self.refusal(lambda: spectral_ridge_predict(u[first], response[first], y, 0.0))
+        assert self.refusal(lambda: spectral_ridge_predict(u, response, y, 0.0)) == alone
+        assert alone.startswith("singular" if order[first] == "singular" else "ridge solve residual")
+
+    def test_the_residual_bound_is_decided_on_each_node_s_1d_norm(self):
+        # a residual whose 1-D np.linalg.norm is the bound exactly passes and
+        # one a rounding step above it is refused, alone and in a stack
+        y = np.full(4, 0.1)  # |y| < 1: the bound is 1e-8
+        r = np.random.default_rng(3).normal(size=7)
+        r *= 1e-8 / np.linalg.norm(r)
+        while np.linalg.norm(r) != 1e-8:
+            r[0] = np.nextafter(r[0], np.inf if np.linalg.norm(r) < 1e-8 else -np.inf)
+        above = r.copy()
+        while np.linalg.norm(above) <= 1e-8:
+            above[0] = np.nextafter(above[0], np.inf * np.sign(above[0]))
+        _check_solves(r, y)
+        _check_solves(np.stack([r, r]), y)
+        message = self.refusal(lambda: _check_solves(above, y))
+        assert message.startswith("ridge solve residual")
+        assert self.refusal(lambda: _check_solves(np.stack([r, above, r]), y)) == message
 
     def test_shapes_are_checked(self):
         with pytest.raises(ValueError, match=r"need \(M\+1\)x\(M\+1\) eigenvectors"):

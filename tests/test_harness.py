@@ -31,7 +31,8 @@ import graphrf.harness
 import graphrf.kernels
 import graphrf.mkl
 from graphrf import KernelSpec, eval_kernel_matrix, mkl_init, mkl_predict_batch, mkl_train, sample_nodes, synth_signal
-from graphrf.baselines import batch_kernel_ridge
+from graphrf.baselines import batch_kernel_ridge, spectral_ridge_predict
+from graphrf.graph import normalized_laplacian
 from graphrf.harness import (
     _COLUMNS,
     SCENARIOS,
@@ -39,6 +40,7 @@ from graphrf.harness import (
     Report,
     _draw_trial,
     _fit_method,
+    _gk_new_node_scores,
     _patterns,
     _select,
     _trial_seeds,
@@ -663,6 +665,169 @@ class TestGkTrial:
         assert failures == 0
         np.testing.assert_allclose(preds, expected, rtol=0.0,
                                    atol=1e-8 * max(np.abs(expected).max(), np.abs(y).max()))
+
+
+def scores_node_by_node(sub, patterns, spec, y, mu):
+    """The block scorer's reference: per new node, the Laplacian of its
+    checked grown Graph, one eigh and a one-node spectral readout.  Returns
+    the predictions, or the first refusal's message."""
+    m = sub.shape[0]
+    out = []
+    for a_new in patterns:
+        grown = np.zeros((m + 1, m + 1))
+        grown[:m, :m] = sub
+        grown[m, :m] = grown[:m, m] = a_new
+        lam, u = np.linalg.eigh(normalized_laplacian(Graph(grown, directed=False)))
+        try:
+            out.append(spectral_ridge_predict(u, graphrf.kernels.graph_kernel_response(spec, lam), y, mu))
+        except ValueError as exc:
+            return str(exc)
+    return np.array(out)
+
+
+def scores_in_blocks(sub, patterns, spec, y, mu, rows):
+    """``_gk_new_node_scores`` with a budget of ``rows`` nodes per block, or
+    its refusal's message."""
+    budget = rows * 8 * (sub.shape[0] + 1) ** 2
+    with mock.patch.object(graphrf.harness, "_GK_BLOCK_BYTES", budget):
+        try:
+            return _gk_new_node_scores(sub, patterns, spec, y, mu)
+        except ValueError as exc:
+            return str(exc)
+
+
+def same_outcome(a, b) -> bool:
+    """The same message, or predictions with the same bits."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+GK_SPECS = [GraphKernelSpec("diffusion", sigma2=5.0), GraphKernelSpec("bandlimited", band_size=4)]
+
+
+class TestGkCv:
+    @pytest.mark.parametrize("method", ["gk_df", "gk_bl"])
+    def test_every_knob_is_read_off_one_decomposition_per_graph(self, monkeypatch, method):
+        # the subgraph and its CV prefix are each decomposed once, and every
+        # (mu, knob) entry predicts as its own two kernels would
+        config, g, plan, seeds, y, x_train, x_eval = small_trial()
+        recorded = {}
+        select = graphrf.harness._select
+
+        def recording(grid, ys, cv_fraction, cv_predict):
+            recorded.update(grid=grid, cv_predict=cv_predict)
+            return select(grid, ys, cv_fraction, cv_predict)
+
+        monkeypatch.setattr(graphrf.harness, "_select", recording)
+        _fit_method(method, config, g, plan, seeds, y, x_train, x_eval)
+        eigh = mock.Mock(side_effect=np.linalg.eigh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        n = 12  # cv_fraction 0.25 of 16
+        preds = recorded["cv_predict"](n)
+        assert eigh.call_count == 2
+        assert len({knob for _, knob in recorded["grid"]}) > 1
+        sub = g.adjacency[np.ix_(plan.sampled, plan.sampled)]
+        for (mu, knob), got in zip(recorded["grid"], preds, strict=True):
+            spec = (GraphKernelSpec("diffusion", sigma2=knob) if method == "gk_df"
+                    else GraphKernelSpec("bandlimited", band_size=int(knob)))
+            whole, prefix = (graph_kernel_matrix(Graph(a, directed=False), spec) for a in (sub, sub[:n, :n]))
+            assert got.tobytes() == (whole[n:, :n] @ batch_kernel_ridge(prefix, y[:n], mu)).tobytes()
+
+
+class TestGkBlockScorer:
+    """New nodes scored a block at a time get, bit for bit, what scoring each
+    on its own grown graph gives."""
+
+    def case(self, weighted, m=12, n_new=23, seed=0):
+        g = erdos_renyi(60, 0.2, seed)
+        if weighted:
+            weights = np.random.default_rng(seed).uniform(0.1, 2.0, size=(60, 60))
+            g = Graph(np.triu(g.adjacency * weights, 1) + np.triu(g.adjacency * weights, 1).T, directed=False)
+        plan = sample_nodes(g, m, seed)
+        sub = np.ascontiguousarray(g.adjacency[np.ix_(plan.sampled, plan.sampled)])
+        patterns = _patterns(g.adjacency, plan.sampled, plan.unsampled[:n_new], "column", False)
+        patterns[1] = 0.0  # a new node with no edge into the sampled set
+        return sub, patterns, np.random.default_rng(seed + 1).normal(size=m)
+
+    @pytest.mark.parametrize("spec", GK_SPECS)
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("rows", [1, 5, 64])
+    def test_matches_node_by_node(self, spec, weighted, rows):
+        # 23 nodes: blocks of 5 leave a partial block, 64 is one partial block
+        sub, patterns, y = self.case(weighted)
+        assert sub.dtype == (np.float64 if weighted else np.bool_)
+        expected = scores_node_by_node(sub, patterns, spec, y, 1e-3)
+        assert not isinstance(expected, str)
+        assert same_outcome(scores_in_blocks(sub, patterns, spec, y, 1e-3, rows), expected)
+
+    @pytest.mark.parametrize("spec", GK_SPECS)
+    def test_one_sampled_node(self, spec):
+        sub, patterns, y = self.case(False, m=1, n_new=9)
+        expected = scores_node_by_node(sub, patterns, spec, y, 1e-2)
+        assert same_outcome(scores_in_blocks(sub, patterns, spec, y, 1e-2, 4), expected)
+
+    def test_the_first_residual_refusal_is_the_first_refused_node_s(self):
+        # at mu = 0 and sigma2 = 20 some nodes' systems are too ill-conditioned;
+        # their residual norms differ, so the message names the node
+        rng = np.random.default_rng(9)
+        sub = np.triu((rng.random((6, 6)) < 0.3).astype(float), 1)
+        sub += sub.T
+        y = rng.normal(size=6)
+        patterns = (rng.random((8, 6)) < 0.4).astype(float)
+        spec = GraphKernelSpec("diffusion", sigma2=20.0)
+        expected = scores_node_by_node(sub, patterns, spec, y, 0.0)
+        assert isinstance(expected, str) and expected.startswith("ridge solve residual")
+        assert not isinstance(scores_node_by_node(sub, patterns[:1], spec, y, 0.0), str)
+        for rows in (1, 3, 8):
+            assert scores_in_blocks(sub, patterns, spec, y, 0.0, rows) == expected
+
+    def test_a_singular_system_is_refused_at_its_node(self):
+        # with no sampled edge, a node with no edge leaves L = I, but a node
+        # with edges makes a star, whose eigenvalue 2 overflows exp(1000) and
+        # leaves a zero response at mu = 0
+        sub, y = np.zeros((3, 3)), np.array([1.0, -1.0, 0.5])
+        patterns = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        spec = GraphKernelSpec("diffusion", sigma2=1000.0)
+        with np.errstate(over="ignore"):
+            expected = scores_node_by_node(sub, patterns, spec, y, 0.0)
+            assert expected == "singular ridge system; kernel is rank-deficient and mu is too small"
+            assert scores_in_blocks(sub, patterns, spec, y, 0.0, 3) == expected
+            assert not isinstance(scores_in_blocks(sub, patterns[:1], spec, y, 0.0, 3), str)
+
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (np.inf, "finite"), (-0.5, "non-negative")])
+    def test_incoming_patterns_are_checked_as_a_graph_checks_weights(self, bad, message):
+        sub, patterns, y = self.case(True, n_new=6)
+        patterns[4, 2] = bad
+        with pytest.raises(ValueError, match=f"^adjacency entries must be {message}$"):
+            Graph(np.block([[sub, patterns[4:5].T], [patterns[4:5], np.zeros((1, 1))]]), directed=False)
+        with pytest.raises(ValueError, match=f"^adjacency entries must be {message}$"):
+            _gk_new_node_scores(sub, patterns, GK_SPECS[0], y, 1e-3)
+
+    def test_patterns_of_another_width_are_refused(self):
+        sub, patterns, y = self.case(False)
+        with pytest.raises(ValueError, match=r"need \(nodes, 12\) new-node patterns"):
+            _gk_new_node_scores(sub, patterns[:, :5], GK_SPECS[0], y, 1e-3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(1, 8), n_new=st.integers(1, 12), rows=st.integers(1, 5), weighted=st.booleans(),
+           density=st.sampled_from([0.0, 0.3, 0.8]), seed=st.integers(0, 2**32 - 1),
+           spec=st.sampled_from([GraphKernelSpec("diffusion", sigma2=s) for s in (0.5, 5.0, 10.0)]
+                                + [GraphKernelSpec("bandlimited", band_size=b) for b in (1, 3, 9)]),
+           mu=st.sampled_from([0.0, 1e-7, 1e-3, 1.0]))
+    def test_property_blocks_match_node_by_node(self, m, n_new, rows, weighted, density, seed, spec, mu):
+        rng = np.random.default_rng(seed)
+
+        def edges(shape):
+            a = rng.random(shape) < density
+            return a * rng.uniform(0.1, 2.0, size=shape) if weighted else a
+
+        sub = np.triu(edges((m, m)), 1)
+        sub = sub | sub.T if sub.dtype == np.bool_ else sub + sub.T
+        patterns = edges((n_new, m)).astype(np.float64)
+        y = rng.normal(size=m)
+        assert same_outcome(scores_in_blocks(sub, patterns, spec, y, mu, rows),
+                            scores_node_by_node(sub, patterns, spec, y, mu))
 
 
 class TestRunDataset:

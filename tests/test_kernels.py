@@ -240,6 +240,27 @@ class TestGraphKernelMatrix:
         with pytest.raises(ValueError):
             graph_kernel_matrix(g, GraphKernelSpec("diffusion", sigma2=1.0))
 
+    def test_many_specs_read_off_one_decomposition_as_each_alone(self, monkeypatch):
+        g = erdos_renyi(15, 0.3, 2)
+        specs = [GraphKernelSpec("diffusion", sigma2=s) for s in (1.0, 5.0, 10.0)]
+        specs += [GraphKernelSpec("bandlimited", band_size=b) for b in (1, 4, 15)]
+        alone = [graph_kernel_matrix(g, spec) for spec in specs]
+        eigh = mock.Mock(side_effect=np.linalg.eigh)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        together = kernels.graph_kernel_matrices(g, specs)
+        assert eigh.call_count == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, together, strict=True))
+
+
+@pytest.mark.parametrize("spec", [GraphKernelSpec("diffusion", sigma2=5.0), GraphKernelSpec("bandlimited", band_size=1),
+                                  GraphKernelSpec("bandlimited", band_size=3), GraphKernelSpec("bandlimited", band_size=9)])
+def test_graph_kernel_response_of_a_stack_is_each_row_s(spec):
+    # the band indexes eigenvalues, the last axis, never the stack's nodes
+    lam = np.sort(np.random.default_rng(0).uniform(0.0, 2.0, size=(4, 5)), axis=1)
+    stacked = kernels.graph_kernel_response(spec, lam)
+    rows = np.array([kernels.graph_kernel_response(spec, row) for row in lam])
+    assert stacked.shape == lam.shape and stacked.tobytes() == rows.tobytes()
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             GraphKernelSpec("diffusion")
