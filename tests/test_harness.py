@@ -742,8 +742,8 @@ class TestGkBlockScorer:
     def case(self, weighted, m=12, n_new=23, seed=0):
         g = erdos_renyi(60, 0.2, seed)
         if weighted:
-            weights = np.random.default_rng(seed).uniform(0.1, 2.0, size=(60, 60))
-            g = Graph(np.triu(g.adjacency * weights, 1) + np.triu(g.adjacency * weights, 1).T, directed=False)
+            upper = np.triu(g.adjacency * np.random.default_rng(seed).uniform(0.1, 2.0, size=(60, 60)), 1)
+            g = Graph(upper + upper.T)
         plan = sample_nodes(g, m, seed)
         sub = np.ascontiguousarray(g.adjacency[np.ix_(plan.sampled, plan.sampled)])
         patterns = _patterns(g.adjacency, plan.sampled, plan.unsampled[:n_new], "column", False)
