@@ -251,16 +251,6 @@ class TestGraphKernelMatrix:
         assert eigh.call_count == 1
         assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, together, strict=True))
 
-
-@pytest.mark.parametrize("spec", [GraphKernelSpec("diffusion", sigma2=5.0), GraphKernelSpec("bandlimited", band_size=1),
-                                  GraphKernelSpec("bandlimited", band_size=3), GraphKernelSpec("bandlimited", band_size=9)])
-def test_graph_kernel_response_of_a_stack_is_each_row_s(spec):
-    # the band indexes eigenvalues, the last axis, never the stack's nodes
-    lam = np.sort(np.random.default_rng(0).uniform(0.0, 2.0, size=(4, 5)), axis=1)
-    stacked = kernels.graph_kernel_response(spec, lam)
-    rows = np.array([kernels.graph_kernel_response(spec, row) for row in lam])
-    assert stacked.shape == lam.shape and stacked.tobytes() == rows.tobytes()
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             GraphKernelSpec("diffusion")
@@ -271,6 +261,16 @@ def test_graph_kernel_response_of_a_stack_is_each_row_s(spec):
     def test_diffusion_sigma2_must_be_finite_and_non_negative(self, sigma2):
         with pytest.raises(ValueError, match=r"^diffusion kernel needs a finite sigma2 >= 0$"):
             GraphKernelSpec("diffusion", sigma2=sigma2)
+
+
+@pytest.mark.parametrize("spec", [GraphKernelSpec("diffusion", sigma2=5.0), GraphKernelSpec("bandlimited", band_size=1),
+                                  GraphKernelSpec("bandlimited", band_size=3), GraphKernelSpec("bandlimited", band_size=9)])
+def test_graph_kernel_response_of_a_stack_is_each_row_s(spec):
+    # the band indexes eigenvalues, the last axis, never the stack's nodes
+    lam = np.sort(np.random.default_rng(0).uniform(0.0, 2.0, size=(4, 5)), axis=1)
+    stacked = kernels.graph_kernel_response(spec, lam)
+    rows = np.array([kernels.graph_kernel_response(spec, row) for row in lam])
+    assert stacked.shape == lam.shape and stacked.tobytes() == rows.tobytes()
 
 
 # ---------------------------------------------------------------------------
