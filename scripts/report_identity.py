@@ -6,7 +6,7 @@ Usage::
 
     python scripts/report_identity.py BASE_REF
 
-Nine runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
+Eleven runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
 with ``git archive`` into a temporary directory, so the repository is left
 untouched) and once on the working tree's ``src/``:
 
@@ -28,10 +28,19 @@ untouched) and once on the working tree's ``src/``:
   with three columns of -1 and +1 labels, ``standardize_labels = false``,
   the classification loss the name gives, and traces, so that mkl's
   cross-validation is checked under both classification losses;
+- ``dataset-directed``: a directed copy of the same graph, each edge
+  pointing one way or the other by a fair coin, with ``directed = true``,
+  ``symmetrize = false``, ``pattern_mode = concat``, methods mkl, kl and
+  knn, and traces, so that a node's in-link and out-link blocks differ and
+  k-NN reads out-links;
+- ``dataset-symmetrized``: the directed copy with ``directed = true`` and
+  the default ``symmetrize = true``, and all five methods, so that the
+  symmetrised graph reaches gk_df and gk_bl;
 - ``bench-newnode``: ``bench_sizes = 60,120`` with mkl, gk_df and knn,
   under the ``identity`` scenario, as the C10 acceptance config runs it.
 
-So every scenario and every pattern mode runs at least once.
+So every scenario and every pattern mode runs at least once, and so do
+both readings of a directed edge list.
 
 Each run is the command its name starts with: ``synthetic``, ``dataset``,
 ``regret`` or ``bench-newnode``.
@@ -85,7 +94,7 @@ def commented(text: str) -> str:
 
 
 def write_fixture(tmp: Path) -> dict:
-    """Configs for the nine runs; the dataset files live in ``tmp`` so both
+    """Configs for the eleven runs; the dataset files live in ``tmp`` so both
     trees see the same paths (they are echoed into summary.json)."""
     rng = np.random.default_rng(0)
     n = 60
@@ -104,7 +113,14 @@ def write_fixture(tmp: Path) -> dict:
     (tmp / "weighted.txt").write_text(
         commented("".join(f"n{i} n{j} {w:.6f}\n" for (i, j), w in zip(edges, weights)))
     )
-    dataset = ALL_METHODS + f"task = dataset\nedge_list = {tmp / 'edges.txt'}\nsample_counts = 10,20\ntrials = 2\n"
+    flips = rng.random(len(edges)) < 0.5
+    (tmp / "directed.txt").write_text(
+        commented("".join(f"n{j} n{i}\n" if flip else f"n{i} n{j}\n" for (i, j), flip in zip(edges, flips)))
+    )
+    counts = "sample_counts = 10,20\ntrials = 2\n"
+    dataset = ALL_METHODS + f"task = dataset\nedge_list = {tmp / 'edges.txt'}\n{counts}"
+    directed = (f"task = dataset\nedge_list = {tmp / 'directed.txt'}\ndirected = true\n"
+                f"labels = {tmp / 'labels.txt'}\n{counts}")
     classification = dataset + f"labels = {tmp / 'signs.txt'}\nstandardize_labels = false\nemit_traces = true\n"
     configs = {
         "synthetic": ALL_METHODS + "emit_traces = true\n",
@@ -118,6 +134,9 @@ def write_fixture(tmp: Path) -> dict:
         f"labels = {tmp / 'labels.txt'}\nsample_counts = 10,20\ntrials = 2\n",
         "dataset-hinge": classification + "loss = hinge\n",
         "dataset-logistic": classification + "loss = logistic\n",
+        "dataset-directed": directed + "symmetrize = false\npattern_mode = concat\nmethods = mkl,kl,knn\n"
+        "emit_traces = true\n",
+        "dataset-symmetrized": directed + ALL_METHODS,
         "bench-newnode": "bench_sizes = 60,120\nmethods = mkl,gk_df,knn\ntiming_reps = 1\ntiming_nodes = 5\n"
         "scenario = identity\n",
     }

@@ -14,6 +14,7 @@ from .graph import (
     erdos_renyi,
     load_edge_list,
     load_labels,
+    node_patterns,
     normalized_laplacian,
     sample_nodes,
     synth_signal,

@@ -11,7 +11,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, node_patterns
 
 
 class KnnInapplicableError(ValueError):
@@ -124,7 +124,7 @@ def knn_predict_batch(
             raise IndexError(f"{what} {int(a[bad][0])} out of range")
     if k < 1:
         raise ValueError("k must be >= 1")
-    weights = np.asarray(g.adjacency[np.ix_(nodes, ids)], dtype=np.float64)
+    weights = node_patterns(g, ids, nodes, "row")
     weights[nodes[:, None] == ids[None, :]] = 0.0  # a node is not its own neighbor
     n_candidates = (weights > 0).sum(axis=1)
     # a stable sort on -w orders candidates by (-w, id); the columns past a

@@ -1,4 +1,5 @@
-"""Graph representation, ingestion, random generation and node sampling.
+"""Graph representation, ingestion, random generation, node sampling and
+the one reader of node connectivity, :func:`node_patterns`.
 
 Adjacency is kept as a dense matrix; that is comfortably within desk scale
 for the graph sizes this package targets (a few thousand nodes).  An
@@ -112,10 +113,6 @@ class Graph:
     @property
     def n_nodes(self) -> int:
         return self.adjacency.shape[0]
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -258,6 +255,40 @@ def erdos_renyi(n: int, edge_prob: float, seed) -> Graph:
             a[cols, rows] = s.T
     a.setflags(write=False)
     return Graph(adjacency=a, directed=False)
+
+
+PATTERN_MODES = ("column", "row", "concat")
+
+
+def node_patterns(g: Graph, anchor, nodes, mode: str = "column", normalize: bool = False) -> np.ndarray:
+    """Connectivity of ``nodes`` to the ``anchor`` node set, one fresh
+    C-ordered float64 row per node; every read of a graph's connectivity
+    goes through here.
+
+    ``column`` reads a node's in-links from the anchors
+    (``adjacency[anchor, node]``), ``row`` its out-links to them
+    (``adjacency[node, anchor]``) and ``concat`` both, in-links first; only
+    the blocks the mode names are sliced.  ``normalize`` scales each row to
+    unit norm, and a zero row stays zero.  The width is frozen at
+    |anchor|, the known network at training time: a newly-joining node
+    supplies only its connectivity to it.
+    """
+    anchor = np.asarray(anchor, dtype=np.int64)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if mode not in PATTERN_MODES:
+        raise ValueError(f"unknown pattern mode {mode!r}")
+    blocks = []
+    if mode != "row":
+        blocks.append(g.adjacency[np.ix_(anchor, nodes)].T)
+    if mode != "column":
+        blocks.append(g.adjacency[np.ix_(nodes, anchor)])
+    pats = np.ascontiguousarray(blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1),
+                                dtype=np.float64)
+    if normalize:
+        norms = np.linalg.norm(pats, axis=1)
+        norms[norms == 0] = 1.0
+        pats /= norms[:, None]
+    return pats
 
 
 def normalized_laplacian(g: Graph) -> np.ndarray:

@@ -37,6 +37,7 @@ from .baselines import (
     spectral_ridge_predict,
 )
 from .graph import (
+    PATTERN_MODES,
     Graph,
     SamplingPlan,
     _check_weights,
@@ -45,6 +46,7 @@ from .graph import (
     erdos_renyi,
     load_edge_list,
     load_labels,
+    node_patterns,
     sample_nodes,
     synth_signal,
 )
@@ -52,7 +54,6 @@ from .kernels import (
     GraphKernelSpec,
     KernelSpec,
     eval_kernel_matrix,
-    graph_kernel_matrices,
     graph_kernel_matrix,
     graph_kernel_response,
     row_chunk,
@@ -70,7 +71,6 @@ from .mkl import (
 
 METHODS = ("mkl", "kl", "gk_df", "gk_bl", "knn")
 SCENARIOS = ("diffusion", "connectivity", "connectivity_anchored", "identity")
-PATTERN_MODES = ("column", "row", "concat")
 
 _DEFAULT_MU_GRID = tuple(10.0**-k for k in range(7, -1, -1))
 
@@ -138,7 +138,7 @@ class ExperimentConfig:
             raise ValueError("sample_fraction must be in (0, 1]")
         if not 0.0 <= self.cv_fraction < 1.0:
             raise ValueError("cv_fraction must be in [0, 1)")
-        for key in ("kernels", "methods", "mu_grid", "gk_sigma2_grid", "band_grid"):
+        for key in ("kernels", "methods", "mu_grid", "gk_sigma2_grid", "band_grid", "bench_sizes"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must be non-empty")
         # math.isfinite first, so that nan and inf are refused too
@@ -457,9 +457,9 @@ def _truth_kernel(config: ExperimentConfig, g: Graph, anchor):
         return lambda alpha: graph_kernel_matrix(g, spec) @ alpha
     every = np.arange(n)
     if config.scenario == "connectivity_anchored":
-        patterns = _patterns(g.adjacency, anchor, every, config.pattern_mode, False)
+        patterns = node_patterns(g, anchor, every, config.pattern_mode)
     else:
-        patterns = _patterns(g.adjacency, every, every, config.pattern_mode, config.normalize_patterns)
+        patterns = node_patterns(g, every, every, config.pattern_mode, config.normalize_patterns)
     spec = KernelSpec("gaussian", config.truth_sigma2)
     starts = list(range(0, n, max(_TRUTH_MIN_ROWS, row_chunk(8 * n))))
     if len(starts) > 1 and starts[-1] == n - 1:
@@ -469,31 +469,6 @@ def _truth_kernel(config: ExperimentConfig, g: Graph, anchor):
     return lambda alpha: np.concatenate(
         [eval_kernel_matrix(spec, patterns[i:j], patterns, norms) @ alpha for i, j in bounds]
     )
-
-
-def _patterns(adjacency, anchor, nodes, mode: str, normalize: bool) -> np.ndarray:
-    """Connectivity of ``nodes`` restricted to the ``anchor`` node set.
-
-    Feature dimension is frozen at |anchor| (the known network at training
-    time); newly-joining nodes supply only their connectivity to it.
-    """
-    anchor = np.asarray(anchor, dtype=np.int64)
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if mode not in PATTERN_MODES:
-        raise ValueError(f"unknown pattern mode {mode!r}")
-    col = adjacency[np.ix_(anchor, nodes)].T
-    if mode == "column":
-        pats = col
-    elif mode == "row":
-        pats = adjacency[np.ix_(nodes, anchor)]
-    else:
-        pats = np.concatenate([col, adjacency[np.ix_(nodes, anchor)]], axis=1)
-    pats = np.ascontiguousarray(pats, dtype=np.float64)
-    if normalize:
-        norms = np.linalg.norm(pats, axis=1)
-        norms[norms == 0] = 1.0
-        pats /= norms[:, None]  # pats is always a fresh array
-    return pats
 
 
 def _select(grid, y, cv_fraction: float, cv_predict):
@@ -625,7 +600,8 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
         # read off that spectrum, so no kernel matrix or ridge solve is formed,
         # and new nodes are scored in blocks (:func:`_gk_new_node_scores`).
         m = plan.sampled.size
-        sub = np.ascontiguousarray(g.adjacency[np.ix_(plan.sampled, plan.sampled)])
+        # the sampled nodes' own patterns are the induced subgraph, as float64
+        sub = node_patterns(g, plan.sampled, plan.sampled)
         sub.setflags(write=False)  # fresh and never written: Graph adopts it
         # one spec per knob, in grid order: _select keeps the first of equal errors
         knobs = config.gk_sigma2_grid if method == "gk_df" else sorted({min(b, m) for b in config.band_grid})
@@ -634,13 +610,12 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
         grid = [(mu, knob) for mu in config.mu_grid for knob in specs]
 
         def cv_predict(n):
-            # one decomposition of the subgraph and one of its CV prefix give
-            # every knob's two kernels, which serve every mu; zip regroups the
-            # predictions mu by mu, as grid runs
-            wholes = graph_kernel_matrices(Graph(sub), specs.values())
-            prefixes = graph_kernel_matrices(Graph(sub[:n, :n]), specs.values())
-            by_knob = [[whole[n:, :n] @ batch_kernel_ridge(prefix, y[:n], mu) for mu in config.mu_grid]
-                       for whole, prefix in zip(wholes, prefixes)]
+            # each knob's two kernels, on the subgraph and on its CV prefix,
+            # serve every mu; zip regroups the predictions mu by mu, as grid runs
+            by_knob = []
+            for spec in specs.values():
+                whole, prefix = (graph_kernel_matrix(Graph(a), spec) for a in (sub, sub[:n, :n]))
+                by_knob.append([whole[n:, :n] @ batch_kernel_ridge(prefix, y[:n], mu) for mu in config.mu_grid])
             return [preds for by_mu in zip(*by_knob) for preds in by_mu]
 
         mu, knob = _select(grid, y, config.cv_fraction, cv_predict)
@@ -650,7 +625,7 @@ def _fit_method(method: str, config, g: Graph, plan, seeds, y, train_x, eval_x) 
             score=lambda new_patterns: (_gk_new_node_scores(sub, new_patterns, specs[knob], y, mu), 0),
             # GK consumes raw connectivity to the sampled set, not the
             # normalized learner features.
-            inputs=_patterns(g.adjacency, plan.sampled, plan.unsampled, "column", False),
+            inputs=node_patterns(g, plan.sampled, plan.unsampled),
             notes=f"knob={knob}",
         )
     labeled = {int(node): float(val) for node, val in zip(plan.sampled, y)}
@@ -689,8 +664,8 @@ def _run_trials(
         n_trials += 1
         n_nodes, n_sampled = g.n_nodes, plan.n_sampled
         y = x[plan.sampled]
-        train_x = _patterns(g.adjacency, plan.sampled, plan.sampled, config.pattern_mode, config.normalize_patterns)
-        eval_x = _patterns(g.adjacency, plan.sampled, plan.unsampled, config.pattern_mode, config.normalize_patterns)
+        train_x = node_patterns(g, plan.sampled, plan.sampled, config.pattern_mode, config.normalize_patterns)
+        eval_x = node_patterns(g, plan.sampled, plan.unsampled, config.pattern_mode, config.normalize_patterns)
         truth_eval = x[plan.unsampled]
         undefined = ("empty eval set" if not truth_eval.size
                      else f"zero truth on the unsampled nodes of {trial_name(n_trials)}" if not truth_eval.any()
@@ -902,7 +877,7 @@ def run_regret(config: ExperimentConfig) -> Report:
         seeds_used.append(seeds["stream"])
         g, _, x = _draw_trial(config, config.n_nodes, seeds)
         every = np.arange(g.n_nodes)
-        pats = _patterns(g.adjacency, every, every, config.pattern_mode, config.normalize_patterns)
+        pats = node_patterns(g, every, every, config.pattern_mode, config.normalize_patterns)
         stream = np.random.default_rng(seeds["stream"]).integers(0, g.n_nodes, size=horizon)
         model = mkl_init(config.kernel_specs(), config.d, pats.shape[1], eta, mu, config.loss, seeds["map"])
         zs = mkl_encode(model, pats)[:, stream]

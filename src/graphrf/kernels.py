@@ -172,17 +172,8 @@ def graph_kernel_response(spec: GraphKernelSpec, lam: np.ndarray) -> np.ndarray:
 
 def graph_kernel_matrix(g: Graph, spec: GraphKernelSpec) -> np.ndarray:
     """Kernel matrix U r^+(Lambda) U^T from the normalized Laplacian."""
-    return graph_kernel_matrices(g, [spec])[0]
-
-
-def graph_kernel_matrices(g: Graph, specs) -> list[np.ndarray]:
-    """:func:`graph_kernel_matrix` of each spec in ``specs``, all read off
-    one eigendecomposition of the normalized Laplacian."""
     if g.directed:
         raise ValueError("graph kernels require an undirected graph")
     lam, u = np.linalg.eigh(normalized_laplacian(g))
-    out = []
-    for spec in specs:
-        k = (u * graph_kernel_response(spec, lam)) @ u.T
-        out.append((k + k.T) / 2.0)
-    return out
+    k = (u * graph_kernel_response(spec, lam)) @ u.T
+    return (k + k.T) / 2.0

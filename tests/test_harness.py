@@ -16,6 +16,8 @@ from graphrf import (
     ExperimentConfig,
     Graph,
     GraphKernelSpec,
+    MklTraces,
+    SamplingPlan,
     bench_newnode,
     conventional_nmse,
     erdos_renyi,
@@ -32,7 +34,7 @@ import graphrf.kernels
 import graphrf.mkl
 from graphrf import KernelSpec, eval_kernel_matrix, mkl_init, mkl_predict_batch, mkl_train, sample_nodes, synth_signal
 from graphrf.baselines import batch_kernel_ridge, spectral_ridge_predict
-from graphrf.graph import normalized_laplacian
+from graphrf.graph import node_patterns, normalized_laplacian
 from graphrf.harness import (
     _COLUMNS,
     SCENARIOS,
@@ -41,8 +43,9 @@ from graphrf.harness import (
     _draw_trial,
     _fit_method,
     _gk_new_node_scores,
-    _patterns,
+    _regret_bound_check,
     _select,
+    _standardize,
     _trial_seeds,
     config_from_dict,
 )
@@ -228,6 +231,7 @@ class TestConfig:
             ("kernels", "gaussian"),
             ("scenario", "x"),
             ("normalize_patterns", "maybe"),
+            ("bench_sizes", ""),
         ],
     )
     def test_out_of_range_value_names_its_key(self, key, value):
@@ -283,6 +287,62 @@ class TestSelect:
         chosen = _select(list(preds), self.y, 0.25, lambda n: [self.y[n:] + p for p in preds.values()])
         assert chosen == "far"
 
+    def test_the_training_share_is_rounded_not_floored(self):
+        # 0.75 of 10 nodes is 7.5, which rounds to 8; a floor would give 7
+        splits = []
+        _select(["a", "b"], np.arange(10.0), 0.25, lambda n: splits.append(n) or [np.zeros(10 - n)] * 2)
+        assert splits == [8]
+
+
+class TestTrialHelpers:
+    def test_trial_seeds_are_the_recorded_values(self):
+        # every report and benchmark reference rests on these draws
+        assert _trial_seeds(0, 0) == {"graph": 2968811710, "signal": 3677149159, "plan": 745650761,
+                                      "map": 2884920346, "stream": 2642120001}
+        assert _trial_seeds(7, 3) == {"graph": 3466196061, "signal": 1178487100, "plan": 3766853589,
+                                      "map": 2196405662, "stream": 1408722627}
+
+    def test_standardize_divides_by_the_population_std(self):
+        # mean 2.5 and population variance 1.25; the sample variance is 5/3
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        np.testing.assert_allclose(_standardize(x), (x - 2.5) / math.sqrt(1.25), rtol=1e-15, atol=0)
+
+    def test_a_knn_node_with_no_labelled_neighbour_scores_the_training_mean(self):
+        # path 0 - 1 - 2 and an isolated node 3, with nodes 0 and 1 labelled
+        a = np.zeros((4, 4))
+        a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 1.0
+        plan = SamplingPlan(np.array([0, 1]), np.array([2, 3]))
+        fitted = _fit_method("knn", ExperimentConfig(), Graph(a), plan, None, np.array([1.0, 4.0]), None, None)
+        preds, failures = fitted.score(fitted.inputs)
+        assert preds.tolist() == [4.0, 2.5]
+        assert failures == 1
+
+
+class TestRegretBoundCheck:
+    @pytest.mark.parametrize("mu, oracle_losses, theta_norms", [
+        # mu = 0: theta* = (1, 2) and (1/2, 1) fit both labels exactly
+        (0.0, (0.0, 0.0), (5.0, 1.25)),
+        # mu = 1/2, T = 2: theta* = y / 2 leaves residuals (1/2, 1), and
+        # theta* = 2 y / 5 leaves (1/5, 2/5); each loss adds T mu |theta*|^2
+        (0.5, (1.25 + 1.25, 0.2 + 0.8), (1.25, 0.8)),
+    ], ids=["mu=0", "mu=0.5"])
+    def test_margins_are_the_bound_written_out_by_hand(self, mu, oracle_losses, theta_norms):
+        # two kernels over T = 2 steps: kernel 0 encodes the steps as e1 and
+        # e2, kernel 1 as 2 e1 and 2 e2; the labels are 1 and 2
+        zs = np.array([np.eye(2), 2.0 * np.eye(2)])
+        ys = np.array([1.0, 2.0])
+        eta, horizon, grad = 0.5, 2, 3.0
+        traces = MklTraces(combined_loss=np.array([1.5, 2.5]), per_kernel_loss=np.zeros((2, 2)),
+                           weights=np.full((2, 2), 0.5), prediction=np.zeros(2), max_grad=np.array([grad, 1.0]))
+        check = _regret_bound_check(zs, ys, traces, eta, mu)
+        # bound = ln(P) / eta + |theta*|^2 / (2 eta) + eta G^2 T / 2 + eta T, against
+        # the online loss 1.5 + 2.5 less the comparator's regularised loss
+        expected = [math.log(2) / eta + norm / (2 * eta) + eta * grad**2 * horizon / 2 + eta * horizon
+                    - (4.0 - oracle) for oracle, norm in zip(oracle_losses, theta_norms)]
+        assert check["max_grad"] == grad
+        np.testing.assert_allclose(check["margins"], expected, rtol=1e-12, atol=0)
+        assert check["holds"]
+
 
 class TestColumns:
     def test_every_row_field_named_once(self):
@@ -335,18 +395,16 @@ class TestPatterns:
     def test_concat_is_column_then_row(self):
         g = erdos_renyi(7, 0.5, 0)
         anchor, nodes = [0, 2, 5], np.arange(7)
-        pats = _patterns(g.adjacency, anchor, nodes, "concat", False)
+        pats = node_patterns(g, anchor, nodes, "concat")
         assert pats.shape == (7, 2 * len(anchor))
-        expected = np.hstack(
-            [_patterns(g.adjacency, anchor, nodes, mode, False) for mode in ("column", "row")]
-        )
+        expected = np.hstack([node_patterns(g, anchor, nodes, mode) for mode in ("column", "row")])
         assert np.array_equal(pats, expected)
 
     def test_anchor_restriction_reads_adjacency_anchor_node(self):
         rng = np.random.default_rng(3)
         g = Graph(rng.random((9, 9)), directed=True)
         anchor, nodes = [7, 1, 4], [0, 4, 8, 2]
-        pats = _patterns(g.adjacency, anchor, nodes, "column", False)
+        pats = node_patterns(g, anchor, nodes, "column")
         assert pats.shape == (len(nodes), len(anchor))
         for i, node in enumerate(nodes):
             for k, a in enumerate(anchor):
@@ -358,15 +416,15 @@ class TestPatterns:
         a[0, 2] = a[2, 0] = 1.0
         a[1, 2] = a[2, 1] = 3.0
         g = Graph(a)  # nodes 3 and 4 reach no anchor
-        pats = _patterns(g.adjacency, [0, 1, 2], np.arange(5), "column", True)
+        pats = node_patterns(g, [0, 1, 2], np.arange(5), "column", True)
         np.testing.assert_allclose(np.linalg.norm(pats[:3], axis=1), 1.0, atol=1e-15)
         assert np.array_equal(pats[3:], np.zeros((2, 3)))
-        raw = _patterns(g.adjacency, [0, 1, 2], np.arange(3), "column", False)
+        raw = node_patterns(g, [0, 1, 2], np.arange(3), "column")
         np.testing.assert_allclose(pats[:3], raw / np.linalg.norm(raw, axis=1)[:, None])
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="pattern mode"):
-            _patterns(np.zeros((3, 3)), [0], [1], "diagonal", False)
+            node_patterns(Graph(np.zeros((3, 3))), [0], [1], "diagonal")
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -378,14 +436,14 @@ class TestPatterns:
         a = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
         if not directed:
             a = np.triu(a, 1) + np.triu(a, 1).T
-        adjacency = Graph(a, directed=directed).adjacency
+        g = Graph(a, directed=directed)
         anchor = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
         nodes = rng.integers(0, n, size=rng.integers(1, 2 * n))
-        raw = _patterns(adjacency, anchor, nodes, mode, False)
+        raw = node_patterns(g, anchor, nodes, mode)
         norms = np.linalg.norm(raw, axis=1)
         norms[norms == 0] = 1.0
         expected = raw / norms[:, None]
-        assert _patterns(adjacency, anchor, nodes, mode, True).tobytes() == expected.tobytes()
+        assert node_patterns(g, anchor, nodes, mode, True).tobytes() == expected.tobytes()
 
 
 def dense_truth_signal(config, g, plan, seeds):
@@ -395,8 +453,8 @@ def dense_truth_signal(config, g, plan, seeds):
         k = np.eye(g.n_nodes)
     else:
         anchored = config.scenario == "connectivity_anchored"
-        patterns = _patterns(
-            g.adjacency, plan.sampled if anchored else every, every, config.pattern_mode,
+        patterns = node_patterns(
+            g, plan.sampled if anchored else every, every, config.pattern_mode,
             config.normalize_patterns and not anchored,
         )
         k = eval_kernel_matrix(KernelSpec("gaussian", config.truth_sigma2), patterns, patterns)
@@ -561,7 +619,7 @@ def small_trial(**overrides):
     g = erdos_renyi(config.n_nodes, config.edge_prob, 3)
     plan = sample_nodes(g, 16, 4)
     y = np.random.default_rng(5).normal(size=plan.sampled.size)
-    x_train, x_eval = (_patterns(g.adjacency, plan.sampled, nodes, "column", True)
+    x_train, x_eval = (node_patterns(g, plan.sampled, nodes, "column", True)
                        for nodes in (plan.sampled, plan.unsampled))
     return config, g, plan, _trial_seeds(0, 0), y, x_train, x_eval
 
@@ -708,9 +766,10 @@ GK_SPECS = [GraphKernelSpec("diffusion", sigma2=5.0), GraphKernelSpec("bandlimit
 
 class TestGkCv:
     @pytest.mark.parametrize("method", ["gk_df", "gk_bl"])
-    def test_every_knob_is_read_off_one_decomposition_per_graph(self, monkeypatch, method):
-        # the subgraph and its CV prefix are each decomposed once, and every
-        # (mu, knob) entry predicts as its own two kernels would
+    def test_every_knob_is_read_off_its_own_two_kernels(self, monkeypatch, method):
+        # each knob's kernels of the subgraph and of its CV prefix are built
+        # through the harness's graph_kernel_matrix, one decomposition each,
+        # and every (mu, knob) entry predicts as those two kernels would
         config, g, plan, seeds, y, x_train, x_eval = small_trial()
         recorded = {}
         select = graphrf.harness._select
@@ -723,10 +782,13 @@ class TestGkCv:
         _fit_method(method, config, g, plan, seeds, y, x_train, x_eval)
         eigh = mock.Mock(side_effect=np.linalg.eigh)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
+        kernel = mock.Mock(side_effect=graph_kernel_matrix)
+        monkeypatch.setattr(graphrf.harness, "graph_kernel_matrix", kernel)
         n = 12  # cv_fraction 0.25 of 16
         preds = recorded["cv_predict"](n)
-        assert eigh.call_count == 2
-        assert len({knob for _, knob in recorded["grid"]}) > 1
+        knobs = len({knob for _, knob in recorded["grid"]})
+        assert knobs > 1
+        assert eigh.call_count == kernel.call_count == 2 * knobs
         sub = g.adjacency[np.ix_(plan.sampled, plan.sampled)]
         for (mu, knob), got in zip(recorded["grid"], preds, strict=True):
             spec = (GraphKernelSpec("diffusion", sigma2=knob) if method == "gk_df"
@@ -746,7 +808,7 @@ class TestGkBlockScorer:
             g = Graph(upper + upper.T)
         plan = sample_nodes(g, m, seed)
         sub = np.ascontiguousarray(g.adjacency[np.ix_(plan.sampled, plan.sampled)])
-        patterns = _patterns(g.adjacency, plan.sampled, plan.unsampled[:n_new], "column", False)
+        patterns = node_patterns(g, plan.sampled, plan.unsampled[:n_new])
         patterns[1] = 0.0  # a new node with no edge into the sampled set
         return sub, patterns, np.random.default_rng(seed + 1).normal(size=m)
 

@@ -240,17 +240,6 @@ class TestGraphKernelMatrix:
         with pytest.raises(ValueError):
             graph_kernel_matrix(g, GraphKernelSpec("diffusion", sigma2=1.0))
 
-    def test_many_specs_read_off_one_decomposition_as_each_alone(self, monkeypatch):
-        g = erdos_renyi(15, 0.3, 2)
-        specs = [GraphKernelSpec("diffusion", sigma2=s) for s in (1.0, 5.0, 10.0)]
-        specs += [GraphKernelSpec("bandlimited", band_size=b) for b in (1, 4, 15)]
-        alone = [graph_kernel_matrix(g, spec) for spec in specs]
-        eigh = mock.Mock(side_effect=np.linalg.eigh)
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        together = kernels.graph_kernel_matrices(g, specs)
-        assert eigh.call_count == 1
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(alone, together, strict=True))
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             GraphKernelSpec("diffusion")
