@@ -12,6 +12,10 @@ Whenever D >= N, whoever holds V can: ``arctan2`` of the sin and cos halves
 gives V.a (when every |v_i.a| < pi), and one least-squares solve against V
 returns a.  The defaults (d = 100 against 10 anchors) and the README quick
 start (D = 100, N = 25) sit in that regime, and every checkpoint embeds V.
+Batch scoring from raw patterns (:func:`~graphrf.mkl.mkl_predict_batch`),
+on the side that holds V, takes :func:`project_stacked`'s V.a and reads a
+learner's weights as an amplitude and a phase per feature; learning, and
+scoring from encodings, still consume z alone.
 
 Maps are immutable once built and encoding is pure, so batches of nodes can
 be encoded concurrently against a shared map.  :func:`encode_stacked` is the
@@ -86,29 +90,43 @@ class RFMap:
         return self.encode_batch(a[None, :])[0]
 
 
-def encode_stacked(v_block: np.ndarray, patterns) -> np.ndarray:
-    """Encode the rows of a (T, N) array under P maps at once.
+def project_stacked(v_block: np.ndarray, patterns) -> np.ndarray:
+    """The (P, T, D) projections x = a V_p^T of the rows of a (T, N) array
+    under P maps, or a ``ValueError`` for patterns of the wrong shape or not
+    finite.
 
-    ``v_block`` is the (P, D, N) stack of the maps' spectral matrices; the
-    result is the (P, T, 2D) stack of their encodings.  The products take one
-    batched matmul, which numpy runs as one BLAS call per map with the shapes
-    a single map's call has, so every map's encoding is bit-identical to
-    encoding under that map alone.  (One (P*D, N) product is not: BLAS picks
-    its kernel and blocking by shape, and the results differ in the last bits.)
-    One sin, one cos and one scaling then cover all P maps.
+    ``v_block`` is the (P, D, N) stack of the maps' spectral matrices.  The
+    products take one batched matmul, which numpy runs as one BLAS call per
+    map with the shapes a single map's call has, so every map's projection is
+    bit-identical to projecting under that map alone.  (One (P*D, N) product
+    is not: BLAS picks its kernel and blocking by shape, and the results
+    differ in the last bits.)
     """
     a = np.asarray(patterns, dtype=np.float64)
     if a.ndim < 2:
         a = a.reshape(1, -1)  # np.atleast_2d, without its cost per call
-    n_maps, d, n = v_block.shape
+    n = v_block.shape[2]
     if a.ndim != 2:
         raise ValueError(f"patterns must be one pattern or a (T, N) array of them, got shape {a.shape}")
     if a.shape[1] != n:
         raise ValueError(f"patterns have dimension {a.shape[1]}, map expects {n}")
     if not np.isfinite(a).all():
         raise ValueError("patterns must be finite")
-    x = np.matmul(a, v_block.transpose(0, 2, 1))
-    out = np.empty((n_maps, a.shape[0], 2 * d))
+    return np.matmul(a, v_block.transpose(0, 2, 1))
+
+
+def encode_stacked(v_block: np.ndarray, patterns) -> np.ndarray:
+    """Encode the rows of a (T, N) array under P maps at once.
+
+    ``v_block`` is the (P, D, N) stack of the maps' spectral matrices; the
+    result is the (P, T, 2D) stack of their encodings.  The projections are
+    :func:`project_stacked`'s, so every map's encoding is bit-identical to
+    encoding under that map alone.  One sin, one cos and one scaling then
+    cover all P maps.
+    """
+    x = project_stacked(v_block, patterns)
+    d = x.shape[2]
+    out = np.empty(x.shape[:2] + (2 * d,))
     np.sin(x, out=out[..., :d])
     np.cos(x, out=out[..., d:])
     out *= d**-0.5

@@ -141,6 +141,8 @@ class ExperimentConfig:
         for key in ("kernels", "methods", "mu_grid", "gk_sigma2_grid", "band_grid", "bench_sizes"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must be non-empty")
+        if self.sample_counts is not None and not len(self.sample_counts):
+            raise ValueError("sample_counts must be non-empty; leave it out to sample by sample_fraction")
         # math.isfinite first, so that nan and inf are refused too
         for key, bound in (("noise_var", ">= 0"), ("regret_mu", ">= 0"), ("mu_grid", ">= 0"),
                            ("truth_sigma2", "> 0"), ("kl_sigma2", "> 0"), ("gk_sigma2_grid", "> 0")):

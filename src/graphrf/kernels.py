@@ -113,23 +113,26 @@ def eval_kernel_matrix(spec: KernelSpec, xs, ys, ys_norms=None) -> np.ndarray:
         raise ValueError("xs and ys must have the same feature dimension")
     out = np.empty((xs.shape[0], ys.shape[0]))
     if spec.family == "gaussian":
-        # (xn + yn) - 2.0 * xs @ ys.T, the same operations in the same order,
-        # with the output the only array of its size.  The product is one
-        # call, written into the output, as a product split by rows can round
-        # differently in BLAS; 2.0 * xs is a new array, so numpy does not take
-        # its syrk path when xs is ys.  The sums follow a row chunk at a time
+        # exp(-max((xn + yn) - 2.0 * xs @ ys.T, 0) / (2 bw)), with the output
+        # the only array of its size.  The product is one call, written into
+        # the output, as a product split by rows can round differently in
+        # BLAS; 2.0 * xs is a new array, so numpy does not take its syrk path
+        # when xs is ys.  The rest runs a row chunk at a time, in place while
+        # the chunk is in cache.  Dividing by -2 bw gives the bits of negating
+        # and then dividing by 2 bw, as rounding is symmetric in sign, and a
+        # -0 from the maximum still gives exp(-0) = 1
         xn = (xs * xs).sum(axis=1)
         yn = (ys * ys).sum(axis=1) if ys_norms is None else ys_norms
         np.matmul(2.0 * xs, ys.T, out=out)
+        scale = -2.0 * spec.bandwidth
         chunk = row_chunk(8 * ys.shape[0])
         for i0 in range(0, xs.shape[0], chunk):
             blk = out[i0 : i0 + chunk]
             np.subtract(xn[i0 : i0 + chunk, None] + yn[None, :], blk, out=blk)
-        np.clip(out, 0.0, None, out=out)
-        # exp(-sq / (2 bw)), in place
-        np.negative(out, out=out)
-        out /= 2.0 * spec.bandwidth
-        return np.exp(out, out=out)
+            np.maximum(blk, 0.0, out=blk)
+            blk /= scale
+            np.exp(blk, out=blk)
+        return out
     chunk = row_chunk(8 * ys.shape[0] * xs.shape[1])
     for i0 in range(0, xs.shape[0], chunk):
         d = np.abs(xs[i0 : i0 + chunk, None, :] - ys[None, :, :])

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _CLASSIFICATION, LossKind, _check_label
-from .features import RFMap, _map_bytes, _map_from_bytes, build_map, encode_stacked
+from .features import RFMap, _map_bytes, _map_from_bytes, build_map, encode_stacked, project_stacked
 from .kernels import KernelSpec
 
 
@@ -199,17 +199,44 @@ def _one_node(connectivity) -> np.ndarray:
 
 
 def mkl_predict_batch(model: MklModel, patterns) -> np.ndarray:
-    # one map's encoding at a time: the (P, T, 2D) block of mkl_encode peaks higher
-    return mkl_predict_encoded(model, (m.encode_batch(patterns) for m in model.maps))
+    """Hedge-weighted combination of the per-kernel predictions for the rows
+    of a (T, N) array of patterns, combined as :func:`mkl_predict_encoded`
+    combines them.
+
+    With s and c the sine and cosine halves of a learner's θ and x = V a,
+    the score θ.z(a) = D^{-1/2} sum_i (s_i sin x_i + c_i cos x_i) is read as
+    sum_i rho_i sin(x_i + phi_i), with rho = hypot(s, c) D^{-1/2} and phi =
+    atan2(c, s) (the phase-shifted form of random Fourier features; Rahimi
+    and Recht, NIPS 2007): one sine per feature, not a sine and a cosine.
+    The scores agree with scoring :func:`mkl_encode`'s encodings up to the
+    rounding of x + phi, about eps * sum_i rho_i (|x_i| + pi) per kernel.
+    rho and phi are derived on each call, never cached: :func:`_with_fields`
+    copies a model's cached values into every model trained from it.
+    """
+    d = model.maps[0].d
+    sines, cosines = model.thetas[:, :d], model.thetas[:, d:]
+    amplitude = np.hypot(sines, cosines)
+    amplitude *= d**-0.5
+    phase = np.arctan2(cosines, sines)
+    # one map's (T, D) projection at a time, shifted and taken through sin in place
+    xs = (project_stacked(model._v_block[p : p + 1], patterns)[0] for p in range(model.n_kernels))
+    waves = (np.sin(np.add(x, phi, out=x), out=x) for x, phi in zip(xs, phase))
+    return _combined(model, waves, amplitude)
 
 
 def mkl_predict_encoded(model: MklModel, zs) -> np.ndarray:
     """Hedge-weighted sum of the per-kernel predictions, in kernel order, from
     P encodings of T rows: the (P, T, 2D) block of :func:`mkl_encode`, or any
     iterable of one (T, 2D) encoding per map."""
+    return _combined(model, zs, model.thetas)
+
+
+def _combined(model: MklModel, features, weights: np.ndarray) -> np.ndarray:
+    """sum_p w_p (features_p @ weights_p), in kernel order, with w the model's
+    normalized hedge weights."""
     out = None
-    # map, unlike zip, keeps no reference to an encoding while the next is drawn
-    for w, pred in zip(model.normalized_weights, map(np.matmul, zs, model.thetas)):
+    # map, unlike zip, keeps no reference to a feature block while the next is drawn
+    for w, pred in zip(model.normalized_weights, map(np.matmul, features, weights)):
         contrib = w * pred
         out = contrib if out is None else out + contrib
     return out

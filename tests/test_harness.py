@@ -232,6 +232,7 @@ class TestConfig:
             ("scenario", "x"),
             ("normalize_patterns", "maybe"),
             ("bench_sizes", ""),
+            ("sample_counts", ""),
         ],
     )
     def test_out_of_range_value_names_its_key(self, key, value):

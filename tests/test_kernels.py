@@ -136,6 +136,45 @@ class TestEvalKernelMatrix:
             got = eval_kernel_matrix(KernelSpec(family, bw), xs, ys, norms)
         assert got.tobytes() == expected.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 44), cols=st.integers(1, 30), dim=st.integers(1, 12),
+        bw=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1), budget=st.sampled_from([0, 1 << 20]),
+        kind=st.sampled_from(["normal", "binary", "normalized"]), self_gram=st.booleans(),
+        scale=st.sampled_from([1.0, 1e3]),
+    )
+    def test_gaussian_tail_per_chunk_is_the_whole_output_tail(
+        self, rows, cols, dim, bw, seed, budget, kind, self_gram, scale
+    ):
+        # the recipe that clips, negates, divides and exponentiates the whole
+        # output, one pass each, after the chunked sums.  At scale 1e3 the
+        # rounded squared distance of a row to itself is often negative, so
+        # the clip shows
+        rng = np.random.default_rng(seed)
+        xs = rng.normal(size=(rows, dim))
+        if kind != "normal":
+            xs = (xs > 0.5).astype(float)
+        if kind == "normalized":
+            xs /= np.maximum(np.linalg.norm(xs, axis=1, keepdims=True), 1.0)
+        xs *= scale
+        ys = xs if self_gram else xs[rng.integers(0, rows, size=cols)]
+        if kind == "normal" and not self_gram:
+            ys = ys + rng.normal(size=ys.shape)
+        expected = np.empty((rows, ys.shape[0]))
+        xn, yn = (xs * xs).sum(axis=1), (ys * ys).sum(axis=1)
+        np.matmul(2.0 * xs, ys.T, out=expected)
+        with mock.patch.object(kernels, "_ROW_CHUNK_BYTES", budget):
+            chunk = kernels.row_chunk(8 * ys.shape[0])
+            got = eval_kernel_matrix(KernelSpec("gaussian", bw), xs, ys)
+        for i0 in range(0, rows, chunk):
+            blk = expected[i0 : i0 + chunk]
+            np.subtract(xn[i0 : i0 + chunk, None] + yn[None, :], blk, out=blk)
+        np.clip(expected, 0.0, None, out=expected)
+        np.negative(expected, out=expected)
+        expected /= 2.0 * bw
+        np.exp(expected, out=expected)
+        assert got.tobytes() == expected.tobytes()
+
     def test_gaussian_peaks_at_about_one_output(self):
         # the whole-array recipe holds the sum and the product, two outputs, at once
         xs = np.random.default_rng(5).random((1500, 20))

@@ -23,13 +23,14 @@ from graphrf import (
     save_mkl_checkpoint,
 )
 from graphrf import _kernels
-from graphrf.features import _HEADER, _MAGIC, RFMap, _map_bytes, build_map
+from graphrf.features import _HEADER, _MAGIC, RFMap, _map_bytes, build_map, project_stacked
 from graphrf.harness import _prefix_oracle_losses, fit_growth_exponent
 from graphrf.mkl import (
     absorb_new_node_mkl,
     mkl_encode,
     mkl_from_maps,
     mkl_predict_batch,
+    mkl_predict_encoded,
     mkl_train_encoded,
 )
 
@@ -580,8 +581,11 @@ class TestCheckpoint:
         model = load_mkl_checkpoint(GOLDEN_V2)
         assert model.thetas.shape == (2, 8)
         probe = np.array([[0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 1], [0.5, 0, 0.25, 1, 0, 0.75]], dtype=float)
-        recorded = ["0x1.3948937a66614p-2", "-0x1.4e135dd9b29d0p-4", "-0x1.f68b65b86a3e5p-3"]
-        assert mkl_predict_batch(model, probe).tolist() == [float.fromhex(h) for h in recorded]
+        recorded = ["0x1.3948937a66614p-2", "-0x1.4e135dd9b29d4p-4", "-0x1.f68b65b86a3e4p-3"]
+        scores = mkl_predict_batch(model, probe)
+        assert scores.tolist() == [float.fromhex(h) for h in recorded]
+        # the amplitude-phase scorer stays within rounding of scoring the encodings
+        assert np.abs(scores - mkl_predict_encoded(model, mkl_encode(model, probe))).max() <= 1e-15
         save_mkl_checkpoint(model, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == GOLDEN_V2.read_bytes()
 
@@ -865,6 +869,71 @@ def test_fused_encoding_is_the_per_map_encoding_bit_for_bit(case):
     assert fused.shape == (model.n_kernels, patterns.shape[0], 2 * model.maps[0].d)
     assert np.array_equal(fused, per_map)
     assert np.array_equal(fused, np.stack(reference))
+
+
+@st.composite
+def scorer_cases(draw):
+    """A trained-looking model of every kernel family, P in {1, 2, 3}, with
+    some rows of θ all zero, and a small batch of patterns."""
+    n_maps = draw(st.integers(1, 3))
+    d, n, n_rows = draw(st.integers(1, 12)), draw(st.integers(1, 10)), draw(st.integers(1, 8))
+    families = draw(st.lists(st.sampled_from(["gaussian", "laplacian", "cauchy"]), min_size=n_maps, max_size=n_maps))
+    specs = [KernelSpec(f, draw(st.sampled_from([0.5, 1.0, 5.0]))) for f in families]
+    model = mkl_init(specs, d, n, 0.5, 1e-3, "least_squares", draw(st.integers(0, 1000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thetas = rng.normal(size=(n_maps, 2 * d)) * draw(st.sampled_from([1e-3, 1.0, 50.0]))
+    thetas[draw(st.lists(st.booleans(), min_size=n_maps, max_size=n_maps))] = 0.0
+    model = MklModel(model.maps, thetas, rng.normal(size=n_maps), model.eta, model.loss, model.seed)
+    if draw(st.booleans()):
+        patterns = (rng.random((n_rows, n)) < 0.3).astype(float)
+    else:
+        patterns = rng.normal(size=(n_rows, n)) * draw(st.sampled_from([1.0, 30.0]))
+    return model, patterns
+
+
+def amplitude_phase_bound(model, patterns):
+    """First-order bound on |mkl_predict_batch - mkl_predict_encoded(mkl_encode)|.
+
+    Per feature, with rho = hypot(s, c) D^{-1/2}: the scorer rounds phi (at
+    most pi in size) and x + phi, so sin's argument is off by at most
+    eps (|x| + 3 pi); sin, rho and each of the D products and sums add at
+    most eps (4 + D) rho.  The encoding's path rounds sin or cos, the scaling
+    and 2D products and sums, at most eps (6 + 3D) rho in all.  Weighting and
+    summing the P kernels then adds at most 4 P eps rho per kernel.
+    """
+    eps = np.finfo(np.float64).eps
+    x = project_stacked(model._v_block, patterns)
+    d, n_maps = x.shape[2], x.shape[0]
+    rho = np.hypot(model.thetas[:, :d], model.thetas[:, d:]) * d**-0.5
+    per_kernel = np.matmul(np.abs(x) + (3 * math.pi + 10 + 4 * d + 4 * n_maps), rho[:, :, None])[..., 0]
+    return eps * (model.normalized_weights @ per_kernel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scorer_cases())
+def test_amplitude_phase_scores_are_the_encoded_scores_within_rounding(case):
+    model, patterns = case
+    scores = mkl_predict_batch(model, patterns)
+    encoded = mkl_predict_encoded(model, mkl_encode(model, patterns))
+    assert scores.shape == (patterns.shape[0],)
+    assert (np.abs(scores - encoded) <= amplitude_phase_bound(model, patterns)).all()
+    zero = MklModel(model.maps, np.zeros_like(model.thetas), model.log_weights, model.eta, model.loss)
+    assert (mkl_predict_batch(zero, patterns) == 0.0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(scorer_cases(), st.sampled_from(["absorb", "update"]))
+def test_an_updated_model_scores_as_a_model_rebuilt_from_its_weights(case, step):
+    # the first model scores before the step, so anything it cached would
+    # carry into the updated model and show here
+    model, patterns = case
+    mkl_predict_batch(model, patterns)
+    if step == "absorb":
+        _, model = absorb_new_node_mkl(model, patterns[0], 0.7)
+    else:
+        model, _ = mkl_update(model, patterns[0], 0.7)
+    rebuilt = MklModel(model.maps, model.thetas, model.log_weights, model.eta, model.loss, model.seed)
+    assert np.array_equal(mkl_predict_batch(model, patterns), mkl_predict_batch(rebuilt, patterns))
 
 
 def test_encoding_each_node_once_and_gathering_is_encoding_the_gathered_rows():
