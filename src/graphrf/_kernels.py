@@ -20,7 +20,9 @@ any R, so a learner of a P-kernel pass is bit-identical to the P = 1 pass
 over its stream alone.  The hedge is replayed per group, so each group's
 arrays are those of its own pass, bit for bit.
 
-A pass of one sample over fewer than 8 kernels and one μ, which is what a
+Every sum and maximum over the kernel axis folds its P entries left to
+right, at any P: a sum adds from 0.0, and of equal entries (0.0 and -0.0) a
+maximum keeps the last.  A pass of one sample and one μ, which is what a
 labelled join and ``mkl_update`` make, takes a one-step branch inside
 :func:`mkl_stream` instead.  It runs ``learner_block``'s numpy operations
 and the replay's arithmetic in the same order, the P-length hedge
@@ -177,10 +179,10 @@ def mkl_stream(zs, ys, eta, kind, mus, thetas, logw):
     and groups never mix, so each group's arrays are those of its own pass,
     bit for bit.
 
-    One sample over fewer than 8 kernels and one μ takes :func:`_one_step`,
-    which returns the same arrays bit for bit.
+    One sample and one μ take :func:`_one_step`, which returns the same
+    arrays bit for bit: the replay folds the kernel axis as it does.
     """
-    if len(ys) == 1 and len(mus) == 1 and logw.shape[1] < 8:
+    if len(ys) == 1 and len(mus) == 1:
         step = _one_step(zs[:, 0], float(ys[0]), eta, kind, mus[0], thetas, logw)
         if step is not None:
             return step
@@ -203,12 +205,13 @@ def mkl_stream(zs, ys, eta, kind, mus, thetas, logw):
     np.add.accumulate(after, axis=0, out=after)
     after *= eta
     np.subtract(logw, after, out=after)
-    hist -= np.maximum.reduce(hist, axis=-1, keepdims=True)
+    hist -= np.maximum.accumulate(hist, axis=-1)[..., -1:]
     weights = np.exp(hist[:-1])
-    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    weights /= np.add.accumulate(weights, axis=-1)[..., -1:]
     # weighted prediction and norm as (T, G, 1) columns, so that at P = 1 the
-    # combined loss takes exactly the per-kernel loss's arithmetic
-    f_hat, norm_bar = np.add.reduce(weights * pred_norm, axis=-1, keepdims=True)
+    # combined loss takes exactly the per-kernel loss's arithmetic; + 0.0
+    # signs a sum of -0.0 entries as a sum that starts from 0.0
+    f_hat, norm_bar = np.add.accumulate(weights * pred_norm, axis=-1)[..., -1:] + 0.0
     combined = (cost_value(kind, f_hat, y) + mu * norm_bar)[..., 0]
     if n_steps:
         logw[:] = hist[-1]
@@ -217,11 +220,10 @@ def mkl_stream(zs, ys, eta, kind, mus, thetas, logw):
 
 
 def _weights_floats(log_weights):
-    """The normalised hedge weights of fewer than 8 finite log-weights, as
-    floats rounded as :func:`mkl_stream` rounds them.  Of equal entries (0.0
-    and -0.0) numpy's maximum keeps the last, as max over the reversed list
-    does, and numpy sums fewer than 8 entries left to right from 0.0.  (From 8
-    entries on it sums in pairs, and this order no longer holds.)"""
+    """The normalised hedge weights of finite log-weights, as floats rounded
+    as :func:`mkl_stream` rounds them.  Of equal entries (0.0 and -0.0)
+    np.maximum keeps the later, as max over the reversed list does, and the
+    sum runs left to right from 0.0."""
     top = max(reversed(log_weights))
     scale = np.exp(np.array([w - top for w in log_weights])).tolist()
     total = 0.0
@@ -233,16 +235,14 @@ def _weights_floats(log_weights):
 def normalized_weights(log_weights) -> np.ndarray:
     """The hedge weights exp(w - max w) of an array of log-weights, scaled to
     sum to 1."""
-    weights = np.exp(log_weights - log_weights.max())
-    weights /= weights.sum()
+    weights = np.exp(log_weights - np.maximum.accumulate(log_weights)[-1])
+    weights /= np.add.accumulate(weights)[-1]
     return weights
 
 
 def hedge_mix(log_weights, values) -> float:
     """The hedge-weighted sum of P per-kernel values, rounded as
     :func:`mkl_stream` rounds its combined prediction."""
-    if len(log_weights) >= 8:
-        return float((normalized_weights(log_weights) * values).sum())
     total = 0.0
     for w, v in zip(_weights_floats(log_weights.tolist()), values.tolist()):
         total += w * v
@@ -250,7 +250,7 @@ def hedge_mix(log_weights, values) -> float:
 
 
 def _one_step(z, y, eta, kind, mu, thetas, logw):
-    """:func:`mkl_stream` over one sample of P < 8 kernels and one μ, bit for
+    """:func:`mkl_stream` over one sample of P kernels and one μ, bit for
     bit.
 
     ``z`` is the (P, 2D) encoding and logw is (1, P).  Every operation of

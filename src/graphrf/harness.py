@@ -370,7 +370,8 @@ def _cell(value, missing: str | None) -> str:
 
 def write_report(report: Report, out_dir) -> None:
     """Write ``report.tsv``, ``summary.json`` and one ``traces/<name>.tsv``
-    per entry of ``report.traces``; the runners themselves write nothing."""
+    per entry of ``report.traces``, and remove any other ``traces/*.tsv``,
+    which an earlier report left; the runners themselves write nothing."""
     # render both before writing either: a report that cannot be written as
     # JSON (a non-finite value) leaves no report.tsv behind
     tsv, summary = report.to_tsv(), report.to_json()
@@ -378,6 +379,9 @@ def write_report(report: Report, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.tsv").write_text(tsv, encoding="utf-8")
     (out / "summary.json").write_text(summary, encoding="utf-8")
+    for stale in (out / "traces").glob("*.tsv"):
+        if stale.stem not in report.traces:
+            stale.unlink()
     if report.traces:
         (out / "traces").mkdir(exist_ok=True)
     for name, (names, columns) in report.traces.items():
@@ -722,10 +726,14 @@ def _run_trials(
     return rows, {f"{method}_trial0": _mkl_trace_table(t) for method, t in first_traces.items()}
 
 
-def _require_least_squares(config: ExperimentConfig, run: str) -> None:
-    """Refuse, before any trial, a loss that the run's real-valued signal cannot train."""
+def _check_random_graph_run(config: ExperimentConfig, run: str) -> None:
+    """Refuse, before any trial, a loss that the run's real-valued signal
+    cannot train, and ``sample_counts``, which only dataset runs read, so
+    that no report echoes counts that no trial used."""
     if config.loss != "least_squares":
         raise ValueError(f"{run} runs require the least-squares loss, got loss = {config.loss!r}")
+    if config.sample_counts is not None:
+        raise ValueError(f"{run} runs ignore sample_counts, got {list(config.sample_counts)}: leave it out")
 
 
 def _draw_trial(config: ExperimentConfig, n: int, seeds: dict):
@@ -742,7 +750,7 @@ def _draw_trial(config: ExperimentConfig, n: int, seeds: dict):
 def run_synthetic(config: ExperimentConfig) -> Report:
     """Random-graph benchmark: train on M sampled nodes, score the rest as
     newly-joining nodes, aggregate over independent trials."""
-    _require_least_squares(config, "synthetic")
+    _check_random_graph_run(config, "synthetic")
     seeds = [_trial_seeds(config.base_seed, trial) for trial in range(config.trials)]
     rows, traces = _run_trials(config, ((*_draw_trial(config, config.n_nodes, s), s) for s in seeds))
     return Report(rows=rows, config=config, seeds=[s["graph"] for s in seeds], traces=traces)
@@ -867,7 +875,7 @@ def _prefix_oracle_losses(zs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarr
 def run_regret(config: ExperimentConfig) -> Report:
     """Stream T node samples, train online, and compare against the
     per-prefix batch comparator in the executed random-feature classes."""
-    _require_least_squares(config, "regret")
+    _check_random_graph_run(config, "regret")
     horizon = config.regret_T
     eta = config.eta_value(horizon)
     mu = config.regret_mu
@@ -962,7 +970,7 @@ def bench_newnode(config: ExperimentConfig) -> Report:
     Only timing is claimed here.  The signal scenario comes from the config,
     so pass ``scenario="identity"`` for the cheap kernel, as C10 does.
     """
-    _require_least_squares(config, "bench-newnode")
+    _check_random_graph_run(config, "bench-newnode")
     if config.emit_traces:
         raise ValueError("bench-newnode runs write no traces: set emit_traces = false")
     rows = []

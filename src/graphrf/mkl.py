@@ -325,8 +325,8 @@ def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, M
 
 def _labelled_step(model: MklModel, zs: np.ndarray, label) -> tuple[tuple, MklModel]:
     """One sample's (P, 1, 2D) encoding through the stream as a grid of one μ
-    (below 8 kernels, its one-step branch): the stream's arrays and ``model``
-    after the step.  The label is checked as a training pass checks it."""
+    (its one-step branch): the stream's arrays and ``model`` after the step.
+    The label is checked as a training pass checks it."""
     labels = _label_array([label])
     _check_label(model.loss, labels[0])
     thetas, logw = model.thetas.copy(), model.log_weights.copy()

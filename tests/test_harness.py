@@ -560,6 +560,18 @@ class TestRunSynthetic:
         assert (tmp_path / "a/summary.json").read_bytes() == (tmp_path / "b/summary.json").read_bytes()
         assert r1.to_tsv() == r2.to_tsv()
 
+    def test_report_is_the_golden_file_byte_for_byte(self, tmp_path):
+        # tests/data/synthetic_report.tsv was written by this config; its six
+        # significant digits hide last-bit BLAS differences between CPUs,
+        # while a change to any method's scores or its chosen mu shows
+        config = ExperimentConfig(
+            n_nodes=60, trials=2, scenario="connectivity_anchored", sample_fraction=0.2, d=20,
+            methods=("mkl", "kl", "gk_df", "gk_bl", "knn"),
+        )
+        write_report(run_synthetic(config), tmp_path)
+        golden = Path(__file__).parent / "data" / "synthetic_report.tsv"
+        assert (tmp_path / "report.tsv").read_bytes() == golden.read_bytes()
+
     def test_a_trial_is_freed_before_the_next_is_drawn(self, monkeypatch):
         drawn = []
 
@@ -1310,6 +1322,18 @@ class TestBenchNewnode:
             bench_newnode(ExperimentConfig(emit_traces=True))
 
 
+@pytest.mark.parametrize("runner", [run_synthetic, run_regret, bench_newnode])
+def test_sample_counts_refused_before_any_trial_of_a_run_that_ignores_it(monkeypatch, runner):
+    # only dataset runs sweep sample_counts; the others sample by
+    # sample_fraction or stream nodes, and their summary.json would echo it
+    def no_graph(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(graphrf.harness, "erdos_renyi", no_graph)
+    with pytest.raises(ValueError, match=r"ignore sample_counts, got \[30\]: leave it out"):
+        runner(ExperimentConfig(n_nodes=60, trials=1, methods=("knn",), sample_counts=(30,)))
+
+
 class TestWriteReport:
     RUNS = {
         "synthetic": ExperimentConfig(
@@ -1355,6 +1379,17 @@ class TestWriteReport:
             "t\ta\tb\n1\t0.0\t0.1\n2\t1.0\t0.2\n3\t2.0\t0.3\n"
         )
         assert sorted(json.loads(report.to_json())) == ["config", "extras", "rows", "seeds"]
+
+    def test_a_report_removes_the_traces_an_earlier_report_left(self, tmp_path):
+        # an mkl,knn run with traces, then a knn run, into one directory: no
+        # mkl trace is left beside a report that has no mkl, and a file that
+        # no report writes stays
+        config = replace(self.RUNS["synthetic"], n_nodes=60)
+        write_report(run_synthetic(config), tmp_path)
+        assert self.files(tmp_path) == ["report.tsv", "summary.json", "traces/mkl_trial0.tsv"]
+        (tmp_path / "traces" / "notes.txt").write_text("kept")
+        write_report(run_synthetic(replace(config, methods=("knn",))), tmp_path)
+        assert self.files(tmp_path) == ["report.tsv", "summary.json", "traces/notes.txt"]
 
     def test_no_traces_no_traces_directory(self, tmp_path):
         write_report(run_synthetic(replace(self.RUNS["synthetic"], emit_traces=False)), tmp_path)

@@ -5,6 +5,7 @@ import re
 import struct
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -483,6 +484,28 @@ class TestOneStepJoin:
             assert model.thetas.tobytes() == thetas.tobytes()
             assert model.log_weights.tobytes() == logw.tobytes()
             assert not (model.thetas.flags.writeable or model.log_weights.flags.writeable)
+
+    @pytest.mark.parametrize("loss", _kernels.LOSS_KINDS)
+    def test_chained_joins_over_9_kernels_are_the_general_path_bit_for_bit(self, loss):
+        # 200 joins, a quarter of them score-only, each on the model the last
+        # one returned, through the one-step branch, against the stream with
+        # that branch declined; a score-only join is held to the pre-update
+        # prediction of the labelled one
+        specs = [KernelSpec(("gaussian", "laplacian", "cauchy")[p % 3], 1.0 + 2 * p) for p in range(9)]
+        rng = np.random.default_rng(26)
+        pats = (rng.random((200, 20)) < 0.2).astype(float)
+        labels = rng.normal(size=200) if loss == "least_squares" else rng.choice([-1.0, 1.0], size=200)
+        labelled = rng.random(200) >= 0.25
+        model = mkl_init(specs, 30, 20, 0.5, 1e-6, loss, 27)
+        for pattern, label, absorb in zip(pats, labels, labelled):
+            with mock.patch.object(_kernels, "_one_step", lambda *args: None):
+                expected, general = absorb_new_node_mkl(model, pattern, float(label))
+            with mock.patch.object(_kernels, "learner_block", None):
+                prediction, model = absorb_new_node_mkl(model, pattern, float(label) if absorb else None)
+            assert np.float64(prediction).tobytes() == np.float64(expected).tobytes()
+            if absorb:
+                assert model.thetas.tobytes() == general.thetas.tobytes()
+                assert model.log_weights.tobytes() == general.log_weights.tobytes()
 
     @pytest.mark.parametrize(
         "loss, label",
