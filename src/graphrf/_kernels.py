@@ -232,14 +232,6 @@ def _weights_floats(log_weights):
     return [s / total for s in scale]
 
 
-def normalized_weights(log_weights) -> np.ndarray:
-    """The hedge weights exp(w - max w) of an array of log-weights, scaled to
-    sum to 1."""
-    weights = np.exp(log_weights - np.maximum.accumulate(log_weights)[-1])
-    weights /= np.add.accumulate(weights)[-1]
-    return weights
-
-
 def hedge_mix(log_weights, values) -> float:
     """The hedge-weighted sum of P per-kernel values, rounded as
     :func:`mkl_stream` rounds its combined prediction."""

@@ -84,10 +84,15 @@ class RFMap:
 
     def encode(self, pattern) -> np.ndarray:
         """Encode one length-N pattern into its 2D-dimensional feature vector."""
-        a = np.asarray(pattern, dtype=np.float64)
-        if a.ndim != 1:
-            raise ValueError("pattern must be a vector")
-        return self.encode_batch(a[None, :])[0]
+        return self.encode_batch(one_node(pattern))[0]
+
+
+def one_node(pattern) -> np.ndarray:
+    """One node's 1-d pattern as a (1, N) batch, or a ``ValueError``."""
+    a = np.asarray(pattern, dtype=np.float64)
+    if a.ndim != 1:
+        raise ValueError(f"a node's pattern must be 1-d, got shape {a.shape}")
+    return a[None, :]
 
 
 def project_stacked(v_block: np.ndarray, patterns) -> np.ndarray:

@@ -322,8 +322,13 @@ def sample_nodes(g: Graph, m: int, seed) -> SamplingPlan:
     """Uniform m-subset of nodes without replacement, in random order."""
     if not 1 <= m <= g.n_nodes:
         raise ValueError(f"m must be in [1, {g.n_nodes}], got {m}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(g.n_nodes)
+    return _draw_plan(g.n_nodes, m, seed)
+
+
+def _draw_plan(ids, m: int, seed) -> SamplingPlan:
+    """The first m of one seeded permutation of ``ids`` (an array of node
+    indices, or a count n for 0..n-1) as the sampled nodes, the rest sorted."""
+    perm = np.random.default_rng(seed).permutation(ids)
     return SamplingPlan(sampled=perm[:m], unsampled=np.sort(perm[m:]))
 
 

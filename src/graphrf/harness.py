@@ -39,8 +39,8 @@ from .baselines import (
 from .graph import (
     PATTERN_MODES,
     Graph,
-    SamplingPlan,
     _check_weights,
+    _draw_plan,
     _lines,
     _normalized_laplacian,
     erdos_renyi,
@@ -69,6 +69,7 @@ from .mkl import (
     mkl_train_grid,
 )
 
+TASKS = ("synthetic", "dataset", "regret", "bench-newnode")
 METHODS = ("mkl", "kl", "gk_df", "gk_bl", "knn")
 SCENARIOS = ("diffusion", "connectivity", "connectivity_anchored", "identity")
 
@@ -151,6 +152,8 @@ class ExperimentConfig:
             if not all(math.isfinite(v) and (v >= 0.0 if bound == ">= 0" else v > 0.0) for v in values):
                 entries = " entries" if isinstance(value, tuple) else ""
                 raise ValueError(f"{key}{entries} must be finite and {bound}")
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}; valid: {TASKS}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; valid: {SCENARIOS}")
         if self.pattern_mode not in PATTERN_MODES:
@@ -166,10 +169,8 @@ class ExperimentConfig:
     def kernel_specs(self) -> tuple[KernelSpec, ...]:
         return tuple(KernelSpec(family, bw) for family, bw in self.kernels)
 
-    def eta_value(self, horizon: int | None = None) -> float:
-        if self.eta == "auto":
-            return 1.0 / math.sqrt(horizon) if horizon else 0.5
-        return float(self.eta)
+    def eta_value(self, horizon: int) -> float:
+        return 1.0 / math.sqrt(horizon) if self.eta == "auto" else float(self.eta)
 
 
 def _parse_bool(value) -> bool:
@@ -809,10 +810,7 @@ def run_dataset(config: ExperimentConfig) -> Report:
                 x[labeled_idx] = columns[:, col]
                 if config.standardize_labels:
                     x[labeled_idx] = _standardize(x[labeled_idx])
-                rng = np.random.default_rng(seeds["plan"])
-                order = rng.permutation(labeled_idx.size)
-                plan = SamplingPlan(labeled_idx[order[:count]], np.sort(labeled_idx[order[count:]]))
-                yield g, plan, x, seeds
+                yield g, _draw_plan(labeled_idx, count, seeds["plan"]), x, seeds
 
     def trial_name(i):
         """The label column and the trial of ``trials``' i-th item, 1-based."""
@@ -983,8 +981,8 @@ def bench_newnode(config: ExperimentConfig) -> Report:
         for row in _run_trials(timing_cfg, [(*_draw_trial(timing_cfg, size, seeds), seeds)])[0]:
             rows.append(row)
             extras["per_method"].setdefault(row.method, {})[str(size)] = row.newnode_time
-    for method, by_size in extras["per_method"].items():
-        times = [by_size[str(s)] for s in config.bench_sizes if by_size.get(str(s))]
-        if len(times) == len(config.bench_sizes) and times[0]:
-            extras["per_method"][method]["ratio_max_over_min"] = times[-1] / times[0]
+    largest, smallest = str(max(config.bench_sizes)), str(min(config.bench_sizes))
+    for by_size in extras["per_method"].values():
+        if all(by_size.get(str(s)) for s in config.bench_sizes):
+            by_size["ratio_max_over_min"] = by_size[largest] / by_size[smallest]
     return Report(rows=rows, config=config, seeds=seeds_used, extras=extras)

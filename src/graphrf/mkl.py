@@ -35,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import _CLASSIFICATION, LossKind, _check_label
-from .features import RFMap, _map_bytes, _map_from_bytes, build_map, encode_stacked, project_stacked
+from .features import RFMap, _map_bytes, _map_from_bytes, build_map, encode_stacked, one_node, project_stacked
 from .kernels import KernelSpec
 
 
@@ -106,7 +106,7 @@ class MklModel:
 
     @property
     def normalized_weights(self) -> np.ndarray:
-        return _kernels.normalized_weights(self.log_weights)
+        return np.array(_kernels._weights_floats(self.log_weights.tolist()))
 
     @property
     def learners(self) -> tuple[SimpleNamespace, ...]:
@@ -187,15 +187,7 @@ def mkl_from_maps(
 def mkl_predict(model: MklModel, connectivity) -> float:
     """Hedge-weighted combination of the per-kernel predictions for one node:
     the one-row case of :func:`mkl_predict_batch`."""
-    return float(mkl_predict_batch(model, _one_node(connectivity))[0])
-
-
-def _one_node(connectivity) -> np.ndarray:
-    """One node's 1-d pattern as a (1, N) batch."""
-    a = np.asarray(connectivity, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError(f"connectivity must be one node's 1-d pattern, got shape {a.shape}")
-    return a[None, :]
+    return float(mkl_predict_batch(model, one_node(connectivity))[0])
 
 
 def mkl_predict_batch(model: MklModel, patterns) -> np.ndarray:
@@ -319,7 +311,7 @@ def _checked(model: MklModel, thetas: np.ndarray, logw: np.ndarray, combined: np
 def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, MklTraces]:
     """One online step: every learner descends, every weight decays.  The
     traces hold that one step, a labelled join's :func:`_labelled_step`."""
-    stream, model = _labelled_step(model, mkl_encode(model, _one_node(connectivity)), label)
+    stream, model = _labelled_step(model, mkl_encode(model, one_node(connectivity)), label)
     return model, MklTraces(*(a[:, 0] for a in stream[:4]), stream[4][0])
 
 
@@ -353,7 +345,7 @@ def absorb_new_node_mkl(
     so a node scores bit-identically with or without its label;
     :func:`mkl_predict_encoded`'s matrix products round differently.
     """
-    zs = mkl_encode(model, _one_node(connectivity))
+    zs = mkl_encode(model, one_node(connectivity))
     if label is None:
         return _kernels.hedge_mix(model.log_weights, (model.thetas * zs[:, 0]).sum(axis=1)), model
     stream, model = _labelled_step(model, zs, label)

@@ -65,6 +65,11 @@ class TestEncode:
         with pytest.raises(ValueError):
             m.encode(np.zeros(7))
 
+    def test_two_d_pattern_rejected_with_its_shape(self):
+        m = build_map(KernelSpec("gaussian", 1.0), 3, 8, seed=1)
+        with pytest.raises(ValueError, match=r"1-d, got shape \(1, 8\)"):
+            m.encode(np.zeros((1, 8)))
+
     def test_stack_of_pattern_arrays_rejected(self):
         m = build_map(KernelSpec("gaussian", 1.0), 3, 8, seed=1)
         with pytest.raises(ValueError, match=r"\(T, N\) array.*\(2, 8, 8\)"):

@@ -34,7 +34,7 @@ import graphrf.kernels
 import graphrf.mkl
 from graphrf import KernelSpec, eval_kernel_matrix, mkl_init, mkl_predict_batch, mkl_train, sample_nodes, synth_signal
 from graphrf.baselines import batch_kernel_ridge, spectral_ridge_predict
-from graphrf.graph import node_patterns, normalized_laplacian
+from graphrf.graph import _draw_plan, node_patterns, normalized_laplacian
 from graphrf.harness import (
     _COLUMNS,
     SCENARIOS,
@@ -180,6 +180,11 @@ class TestConfig:
     def test_unknown_scenario_lists_the_valid_ones(self):
         with pytest.raises(ValueError, match=re.escape(f"unknown scenario 'x'; valid: {SCENARIOS}")):
             config_from_dict({"scenario": "x"})
+
+    def test_unknown_task_lists_the_valid_ones(self):
+        with pytest.raises(ValueError, match=r"unknown task 'banana'; valid: \('synthetic', 'dataset', 'regret', "
+                                             r"'bench-newnode'\)"):
+            config_from_dict({"task": "banana"})
 
     def test_empty_kernel_list(self):
         with pytest.raises(ValueError, match="^kernels must be non-empty$"):
@@ -939,6 +944,47 @@ class TestRunDataset:
             assert row.nmse_mean is not None
             assert row.n_sampled == 5
 
+    @staticmethod
+    def inline_plan(labeled_idx, count, seed):
+        """The draw run_dataset made inline before it shared sample_nodes' draw."""
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(labeled_idx.size)
+        return SamplingPlan(labeled_idx[order[:count]], np.sort(labeled_idx[order[count:]]))
+
+    @given(
+        st.lists(st.integers(0, 200), min_size=1, max_size=40, unique=True),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shared_draw_gives_the_inline_plans(self, ids, data, seed):
+        labeled_idx = np.array(ids, dtype=np.int64)  # in file order, not sorted
+        count = data.draw(st.integers(1, labeled_idx.size))
+        plan = _draw_plan(labeled_idx, count, seed)
+        expected = self.inline_plan(labeled_idx, count, seed)
+        assert plan.sampled.tolist() == expected.sampled.tolist()
+        assert plan.unsampled.tolist() == expected.unsampled.tolist()
+
+    def test_every_trial_draws_its_plan_through_the_shared_draw(self, tiny_dataset, monkeypatch):
+        edges, labels = tiny_dataset
+        config = ExperimentConfig(
+            task="dataset", edge_list=edges, labels=labels, trials=3, sample_counts=(4, 7), methods=("knn",),
+        )
+        draws = []
+
+        def recorded(ids, count, seed):
+            plan = _draw_plan(ids, count, seed)
+            draws.append((count, seed, plan, self.inline_plan(ids, count, seed)))
+            return plan
+
+        monkeypatch.setattr(graphrf.harness, "_draw_plan", recorded)
+        report = run_dataset(config)
+        assert [count for count, _, _, _ in draws] == [4] * 3 + [7] * 3
+        assert [seed for _, seed, _, _ in draws] == report.seeds
+        for _, _, plan, expected in draws:
+            assert plan.sampled.tolist() == expected.sampled.tolist()
+            assert plan.unsampled.tolist() == expected.unsampled.tolist()
+
     def test_full_sampling_flags_undefined_nmse(self, tiny_dataset):
         edges, labels = tiny_dataset
         config = ExperimentConfig(
@@ -1320,6 +1366,13 @@ class TestBenchNewnode:
         monkeypatch.setattr(graphrf.harness, "erdos_renyi", no_graph)
         with pytest.raises(ValueError, match="emit_traces"):
             bench_newnode(ExperimentConfig(emit_traces=True))
+
+    def test_ratio_divides_the_largest_size_by_the_smallest_in_any_order(self):
+        config = ExperimentConfig(
+            scenario="identity", bench_sizes=(120, 60), d=10, methods=("mkl",), timing_reps=1, timing_nodes=3,
+        )
+        by_size = bench_newnode(config).extras["per_method"]["mkl"]
+        assert by_size["ratio_max_over_min"] == by_size["120"] / by_size["60"]
 
 
 @pytest.mark.parametrize("runner", [run_synthetic, run_regret, bench_newnode])

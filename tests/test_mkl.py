@@ -244,6 +244,36 @@ class TestUpdate:
         np.testing.assert_allclose(b1.normalized_weights, b2.normalized_weights, atol=1e-12)
 
 
+def _left_to_right_weights(log_weights):
+    """exp(w - max w) / sum, with the maximum and the sum taken entry by entry
+    from the left: the hedge's fold order over the kernel axis."""
+    top = log_weights[0]
+    for w in log_weights[1:]:
+        top = w if w >= top else top
+    scale = np.exp(np.array([w - top for w in log_weights]))
+    total = 0.0
+    for s in scale.tolist():
+        total += s
+    return scale / total
+
+
+_LOG_WEIGHT = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-700.0, 700.0))
+
+
+@given(st.integers(1, 19).flatmap(lambda p: st.one_of(
+    st.lists(_LOG_WEIGHT, min_size=p, max_size=p),
+    st.floats(0.0, 700.0).flatmap(lambda spread: st.lists(st.floats(-spread, 0.0), min_size=p, max_size=p)),
+    st.just([-0.0] * p),
+)))
+@settings(max_examples=400, deadline=None)
+def test_normalized_weights_fold_the_kernel_axis_left_to_right(log_weights):
+    # one to 19 kernels (numpy's own sum turns pairwise from 8 entries),
+    # 0.0 and -0.0 ties, all -0.0 rows and spreads up to 700
+    model = manual_model(thetas=[[0.0, 0.0]] * len(log_weights), log_weights=log_weights)
+    expected = _left_to_right_weights(log_weights)
+    assert model.normalized_weights.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
 class TestTrain:
     def _stream(self, n=7, steps=25, seed=8):
         rng = np.random.default_rng(seed)
