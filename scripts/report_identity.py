@@ -10,13 +10,13 @@ Eleven runs, each with ``--out``, once on the ``src/`` of BASE_REF (exported
 with ``git archive`` into a temporary directory, so the repository is left
 untouched) and once on the working tree's ``src/``:
 
-- ``synthetic``: the default config with all five methods and traces;
+- ``synthetic``: the default config with all five methods;
 - ``synthetic-anchored``: 120 nodes under ``connectivity_anchored``, with
   ``normalize_patterns = false``, ``eta = auto`` (so mkl's cross-validation
   runs at each prefix's own step size), ``pattern_mode = concat``,
-  ``sample_fraction = 0.2``, two trials, all five methods and traces;
+  ``sample_fraction = 0.2``, two trials and all five methods;
 - ``synthetic-connectivity``: the default graph under ``connectivity``, with
-  ``pattern_mode = row``, two trials, methods mkl, kl and knn, and traces;
+  ``pattern_mode = row``, two trials and methods mkl, kl and knn;
 - ``regret``: the default config;
 - ``dataset``: a generated 60-node graph with three label columns,
   ``sample_counts = 10,20``, two trials and all five methods;
@@ -26,13 +26,13 @@ untouched) and once on the working tree's ``src/``:
   compared too;
 - ``dataset-hinge`` and ``dataset-logistic``: the same graph and sampling
   with three columns of -1 and +1 labels, ``standardize_labels = false``,
-  the classification loss the name gives, and traces, so that mkl's
+  and the classification loss the name gives, so that mkl's
   cross-validation is checked under both classification losses;
 - ``dataset-directed``: a directed copy of the same graph, each edge
   pointing one way or the other by a fair coin, with ``directed = true``,
-  ``symmetrize = false``, ``pattern_mode = concat``, methods mkl, kl and
-  knn, and traces, so that a node's in-link and out-link blocks differ and
-  k-NN reads out-links;
+  ``symmetrize = false``, ``pattern_mode = concat`` and methods mkl, kl
+  and knn, so that a node's in-link and out-link blocks differ and k-NN
+  reads out-links;
 - ``dataset-symmetrized``: the directed copy with ``directed = true`` and
   the default ``symmetrize = true``, and all five methods, so that the
   symmetrised graph reaches gk_df and gk_bl;
@@ -40,7 +40,9 @@ untouched) and once on the working tree's ``src/``:
   under the ``identity`` scenario, as the C10 acceptance config runs it.
 
 So every scenario and every pattern mode runs at least once, and so do
-both readings of a directed edge list.
+both readings of a directed edge list.  Every ``synthetic`` and ``dataset``
+run trains mkl, so each also writes, and compares, its mkl traces, and
+``regret`` writes its regret trace.
 
 Each run is the command its name starts with: ``synthetic``, ``dataset``,
 ``regret`` or ``bench-newnode``.
@@ -118,24 +120,23 @@ def write_fixture(tmp: Path) -> dict:
         commented("".join(f"n{j} n{i}\n" if flip else f"n{i} n{j}\n" for (i, j), flip in zip(edges, flips)))
     )
     counts = "sample_counts = 10,20\ntrials = 2\n"
-    dataset = ALL_METHODS + f"task = dataset\nedge_list = {tmp / 'edges.txt'}\n{counts}"
-    directed = (f"task = dataset\nedge_list = {tmp / 'directed.txt'}\ndirected = true\n"
+    dataset = ALL_METHODS + f"edge_list = {tmp / 'edges.txt'}\n{counts}"
+    directed = (f"edge_list = {tmp / 'directed.txt'}\ndirected = true\n"
                 f"labels = {tmp / 'labels.txt'}\n{counts}")
-    classification = dataset + f"labels = {tmp / 'signs.txt'}\nstandardize_labels = false\nemit_traces = true\n"
+    classification = dataset + f"labels = {tmp / 'signs.txt'}\nstandardize_labels = false\n"
     configs = {
-        "synthetic": ALL_METHODS + "emit_traces = true\n",
-        "synthetic-anchored": ALL_METHODS + "emit_traces = true\nn_nodes = 120\nscenario = connectivity_anchored\n"
+        "synthetic": ALL_METHODS,
+        "synthetic-anchored": ALL_METHODS + "n_nodes = 120\nscenario = connectivity_anchored\n"
         "normalize_patterns = false\neta = auto\npattern_mode = concat\nsample_fraction = 0.2\ntrials = 2\n",
-        "synthetic-connectivity": "methods = mkl,kl,knn\nemit_traces = true\nscenario = connectivity\n"
+        "synthetic-connectivity": "methods = mkl,kl,knn\nscenario = connectivity\n"
         "pattern_mode = row\ntrials = 2\n",
         "regret": "",
         "dataset": dataset + f"labels = {tmp / 'labels.txt'}\n",
-        "dataset-weighted": ALL_METHODS + f"task = dataset\nedge_list = {tmp / 'weighted.txt'}\nweighted = true\n"
+        "dataset-weighted": ALL_METHODS + f"edge_list = {tmp / 'weighted.txt'}\nweighted = true\n"
         f"labels = {tmp / 'labels.txt'}\nsample_counts = 10,20\ntrials = 2\n",
         "dataset-hinge": classification + "loss = hinge\n",
         "dataset-logistic": classification + "loss = logistic\n",
-        "dataset-directed": directed + "symmetrize = false\npattern_mode = concat\nmethods = mkl,kl,knn\n"
-        "emit_traces = true\n",
+        "dataset-directed": directed + "symmetrize = false\npattern_mode = concat\nmethods = mkl,kl,knn\n",
         "dataset-symmetrized": directed + ALL_METHODS,
         "bench-newnode": "bench_sizes = 60,120\nmethods = mkl,gk_df,knn\ntiming_reps = 1\ntiming_nodes = 5\n"
         "scenario = identity\n",

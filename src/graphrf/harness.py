@@ -69,7 +69,6 @@ from .mkl import (
     mkl_train_grid,
 )
 
-TASKS = ("synthetic", "dataset", "regret", "bench-newnode")
 METHODS = ("mkl", "kl", "gk_df", "gk_bl", "knn")
 SCENARIOS = ("diffusion", "connectivity", "connectivity_anchored", "identity")
 
@@ -80,7 +79,6 @@ _DEFAULT_MU_GRID = tuple(10.0**-k for k in range(7, -1, -1))
 class ExperimentConfig:
     """Flat experiment description; every field has a config-file key."""
 
-    task: str = "synthetic"
     n_nodes: int = 200
     edge_prob: float = 0.2
     scenario: str = "diffusion"
@@ -105,7 +103,6 @@ class ExperimentConfig:
     measure_runtime: bool = False
     timing_reps: int = 5
     timing_nodes: int = 20
-    emit_traces: bool = False
     regret_T: int = 2000
     regret_mu: float = 1e-6
     edge_list: str | None = None
@@ -152,8 +149,10 @@ class ExperimentConfig:
             if not all(math.isfinite(v) and (v >= 0.0 if bound == ">= 0" else v > 0.0) for v in values):
                 entries = " entries" if isinstance(value, tuple) else ""
                 raise ValueError(f"{key}{entries} must be finite and {bound}")
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}; valid: {TASKS}")
+        # a step multiplies theta by 1 - 2 eta mu: past 2 eta mu = 1 each step
+        # flips theta's sign, and past 2 eta mu = 2 theta grows without bound
+        if self.eta != "auto" and 2.0 * self.eta * max(self.mu_grid) > 1.0:
+            raise ValueError(f"mu_grid entries must be <= 1/(2 eta) = {0.5 / self.eta!r} at eta = {self.eta!r}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; valid: {SCENARIOS}")
         if self.pattern_mode not in PATTERN_MODES:
@@ -660,9 +659,8 @@ def _run_trials(
     at a time.  A trial with no unsampled node, or whose unsampled truth is
     all zero, has no NMSE: its note says why, naming the trial by
     ``trial_name`` of its 1-based index.  Returns one row per method,
-    aggregated over the trials, and, when ``emit_traces`` asks for them, the
-    per-step table of each method's first MklTraces as ``<method>_trial0``
-    (only mkl has any)."""
+    aggregated over the trials, and the per-step table of each method's
+    first MklTraces as ``<method>_trial0`` (only mkl has any)."""
     keys = ("nmse", "nmse_conv", "failures", "notes", "mu", "train", "newnode")
     acc = {method: {key: [] for key in keys} for method in config.methods}
     first_traces = {}
@@ -722,8 +720,6 @@ def _run_trials(
                 notes="; ".join(dict.fromkeys(n for n in acc[method]["notes"] if n)),
             )
         )
-    if not config.emit_traces:
-        return rows, {}
     return rows, {f"{method}_trial0": _mkl_trace_table(t) for method, t in first_traces.items()}
 
 
@@ -762,8 +758,7 @@ def run_dataset(config: ExperimentConfig) -> Report:
 
     Several label columns are treated as repeated trials.  Sampling sweeps
     over ``sample_counts`` when given, else uses ``sample_fraction``.  The
-    traces ``emit_traces`` asks for are those of the first sample count's
-    first trial.
+    traces are those of the first sample count's first trial.
     """
     if not config.edge_list or not config.labels:
         raise ValueError("dataset runs need edge_list and labels paths")
@@ -966,11 +961,10 @@ def bench_newnode(config: ExperimentConfig) -> Report:
     """Per-method per-size new-node inference timings over graph sizes.
 
     Only timing is claimed here.  The signal scenario comes from the config,
-    so pass ``scenario="identity"`` for the cheap kernel, as C10 does.
+    so pass ``scenario="identity"`` for the cheap kernel, as C10 does.  The
+    run always times, so its report carries ``measure_runtime = True``.
     """
     _check_random_graph_run(config, "bench-newnode")
-    if config.emit_traces:
-        raise ValueError("bench-newnode runs write no traces: set emit_traces = false")
     rows = []
     extras: dict = {"sizes": list(config.bench_sizes), "per_method": {}}
     seeds_used = []
@@ -985,4 +979,4 @@ def bench_newnode(config: ExperimentConfig) -> Report:
     for by_size in extras["per_method"].values():
         if all(by_size.get(str(s)) for s in config.bench_sizes):
             by_size["ratio_max_over_min"] = by_size[largest] / by_size[smallest]
-    return Report(rows=rows, config=config, seeds=seeds_used, extras=extras)
+    return Report(rows=rows, config=timing_cfg, seeds=seeds_used, extras=extras)

@@ -14,7 +14,6 @@ def write_config(tmp_path, text):
 
 
 SMALL_SYNTH = """
-task = synthetic
 n_nodes = 40
 trials = 2
 sample_fraction = 0.2
@@ -138,7 +137,7 @@ class TestRunCommands:
 
     @pytest.mark.parametrize(
         "command, extra, trace",
-        [("regret", "regret_T = 30\n", "regret_trial0.tsv"), ("synthetic", "emit_traces = true\n", "mkl_trial0.tsv")],
+        [("regret", "regret_T = 30\n", "regret_trial0.tsv"), ("synthetic", "", "mkl_trial0.tsv")],
     )
     def test_every_trace_cell_is_a_number(self, tmp_path, capsys, command, extra, trace):
         config = write_config(tmp_path, SMALL_SYNTH + extra)
@@ -175,7 +174,6 @@ class TestRunCommands:
         config = write_config(
             tmp_path,
             f"""
-            task = dataset
             edge_list = {edges}
             labels = {labels}
             trials = 1
@@ -208,3 +206,12 @@ class TestErrorPaths:
         config = write_config(tmp_path, "sample_fraction = 2.0\n")
         assert main(["synthetic", "--config", config]) == 1
         assert "sample_fraction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["task = synthetic", "emit_traces = true"])
+    def test_a_key_that_no_run_reads_exits_1_naming_it(self, tmp_path, capsys, line):
+        # the subcommand picks the run, and every run with mkl writes its traces
+        config = write_config(tmp_path, SMALL_SYNTH + line + "\n")
+        assert main(["synthetic", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        key = line.split(" = ")[0]
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

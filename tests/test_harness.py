@@ -96,13 +96,13 @@ class TestNmse:
 
 # A valid config with every field away from its default.
 EVERY_FIELD_SET = ExperimentConfig(
-    task="dataset", n_nodes=64, edge_prob=0.3, scenario="identity", truth_sigma2=2.5,
+    n_nodes=64, edge_prob=0.3, scenario="identity", truth_sigma2=2.5,
     noise_var=0.5, sample_fraction=0.25, trials=3, base_seed=7,
     kernels=(("laplacian", 2.0), ("cauchy", 0.5)), d=12, eta=0.25, mu_grid=(1e-3, 0.1),
     loss="hinge", methods=("knn", "gk_bl"), normalize_patterns=False,
     standardize_labels=False, pattern_mode="concat", kl_sigma2=3.0, gk_sigma2_grid=(2.0,),
     band_grid=(3, 4), cv_fraction=0.5, measure_runtime=True, timing_reps=2, timing_nodes=4,
-    emit_traces=True, regret_T=10, regret_mu=0.01, edge_list="edges.txt", labels="labels.txt",
+    regret_T=10, regret_mu=0.01, edge_list="edges.txt", labels="labels.txt",
     directed=True, weighted=True, symmetrize=False, sample_counts=(5, 6), bench_sizes=(30,),
 )
 
@@ -124,7 +124,6 @@ class TestConfig:
         path.write_text(
             """
             # comment
-            task = synthetic
             n_nodes = 64
             kernels = gaussian:1.0, gaussian:5.0
             methods = mkl,knn
@@ -163,6 +162,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="mu_grid"):
             config_from_dict({"mu_grid": ""})
 
+    def test_a_mu_past_one_over_two_eta_is_refused_before_any_trial(self, monkeypatch):
+        # at eta = 0.5 a step multiplies theta by 1 - 2 eta mu = -9 at mu = 10,
+        # and such a run used to overflow and exit on a non-finite report
+        def no_graph(*args):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr(graphrf.harness, "erdos_renyi", no_graph)
+        with pytest.raises(ValueError, match=re.escape("mu_grid entries must be <= 1/(2 eta) = 1.0 at eta = 0.5")):
+            run_synthetic(config_from_dict({"mu_grid": "10", "n_nodes": "2000", "trials": "2"}))
+
     def test_eta_auto_resolution(self):
         config = config_from_dict({"eta": "auto"})
         assert config.eta_value(400) == pytest.approx(0.05)
@@ -180,11 +189,6 @@ class TestConfig:
     def test_unknown_scenario_lists_the_valid_ones(self):
         with pytest.raises(ValueError, match=re.escape(f"unknown scenario 'x'; valid: {SCENARIOS}")):
             config_from_dict({"scenario": "x"})
-
-    def test_unknown_task_lists_the_valid_ones(self):
-        with pytest.raises(ValueError, match=r"unknown task 'banana'; valid: \('synthetic', 'dataset', 'regret', "
-                                             r"'bench-newnode'\)"):
-            config_from_dict({"task": "banana"})
 
     def test_empty_kernel_list(self):
         with pytest.raises(ValueError, match="^kernels must be non-empty$"):
@@ -606,7 +610,7 @@ class TestRunSynthetic:
     def test_traces_emitted(self, tmp_path):
         config = ExperimentConfig(
             n_nodes=30, trials=1, sample_fraction=0.3, d=8,
-            methods=("mkl", "knn"), scenario="identity", emit_traces=True,
+            methods=("mkl", "knn"), scenario="identity",
         )
         write_report(run_synthetic(config), tmp_path / "one")
         trace_file = tmp_path / "one" / "traces" / "mkl_trial0.tsv"
@@ -618,17 +622,16 @@ class TestRunSynthetic:
         assert [p.name for p in (tmp_path / "three" / "traces").iterdir()] == ["mkl_trial0.tsv"]
         assert (tmp_path / "three" / "traces" / "mkl_trial0.tsv").read_bytes() == trace_file.read_bytes()
 
-    def test_traces_only_of_mkl_and_only_when_asked(self):
+    def test_a_run_with_mkl_has_mkl_traces_and_only_those(self):
         config = ExperimentConfig(
             n_nodes=30, trials=2, sample_fraction=0.3, d=8,
-            methods=("mkl", "knn"), scenario="identity", emit_traces=True,
+            methods=("mkl", "knn"), scenario="identity",
         )
         report = run_synthetic(config)
         assert list(report.traces) == ["mkl_trial0"]
         names, columns = report.traces["mkl_trial0"]
         assert names == ["combined_loss", "loss_0", "loss_1", "weight_0", "weight_1"]
         assert len(columns) == len(names)
-        assert run_synthetic(replace(config, emit_traces=False)).traces == {}
 
 
 def small_trial(**overrides):
@@ -926,7 +929,7 @@ class TestRunDataset:
             path = tmp_path / f"edges{scale}.txt"
             path.write_text("".join(f"v{i} v{j} {float(w * scale)!r}\n" for (i, j), w in zip(edges, weights)))
             config = ExperimentConfig(
-                task="dataset", edge_list=str(path), labels=str(labels), weighted=True,
+                edge_list=str(path), labels=str(labels), weighted=True,
                 trials=3, sample_counts=(6,), methods=("knn",),
             )
             nmse_by_scale.append(run_dataset(config).rows[0].nmse_mean)
@@ -935,7 +938,7 @@ class TestRunDataset:
     def test_smoke_fixture(self, tiny_dataset):
         edges, labels = tiny_dataset
         config = ExperimentConfig(
-            task="dataset", edge_list=edges, labels=labels,
+            edge_list=edges, labels=labels,
             trials=2, sample_counts=(5,), d=6, methods=("mkl", "kl", "knn"),
         )
         report = run_dataset(config)
@@ -968,7 +971,7 @@ class TestRunDataset:
     def test_every_trial_draws_its_plan_through_the_shared_draw(self, tiny_dataset, monkeypatch):
         edges, labels = tiny_dataset
         config = ExperimentConfig(
-            task="dataset", edge_list=edges, labels=labels, trials=3, sample_counts=(4, 7), methods=("knn",),
+            edge_list=edges, labels=labels, trials=3, sample_counts=(4, 7), methods=("knn",),
         )
         draws = []
 
@@ -988,7 +991,7 @@ class TestRunDataset:
     def test_full_sampling_flags_undefined_nmse(self, tiny_dataset):
         edges, labels = tiny_dataset
         config = ExperimentConfig(
-            task="dataset", edge_list=edges, labels=labels,
+            edge_list=edges, labels=labels,
             trials=1, sample_counts=(12,), d=6, methods=("mkl",),
         )
         report = run_dataset(config)
@@ -1019,7 +1022,7 @@ class TestRunDataset:
         labels = tmp_path / "labels.txt"
         labels.write_text("\n".join(f"w{i} {x[i]:.8f}" for i in range(60)) + "\n")
         config = ExperimentConfig(
-            task="dataset", edge_list=str(edges), labels=str(labels), eta=0.5,
+            edge_list=str(edges), labels=str(labels), eta=0.5,
             kernels=(("gaussian", 5.0), ("gaussian", 15.0)), normalize_patterns=False,
             trials=20, sample_counts=(6, 30), d=60, methods=("mkl",), base_seed=3,
         )
@@ -1029,13 +1032,13 @@ class TestRunDataset:
 
     def test_missing_paths_rejected(self):
         with pytest.raises(ValueError, match="edge_list"):
-            run_dataset(ExperimentConfig(task="dataset"))
+            run_dataset(ExperimentConfig())
 
     def test_unknown_label_token_rejected(self, tiny_dataset, tmp_path):
         edges, _ = tiny_dataset
         bad = tmp_path / "bad_labels.txt"
         bad.write_text("nosuchnode 1.0\n")
-        config = ExperimentConfig(task="dataset", edge_list=edges, labels=str(bad))
+        config = ExperimentConfig(edge_list=edges, labels=str(bad))
         with pytest.raises(ValueError, match="unknown nodes"):
             run_dataset(config)
 
@@ -1055,7 +1058,7 @@ class TestRunDataset:
         edges, labels = tiny_dataset
         calls = self._count_fits(monkeypatch)
         config = ExperimentConfig(
-            task="dataset", edge_list=edges, labels=labels,
+            edge_list=edges, labels=labels,
             trials=2, sample_counts=(5, 6, 50), d=6, methods=("mkl", "kl", "knn"),
         )
         with pytest.raises(ValueError, match="sample count 50 exceeds 12 labeled nodes"):
@@ -1066,7 +1069,7 @@ class TestRunDataset:
         edges, labels = tiny_dataset
         calls = self._count_fits(monkeypatch)
         config = ExperimentConfig(
-            task="dataset", edge_list=edges, labels=labels, directed=True, symmetrize=False,
+            edge_list=edges, labels=labels, directed=True, symmetrize=False,
             trials=1, sample_counts=(5,), d=6, methods=("mkl", "kl", "gk_df"),
         )
         with pytest.raises(ValueError, match="gk_df requires an undirected graph"):
@@ -1081,7 +1084,7 @@ class TestRunDataset:
             "\n".join(f"v{i} {rng.normal():.4f} {rng.normal():.4f}" for i in range(12)) + "\n"
         )
         config = ExperimentConfig(
-            task="dataset", edge_list=edges, labels=str(multi),
+            edge_list=edges, labels=str(multi),
             trials=2, sample_counts=(5,), d=6, methods=("knn",),
         )
         report = run_dataset(config)
@@ -1100,17 +1103,17 @@ class TestRunDataset:
         labels = tmp_path / "labels.txt"
         labels.write_text("\n".join(f"u{i} {rng.normal():.4f}" for i in range(14)) + "\n")
         config = ExperimentConfig(
-            task="dataset", edge_list=str(edges), labels=str(labels),
+            edge_list=str(edges), labels=str(labels),
             directed=True, symmetrize=True,
             trials=1, sample_counts=(6,), d=5, methods=("gk_df", "mkl"),
         )
         report = run_dataset(config)
         assert {r.method for r in report.rows} == {"gk_df", "mkl"}
 
-    def test_emit_traces_gives_the_first_trials_mkl_traces(self, tiny_dataset, tmp_path):
+    def test_traces_are_the_first_trials_mkl_traces(self, tiny_dataset, tmp_path):
         edges, labels = tiny_dataset
         config = ExperimentConfig(
-            task="dataset", edge_list=edges, labels=labels, emit_traces=True,
+            edge_list=edges, labels=labels,
             trials=2, sample_counts=(5, 7), d=6, methods=("mkl", "knn"),
         )
         report = run_dataset(config)
@@ -1123,7 +1126,6 @@ class TestRunDataset:
         write_report(first, tmp_path / "first")
         trace = tmp_path / "all" / "traces" / "mkl_trial0.tsv"
         assert trace.read_bytes() == (tmp_path / "first" / "traces" / "mkl_trial0.tsv").read_bytes()
-        assert run_dataset(replace(config, emit_traces=False)).traces == {}
 
 
 class TestRunRegret:
@@ -1260,7 +1262,7 @@ def test_dataset_run_refuses_a_classification_loss_its_labels_cannot_train(
 
     monkeypatch.setattr(graphrf.harness, "_fit_method", no_fit)
     config = ExperimentConfig(
-        task="dataset", edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
+        edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
         loss=loss, standardize_labels=standardize, sample_counts=(4,), methods=("mkl",),
     )
     with pytest.raises(ValueError, match=f"loss = {loss} .*{message}"):
@@ -1285,7 +1287,7 @@ def test_dataset_run_refuses_a_label_column_without_an_nmse(tmp_path, monkeypatc
 
     monkeypatch.setattr(graphrf.harness, "_fit_method", no_fit)
     config = ExperimentConfig(
-        task="dataset", edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
+        edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
         standardize_labels=standardize, methods=("mkl", "knn"),
     )
     with pytest.raises(ValueError, match=rf"label column 2 of the labels file .*labels\.txt is {message}"):
@@ -1309,7 +1311,7 @@ def test_a_trial_whose_unsampled_truth_is_zero_has_no_nmse(tmp_path, monkeypatch
 
     monkeypatch.setattr(graphrf.harness, "_fit_method", recording)
     config = ExperimentConfig(
-        task="dataset", edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
+        edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
         standardize_labels=False, sample_fraction=0.5, trials=10, methods=("mkl", "knn"),
     )
     report = run_dataset(config)
@@ -1328,7 +1330,7 @@ def test_dataset_run_keeps_a_constant_column_it_does_not_standardize(tmp_path):
     (tmp_path / "edges.txt").write_text("".join(f"n{i} n{(i + 1) % n}\n" for i in range(n)))
     (tmp_path / "labels.txt").write_text("".join(f"n{i} 3.0\n" for i in range(n)))
     config = ExperimentConfig(
-        task="dataset", edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
+        edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
         standardize_labels=False, trials=1, d=6, methods=("mkl", "knn"),
     )
     assert [row.method for row in run_dataset(config).rows] == ["knn", "mkl"]
@@ -1339,7 +1341,7 @@ def test_dataset_run_trains_a_classification_loss_on_plain_labels(tmp_path):
     (tmp_path / "edges.txt").write_text("".join(f"v{i} v{(i + 1) % n}\n" for i in range(n)))
     (tmp_path / "labels.txt").write_text("".join(f"v{i} {(-1.0) ** i!r}\n" for i in range(n)))
     config = ExperimentConfig(
-        task="dataset", edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
+        edge_list=str(tmp_path / "edges.txt"), labels=str(tmp_path / "labels.txt"),
         loss="hinge", standardize_labels=False, sample_counts=(4,), trials=1, d=6, methods=("mkl",),
     )
     assert run_dataset(config).rows[0].method == "mkl"
@@ -1359,13 +1361,12 @@ class TestBenchNewnode:
             assert row.newnode_time is not None and row.newnode_time >= 0
         assert "mkl" in report.extras["per_method"]
 
-    def test_emit_traces_refused_before_any_trial(self, monkeypatch):
-        def no_graph(*args):
-            raise AssertionError("a trial started")
-
-        monkeypatch.setattr(graphrf.harness, "erdos_renyi", no_graph)
-        with pytest.raises(ValueError, match="emit_traces"):
-            bench_newnode(ExperimentConfig(emit_traces=True))
+    def test_summary_echoes_the_timed_config(self, tmp_path):
+        # the run always times, so its summary.json says so whatever the config said
+        config = ExperimentConfig(scenario="identity", bench_sizes=(30,), d=5, methods=("mkl",),
+                                  timing_reps=1, timing_nodes=2)
+        write_report(bench_newnode(config), tmp_path)
+        assert json.loads((tmp_path / "summary.json").read_text())["config"]["measure_runtime"] is True
 
     def test_ratio_divides_the_largest_size_by_the_smallest_in_any_order(self):
         config = ExperimentConfig(
@@ -1391,7 +1392,7 @@ class TestWriteReport:
     RUNS = {
         "synthetic": ExperimentConfig(
             n_nodes=30, trials=1, sample_fraction=0.3, d=8, methods=("mkl", "knn"),
-            scenario="identity", emit_traces=True,
+            scenario="identity",
         ),
         "regret": ExperimentConfig(n_nodes=40, trials=1, regret_T=60, d=5, scenario="identity"),
         "bench_newnode": ExperimentConfig(
@@ -1409,8 +1410,8 @@ class TestWriteReport:
         if runner == "dataset":
             edges, labels = tiny_dataset
             config = ExperimentConfig(
-                task="dataset", edge_list=edges, labels=labels, sample_counts=(4,), trials=1, d=6,
-                methods=("mkl", "knn"), emit_traces=True,
+                edge_list=edges, labels=labels, sample_counts=(4,), trials=1, d=6,
+                methods=("mkl", "knn"),
             )
         else:
             config = self.RUNS[runner]
@@ -1445,6 +1446,6 @@ class TestWriteReport:
         assert self.files(tmp_path) == ["report.tsv", "summary.json", "traces/notes.txt"]
 
     def test_no_traces_no_traces_directory(self, tmp_path):
-        write_report(run_synthetic(replace(self.RUNS["synthetic"], emit_traces=False)), tmp_path)
+        write_report(run_synthetic(replace(self.RUNS["synthetic"], methods=("knn",))), tmp_path)
         assert self.files(tmp_path) == ["report.tsv", "summary.json"]
         assert not (tmp_path / "traces").exists()
