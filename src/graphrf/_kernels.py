@@ -26,9 +26,12 @@ maximum keeps the last.  A pass of one sample and one μ, which is what a
 labelled join and ``mkl_update`` make, takes a one-step branch inside
 :func:`mkl_stream` instead.  It runs ``learner_block``'s numpy operations
 and the replay's arithmetic in the same order, the P-length hedge
-arithmetic on Python floats, so it returns the general path's arrays bit
-for bit at about half the fixed cost.  Where a value is not finite, the
-general path runs.
+arithmetic on Python floats, so it leaves θ and the log-weights as the
+general path does, bit for bit, at about half the fixed cost.  For
+``mkl_update`` it returns the general path's arrays bit for bit; for a
+labelled join, which keeps only the combined loss and prediction, it
+builds no trace arrays and returns those two floats.  Where a value is not
+finite, the general path runs.
 """
 
 from __future__ import annotations
@@ -163,7 +166,7 @@ def learner_block(zs, ys, eta, kind, mus, thetas):
     return record
 
 
-def mkl_stream(zs, ys, eta, kind, mus, thetas, logw):
+def mkl_stream(zs, ys, eta, kind, mus, thetas, logw, traces=True):
     """Multi-kernel online pass with multiplicative weight updates, for a μ
     grid of G = len(mus) models of P kernels under the loss ``kind``.
 
@@ -181,9 +184,17 @@ def mkl_stream(zs, ys, eta, kind, mus, thetas, logw):
 
     One sample and one μ take :func:`_one_step`, which returns the same
     arrays bit for bit: the replay folds the kernel axis as it does.
+
+    With ``traces`` false, which only a labelled join
+    (``mkl.absorb_new_node_mkl``) passes, the pass must be one sample of one
+    μ, and it returns only that sample's combined loss and combined
+    prediction, as two floats.  The one-step branch then builds none of the
+    five arrays and skips the squared gradient norms; the general path skips
+    the largest gradient norms.  θ and logw take the same arithmetic either
+    way.
     """
     if len(ys) == 1 and len(mus) == 1:
-        step = _one_step(zs[:, 0], float(ys[0]), eta, kind, mus[0], thetas, logw)
+        step = _one_step(zs[:, 0], float(ys[0]), eta, kind, mus[0], thetas, logw, traces)
         if step is not None:
             return step
     record = learner_block(zs, ys, eta, kind, mus, thetas)
@@ -215,6 +226,9 @@ def mkl_stream(zs, ys, eta, kind, mus, thetas, logw):
     combined = (cost_value(kind, f_hat, y) + mu * norm_bar)[..., 0]
     if n_steps:
         logw[:] = hist[-1]
+    if not traces:
+        # .item() refuses an array of more than one entry: one sample, one μ
+        return combined.item(), f_hat.item()
     max_grad = np.sqrt(np.maximum.reduce(record[2], axis=0, initial=0.0)).reshape(logw.shape)
     return combined, per_kernel, weights, f_hat[..., 0], max_grad
 
@@ -241,17 +255,17 @@ def hedge_mix(log_weights, values) -> float:
     return total
 
 
-def _one_step(z, y, eta, kind, mu, thetas, logw):
+def _one_step(z, y, eta, kind, mu, thetas, logw, traces):
     """:func:`mkl_stream` over one sample of P kernels and one μ, bit for
-    bit.
+    bit, with or without its ``traces``.
 
     ``z`` is the (P, 2D) encoding and logw is (1, P).  Every operation of
     ``learner_block`` and of the hedge replay runs in the same order, the
     P-length hedge arithmetic on Python floats, through :func:`cost_value`
     and :func:`cost_grad_scale` of each float (plain float arithmetic for
-    least squares).  Returns None,
-    having changed nothing, when a prediction, norm, label, step or
-    log-weight is not finite; the general path then runs.
+    least squares).  Returns None, having changed nothing, when the label,
+    η, μ, a learner's prediction or squared norm, or a log-weight is not
+    finite; the general path then runs.
     """
     # rows [z * theta, theta * theta]: one sum gives predictions and norms
     work = np.empty((2,) + z.shape)
@@ -263,7 +277,8 @@ def _one_step(z, y, eta, kind, mu, thetas, logw):
         return None
     grad = np.array([cost_grad_scale(kind, p, y) for p in preds])[:, None] * z
     grad += np.multiply(thetas, 2.0 * mu, work[0])
-    grad_sq = np.add.reduce(np.multiply(grad, grad, work[1]), 1)
+    if traces:
+        grad_sq = np.add.reduce(np.multiply(grad, grad, work[1]), 1)
     grad *= eta
     thetas -= grad
     per_kernel, after, used = [], [], _weights_floats(log_weights)
@@ -277,6 +292,8 @@ def _one_step(z, y, eta, kind, mu, thetas, logw):
     combined = cost_value(kind, f_hat, y) + mu * norm_bar
     top = max(reversed(after))  # numpy's maximum, as in _weights_floats
     logw[0] = [w - top for w in after]
+    if not traces:
+        return float(combined), float(f_hat)
     # the stream's shapes at T = G = 1; ndmin costs less than nested lists
     return (np.array(combined, ndmin=2), np.array(per_kernel, ndmin=3), np.array(used, ndmin=3),
             np.array(f_hat, ndmin=2), np.sqrt(grad_sq)[None])

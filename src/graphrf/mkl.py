@@ -124,9 +124,11 @@ def _with_fields(obj, **fields):
     return new
 
 
-def _finite(values: np.ndarray) -> bool:
-    """Whether every entry is finite.  A few entries are checked one by one,
-    which is quicker than a numpy pass."""
+def _finite(values) -> bool:
+    """Whether every entry of an array, or one float, is finite.  A few
+    entries are checked one by one, which is quicker than a numpy pass."""
+    if isinstance(values, float):
+        return math.isfinite(values)
     if values.size > 8:
         return bool(np.isfinite(values).all())
     return all(map(math.isfinite, values.ravel().tolist()))
@@ -297,9 +299,10 @@ def _label_array(labels) -> np.ndarray:
     return labels
 
 
-def _checked(model: MklModel, thetas: np.ndarray, logw: np.ndarray, combined: np.ndarray) -> MklModel:
+def _checked(model: MklModel, thetas: np.ndarray, logw: np.ndarray, combined) -> MklModel:
     """``model`` with the weights a pass left, frozen, or a
-    ``FloatingPointError`` if a weight or a combined loss is not finite."""
+    ``FloatingPointError`` if a weight or a combined loss (an array of them,
+    or a join's one float) is not finite."""
     if not (np.isfinite(thetas).all() and _finite(combined)):
         raise FloatingPointError("multi-kernel training diverged to non-finite values")
     # the maps and eta carry over, so their checks are not repeated, and
@@ -310,20 +313,16 @@ def _checked(model: MklModel, thetas: np.ndarray, logw: np.ndarray, combined: np
 
 def mkl_update(model: MklModel, connectivity, label: float) -> tuple[MklModel, MklTraces]:
     """One online step: every learner descends, every weight decays.  The
-    traces hold that one step, a labelled join's :func:`_labelled_step`."""
-    stream, model = _labelled_step(model, mkl_encode(model, one_node(connectivity)), label)
-    return model, MklTraces(*(a[:, 0] for a in stream[:4]), stream[4][0])
-
-
-def _labelled_step(model: MklModel, zs: np.ndarray, label) -> tuple[tuple, MklModel]:
-    """One sample's (P, 1, 2D) encoding through the stream as a grid of one μ
-    (its one-step branch): the stream's arrays and ``model`` after the step.
+    sample's (P, 1, 2D) encoding runs through the stream as a grid of one μ
+    (its one-step branch), and the traces hold that step.  A labelled
+    :func:`absorb_new_node_mkl` takes the same step without the traces.
     The label is checked as a training pass checks it."""
+    zs = mkl_encode(model, one_node(connectivity))
     labels = _label_array([label])
     _check_label(model.loss, labels[0])
     thetas, logw = model.thetas.copy(), model.log_weights.copy()
     stream = _kernels.mkl_stream(zs, labels, model.eta, model.loss.kind, [model.loss.mu], thetas, logw[None])
-    return stream, _checked(model, thetas, logw, stream[0])
+    return _checked(model, thetas, logw, stream[0]), MklTraces(*(a[:, 0] for a in stream[:4]), stream[4][0])
 
 
 def mkl_train(model: MklModel, samples: Sequence) -> tuple[MklModel, MklTraces]:
@@ -339,17 +338,24 @@ def absorb_new_node_mkl(
     """Combined prediction for a newly-joining node, plus an optional update.
 
     The node is encoded once, in one call for all P maps; scoring and the
-    update (:func:`_labelled_step`, as in :func:`mkl_update`) share that
-    encoding.  The score-only sum mirrors the arithmetic of that step
-    (products summed per kernel, then :func:`~graphrf._kernels.hedge_mix`),
-    so a node scores bit-identically with or without its label;
+    update share that encoding.  The update is :func:`mkl_update`'s step,
+    with the same label check, run without its traces: the stream returns
+    only the combined loss, which is checked finite, and the prediction.
+    The score-only sum mirrors the arithmetic of that step (products summed
+    per kernel, then :func:`~graphrf._kernels.hedge_mix`), so a node scores
+    bit-identically with or without its label;
     :func:`mkl_predict_encoded`'s matrix products round differently.
     """
     zs = mkl_encode(model, one_node(connectivity))
     if label is None:
         return _kernels.hedge_mix(model.log_weights, (model.thetas * zs[:, 0]).sum(axis=1)), model
-    stream, model = _labelled_step(model, zs, label)
-    return float(stream[3][0, 0]), model
+    labels = _label_array([label])
+    _check_label(model.loss, labels[0])
+    thetas, logw = model.thetas.copy(), model.log_weights.copy()
+    combined, prediction = _kernels.mkl_stream(
+        zs, labels, model.eta, model.loss.kind, [model.loss.mu], thetas, logw[None], False
+    )
+    return prediction, _checked(model, thetas, logw, combined)
 
 
 def _b64(values: np.ndarray) -> str:
@@ -408,11 +414,12 @@ def load_mkl_checkpoint(path) -> MklModel:
     if record.get("format") == "graphrf-mkl-v1":
         raise ValueError("checkpoint stores map seeds, not the maps; it cannot be reloaded exactly")
     if record.get("format") != "graphrf-mkl-v2":
-        raise ValueError("not a multi-kernel checkpoint")
+        raise ValueError(f"not a multi-kernel checkpoint: its field format is {record.get('format')!r}")
     _require_fields(record, ("eta", "seed", "log_weights_b64", "learners", "maps_b64"), "checkpoint")
     eta, seed = record["eta"], record["seed"]
-    if not 0.0 < _parsed("eta", float, eta) <= 1.0:
-        raise ValueError(f"checkpoint field eta must be in (0, 1], got {eta!r}")
+    # a JSON number: float() would also take a bool or a numeric string
+    if type(eta) not in (int, float) or not 0.0 < eta <= 1.0:
+        raise ValueError(f"checkpoint field eta must be a number in (0, 1], got {eta!r}")
     if not (seed is None or type(seed) is int):
         raise ValueError(f"checkpoint field seed must be an integer or null, got {seed!r}")
     for name in ("learners", "maps_b64"):
@@ -434,14 +441,16 @@ def load_mkl_checkpoint(path) -> MklModel:
     thetas = []
     for p, (learner, rf_map) in enumerate(zip(record["learners"], maps)):
         field = f"checkpoint field learners[{p}]"
-        if not isinstance(learner, dict) or learner.get("format") != "graphrf-checkpoint-v1":
+        if not isinstance(learner, dict):
             raise ValueError(f"{field} is not a learner record")
+        if learner.get("format") != "graphrf-checkpoint-v1":
+            raise ValueError(f"{field} is not a learner record: its field format is {learner.get('format')!r}")
         _require_fields(learner, ("map_ref", "eta", "loss", "theta_b64"), field)
         if p == 0:
             loss = _parsed("learners[0].loss", lambda v: LossKind(v["kind"], float(v["mu"])), learner["loss"])
         elif learner["loss"] != first["loss"]:
             raise ValueError(f"{field}.loss is {learner['loss']}, but learners[0].loss is {first['loss']}")
-        if learner["eta"] != eta:
+        if type(learner["eta"]) not in (int, float) or learner["eta"] != eta:
             raise ValueError(f"{field}.eta is {learner['eta']!r}, but the model's eta is {eta!r}")
         if learner["map_ref"] != rf_map.ref:
             raise ValueError(f"{field}.map_ref is {learner['map_ref']!r}, but its map is {rf_map.ref!r}")

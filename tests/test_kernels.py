@@ -591,6 +591,28 @@ def test_a_one_sample_grid_of_one_takes_the_one_step_branch(stream):
         assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(streams(steps=st.just(1), etas=st.floats(0.0, 1.0, exclude_min=True), learners=st.integers(1, 16)))
+def test_a_pass_without_traces_returns_the_full_passs_loss_and_prediction(stream):
+    # what a labelled join keeps of its pass: the combined loss and the
+    # combined prediction as two floats, with θ and the log-weights left as
+    # the full pass leaves them, on the one-step branch (which then runs no
+    # learner_block) and on the general path
+    zs, ys, eta, loss, thetas, logw = stream
+    for branch, patch in (("one_step", ("learner_block", _no_learner_block)), ("general", ("_one_step", _declined))):
+        with mock.patch.object(_kernels, *patch):
+            full_thetas, full_logw = thetas.copy(), logw[None].copy()
+            full = _kernels.mkl_stream(zs, ys, eta, loss.kind, [loss.mu], full_thetas, full_logw)
+            lean_thetas, lean_logw = thetas.copy(), logw[None].copy()
+            lean = _kernels.mkl_stream(zs, ys, eta, loss.kind, [loss.mu], lean_thetas, lean_logw, False)
+        assert len(lean) == 2 and all(type(value) is float for value in lean), branch
+        combined, prediction = lean
+        assert np.float64(combined).tobytes() == full[0][0, 0].tobytes(), branch
+        assert np.float64(prediction).tobytes() == full[3][0, 0].tobytes(), branch
+        assert lean_thetas.tobytes() == full_thetas.tobytes(), branch
+        assert lean_logw.tobytes() == full_logw.tobytes(), branch
+
+
 def test_mkl_update_takes_the_one_step_branch():
     model = _grid_model()
     pattern = np.random.default_rng(5).random(6)

@@ -26,6 +26,7 @@ from graphrf import (
 from graphrf import _kernels
 from graphrf.features import _HEADER, _MAGIC, RFMap, _map_bytes, build_map, project_stacked
 from graphrf.harness import _prefix_oracle_losses, fit_growth_exponent
+from graphrf.kernels import KERNEL_FAMILIES
 from graphrf.mkl import (
     absorb_new_node_mkl,
     mkl_encode,
@@ -601,6 +602,40 @@ class TestNonFiniteInput:
 GOLDEN_V2 = Path(__file__).parent / "data" / "mkl_v2.json"
 
 
+_SIGNED_FINITE = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def checkpoint_models(draw):
+    """Models of 1 to 4 kernels under any loss, with finite θ and log
+    weights drawn with signed zeros among them."""
+    n_kernels, d, n = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    maps = tuple(
+        build_map(KernelSpec(draw(st.sampled_from(KERNEL_FAMILIES)), draw(st.floats(0.1, 10.0))), d, n, p)
+        for p in range(n_kernels)
+    )
+    thetas = draw(st.lists(_SIGNED_FINITE, min_size=2 * d * n_kernels, max_size=2 * d * n_kernels))
+    log_weights = draw(st.lists(_SIGNED_FINITE, min_size=n_kernels, max_size=n_kernels))
+    mu = draw(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e3))
+    loss = LossKind(draw(st.sampled_from(_kernels.LOSS_KINDS)), mu)
+    eta = draw(st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True))
+    seed = draw(st.none() | st.integers(0, 2**63))
+    return MklModel(maps, np.reshape(thetas, (n_kernels, 2 * d)), np.array(log_weights), eta, loss, seed)
+
+
+# the JSON types each checkpoint field may hold, by type name; a bool is
+# wrong wherever a number is right, since float() and == read it as one
+_CHECKPOINT_FIELD_TYPES = {
+    "format": {"str"}, "eta": {"int", "float"}, "seed": {"int", "NoneType"}, "log_weights_b64": {"str"},
+    "learners": {"list"}, "maps_b64": {"list"},
+}
+_LEARNER_FIELD_TYPES = {
+    "format": {"str"}, "map_ref": {"str"}, "eta": {"int", "float"}, "loss": {"dict"}, "theta_b64": {"str"},
+}
+_JSON_VALUES = (None, True, 0, 0.5, "x", [], {})
+_REMOVED = object()
+
+
 @pytest.fixture(scope="module")
 def checkpoint(tmp_path_factory):
     """The bytes of TestCheckpoint's saved file, and its directory."""
@@ -629,6 +664,41 @@ class TestCheckpoint:
             return
         for a in (loaded.thetas, loaded.log_weights, *(m.v_matrix for m in loaded.maps)):
             assert np.isfinite(a).all() and not a.flags.writeable
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=checkpoint_models(), data=st.data())
+    def test_a_model_reloads_bit_exactly_and_a_broken_field_is_named(self, checkpoint, model, data):
+        # any one top-level or learner field removed, or set to a value of a
+        # JSON type it never holds, is refused with a ValueError naming it
+        path = checkpoint[1] / "property.json"
+        save_mkl_checkpoint(model, path)
+        loaded = load_mkl_checkpoint(path)
+        assert (loaded.eta, loaded.loss, loaded.seed) == (model.eta, model.loss, model.seed)
+        assert math.copysign(1.0, loaded.loss.mu) == math.copysign(1.0, model.loss.mu)
+        assert loaded.thetas.tobytes() == model.thetas.tobytes()
+        assert loaded.log_weights.tobytes() == model.log_weights.tobytes()
+        for a, b in zip(loaded.maps, model.maps, strict=True):
+            assert a.ref == b.ref and a.v_matrix.tobytes() == b.v_matrix.tobytes()
+        text = path.read_text()
+        p = data.draw(st.integers(0, model.n_kernels - 1), label="learner")
+        fields = [((), name, (name,), types) for name, types in _CHECKPOINT_FIELD_TYPES.items()]
+        fields += [(("learners", p), name, (f"learners[{p}]", name), types)
+                   for name, types in _LEARNER_FIELD_TYPES.items()]
+        for keys, name, named, types in fields:
+            wrong = [value for value in _JSON_VALUES if type(value).__name__ not in types]
+            for value in [_REMOVED, *wrong]:
+                record = json.loads(text)
+                holder = record
+                for key in keys:
+                    holder = holder[key]
+                if value is _REMOVED:
+                    del holder[name]
+                else:
+                    holder[name] = value
+                path.write_text(json.dumps(record))
+                with pytest.raises(ValueError) as refused:
+                    load_mkl_checkpoint(path)
+                assert all(part in str(refused.value) for part in named), (keys, name, value, refused.value)
 
     def test_golden_v2_file_loads_scores_and_resaves_unchanged(self, tmp_path):
         model = load_mkl_checkpoint(GOLDEN_V2)
