@@ -114,14 +114,15 @@ class ExperimentConfig:
     bench_sizes: tuple[int, ...] = (500, 1000, 2000)
 
     def __post_init__(self):
-        for key in ("n_nodes", "trials", "d", "regret_T", "timing_reps", "timing_nodes"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
-        for key in ("bench_sizes", "sample_counts", "band_grid"):
-            if any(v < 1 for v in getattr(self, key) or ()):
-                raise ValueError(f"{key} entries must be >= 1")
+        # isinstance takes a bool for an int: a float fails mid-trial, a bool runs as 0 or 1
+        for key in ("n_nodes", "trials", "d", "regret_T", "timing_reps", "timing_nodes", "base_seed",
+                    "bench_sizes", "sample_counts", "band_grid"):
+            value, least = getattr(self, key), 0 if key == "base_seed" else 1
+            tuple_key = key in ("bench_sizes", "sample_counts", "band_grid")
+            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= least
+                       for v in (value or () if tuple_key else (value,))):
+                what = "entries must be integers" if tuple_key else "must be an integer"
+                raise ValueError(f"{key} {what} >= {least}, got {value!r}")
         for key in ("methods", "bench_sizes", "sample_counts"):
             values = getattr(self, key) or ()
             if len(set(values)) != len(values):
@@ -183,6 +184,11 @@ def _parse_bool(value) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+def _int(value):
+    """Text as an int; any other value as it is, for the config's own check."""
+    return int(value) if isinstance(value, str) else value
+
+
 def _tuple_of(cast):
     def parse(value):
         items = value.split(",") if isinstance(value, str) else value
@@ -204,7 +210,7 @@ def _kernel_entry(entry):
 # One parser per field annotation of ExperimentConfig.
 _PARSERS = {
     "bool": _parse_bool,
-    "int": int,
+    "int": _int,
     "float": float,
     "str": lambda value: value,
     "str | None": lambda value: value,
@@ -212,8 +218,8 @@ _PARSERS = {
     "tuple[tuple[str, float], ...]": _tuple_of(_kernel_entry),
     "tuple[str, ...]": _tuple_of(str),
     "tuple[float, ...]": _tuple_of(float),
-    "tuple[int, ...]": _tuple_of(int),
-    "tuple[int, ...] | None": lambda value: None if value is None else _tuple_of(int)(value),
+    "tuple[int, ...]": _tuple_of(_int),
+    "tuple[int, ...] | None": lambda value: None if value is None else _tuple_of(_int)(value),
 }
 
 
@@ -723,22 +729,41 @@ def _run_trials(
     return rows, {f"{method}_trial0": _mkl_trace_table(t) for method, t in first_traces.items()}
 
 
-def _check_random_graph_run(config: ExperimentConfig, run: str) -> None:
-    """Refuse, before any trial, a loss that the run's real-valued signal
-    cannot train, and ``sample_counts``, which only dataset runs read, so
-    that no report echoes counts that no trial used."""
-    if config.loss != "least_squares":
+# The config keys each run reads under some setting of the others.  A run
+# refuses, before any trial, every other key set away from its default, so
+# that no report echoes a setting that had no effect.
+_TRIAL_KEYS = ("base_seed kernels d eta mu_grid loss methods normalize_patterns standardize_labels pattern_mode "
+               "kl_sigma2 gk_sigma2_grid band_grid cv_fraction timing_reps timing_nodes")
+_DRAW_KEYS = "edge_prob scenario truth_sigma2 noise_var"
+RUN_KEYS = {run: frozenset(keys.split()) for run, keys in {
+    "synthetic": f"{_TRIAL_KEYS} {_DRAW_KEYS} sample_fraction n_nodes trials measure_runtime",
+    "dataset": f"{_TRIAL_KEYS} edge_list labels directed weighted symmetrize sample_counts sample_fraction "
+               "trials measure_runtime",
+    "regret": f"{_DRAW_KEYS} base_seed kernels d eta loss normalize_patterns standardize_labels pattern_mode "
+              "n_nodes trials regret_T regret_mu",
+    "bench-newnode": f"{_TRIAL_KEYS} {_DRAW_KEYS} sample_fraction bench_sizes",
+}.items()}
+
+
+def _check_run(config: ExperimentConfig, run: str) -> None:
+    """Refuse, before any trial, every key set away from its default that
+    ``run`` does not read, and a loss that a random-graph run's real-valued
+    signal cannot train."""
+    unread = [f"{f.name}, got {list(value) if isinstance(value, tuple) else value!r}" for f in fields(config)
+              if f.name not in RUN_KEYS[run] and (value := getattr(config, f.name)) != f.default]
+    if unread:
+        raise ValueError(f"{run} runs ignore {'; '.join(unread)}: leave {'it' if len(unread) == 1 else 'them'} out")
+    if run != "dataset" and config.loss != "least_squares":
         raise ValueError(f"{run} runs require the least-squares loss, got loss = {config.loss!r}")
-    if config.sample_counts is not None:
-        raise ValueError(f"{run} runs ignore sample_counts, got {list(config.sample_counts)}: leave it out")
 
 
-def _draw_trial(config: ExperimentConfig, n: int, seeds: dict):
+def _draw_trial(config: ExperimentConfig, n: int, seeds: dict, sample: bool = True):
     """One random graph on n nodes, M of its nodes sampled, and the signal
-    on every node: ``(g, plan, x)``."""
+    on every node: ``(g, plan, x)``.  Without ``sample`` the plan is None;
+    it has its own seed, so leaving it out moves nothing else."""
     g = erdos_renyi(n, config.edge_prob, seeds["graph"])
-    plan = sample_nodes(g, max(1, math.ceil(config.sample_fraction * n)), seeds["plan"])
-    x = synth_signal(g, _truth_kernel(config, g, plan.sampled), config.noise_var, seeds["signal"])
+    plan = sample_nodes(g, max(1, math.ceil(config.sample_fraction * n)), seeds["plan"]) if sample else None
+    x = synth_signal(g, _truth_kernel(config, g, plan and plan.sampled), config.noise_var, seeds["signal"])
     if config.standardize_labels:
         x = _standardize(x)
     return g, plan, x
@@ -747,7 +772,7 @@ def _draw_trial(config: ExperimentConfig, n: int, seeds: dict):
 def run_synthetic(config: ExperimentConfig) -> Report:
     """Random-graph benchmark: train on M sampled nodes, score the rest as
     newly-joining nodes, aggregate over independent trials."""
-    _check_random_graph_run(config, "synthetic")
+    _check_run(config, "synthetic")
     seeds = [_trial_seeds(config.base_seed, trial) for trial in range(config.trials)]
     rows, traces = _run_trials(config, ((*_draw_trial(config, config.n_nodes, s), s) for s in seeds))
     return Report(rows=rows, config=config, seeds=[s["graph"] for s in seeds], traces=traces)
@@ -760,6 +785,7 @@ def run_dataset(config: ExperimentConfig) -> Report:
     over ``sample_counts`` when given, else uses ``sample_fraction``.  The
     traces are those of the first sample count's first trial.
     """
+    _check_run(config, "dataset")
     if not config.edge_list or not config.labels:
         raise ValueError("dataset runs need edge_list and labels paths")
     g = load_edge_list(config.edge_list, directed=config.directed, weighted=config.weighted)
@@ -868,7 +894,7 @@ def _prefix_oracle_losses(zs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarr
 def run_regret(config: ExperimentConfig) -> Report:
     """Stream T node samples, train online, and compare against the
     per-prefix batch comparator in the executed random-feature classes."""
-    _check_random_graph_run(config, "regret")
+    _check_run(config, "regret")
     horizon = config.regret_T
     eta = config.eta_value(horizon)
     mu = config.regret_mu
@@ -878,7 +904,8 @@ def run_regret(config: ExperimentConfig) -> Report:
     for trial in range(config.trials):
         seeds = _trial_seeds(config.base_seed, trial)
         seeds_used.append(seeds["stream"])
-        g, _, x = _draw_trial(config, config.n_nodes, seeds)
+        # the stream reads every node, so no node sample is drawn
+        g, _, x = _draw_trial(config, config.n_nodes, seeds, sample=False)
         every = np.arange(g.n_nodes)
         pats = node_patterns(g, every, every, config.pattern_mode, config.normalize_patterns)
         stream = np.random.default_rng(seeds["stream"]).integers(0, g.n_nodes, size=horizon)
@@ -964,7 +991,7 @@ def bench_newnode(config: ExperimentConfig) -> Report:
     so pass ``scenario="identity"`` for the cheap kernel, as C10 does.  The
     run always times, so its report carries ``measure_runtime = True``.
     """
-    _check_random_graph_run(config, "bench-newnode")
+    _check_run(config, "bench-newnode")
     rows = []
     extras: dict = {"sizes": list(config.bench_sizes), "per_method": {}}
     seeds_used = []

@@ -405,6 +405,15 @@ def _doubles(field: str, text) -> np.ndarray:
     return values
 
 
+def _loss_from_record(record: dict) -> LossKind:
+    """A learner record's ``loss`` field as the loss it saved."""
+    mu = record["mu"]
+    # a JSON number: float() would also take a bool or a numeric string
+    if type(mu) not in (int, float):
+        raise TypeError(f"loss mu must be a number, got {mu!r}")
+    return LossKind(record["kind"], float(mu))
+
+
 def load_mkl_checkpoint(path) -> MklModel:
     """Reload a :func:`save_mkl_checkpoint` file exactly, or refuse it with a
     ``ValueError`` that names the field at fault."""
@@ -446,9 +455,10 @@ def load_mkl_checkpoint(path) -> MklModel:
         if learner.get("format") != "graphrf-checkpoint-v1":
             raise ValueError(f"{field} is not a learner record: its field format is {learner.get('format')!r}")
         _require_fields(learner, ("map_ref", "eta", "loss", "theta_b64"), field)
+        learner_loss = _parsed(f"learners[{p}].loss", _loss_from_record, learner["loss"])
         if p == 0:
-            loss = _parsed("learners[0].loss", lambda v: LossKind(v["kind"], float(v["mu"])), learner["loss"])
-        elif learner["loss"] != first["loss"]:
+            loss = learner_loss
+        elif learner_loss != loss:
             raise ValueError(f"{field}.loss is {learner['loss']}, but learners[0].loss is {first['loss']}")
         if type(learner["eta"]) not in (int, float) or learner["eta"] != eta:
             raise ValueError(f"{field}.eta is {learner['eta']!r}, but the model's eta is {eta!r}")

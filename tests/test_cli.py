@@ -140,7 +140,9 @@ class TestRunCommands:
         [("regret", "regret_T = 30\n", "regret_trial0.tsv"), ("synthetic", "", "mkl_trial0.tsv")],
     )
     def test_every_trace_cell_is_a_number(self, tmp_path, capsys, command, extra, trace):
-        config = write_config(tmp_path, SMALL_SYNTH + extra)
+        # SMALL_SYNTH less sample_fraction and methods, which regret does not read
+        base = SMALL_SYNTH if command == "synthetic" else "n_nodes = 40\ntrials = 2\nd = 8\nscenario = identity\n"
+        config = write_config(tmp_path, base + extra)
         assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 0
         lines = (tmp_path / "out" / "traces" / trace).read_text().splitlines()
         assert len(lines) > 1
@@ -214,4 +216,11 @@ class TestErrorPaths:
         assert main(["synthetic", "--config", config, "--out", str(tmp_path / "out")]) == 1
         key = line.split(" = ")[0]
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_key_the_run_does_not_read_exits_1_naming_it_and_the_run(self, tmp_path, capsys):
+        # regret streams one mkl model; it trains no other method
+        config = write_config(tmp_path, "methods = knn\n")
+        assert main(["regret", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        assert "error: regret runs ignore methods, got ['knn']: leave it out" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -37,6 +37,8 @@ from graphrf.baselines import batch_kernel_ridge, spectral_ridge_predict
 from graphrf.graph import _draw_plan, node_patterns, normalized_laplacian
 from graphrf.harness import (
     _COLUMNS,
+    METHODS,
+    RUN_KEYS,
     SCENARIOS,
     MethodRow,
     Report,
@@ -242,6 +244,18 @@ class TestConfig:
             ("normalize_patterns", "maybe"),
             ("bench_sizes", ""),
             ("sample_counts", ""),
+            # an int key given through the API as a float or a bool
+            ("n_nodes", 60.5),
+            ("trials", 1.5),
+            ("d", 5.5),
+            ("regret_T", 20.0),
+            ("timing_reps", True),
+            ("timing_nodes", 2.0),
+            ("base_seed", True),
+            ("base_seed", 0.0),
+            ("bench_sizes", (60, 60.5)),
+            ("band_grid", (2, True)),
+            ("sample_counts", (5.0,)),
         ],
     )
     def test_out_of_range_value_names_its_key(self, key, value):
@@ -1385,7 +1399,86 @@ def test_sample_counts_refused_before_any_trial_of_a_run_that_ignores_it(monkeyp
 
     monkeypatch.setattr(graphrf.harness, "erdos_renyi", no_graph)
     with pytest.raises(ValueError, match=r"ignore sample_counts, got \[30\]: leave it out"):
-        runner(ExperimentConfig(n_nodes=60, trials=1, methods=("knn",), sample_counts=(30,)))
+        runner(ExperimentConfig(sample_counts=(30,)))
+
+
+RUNNERS = {"synthetic": run_synthetic, "dataset": run_dataset, "regret": run_regret, "bench-newnode": bench_newnode}
+
+
+@pytest.mark.parametrize(
+    "run, key",
+    [(run, f.name) for run in RUN_KEYS for f in fields(ExperimentConfig) if f.name not in RUN_KEYS[run]],
+)
+def test_a_key_its_run_does_not_read_is_refused_before_any_trial(monkeypatch, run, key):
+    def no_input(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(graphrf.harness, "erdos_renyi", no_input)
+    monkeypatch.setattr(graphrf.harness, "load_edge_list", no_input)
+    value = getattr(EVERY_FIELD_SET, key)
+    with pytest.raises(ValueError, match=rf"^{re.escape(run)} runs ignore {key}, got .*: leave it out$"):
+        RUNNERS[run](ExperimentConfig(**{key: value}))
+
+
+def record_reads(monkeypatch, run, config) -> set:
+    """The ExperimentConfig keys that ``run`` reads on ``config``.  Neither
+    the entry check's reads count nor those of ``replace`` copying a config,
+    and a key that the run itself sets through ``replace`` is not read from
+    the config."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    reads, paused, chosen = set(), [], []
+
+    def getattribute(self, name):
+        if not paused and name in names and not any(obj is self and name in keys for obj, keys in chosen):
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+    def pausing(fn):
+        def call(*args, **kwargs):
+            paused.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                paused.pop()
+
+        return call
+
+    def replacing(obj, **changes):
+        copy = pausing(replace)(obj, **changes)
+        chosen.append((copy, set(changes)))
+        return copy
+
+    with monkeypatch.context() as m:
+        m.setattr(graphrf.harness, "_check_run", pausing(graphrf.harness._check_run))
+        m.setattr(graphrf.harness, "replace", replacing)
+        m.setattr(ExperimentConfig, "__getattribute__", getattribute)
+        RUNNERS[run](config)
+    return reads
+
+
+@pytest.mark.parametrize("run", RUNNERS)
+def test_each_run_reads_exactly_the_keys_of_its_table_row(tiny_dataset, monkeypatch, run):
+    # each run at tiny sizes, once as it is and once with the settings that
+    # unlock its conditional keys: measure_runtime the timing keys, directed
+    # symmetrize, all five methods their knobs; sample_counts replaces the
+    # dataset's sample_fraction
+    edges, labels = tiny_dataset
+    plain = {
+        "synthetic": dict(n_nodes=30, trials=1, d=4),
+        "dataset": dict(edge_list=edges, labels=labels, trials=1, d=4),
+        "regret": dict(n_nodes=20, trials=1, d=4, regret_T=20),
+        "bench-newnode": dict(bench_sizes=(30,), d=4, sample_fraction=0.2, timing_reps=1, timing_nodes=2),
+    }[run]
+    unlock = {
+        "synthetic": dict(methods=METHODS, sample_fraction=0.2, measure_runtime=True, timing_reps=1, timing_nodes=2),
+        "dataset": dict(methods=METHODS, sample_counts=(5,), directed=True, measure_runtime=True, timing_reps=1,
+                        timing_nodes=2),
+        "regret": {},
+        "bench-newnode": dict(methods=METHODS),
+    }[run]
+    reads = record_reads(monkeypatch, run, ExperimentConfig(**plain))
+    reads |= record_reads(monkeypatch, run, ExperimentConfig(**plain, **unlock))
+    assert reads == RUN_KEYS[run]
 
 
 class TestWriteReport:

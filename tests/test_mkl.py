@@ -632,6 +632,7 @@ _CHECKPOINT_FIELD_TYPES = {
 _LEARNER_FIELD_TYPES = {
     "format": {"str"}, "map_ref": {"str"}, "eta": {"int", "float"}, "loss": {"dict"}, "theta_b64": {"str"},
 }
+_LOSS_FIELD_TYPES = {"kind": {"str"}, "mu": {"int", "float"}}
 _JSON_VALUES = (None, True, 0, 0.5, "x", [], {})
 _REMOVED = object()
 
@@ -668,8 +669,9 @@ class TestCheckpoint:
     @settings(max_examples=40, deadline=None)
     @given(model=checkpoint_models(), data=st.data())
     def test_a_model_reloads_bit_exactly_and_a_broken_field_is_named(self, checkpoint, model, data):
-        # any one top-level or learner field removed, or set to a value of a
-        # JSON type it never holds, is refused with a ValueError naming it
+        # any one top-level, learner or loss record field removed, or set to a
+        # value of a JSON type it never holds, is refused with a ValueError
+        # naming it
         path = checkpoint[1] / "property.json"
         save_mkl_checkpoint(model, path)
         loaded = load_mkl_checkpoint(path)
@@ -684,6 +686,8 @@ class TestCheckpoint:
         fields = [((), name, (name,), types) for name, types in _CHECKPOINT_FIELD_TYPES.items()]
         fields += [(("learners", p), name, (f"learners[{p}]", name), types)
                    for name, types in _LEARNER_FIELD_TYPES.items()]
+        fields += [(("learners", p, "loss"), name, (f"learners[{p}].loss", name), types)
+                   for name, types in _LOSS_FIELD_TYPES.items()]
         for keys, name, named, types in fields:
             wrong = [value for value in _JSON_VALUES if type(value).__name__ not in types]
             for value in [_REMOVED, *wrong]:
