@@ -65,8 +65,8 @@ class LossKind:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not self.mu >= 0:  # nan is refused too
-            raise ValueError("mu must be >= 0")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be >= 0 and finite, got {self.mu!r}")
 
 
 def _check_label(loss: LossKind, label: float) -> float:

@@ -114,13 +114,19 @@ class ExperimentConfig:
     bench_sizes: tuple[int, ...] = (500, 1000, 2000)
 
     def __post_init__(self):
-        # isinstance takes a bool for an int: a float fails mid-trial, a bool runs as 0 or 1
+        # only a bool key takes a bool: isinstance(True, int) holds and the range
+        # checks read True as 1, so a bool would run as 0 or 1 (KernelSpec
+        # refuses one as a bandwidth)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type != "bool" and bool in map(type, value if type(value) is tuple else (value,)):
+                raise ValueError(f"{f.name} takes no bool, got {value!r}")
+        # an int key refuses a float, which would fail mid-trial
         for key in ("n_nodes", "trials", "d", "regret_T", "timing_reps", "timing_nodes", "base_seed",
                     "bench_sizes", "sample_counts", "band_grid"):
             value, least = getattr(self, key), 0 if key == "base_seed" else 1
             tuple_key = key in ("bench_sizes", "sample_counts", "band_grid")
-            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= least
-                       for v in (value or () if tuple_key else (value,))):
+            if not all(isinstance(v, int) and v >= least for v in (value or () if tuple_key else (value,))):
                 what = "entries must be integers" if tuple_key else "must be an integer"
                 raise ValueError(f"{key} {what} >= {least}, got {value!r}")
         for key in ("methods", "bench_sizes", "sample_counts"):
@@ -189,6 +195,11 @@ def _int(value):
     return int(value) if isinstance(value, str) else value
 
 
+def _float(value):
+    """A value as a float; a bool as it is, for the config's own check."""
+    return value if isinstance(value, bool) else float(value)
+
+
 def _tuple_of(cast):
     def parse(value):
         items = value.split(",") if isinstance(value, str) else value
@@ -211,13 +222,13 @@ def _kernel_entry(entry):
 _PARSERS = {
     "bool": _parse_bool,
     "int": _int,
-    "float": float,
+    "float": _float,
     "str": lambda value: value,
     "str | None": lambda value: value,
-    "float | str": lambda value: value if value == "auto" else float(value),
+    "float | str": lambda value: value if value == "auto" else _float(value),
     "tuple[tuple[str, float], ...]": _tuple_of(_kernel_entry),
     "tuple[str, ...]": _tuple_of(str),
-    "tuple[float, ...]": _tuple_of(float),
+    "tuple[float, ...]": _tuple_of(_float),
     "tuple[int, ...]": _tuple_of(_int),
     "tuple[int, ...] | None": lambda value: None if value is None else _tuple_of(_int)(value),
 }
@@ -843,48 +854,57 @@ def run_dataset(config: ExperimentConfig) -> Report:
 
 
 # Byte budget of the bordered (dim + 1, dim + 1) grams the prefix oracle
-# factors in one batch: memory stays flat, and past it a block holds one prefix.
+# factors in one batch, over all kernels: memory stays flat, and past it a
+# block holds one prefix.
 _ORACLE_BLOCK_BYTES = 1 << 18
 
 
 def _prefix_oracle_losses(zs: np.ndarray, ys: np.ndarray, mu: float) -> np.ndarray:
-    """Best-fixed-parameter cumulative loss for every stream prefix.
+    """Best-fixed-parameter cumulative loss for every stream prefix, per kernel.
 
-    For prefix t the comparator re-solves the regularized LS problem on the
-    first t samples and is charged its own regularized loss on them.  With
-    the running gram G, right-hand side r and A = G + t mu I, that loss is
+    ``zs`` is the ``(P, T, dim)`` stack of the P kernels' encodings of one
+    stream and ``ys`` its T labels; the result is ``(P, T)``.  For prefix t
+    the comparator re-solves the regularized LS problem on the first t
+    samples and is charged its own regularized loss on them.  With the
+    running gram G, right-hand side r and A = G + t mu I, that loss is
     y'y - r' A^-1 r, the Schur complement of A in the bordered gram
     [[A, r], [r', y'y]]: the square of the last pivot of its Cholesky factor
     (Golub & Van Loan, Matrix Computations, 4.2), so no theta is formed.
-    With y appended to each z, one cumsum builds every prefix's bordered
-    gram.  A mu that leaves a loss below the rounding of y'y is refused.
+    The bordered rows [z, y] of a block of prefixes are built for all P
+    kernels at once; their outer products are summed into prefix grams in
+    place, one prefix row at a time, and one batched Cholesky factors the
+    block.  A mu that leaves a loss below the rounding of y'y is refused.
     With mu = 0 each prefix is charged the residual of its least squares fit.
     """
-    n_steps, dim = zs.shape
-    block = max(1, _ORACLE_BLOCK_BYTES // (8 * (dim + 1) ** 2))
-    gram = np.zeros((dim + 1, dim + 1))
-    zy = np.concatenate([zs, ys[:, None]], axis=1)
-    out = np.empty(n_steps)
+    n_kernels, n_steps, dim = zs.shape
+    block = max(1, _ORACLE_BLOCK_BYTES // (8 * n_kernels * (dim + 1) ** 2))
+    # the gram of the prefix before the block: 0.0 at first, which adds as a
+    # zero gram does, bit for bit
+    gram = 0.0
+    out = np.empty((n_kernels, n_steps))
     for start in range(0, n_steps, block):
         stop = min(start + block, n_steps)
-        z = zy[start:stop]
-        a = z[:, :, None] * z[:, None, :]
-        a[0] += gram
-        np.cumsum(a, axis=0, out=a)
-        gram[...] = a[-1]
+        # the block's bordered rows [z, y], as (block, P, dim + 1)
+        z = np.concatenate([zs[:, start:stop].swapaxes(0, 1), np.repeat(ys[start:stop, None, None], n_kernels, 1)], 2)
+        a = np.einsum("tpi,tpj->tpij", z, z)
+        for prev, row in zip([gram, *a], a):
+            np.add(prev, row, out=row)
+        gram = a[-1].copy()
         if mu == 0:
             # without the ridge term A may be singular and the Schur complement
             # has no precision left, so each prefix is charged its residual
-            for t, g in zip(range(start, stop), a):
-                resid = zs[: t + 1] @ np.linalg.lstsq(g[:dim, :dim], g[:dim, dim], rcond=None)[0] - ys[: t + 1]
-                out[t] = resid @ resid
+            for t, grams in enumerate(a, start):
+                for p, g in enumerate(grams):
+                    theta = np.linalg.lstsq(g[:dim, :dim], g[:dim, dim], rcond=None)[0]
+                    resid = zs[p, : t + 1] @ theta - ys[: t + 1]
+                    out[p, t] = resid @ resid
             continue
-        np.einsum("kii->ki", a)[:, :dim] += mu * np.arange(start + 1, stop + 1)[:, None]
+        np.einsum("tpii->tpi", a)[..., :dim] += mu * np.arange(start + 1, stop + 1)[:, None, None]
         # a prefix of zero labels has a zero last row: its loss is exactly 0
-        zero_labels = a[:, dim, dim] == 0.0
+        zero_labels = a[..., dim, dim] == 0.0
         a[zero_labels, dim, dim] = 1.0
         try:
-            out[start:stop] = np.where(zero_labels, 0.0, np.linalg.cholesky(a)[:, -1, -1] ** 2)
+            out[:, start:stop] = np.where(zero_labels, 0.0, np.linalg.cholesky(a)[..., -1, -1] ** 2).T
         except np.linalg.LinAlgError:
             raise ValueError(f"regret_mu = {mu!r} is too small for the prefix oracle: use a larger one, "
                              "or regret_mu = 0 for the unregularised comparator") from None
@@ -913,7 +933,7 @@ def run_regret(config: ExperimentConfig) -> Report:
         zs = mkl_encode(model, pats)[:, stream]
         ys = x[stream]
         model, traces = mkl_train_encoded(model, zs, ys)
-        oracle_best = np.min([_prefix_oracle_losses(z, ys, mu) for z in zs], axis=0)
+        oracle_best = _prefix_oracle_losses(zs, ys, mu).min(axis=0)
         cum = np.cumsum(traces.combined_loss)
         regret = cum - oracle_best
         exponents.append(fit_growth_exponent(regret))

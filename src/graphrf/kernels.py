@@ -46,6 +46,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        if isinstance(self.bandwidth, bool):
+            raise ValueError(f"bandwidth takes no bool, got {self.bandwidth!r}")
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError("bandwidth must be positive and finite")
 

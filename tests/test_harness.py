@@ -256,11 +256,49 @@ class TestConfig:
             ("bench_sizes", (60, 60.5)),
             ("band_grid", (2, True)),
             ("sample_counts", (5.0,)),
+            # a float key given through the API as a bool
+            ("edge_prob", True),
+            ("truth_sigma2", True),
+            ("noise_var", False),
+            ("sample_fraction", True),
+            ("kl_sigma2", True),
+            ("cv_fraction", False),
+            ("regret_mu", True),
+            ("eta", True),
+            ("mu_grid", (True, 1e-3)),
+            ("gk_sigma2_grid", (1.0, True)),
+            ("kernels", (("gaussian", True),)),
         ],
     )
     def test_out_of_range_value_names_its_key(self, key, value):
         with pytest.raises(ValueError, match=rf"\b{key}\b"):
             config_from_dict({key: value})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("edge_prob", True),
+            ("truth_sigma2", True),
+            ("noise_var", False),
+            ("sample_fraction", True),
+            ("kl_sigma2", True),
+            ("cv_fraction", False),
+            ("regret_mu", True),
+            ("eta", True),
+            ("mu_grid", (True, 1e-3)),
+            ("gk_sigma2_grid", (1.0, False)),
+            ("n_nodes", True),
+            ("band_grid", (2, True)),
+        ],
+    )
+    def test_only_a_bool_key_takes_a_bool(self, key, value):
+        # a bool passed the float keys' range checks as 0 or 1: eta = True was
+        # refused only by the mu-grid bound, and config_from_dict read True as 1.0
+        message = f"{key} takes no bool, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict({key: list(value) if isinstance(value, tuple) else value})
 
     def test_none_passes_as_the_default_of_an_optional_tuple(self):
         assert config_from_dict({"sample_counts": None}).sample_counts is None
@@ -1158,7 +1196,7 @@ class TestRunRegret:
         samples = [(p, 0.0) for p in pats]
         model, traces = mkl_train(model, samples)
         assert np.all(traces.combined_loss == 0.0)
-        oracle = _prefix_oracle_losses(model.maps[0].encode_batch(pats), np.zeros(50), 0.0)
+        oracle = _prefix_oracle_losses(model.maps[0].encode_batch(pats)[None], np.zeros(50), 0.0)[0]
         np.testing.assert_allclose(oracle, 0.0, atol=1e-20)
 
     def test_end_to_end_run(self):
@@ -1185,7 +1223,7 @@ class TestRunRegret:
         def run(T):
             model = mkl_init([spec], 4, 12, 0.5, 1e-6, "least_squares", 9)
             model, traces = mkl_train(model, list(zip(pats[:T], ys[:T])))
-            oracle = _prefix_oracle_losses(model.maps[0].encode_batch(pats[:T]), ys[:T], 1e-6)
+            oracle = _prefix_oracle_losses(model.maps[0].encode_batch(pats[:T])[None], ys[:T], 1e-6)[0]
             return np.cumsum(traces.combined_loss) - oracle
 
         short = run(40)
@@ -1220,7 +1258,7 @@ class TestRunRegret:
         rng = np.random.default_rng(4)
         zs = rng.normal(size=(30, 6))
         ys = np.where(np.arange(30) < 10, 0.0, rng.normal(size=30))
-        oracle = _prefix_oracle_losses(zs, ys, mu)
+        oracle = _prefix_oracle_losses(zs[None], ys, mu)[0]
         assert np.all(oracle[:10] == 0.0) and np.all(oracle[10:] > 0.0)
 
     def test_regret_trace_written(self, tmp_path):

@@ -94,6 +94,11 @@ class TestEvalKernel:
         with pytest.raises(ValueError):
             KernelSpec("sinc", 1.0)
 
+    def test_bool_bandwidth(self):
+        # math.isfinite and > 0 read True as 1
+        with pytest.raises(ValueError, match="^bandwidth takes no bool, got True$"):
+            KernelSpec("gaussian", True)
+
 
 class TestEvalKernelMatrix:
     @pytest.mark.parametrize("family,bw", [("gaussian", 1.3), ("laplacian", 0.9), ("cauchy", 1.1)])
@@ -842,7 +847,7 @@ def test_blocked_oracle_matches_per_prefix_solves(dim, block, n_steps, mu, seed)
     zs /= np.linalg.norm(zs, axis=1, keepdims=True)
     ys = rng.normal(size=n_steps)
     with mock.patch.object(harness, "_ORACLE_BLOCK_BYTES", block * 8 * (dim + 1) ** 2):
-        oracle = harness._prefix_oracle_losses(zs, ys, mu)
+        oracle = harness._prefix_oracle_losses(zs[None], ys, mu)[0]
     # the Schur complement cancels against y'y, so a loss near zero carries
     # rounding error on the scale of y'y rather than of itself
     np.testing.assert_allclose(
@@ -850,11 +855,80 @@ def test_blocked_oracle_matches_per_prefix_solves(dim, block, n_steps, mu, seed)
     )
 
 
+def _running_sum_oracle(zs, ys, mu):
+    """One kernel's oracle, one prefix at a time: the bordered gram summed by a
+    plain running-sum loop, then one np.linalg.cholesky per prefix (with mu =
+    0, the residual of one least squares fit per prefix)."""
+    n_steps, dim = zs.shape
+    gram = np.zeros((dim + 1, dim + 1))
+    out = np.empty(n_steps)
+    for t in range(n_steps):
+        row = np.append(zs[t], ys[t])
+        gram = gram + np.outer(row, row)
+        if mu == 0:
+            theta = np.linalg.lstsq(gram[:dim, :dim], gram[:dim, dim], rcond=None)[0]
+            resid = zs[: t + 1] @ theta - ys[: t + 1]
+            out[t] = resid @ resid
+            continue
+        bordered = gram.copy()
+        bordered[range(dim), range(dim)] += mu * (t + 1)
+        # pivot * pivot, as the oracle's array ** 2 is: a scalar's ** 2 calls
+        # pow, which can differ from the product by one ulp
+        pivot = 0.0 if bordered[dim, dim] == 0.0 else np.linalg.cholesky(bordered)[-1, -1]
+        out[t] = pivot * pivot
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_kernels=st.integers(1, 3),
+    dim=st.integers(1, 30),
+    block=st.integers(1, 9),
+    n_steps=st.integers(1, 60),
+    zero_labels=st.integers(0, 5),
+    mu=st.sampled_from([0.0, 1e-6, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_oracle_is_one_kernel_calls_bit_for_bit(n_kernels, dim, block, n_steps, zero_labels, mu, seed):
+    # the budget holds `block` one-kernel grams, so a P-kernel call blocks its
+    # prefixes differently from the one-kernel calls it is compared with
+    rng = np.random.default_rng(seed)
+    zs = rng.normal(size=(n_kernels, n_steps, dim))
+    zs /= np.linalg.norm(zs, axis=2, keepdims=True)
+    ys = rng.normal(size=n_steps)
+    ys[:zero_labels] = 0.0
+    with mock.patch.object(harness, "_ORACLE_BLOCK_BYTES", block * 8 * (dim + 1) ** 2):
+        stacked = harness._prefix_oracle_losses(zs, ys, mu)
+        single = [harness._prefix_oracle_losses(zs[p : p + 1], ys, mu) for p in range(n_kernels)]
+    assert stacked.shape == (n_kernels, n_steps)
+    assert np.array_equal(stacked, np.concatenate(single))
+    assert np.all(stacked[:, :zero_labels] == 0.0)
+    assert np.array_equal(single[0][0], _running_sum_oracle(zs[0], ys, mu))
+
+
+def test_stacked_oracle_peaks_at_about_two_blocks_of_grams():
+    # one block's prefix grams and their Cholesky factors, over all kernels
+    # together; the budget is not per kernel, and the bordered rows are not
+    # copied for the whole stream (3 kernels' would take 1 MB here)
+    rng = np.random.default_rng(0)
+    zs = rng.normal(size=(3, 2000, 20))
+    zs /= np.linalg.norm(zs, axis=2, keepdims=True)
+    ys = rng.normal(size=2000)
+    tracemalloc.start()
+    try:
+        harness._prefix_oracle_losses(zs, ys, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * harness._ORACLE_BLOCK_BYTES
+
+
 @settings(max_examples=30, deadline=None)
 @given(steps=st.integers(1, 90), dim=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
 def test_in_place_cumsum_is_the_running_sum_loop_bit_for_bit(steps, dim, seed):
-    # the oracle accumulates each block's prefix grams with an in-place
-    # np.cumsum; the running-sum loop it replaced is the reference
+    # an in-place np.cumsum adds the same pairs in the same order as the
+    # running-sum loop, so either may sum the oracle's prefix grams; the
+    # oracle runs the loop, one prefix row at a time
     a = np.random.default_rng(seed).normal(size=(steps, dim, dim))
     reference = a.copy()
     for k in range(1, steps):
@@ -902,7 +976,7 @@ def test_oracle_is_the_exact_ridge_loss_at_every_prefix(dim, n_steps, mu, seed):
     ys = rng.normal(size=n_steps)
     exact = _exact_oracle(zs, ys, mu)
     assert all(loss > 0 for loss in exact)
-    np.testing.assert_allclose(harness._prefix_oracle_losses(zs, ys, mu), [float(v) for v in exact], rtol=1e-9)
+    np.testing.assert_allclose(harness._prefix_oracle_losses(zs[None], ys, mu)[0], [float(v) for v in exact], rtol=1e-9)
 
 
 def test_oracle_block_holds_one_prefix_at_large_dim():
@@ -912,7 +986,7 @@ def test_oracle_block_holds_one_prefix_at_large_dim():
     zs = rng.normal(size=(3, dim))
     ys = rng.normal(size=3)
     np.testing.assert_allclose(
-        harness._prefix_oracle_losses(zs, ys, 1e-3), _reference_oracle(zs, ys, 1e-3), rtol=1e-9
+        harness._prefix_oracle_losses(zs[None], ys, 1e-3)[0], _reference_oracle(zs, ys, 1e-3), rtol=1e-9
     )
 
 

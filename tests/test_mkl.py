@@ -89,6 +89,12 @@ class TestInit:
         with pytest.raises(ValueError):
             mkl_init([KernelSpec("gaussian", 1.0)], 4, 6, 1.5, 0.0, "least_squares", 0)
 
+    @pytest.mark.parametrize("mu", [float("inf"), float("nan"), -1e-3])
+    def test_a_mu_that_is_not_finite_and_non_negative_is_refused(self, mu):
+        # an infinite mu used to build, and training then diverged
+        with pytest.raises(ValueError, match=re.escape(f"mu must be >= 0 and finite, got {mu!r}")):
+            mkl_init([KernelSpec("gaussian", 1.0)], 4, 6, 0.5, mu, "least_squares", 0)
+
     @pytest.mark.parametrize(
         "shapes, message",
         [(((4, 6), (5, 6)), "same D, got 4 and 5"), (((4, 6), (4, 7)), "same N, got 6 and 7")],
@@ -919,6 +925,9 @@ class TestCheckpoint:
                          r"learners\[0\]\.loss .*unknown loss kind", id="unknown-loss-kind"),
             pytest.param(lambda r: [lr["loss"].update(mu=np.nan) for lr in r["learners"]],
                          r"learners\[0\]\.loss .*mu must be >= 0", id="nan-mu"),
+            # json.dumps writes Infinity and json.loads reads it back
+            pytest.param(lambda r: [lr["loss"].update(mu=np.inf) for lr in r["learners"]],
+                         r"learners\[0\]\.loss .*mu must be >= 0 and finite, got inf", id="inf-mu"),
             pytest.param(lambda r: r.update(learners=7), r"field learners must be a list", id="learners-not-a-list"),
             pytest.param(lambda r: r["learners"].__setitem__(1, "x"), r"learners\[1\] is not a learner record",
                          id="learner-not-a-record"),
@@ -1092,7 +1101,7 @@ class TestStaticRegret:
         ys = rng.normal(size=60)
         model2, traces = mkl_train(model, list(zip(pats, ys)))
         zs = model.maps[0].encode_batch(pats)
-        oracle = _prefix_oracle_losses(zs, ys, mu=0.0)
+        oracle = _prefix_oracle_losses(zs[None], ys, mu=0.0)[0]
         regret = np.cumsum(traces.combined_loss) - oracle
         assert regret[-1] >= -1e-9
 
