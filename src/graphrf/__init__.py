@@ -55,18 +55,16 @@ from .baselines import (
     batch_rf_ls,
     knn_predict,
 )
+from .config import ExperimentConfig, load_config
 from .harness import (
-    ExperimentConfig,
-    Report,
     bench_newnode,
     conventional_nmse,
-    load_config,
     nmse,
     run_dataset,
     run_regret,
     run_synthetic,
-    write_report,
 )
+from .report import Report, write_report
 
 __version__ = "0.1.0"
 

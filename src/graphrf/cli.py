@@ -17,18 +17,12 @@ from dataclasses import replace
 
 import numpy as np
 
+from .config import ExperimentConfig, load_config
 from .features import build_map
 from .graph import _lines
-from .harness import (
-    ExperimentConfig,
-    bench_newnode,
-    load_config,
-    run_dataset,
-    run_regret,
-    run_synthetic,
-    write_report,
-)
+from .harness import bench_newnode, run_dataset, run_regret, run_synthetic
 from .kernels import KERNEL_FAMILIES, KernelSpec
+from .report import write_report
 
 
 def _output_flags(parser: argparse.ArgumentParser, seed_help: str) -> None:

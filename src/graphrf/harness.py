@@ -1,5 +1,7 @@
-"""Experiment harness: synthetic and dataset benchmarks, regret runs, and
-new-node runtime scaling, with deterministic TSV/JSON reports.
+"""Experiment harness: the trial protocol and the four runs (synthetic and
+dataset benchmarks, regret runs, and new-node runtime scaling), with the
+regret runs' prefix oracle and bound check.  What a run may be asked is
+decided in :mod:`graphrf.config`, and what it writes in :mod:`graphrf.report`.
 
 Protocol, mirroring the synthetic benchmark design: sample M nodes of an
 N-node graph, train every enabled method on those M nodes only (their
@@ -8,25 +10,18 @@ as a newly-joining node from its connectivity to the sampled set.  Error is
 reported as NMSE over the unsampled set in two conventions (with and without
 the extra 1/|S^c| factor), because published figures do not disambiguate
 which one was plotted.
-
-Wall-clock timings are opt-in (``measure_runtime``): with them off, a report
-is a pure function of (config, seeds) and two runs produce byte-identical
-files.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from ._kernels import LOSS_KINDS
 # knn_predict and mkl_train are not called here: they stay importable as
 # harness.knn_predict and harness.mkl_train, names the perfbench tracer wraps
 from .baselines import (
@@ -36,12 +31,11 @@ from .baselines import (
     knn_predict_batch,
     spectral_ridge_predict,
 )
+from .config import ExperimentConfig, _check_run
 from .graph import (
-    PATTERN_MODES,
     Graph,
     _check_weights,
     _draw_plan,
-    _lines,
     _normalized_laplacian,
     erdos_renyi,
     load_edge_list,
@@ -68,200 +62,7 @@ from .mkl import (
     mkl_train_encoded,
     mkl_train_grid,
 )
-
-METHODS = ("mkl", "kl", "gk_df", "gk_bl", "knn")
-SCENARIOS = ("diffusion", "connectivity", "connectivity_anchored", "identity")
-
-_DEFAULT_MU_GRID = tuple(10.0**-k for k in range(7, -1, -1))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Flat experiment description; every field has a config-file key."""
-
-    n_nodes: int = 200
-    edge_prob: float = 0.2
-    scenario: str = "diffusion"
-    truth_sigma2: float = 5.0
-    noise_var: float = 0.01
-    sample_fraction: float = 0.05
-    trials: int = 10
-    base_seed: int = 0
-    kernels: tuple[tuple[str, float], ...] = (("gaussian", 1.0), ("gaussian", 5.0))
-    d: int = 100
-    eta: float | str = 0.5
-    mu_grid: tuple[float, ...] = _DEFAULT_MU_GRID
-    loss: str = "least_squares"
-    methods: tuple[str, ...] = ("mkl", "kl", "knn")
-    normalize_patterns: bool = True
-    standardize_labels: bool = True
-    pattern_mode: str = "column"
-    kl_sigma2: float = 5.0
-    gk_sigma2_grid: tuple[float, ...] = (1.0, 5.0, 10.0)
-    band_grid: tuple[int, ...] = (2, 5, 10)
-    cv_fraction: float = 0.25
-    measure_runtime: bool = False
-    timing_reps: int = 5
-    timing_nodes: int = 20
-    regret_T: int = 2000
-    regret_mu: float = 1e-6
-    edge_list: str | None = None
-    labels: str | None = None
-    directed: bool = False
-    weighted: bool = False
-    symmetrize: bool = True
-    sample_counts: tuple[int, ...] | None = None
-    bench_sizes: tuple[int, ...] = (500, 1000, 2000)
-
-    def __post_init__(self):
-        # only a bool key takes a bool: isinstance(True, int) holds and the range
-        # checks read True as 1, so a bool would run as 0 or 1 (KernelSpec
-        # refuses one as a bandwidth)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type != "bool" and bool in map(type, value if type(value) is tuple else (value,)):
-                raise ValueError(f"{f.name} takes no bool, got {value!r}")
-        # an int key refuses a float, which would fail mid-trial
-        for key in ("n_nodes", "trials", "d", "regret_T", "timing_reps", "timing_nodes", "base_seed",
-                    "bench_sizes", "sample_counts", "band_grid"):
-            value, least = getattr(self, key), 0 if key == "base_seed" else 1
-            tuple_key = key in ("bench_sizes", "sample_counts", "band_grid")
-            if not all(isinstance(v, int) and v >= least for v in (value or () if tuple_key else (value,))):
-                what = "entries must be integers" if tuple_key else "must be an integer"
-                raise ValueError(f"{key} {what} >= {least}, got {value!r}")
-        for key in ("methods", "bench_sizes", "sample_counts"):
-            values = getattr(self, key) or ()
-            if len(set(values)) != len(values):
-                raise ValueError(f"{key} entries must be distinct")
-        if not 0.0 <= self.edge_prob <= 1.0:
-            raise ValueError("edge_prob must be in [0, 1]")
-        if self.eta != "auto" and not (isinstance(self.eta, (int, float)) and 0.0 < self.eta <= 1.0):
-            raise ValueError(f"eta must be 'auto' or a number in (0, 1], got {self.eta!r}")
-        if self.loss not in LOSS_KINDS:
-            raise ValueError(f"unknown loss {self.loss!r}; valid: {LOSS_KINDS}")
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ValueError("sample_fraction must be in (0, 1]")
-        if not 0.0 <= self.cv_fraction < 1.0:
-            raise ValueError("cv_fraction must be in [0, 1)")
-        for key in ("kernels", "methods", "mu_grid", "gk_sigma2_grid", "band_grid", "bench_sizes"):
-            if not getattr(self, key):
-                raise ValueError(f"{key} must be non-empty")
-        if self.sample_counts is not None and not len(self.sample_counts):
-            raise ValueError("sample_counts must be non-empty; leave it out to sample by sample_fraction")
-        # math.isfinite first, so that nan and inf are refused too
-        for key, bound in (("noise_var", ">= 0"), ("regret_mu", ">= 0"), ("mu_grid", ">= 0"),
-                           ("truth_sigma2", "> 0"), ("kl_sigma2", "> 0"), ("gk_sigma2_grid", "> 0")):
-            value = getattr(self, key)
-            values = value if isinstance(value, tuple) else (value,)
-            if not all(math.isfinite(v) and (v >= 0.0 if bound == ">= 0" else v > 0.0) for v in values):
-                entries = " entries" if isinstance(value, tuple) else ""
-                raise ValueError(f"{key}{entries} must be finite and {bound}")
-        # a step multiplies theta by 1 - 2 eta mu: past 2 eta mu = 1 each step
-        # flips theta's sign, and past 2 eta mu = 2 theta grows without bound
-        if self.eta != "auto" and 2.0 * self.eta * max(self.mu_grid) > 1.0:
-            raise ValueError(f"mu_grid entries must be <= 1/(2 eta) = {0.5 / self.eta!r} at eta = {self.eta!r}")
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; valid: {SCENARIOS}")
-        if self.pattern_mode not in PATTERN_MODES:
-            raise ValueError(f"unknown pattern_mode {self.pattern_mode!r}; valid: {PATTERN_MODES}")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown methods {unknown}; valid: {METHODS}")
-        try:
-            self.kernel_specs()
-        except ValueError as exc:
-            raise ValueError(f"kernels: {exc}") from exc
-
-    def kernel_specs(self) -> tuple[KernelSpec, ...]:
-        return tuple(KernelSpec(family, bw) for family, bw in self.kernels)
-
-    def eta_value(self, horizon: int) -> float:
-        return 1.0 / math.sqrt(horizon) if self.eta == "auto" else float(self.eta)
-
-
-def _parse_bool(value) -> bool:
-    if not isinstance(value, str):
-        return bool(value)
-    low = value.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
-def _int(value):
-    """Text as an int; any other value as it is, for the config's own check."""
-    return int(value) if isinstance(value, str) else value
-
-
-def _float(value):
-    """A value as a float; a bool as it is, for the config's own check."""
-    return value if isinstance(value, bool) else float(value)
-
-
-def _tuple_of(cast):
-    def parse(value):
-        items = value.split(",") if isinstance(value, str) else value
-        return tuple(cast(v.strip() if isinstance(v, str) else v) for v in items if str(v).strip())
-
-    return parse
-
-
-def _kernel_entry(entry):
-    """One ``family:bandwidth`` entry of the ``kernels`` key as (family, bandwidth)."""
-    if not isinstance(entry, str):
-        return entry
-    family, _, bw = entry.partition(":")
-    if not bw:
-        raise ValueError(f"kernel entry {entry!r} must look like family:bandwidth")
-    return family.strip(), float(bw)
-
-
-# One parser per field annotation of ExperimentConfig.
-_PARSERS = {
-    "bool": _parse_bool,
-    "int": _int,
-    "float": _float,
-    "str": lambda value: value,
-    "str | None": lambda value: value,
-    "float | str": lambda value: value if value == "auto" else _float(value),
-    "tuple[tuple[str, float], ...]": _tuple_of(_kernel_entry),
-    "tuple[str, ...]": _tuple_of(str),
-    "tuple[float, ...]": _tuple_of(_float),
-    "tuple[int, ...]": _tuple_of(_int),
-    "tuple[int, ...] | None": lambda value: None if value is None else _tuple_of(_int)(value),
-}
-
-
-def config_from_dict(entries: dict) -> ExperimentConfig:
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    kwargs = {}
-    for key, raw in entries.items():
-        if key not in types:
-            raise ValueError(f"unknown config key {key!r}")
-        try:
-            kwargs[key] = _PARSERS[types[key]](raw.strip() if isinstance(raw, str) else raw)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config key {key!r}: {exc}") from exc
-    return ExperimentConfig(**kwargs)
-
-
-def load_config(path) -> ExperimentConfig:
-    """Parse a flat ``key = value`` config file ('#' starts a comment); no key
-    may be set twice."""
-    entries = {}
-    first_line: dict[str, int] = {}
-    for lineno, line in _lines(path):
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key = key.strip()
-        if key in first_line:
-            raise ValueError(f"line {lineno}: config key {key!r} already set on line {first_line[key]}")
-        first_line[key] = lineno
-        entries[key] = value.strip()
-    return config_from_dict(entries)
+from .report import MethodRow, Report, _mkl_trace_table
 
 
 # ---------------------------------------------------------------------------
@@ -285,142 +86,6 @@ def conventional_nmse(estimates, truth) -> float:
         raise ValueError("NMSE undefined for a zero-norm truth vector")
     err = est - tru
     return float(np.dot(err, err)) / denom
-
-
-# ---------------------------------------------------------------------------
-# Report plumbing.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MethodRow:
-    method: str
-    n_nodes: int
-    n_sampled: int
-    trials: int
-    nmse_mean: float | None
-    nmse_std: float | None
-    nmse_conv_mean: float | None
-    nmse_conv_std: float | None
-    mu_selected: list = field(default_factory=list)
-    train_time: float | None = None
-    newnode_time: float | None = None
-    knn_failures: int = 0
-    notes: str = ""
-
-
-@dataclass
-class Report:
-    rows: list[MethodRow]
-    config: ExperimentConfig
-    seeds: list[int]
-    extras: dict = field(default_factory=dict)
-    # per-step tables: name -> (column names, columns); written by
-    # write_report as traces/<name>.tsv, never into summary.json
-    traces: dict = field(default_factory=dict)
-
-    def sorted_rows(self):
-        return sorted(self.rows, key=lambda r: (r.method, r.n_nodes, r.n_sampled))
-
-    def to_tsv(self) -> str:
-        lines = ["\t".join(header for header, _, _, _ in _COLUMNS)]
-        for row in self.sorted_rows():
-            lines.append("\t".join(_cell(getattr(row, attr), missing) for _, _, attr, missing in _COLUMNS))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        """The report as JSON, or a ``ValueError`` naming the row's method and
-        field, or the ``extras`` key, of a value that is not finite."""
-        rows = [{key: getattr(r, attr) for _, key, attr, _ in _COLUMNS} for r in self.sorted_rows()]
-        named = [(f"row {row['method']!r} field", row) for row in rows] + [("extras key", self.extras)]
-        for what, value in named:
-            where = _non_finite(value)
-            if where is not None:
-                raise ValueError(f"report {what} {where!r} is not finite, so no JSON report can be written")
-        payload = {"config": asdict(self.config), "seeds": self.seeds, "rows": rows, "extras": self.extras}
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _non_finite(value, path: str = "") -> str | None:
-    """The dotted key path, within dicts, lists and tuples, of the first
-    float in ``value`` that is not finite, or None if there is none."""
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
-    if isinstance(value, dict):
-        items = value.items()
-    else:
-        items = enumerate(value) if isinstance(value, (list, tuple)) else ()
-    for key, item in items:
-        found = _non_finite(item, f"{path}.{key}" if path else str(key))
-        if found is not None:
-            return found
-    return None
-
-
-# Report columns: (TSV header, JSON key, MethodRow attribute, TSV text when
-# the value is missing).
-_COLUMNS = (
-    ("method", "method", "method", None),
-    ("n", "n", "n_nodes", None),
-    ("m", "m", "n_sampled", None),
-    ("trials", "trials", "trials", None),
-    ("nmse", "nmse_mean", "nmse_mean", "undefined"),
-    ("nmse_std", "nmse_std", "nmse_std", "undefined"),
-    ("nmse_conventional", "nmse_conventional_mean", "nmse_conv_mean", "undefined"),
-    ("nmse_conventional_std", "nmse_conventional_std", "nmse_conv_std", "undefined"),
-    ("mu", "mu_selected", "mu_selected", "-"),
-    ("train_s", "train_time", "train_time", "-"),
-    ("newnode_s", "newnode_time", "newnode_time", "-"),
-    ("knn_failures", "knn_failures", "knn_failures", None),
-    ("notes", "notes", "notes", "-"),
-)
-
-
-def _cell(value, missing: str | None) -> str:
-    """TSV text of one value; a list of selected mu shows its median."""
-    if isinstance(value, list):
-        value = float(statistics.median(value)) if value else None
-    if value is None or value == "":
-        return missing
-    return f"{value:.6g}" if isinstance(value, float) else str(value)
-
-
-def write_report(report: Report, out_dir) -> None:
-    """Write ``report.tsv``, ``summary.json`` and one ``traces/<name>.tsv``
-    per entry of ``report.traces``, and remove any other ``traces/*.tsv``,
-    which an earlier report left; the runners themselves write nothing."""
-    # render both before writing either: a report that cannot be written as
-    # JSON (a non-finite value) leaves no report.tsv behind
-    tsv, summary = report.to_tsv(), report.to_json()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.tsv").write_text(tsv, encoding="utf-8")
-    (out / "summary.json").write_text(summary, encoding="utf-8")
-    for stale in (out / "traces").glob("*.tsv"):
-        if stale.stem not in report.traces:
-            stale.unlink()
-    if report.traces:
-        (out / "traces").mkdir(exist_ok=True)
-    for name, (names, columns) in report.traces.items():
-        (out / "traces" / f"{name}.tsv").write_text(_steps_to_tsv(names, columns), encoding="utf-8")
-
-
-def _mkl_trace_table(traces: MklTraces) -> tuple[list[str], list]:
-    """Columns per step: combined loss, P per-kernel losses, P weights."""
-    n_kernels = traces.per_kernel_loss.shape[1] if traces.n_steps else 0
-    return (
-        ["combined_loss"] + [f"loss_{p}" for p in range(n_kernels)] + [f"weight_{p}" for p in range(n_kernels)],
-        [traces.combined_loss, *traces.per_kernel_loss.T[:n_kernels], *traces.weights.T[:n_kernels]],
-    )
-
-
-def _steps_to_tsv(names, columns) -> str:
-    """One row per step: t, then each column's value at that step, written
-    with ``repr`` so it reads back bit-exactly."""
-    lines = ["\t".join(["t", *names])]
-    for t, values in enumerate(zip(*columns), start=1):
-        lines.append("\t".join([str(t), *(repr(float(v)) for v in values)]))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -740,34 +405,6 @@ def _run_trials(
     return rows, {f"{method}_trial0": _mkl_trace_table(t) for method, t in first_traces.items()}
 
 
-# The config keys each run reads under some setting of the others.  A run
-# refuses, before any trial, every other key set away from its default, so
-# that no report echoes a setting that had no effect.
-_TRIAL_KEYS = ("base_seed kernels d eta mu_grid loss methods normalize_patterns standardize_labels pattern_mode "
-               "kl_sigma2 gk_sigma2_grid band_grid cv_fraction timing_reps timing_nodes")
-_DRAW_KEYS = "edge_prob scenario truth_sigma2 noise_var"
-RUN_KEYS = {run: frozenset(keys.split()) for run, keys in {
-    "synthetic": f"{_TRIAL_KEYS} {_DRAW_KEYS} sample_fraction n_nodes trials measure_runtime",
-    "dataset": f"{_TRIAL_KEYS} edge_list labels directed weighted symmetrize sample_counts sample_fraction "
-               "trials measure_runtime",
-    "regret": f"{_DRAW_KEYS} base_seed kernels d eta loss normalize_patterns standardize_labels pattern_mode "
-              "n_nodes trials regret_T regret_mu",
-    "bench-newnode": f"{_TRIAL_KEYS} {_DRAW_KEYS} sample_fraction bench_sizes",
-}.items()}
-
-
-def _check_run(config: ExperimentConfig, run: str) -> None:
-    """Refuse, before any trial, every key set away from its default that
-    ``run`` does not read, and a loss that a random-graph run's real-valued
-    signal cannot train."""
-    unread = [f"{f.name}, got {list(value) if isinstance(value, tuple) else value!r}" for f in fields(config)
-              if f.name not in RUN_KEYS[run] and (value := getattr(config, f.name)) != f.default]
-    if unread:
-        raise ValueError(f"{run} runs ignore {'; '.join(unread)}: leave {'it' if len(unread) == 1 else 'them'} out")
-    if run != "dataset" and config.loss != "least_squares":
-        raise ValueError(f"{run} runs require the least-squares loss, got loss = {config.loss!r}")
-
-
 def _draw_trial(config: ExperimentConfig, n: int, seeds: dict, sample: bool = True):
     """One random graph on n nodes, M of its nodes sampled, and the signal
     on every node: ``(g, plan, x)``.  Without ``sample`` the plan is None;
@@ -797,16 +434,11 @@ def run_dataset(config: ExperimentConfig) -> Report:
     traces are those of the first sample count's first trial.
     """
     _check_run(config, "dataset")
-    if not config.edge_list or not config.labels:
-        raise ValueError("dataset runs need edge_list and labels paths")
     g = load_edge_list(config.edge_list, directed=config.directed, weighted=config.weighted)
     if config.directed and config.symmetrize:
         both = np.maximum(g.adjacency, g.adjacency.T)
         both.setflags(write=False)
         g = Graph(both, directed=False, node_names=g.node_names)
-    for method in config.methods:
-        if g.directed and method in ("gk_df", "gk_bl"):
-            raise ValueError(f"{method} requires an undirected graph")
     label_map = load_labels(config.labels)
     index = {name: i for i, name in enumerate(g.node_names or ())}
     unknown = [t for t in label_map if t not in index]
@@ -919,8 +551,6 @@ def run_regret(config: ExperimentConfig) -> Report:
     eta = config.eta_value(horizon)
     mu = config.regret_mu
     exponents, regrets_final, bound_checks, seeds_used = [], [], [], []
-    if config.scenario == "connectivity_anchored":
-        raise ValueError("regret runs stream whole patterns; use another scenario")
     for trial in range(config.trials):
         seeds = _trial_seeds(config.base_seed, trial)
         seeds_used.append(seeds["stream"])

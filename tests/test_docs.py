@@ -6,7 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from graphrf import ExperimentConfig
-from graphrf.harness import RUN_KEYS
+from graphrf.config import RUN_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

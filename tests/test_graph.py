@@ -28,7 +28,7 @@ from graphrf import (
 )
 from graphrf.baselines import knn_predict_batch
 from graphrf.graph import _lines
-from graphrf.harness import load_config
+from graphrf.config import load_config
 
 
 def triangle():

@@ -35,13 +35,8 @@ import graphrf.mkl
 from graphrf import KernelSpec, eval_kernel_matrix, mkl_init, mkl_predict_batch, mkl_train, sample_nodes, synth_signal
 from graphrf.baselines import batch_kernel_ridge, spectral_ridge_predict
 from graphrf.graph import _draw_plan, node_patterns, normalized_laplacian
+from graphrf.config import METHODS, RUN_KEYS, SCENARIOS, config_from_dict
 from graphrf.harness import (
-    _COLUMNS,
-    METHODS,
-    RUN_KEYS,
-    SCENARIOS,
-    MethodRow,
-    Report,
     _draw_trial,
     _fit_method,
     _gk_new_node_scores,
@@ -49,8 +44,8 @@ from graphrf.harness import (
     _select,
     _standardize,
     _trial_seeds,
-    config_from_dict,
 )
+from graphrf.report import _COLUMNS, MethodRow, Report
 
 
 @pytest.fixture
@@ -299,6 +294,23 @@ class TestConfig:
             ExperimentConfig(**{key: value})
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             config_from_dict({key: list(value) if isinstance(value, tuple) else value})
+
+    # a value of the wrong type for each field annotation, wrong through
+    # config_from_dict too, whose parsers read text and pass any other value on
+    WRONG_TYPE = {
+        "bool": 2, "int": None, "float": None, "str": 3, "str | None": 3, "float | str": None,
+        "tuple[tuple[str, float], ...]": (("gaussian", None),), "tuple[str, ...]": 3,
+        "tuple[float, ...]": (1e-3, None), "tuple[int, ...]": 5, "tuple[int, ...] | None": 5,
+    }
+
+    @pytest.mark.parametrize("build", ["ExperimentConfig", "config_from_dict"])
+    @pytest.mark.parametrize("key, annotation", [(f.name, f.type) for f in fields(ExperimentConfig)])
+    def test_a_value_of_the_wrong_type_is_refused_naming_its_key(self, key, annotation, build):
+        # a bool key read any value as true or false, a path key passed an int
+        # on to run_dataset, and a float key raised a TypeError naming no key
+        value = self.WRONG_TYPE[annotation]
+        with pytest.raises(ValueError, match=rf"^({key} |config key '{key}': )"):
+            ExperimentConfig(**{key: value}) if build == "ExperimentConfig" else config_from_dict({key: value})
 
     def test_none_passes_as_the_default_of_an_optional_tuple(self):
         assert config_from_dict({"sample_counts": None}).sample_counts is None
@@ -1456,6 +1468,29 @@ def test_a_key_its_run_does_not_read_is_refused_before_any_trial(monkeypatch, ru
     value = getattr(EVERY_FIELD_SET, key)
     with pytest.raises(ValueError, match=rf"^{re.escape(run)} runs ignore {key}, got .*: leave it out$"):
         RUNNERS[run](ExperimentConfig(**{key: value}))
+
+
+@pytest.mark.parametrize(
+    "run, settings, message",
+    [
+        ("regret", dict(scenario="connectivity_anchored"), "regret runs stream whole patterns; use another scenario"),
+        ("dataset", dict(labels="labels.txt"), "dataset runs need edge_list and labels paths"),
+        ("dataset", dict(edge_list="edges.txt"), "dataset runs need edge_list and labels paths"),
+        # neither file exists, so a run that read one would report that instead
+        ("dataset", dict(edge_list="edges.txt", labels="labels.txt", directed=True, symmetrize=False,
+                         methods=("knn", "gk_bl", "gk_df")), "gk_bl requires an undirected graph"),
+    ],
+    ids=["regret-anchored", "dataset-no-edge-list", "dataset-no-labels", "dataset-gk-directed"],
+)
+def test_a_setting_its_run_cannot_carry_out_is_refused_before_any_input(tmp_path, monkeypatch, run, settings, message):
+    def no_input(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(graphrf.harness, "erdos_renyi", no_input)
+    monkeypatch.setattr(graphrf.harness, "load_edge_list", no_input)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RUNNERS[run](ExperimentConfig(**settings))
 
 
 def record_reads(monkeypatch, run, config) -> set:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphrf import _kernels, harness, kernels, mkl
+from graphrf import _kernels, config, harness, kernels, mkl
 from graphrf import (
     Graph,
     GraphKernelSpec,
@@ -771,7 +771,7 @@ def test_an_empty_grid_is_refused():
 
 
 def _mkl_run(mu_grid):
-    return harness.ExperimentConfig(
+    return config.ExperimentConfig(
         n_nodes=80, sample_fraction=0.5, trials=1, methods=("mkl",), d=8, mu_grid=mu_grid
     )
 
